@@ -4,12 +4,18 @@ A Tape records primitive applications in topological order as they are built;
 forward values are computed eagerly so intermediate results are immediately
 usable. One backward sweep per scalar output yields gradients for every
 requested leaf, in a fixed order, so identical tapes produce bitwise identical
-gradients. Saved forward values needed by adjoint rules are kept on the tape
-rather than recomputed.
+gradients. Forward values needed by adjoint rules are captured by the adjoint
+closures rather than recomputed.
+
+Nothing a tape holds points back at a Var, so a tape and its intermediates are
+freed by reference counting as soon as the last Var or tape reference goes. A
+ForwardTape runs the same ops but records nothing, so forward-only passes keep
+an intermediate only while the next op still needs it.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -21,7 +27,7 @@ from .errors import ContractViolation
 class Var:
     """Immutable value at a tape node. Hashable by identity for gradient maps."""
 
-    __slots__ = ("tape", "index", "value")
+    __slots__ = ("tape", "index", "value", "__weakref__")
 
     def __init__(self, tape: "Tape", index: int, value: np.ndarray):
         self.tape = tape
@@ -65,12 +71,15 @@ class _Node:
 
 
 class Tape:
-    """Single-owner recording of a computation; reusable for one or more backward sweeps."""
+    """Single-owner recording of a computation; reusable for one or more backward sweeps.
+
+    Gradient-requested leaves are held by weak reference, so the tape never
+    keeps a Var alive and the Var -> tape edge forms no cycle.
+    """
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._values: list[np.ndarray] = []
-        self._grad_leaves: list[Var] = []
+        self._grad_leaves: list[weakref.ref] = []
 
     def __len__(self):
         return len(self._nodes)
@@ -79,7 +88,7 @@ class Tape:
         """Enter a value as a leaf; gradient is tracked only if requested."""
         v = self._record(tc.as_tensor(value), (), None)
         if requires_grad:
-            self._grad_leaves.append(v)
+            self._grad_leaves.append(weakref.ref(v))
         return v
 
     def const(self, value) -> Var:
@@ -87,14 +96,13 @@ class Tape:
 
     def _record(self, value: np.ndarray, parents: tuple[int, ...], vjp) -> Var:
         self._nodes.append(_Node(parents, vjp))
-        self._values.append(value)
         return Var(self, len(self._nodes) - 1, value)
 
     def backward(self, output: Var) -> dict[Var, np.ndarray]:
         """Reverse sweep from a scalar output.
 
-        Returns a map from every gradient-requested leaf to its gradient;
-        leaves unreachable from the output get zeros.
+        Returns a map from every gradient-requested leaf still alive to its
+        gradient; leaves unreachable from the output get zeros.
         """
         if output.tape is not self:
             raise ContractViolation("backward: output does not live on this tape")
@@ -119,10 +127,34 @@ class Tape:
                 else:
                     adjoints[parent] = adjoints[parent] + part
         grads: dict[Var, np.ndarray] = {}
-        for leaf in self._grad_leaves:
+        for ref in self._grad_leaves:
+            leaf = ref()
+            if leaf is None:
+                continue
             g = adjoints[leaf.index]
             grads[leaf] = g if g is not None else np.zeros_like(leaf.value)
         return grads
+
+
+class ForwardTape(Tape):
+    """Record-nothing tape for forward-only passes: the ops compute the same
+    values, but no node, adjoint closure or value is kept, so each intermediate
+    is freed once the next op has consumed it."""
+
+    def __init__(self):
+        pass
+
+    def __len__(self):
+        return 0
+
+    def leaf(self, value, requires_grad: bool = False) -> Var:
+        return Var(self, -1, tc.as_tensor(value))
+
+    def _record(self, value: np.ndarray, parents: tuple[int, ...], vjp) -> Var:
+        return Var(self, -1, value)
+
+    def backward(self, output: Var) -> dict[Var, np.ndarray]:
+        raise ContractViolation("backward: a forward-only tape records nothing to differentiate")
 
 
 def _same_tape(*vars_: Var) -> Tape:
@@ -228,8 +260,8 @@ def reshape(a: Var, shape) -> Var:
 # -- nonlinearities ----------------------------------------------------------
 
 def relu(a: Var) -> Var:
-    mask = a.value > 0
-    return a.tape._record(tc.relu(a.value), (a.index,), lambda g: (g * mask,))
+    av = a.value
+    return a.tape._record(tc.relu(av), (a.index,), lambda g: (g * (av > 0),))
 
 
 def tanh(a: Var) -> Var:
@@ -249,8 +281,9 @@ def log(a: Var) -> Var:
 
 def clip(a: Var, lo: float, hi: float) -> Var:
     """Clamp to [lo, hi]; gradient passes through where the input lies inside the range."""
-    inside = (a.value >= lo) & (a.value <= hi)
-    return a.tape._record(np.clip(a.value, lo, hi), (a.index,), lambda g: (g * inside,))
+    av = a.value
+    return a.tape._record(np.clip(av, lo, hi), (a.index,),
+                          lambda g: (g * ((av >= lo) & (av <= hi)),))
 
 
 def softmax(a: Var) -> Var:
@@ -272,6 +305,7 @@ def layer_norm(a: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (av - mu) * inv
     gv = gain.value
+    bshape = bias.value.shape
 
     def vjp(g):
         gx = g * gv
@@ -281,7 +315,7 @@ def layer_norm(a: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
             - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
         )
         ggain = _reduce_to(g * xhat, gv.shape)
-        gbias = _reduce_to(g, bias.value.shape)
+        gbias = _reduce_to(g, bshape)
         return dx, ggain, gbias
 
     return tape._record(xhat * gv + bias.value, (a.index, gain.index, bias.index), vjp)

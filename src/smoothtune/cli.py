@@ -232,6 +232,8 @@ def cmd_sweep(args) -> int:
     _write_text(os.path.join(cfg.out_dir, "config.ini"), effective_config_text(cfg))
     base_train = dat.read_dataset(cfg.train_path)
     test_ds = dat.read_dataset(cfg.test_path) if cfg.test_path else None
+    # the splits of one seed come from one shuffle, so every cell shares them
+    splits = {seed: dat.subsample_splits(base_train, fractions, seed=seed) for seed in seeds}
 
     def cells():
         for method in methods:
@@ -246,9 +248,9 @@ def cmd_sweep(args) -> int:
     rows = [header]
     groups: dict[tuple, list[tuple[float, float, float]]] = {}
     for method, rw, pw in cells():
-        for frac in fractions:
+        for fi, frac in enumerate(fractions):
             for seed in seeds:
-                split = dat.subsample_splits(base_train, [frac], seed=seed)[0]
+                split = splits[seed][fi]
                 train_cfg = dc.replace(
                     cfg.train, reg_weight=rw,
                     prox=dc.replace(cfg.train.prox, prox_weight=pw), seed=seed,

@@ -225,6 +225,10 @@ def read_dataset(path: str) -> Dataset:
     labels_arr = (np.asarray(labels, dtype=np.int64) if task == "classification"
                   else np.asarray(labels, dtype=np.float64))
     soft_arr = np.asarray(soft, dtype=np.float64) if soft else None
+    for name, arr in (("x", inputs_arr), ("y", labels_arr), ("p", soft_arr)):
+        if arr is not None and arr.dtype == np.float64 and not np.isfinite(arr).all():
+            row = np.flatnonzero(~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1))[0]
+            raise InputError(f"{path}:{records[row][0]}: non-finite value in {name!r}")
     if soft_arr is not None and np.any(np.abs(soft_arr.sum(axis=1) - 1.0) > 1e-9):
         raise InputError(f"{path}: soft labels must sum to 1")
     provenance = {}

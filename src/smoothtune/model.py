@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Var
+from .autodiff import ForwardTape, Tape, Var
 from .errors import ContractViolation, InputError
 from .tensor import Rng, as_tensor
 
@@ -266,8 +266,9 @@ def leaf_params(tape: Tape, params: ModelParams, requires_grad: bool = True) -> 
 
 
 # ---------------------------------------------------------------------------
-# Eager (numpy-level) forwards: thin wrappers over the tape builders so the
-# recorded and eager paths are the same code, bit for bit.
+# Eager (numpy-level) forwards: the tape builders run on a ForwardTape, so the
+# recorded and eager paths are the same code, bit for bit, while the eager
+# path keeps no intermediate beyond its last use.
 # ---------------------------------------------------------------------------
 
 def _resolve_masks(config, n, mode, rng, masks):
@@ -285,8 +286,11 @@ def _resolve_masks(config, n, mode, rng, masks):
 
 
 def embed(config: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
-    """Embedding of a batch: identity for raw vectors, table lookup + positions for tokens."""
-    tape = Tape()
+    """Embedding of a batch: identity for raw vectors, table lookup for tokens.
+
+    Position encodings are not included; build_head adds them.
+    """
+    tape = ForwardTape()
     pvars = leaf_params(tape, params, requires_grad=False)
     return build_embed(tape, config, pvars, inputs).value
 
@@ -299,7 +303,7 @@ def forward_from_embedding(
     rng: Rng | None = None,
     masks: list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    tape = Tape()
+    tape = ForwardTape()
     pvars = leaf_params(tape, params, requires_grad=False)
     masks = _resolve_masks(config, embedded.shape[0], mode, rng, masks)
     return build_head(tape, config, pvars, tape.const(embedded), masks).value
@@ -314,7 +318,7 @@ def forward(
     masks: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Fused embed + head; identical to calling the two stages separately."""
-    tape = Tape()
+    tape = ForwardTape()
     pvars = leaf_params(tape, params, requires_grad=False)
     emb = build_embed(tape, config, pvars, inputs)
     masks = _resolve_masks(config, emb.value.shape[0], mode, rng, masks)

@@ -147,14 +147,14 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of range(n), descending, j = draw mod (i+1)."""
-        perm = np.arange(n, dtype=np.int64)
         if n < 2:
-            return perm
-        draws = self._next_block(n - 1)
-        for k, i in enumerate(range(n - 1, 0, -1)):
-            j = int(draws[k] % np.uint64(i + 1))
+            return np.arange(n, dtype=np.int64)
+        # draw k picks the swap partner of i = n-1-k from range(i+1)
+        js = (self._next_block(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
     def child(self, tag: int) -> "Rng":
         """Independently seeded child stream; deterministic in (seed, tag)."""

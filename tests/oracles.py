@@ -53,3 +53,16 @@ def assert_grads_close(actual, expected, rel=1e-4, floor=1e-8):
     bound = floor + rel * np.abs(expected)
     worst = np.max(err - bound)
     assert np.all(err <= bound), f"gradient mismatch, worst excess {worst:.3e}"
+
+
+def ref_permutation(rng, n):
+    """Fisher-Yates shuffle of range(n) one numpy swap at a time, descending,
+    j = draw mod (i+1): the reference Rng.permutation must reproduce."""
+    perm = np.arange(n, dtype=np.int64)
+    if n < 2:
+        return perm
+    draws = rng._next_block(n - 1)
+    for k, i in enumerate(range(n - 1, 0, -1)):
+        j = int(draws[k] % np.uint64(i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm

@@ -165,3 +165,21 @@ def test_reader_rejects_unknown_fields(tmp_path):
         fh.write(json.dumps({"x": [1.0], "y": 0, "weight": 2.0}) + "\n")
     with pytest.raises(InputError, match="fields"):
         read_dataset(path)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field,good,bad", [
+    ("x", {"x": [0.0, 0.0], "y": 0}, {"x": [1.0, _NAN], "y": 0}),
+    ("x", {"x": [0.0, 0.0], "y": 0}, {"x": [-_INF, 1.0], "y": 1}),
+    ("y", {"x": [0.0, 0.0], "y": 0.5}, {"x": [1.0, 2.0], "y": _INF}),
+    ("p", {"x": [0.0, 0.0], "y": 0, "p": [0.5, 0.5]}, {"x": [1.0, 2.0], "y": 0, "p": [_NAN, 1.0]}),
+])
+def test_reader_rejects_non_finite_values(tmp_path, field, good, bad):
+    path = str(tmp_path / "nonfinite.jsonl")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(good) + "\n\n")
+        fh.write(json.dumps(bad) + "\n")
+    with pytest.raises(InputError, match=rf"nonfinite\.jsonl:3: non-finite value in '{field}'"):
+        read_dataset(path)

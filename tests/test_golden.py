@@ -1,0 +1,126 @@
+"""Golden fingerprints: sha256 of the byte-reproducible outputs of three short
+CLI runs. `records.csv` and `checkpoint_final.json` pin training; `metrics.json`
+pins the forward-only passes (accuracy and the smoothness probe). A change to
+any digest means the numbers changed; such a change must be explained in
+CHANGES.md together with the new digests."""
+
+import hashlib
+
+import pytest
+
+from smoothtune.cli import main
+
+_MLP_MODEL = """
+[model]
+task = classification
+classes = 2
+arch = mlp
+input_dim = 2
+hidden = 8,8
+dropout = 0.1
+activation = tanh
+"""
+
+_TRANSFORMER_MODEL = """
+[model]
+task = classification
+classes = 4
+arch = transformer
+embed_dim = 8
+heads = 2
+layers = 1
+max_len = 6
+vocab_size = 4
+dropout = 0.1
+activation = relu
+"""
+
+_SMART = """
+[smart]
+method = {method}
+reg_weight = {reg}
+eps = 0.1
+noise_std = 0.01
+step_size = 0.02
+adv_steps = {steps}
+norm = {norm}
+prox_mode = {prox_mode}
+prox_weight = {prox}
+outer_steps = 16
+batch_size = 10
+peak_lr = 0.02
+"""
+
+_RUNS = {
+    "mlp_smooth_mbpp": (_MLP_MODEL, dict(method="smooth", reg=2.0, steps=2, norm="inf",
+                                         prox_mode="mbpp", prox=1.0), "moons"),
+    "mlp_vanilla": (_MLP_MODEL, dict(method="vanilla", reg=0.0, steps=1, norm="inf",
+                                     prox_mode="mbpp", prox=0.0), "moons"),
+    "transformer_smooth_vbpp": (_TRANSFORMER_MODEL, dict(method="smooth", reg=3.0, steps=2,
+                                                         norm="two", prox_mode="vbpp",
+                                                         prox=1.0), "tokens"),
+}
+
+GOLDEN = {
+    "mlp_smooth_mbpp": {
+        "records.csv":
+            "4fe96c933d8dcc28f06a7165e82d45d5486c9d3a5a42dca7a526b83bfe17e33d",
+        "checkpoint_final.json":
+            "392f0929ecc7b5b56858049164f9c5a6963c5d6387712396b2074bd10980656b",
+        "metrics.json":
+            "99c99acbd777e4726e877cea894748a8f2052d8d2713bf51d03b49b4dcc89198",
+    },
+    "mlp_vanilla": {
+        "records.csv":
+            "a7c44fd04208b2f7d5178d43156c7bdf4f09f966c3739ce7468b5b68654004e4",
+        "checkpoint_final.json":
+            "c7a5dc0c6f8568144febfe7b60c1fee126d7d252abb3cd21620b924b697633de",
+        "metrics.json":
+            "d2c1d8e23b7208432960c13473cd330de1060fc31b8a7ed79aa4eb7dab14ab92",
+    },
+    "transformer_smooth_vbpp": {
+        "records.csv":
+            "af6a18d4af2c34dc6d2695ed8be1fc9070436236293bc80fbbd759aef2c19419",
+        "checkpoint_final.json":
+            "c53e6d41098623fe95d1691d965f21c8e2665dc8aefefbdf295ce2ae415960c5",
+        "metrics.json":
+            "64af08fa5b2c5991c98df06b82df98d623f5d0892f6528f2f772b23ac39aae06",
+    },
+}
+
+
+def _gen(path, *args):
+    assert main(["gen-data", *args, "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def datasets(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden_data")
+    return {
+        "moons": (_gen(d / "moons_train.jsonl", "--generator", "two-moons", "--n", "40",
+                       "--noise", "0.25", "--seed", "7"),
+                  _gen(d / "moons_test.jsonl", "--generator", "two-moons", "--n", "20",
+                       "--noise", "0.25", "--seed", "8")),
+        "tokens": (_gen(d / "tokens_train.jsonl", "--generator", "tokens", "--n", "40",
+                        "--vocab", "4", "--length", "6", "--seed", "7"),
+                   _gen(d / "tokens_test.jsonl", "--generator", "tokens", "--n", "20",
+                        "--vocab", "4", "--length", "6", "--seed", "8")),
+    }
+
+
+def _digests(out_dir):
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in ("records.csv", "checkpoint_final.json", "metrics.json")}
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+def test_golden_fingerprints(run, datasets, tmp_path):
+    model, smart, data = _RUNS[run]
+    train, test = datasets[data]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(model + _SMART.format(**smart)
+                   + f"\n[data]\ntrain = {train}\ntest = {test}\n"
+                   + f"\n[run]\nseed = 3\nout = {tmp_path / 'out'}\nprobe_samples = 4\n")
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert _digests(tmp_path / "out") == GOLDEN[run]

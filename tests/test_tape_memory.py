@@ -1,0 +1,140 @@
+"""Tapes are freed by reference counting alone, and forward-only passes record
+nothing: each test that checks freeing runs with the cyclic collector off."""
+
+import dataclasses
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from smoothtune import adversarial
+from smoothtune import autodiff as ad
+from smoothtune import model as mdl
+from smoothtune.adversarial import AdvConfig, find_adversarial
+from smoothtune.autodiff import ForwardTape, Tape
+from smoothtune.data import gen_token_sequences, gen_two_moons
+from smoothtune.errors import ContractViolation
+from smoothtune.model import ModelConfig
+from smoothtune.optimizer import ProxConfig
+from smoothtune.tensor import Rng
+from smoothtune.trainer import TrainConfig, build_iteration_objective
+
+MLP = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2,
+                  hidden=(8, 8), dropout=0.1)
+TF = ModelConfig(task="classification", classes=4, arch="transformer", embed_dim=8,
+                 heads=2, layers=2, max_len=6, vocab_size=4, dropout=0.1,
+                 activation="relu")
+CFG = TrainConfig(reg_weight=2.0,
+                  adv=AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02, steps=3),
+                  prox=ProxConfig(prox_weight=1.0, mode="mbpp"),
+                  outer_steps=10, batch_size=10, peak_lr=0.01, seed=3)
+
+
+def _batch(config):
+    if config.arch == "mlp":
+        ds = gen_two_moons(10, 0.2, 0)
+    else:
+        ds = gen_token_sequences(10, vocab=4, length=6, rule="majority", seed=0)
+    return ds.inputs, ds.labels
+
+
+@pytest.fixture()
+def no_cyclic_gc():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _spy_tapes(monkeypatch, module, name):
+    """Replace module.<name> with a subclass that keeps a weakref per instance."""
+    made = []
+    base = getattr(module, name)
+
+    class Spy(base):
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(module, name, Spy)
+    return made
+
+
+@pytest.mark.parametrize("config", [MLP, TF], ids=["mlp", "transformer"])
+def test_objective_tape_freed_when_dropped(config, no_cyclic_gc):
+    params = mdl.init_params(config, Rng(1))
+    teacher = mdl.init_params(config, Rng(2))
+    xs, ys = _batch(config)
+    masks = mdl.draw_dropout_masks(config, len(xs), Rng(4))
+    obj = build_iteration_objective(config, CFG, params, teacher, xs, ys, smart=True,
+                                    masks=masks, noise_rng=Rng(5))
+    grad_map = obj.tape.backward(obj.total)
+    grads = {name: grad_map[var] for name, var in obj.pvars.items()}
+    assert len(grads) == len(params)
+    tape = weakref.ref(obj.tape)
+    del obj, grad_map
+    assert tape() is None
+
+
+@pytest.mark.parametrize("config", [MLP, TF], ids=["mlp", "transformer"])
+def test_ascent_tapes_freed_on_return(config, no_cyclic_gc, monkeypatch):
+    made = _spy_tapes(monkeypatch, adversarial, "Tape")
+    params = mdl.init_params(config, Rng(1))
+    xs, _ = _batch(config)
+    masks = mdl.draw_dropout_masks(config, len(xs), Rng(4))
+    emb = mdl.embed(config, params, xs)
+    clean = mdl.forward_from_embedding(config, params, emb, "train", masks=masks)
+    find_adversarial(config, params, emb, clean, CFG.adv, Rng(5), masks)
+    assert len(made) == CFG.adv.steps
+    assert all(ref() is None for ref in made)
+
+
+def test_transformer_forward_keeps_no_tape(no_cyclic_gc, monkeypatch):
+    made = _spy_tapes(monkeypatch, mdl, "ForwardTape")
+    params = mdl.init_params(TF, Rng(1))
+    xs, _ = _batch(TF)
+    out = mdl.forward(TF, params, xs, "train", rng=Rng(3))
+    assert out.shape == (len(xs), TF.classes)
+    assert len(made) == 1 and made[0]() is None
+
+
+def test_forward_tape_records_nothing_and_refuses_backward():
+    tape = ForwardTape()
+    x = tape.leaf(np.array([1.0, -2.0]), requires_grad=True)
+    y = ad.sum_all(ad.relu(x))
+    assert y.value == 1.0
+    assert len(tape) == 0
+    with pytest.raises(ContractViolation, match="forward-only"):
+        tape.backward(y)
+
+
+def test_backward_skips_dropped_leaves():
+    tape = Tape()
+    x = tape.leaf(np.array(2.0), requires_grad=True)
+    dropped = tape.leaf(np.array(3.0), requires_grad=True)
+    y = ad.mul(x, dropped)
+    del dropped
+    grads = tape.backward(y)
+    assert list(grads) == [x]
+    assert grads[x] == 3.0
+
+
+@pytest.mark.parametrize("config", [MLP, dataclasses.replace(MLP, activation="relu"), TF],
+                         ids=["mlp_tanh", "mlp_relu", "transformer"])
+def test_eager_forwards_equal_recording_tape(config):
+    params = mdl.init_params(config, Rng(1))
+    xs, _ = _batch(config)
+    masks = mdl.draw_dropout_masks(config, len(xs), Rng(4))
+    for mode, m in (("eval", None), ("train", masks)):
+        tape = Tape()
+        pvars = mdl.leaf_params(tape, params)
+        emb = mdl.build_embed(tape, config, pvars, xs)
+        recorded = mdl.build_head(tape, config, pvars, emb, m).value
+        assert np.array_equal(mdl.embed(config, params, xs), emb.value)
+        assert np.array_equal(mdl.forward(config, params, xs, mode, masks=m), recorded)
+        assert np.array_equal(
+            mdl.forward_from_embedding(config, params, emb.value, mode, masks=m), recorded)

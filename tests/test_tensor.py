@@ -13,6 +13,8 @@ from smoothtune.tensor import (
     sub,
 )
 
+from oracles import ref_permutation
+
 
 def test_add_componentwise():
     assert np.array_equal(add(np.array([1.0, 2.0]), np.array([3.0, 4.0])), [4.0, 6.0])
@@ -130,3 +132,13 @@ def test_permutation_is_a_permutation_and_deterministic():
     assert np.array_equal(p1, p2)
     assert sorted(p1.tolist()) == list(range(40))
     assert not np.array_equal(p1, np.arange(40))
+
+
+@pytest.mark.parametrize("seed,counter", [(0, 0), (31, 0), (7, 5), (2**63 + 11, 123456)])
+def test_permutation_matches_reference_shuffle(seed, counter):
+    for n in (0, 1, 2, 3, 100, 5000, 10000):
+        fast, ref = Rng(seed, counter), Rng(seed, counter)
+        p = fast.permutation(n)
+        assert p.dtype == np.int64
+        assert np.array_equal(p, ref_permutation(ref, n))
+        assert fast.state() == ref.state()
