@@ -65,7 +65,6 @@ from .trainer import (
     continue_training,
     expected_pass_counts,
     init_train_state,
-    iteration_objective,
     resume_from_checkpoint,
     resume_training,
     save_train_checkpoint,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import typing
 
 import numpy as np
 
@@ -41,19 +42,22 @@ def tensors_from_obj(obj: dict) -> ModelParams:
     return params
 
 
-def model_config_to_obj(config: ModelConfig) -> dict:
-    obj = dataclasses.asdict(config)
-    obj["hidden"] = list(config.hidden)
-    return obj
-
-
-def model_config_from_obj(obj: dict) -> ModelConfig:
+def config_from_obj(cls, obj: dict):
+    """Rebuild a config dataclass from its `dataclasses.asdict` form: nested
+    configs are rebuilt and JSON arrays become tuples for tuple fields."""
     try:
-        obj = dict(obj)
-        obj["hidden"] = tuple(obj.get("hidden", ()))
-        return ModelConfig(**obj)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed model config: {exc}") from exc
+        hints = typing.get_type_hints(cls)
+        kwargs = {}
+        for name, value in obj.items():
+            hint = hints.get(name)
+            if dataclasses.is_dataclass(hint):
+                value = config_from_obj(hint, value)
+            elif typing.get_origin(hint) is tuple:
+                value = tuple(value)
+            kwargs[name] = value
+        return cls(**kwargs)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed {cls.__name__}: {exc}") from exc
 
 
 def write_json(path: str, document: dict) -> None:
@@ -85,7 +89,7 @@ def read_json(path: str) -> dict:
 def save_params(path: str, config: ModelConfig, params: ModelParams) -> None:
     write_json(path, {
         "version": CHECKPOINT_VERSION,
-        "config": model_config_to_obj(config),
+        "config": dataclasses.asdict(config),
         "tensors": tensors_to_obj(params),
     })
 
@@ -95,4 +99,4 @@ def load_params(path: str) -> tuple[ModelConfig, ModelParams]:
     for key in ("config", "tensors"):
         if key not in document:
             raise CheckpointError(f"cannot load {path}: missing section {key!r}")
-    return model_config_from_obj(document["config"]), tensors_from_obj(document["tensors"])
+    return config_from_obj(ModelConfig, document["config"]), tensors_from_obj(document["tensors"])

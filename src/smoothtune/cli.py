@@ -9,6 +9,7 @@ creating its output directory leaves a FAILED sentinel file there.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from . import evaluate as ev
 from . import model as mdl
 from . import trainer as tr
 from .errors import CheckpointError, ConfigError, ContractViolation, InputError
-from .runconfig import RunConfig, effective_config_text, parse_config
+from .runconfig import RunConfig, config_values, effective_config_text, parse_config
 from .tensor import Rng
 
 
@@ -79,9 +80,10 @@ def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
         eval_rows: list[tuple[int, float, float | None]] = []
 
         if resume is not None:
-            result = tr.resume_training(resume, train_ds,
-                                        checkpoint_path=ckpt_path,
-                                        checkpoint_every=cfg.checkpoint_every)
+            state = tr.resume_from_checkpoint(resume)
+            _check_resume_config(cfg, state, resume)
+            result = tr.continue_training(state, train_ds, checkpoint_path=ckpt_path,
+                                          checkpoint_every=cfg.checkpoint_every)
         else:
             init = mdl.init_params(cfg.model, Rng(cfg.train.seed).child(0))
             run = tr.smooth_finetune if cfg.method == "smooth" else tr.vanilla_finetune
@@ -123,6 +125,17 @@ def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
     except Exception as exc:
         _write_text(sentinel, f"{type(exc).__name__}: {exc}\n")
         raise
+
+
+def _check_resume_config(cfg: RunConfig, state: tr.TrainState, path: str) -> None:
+    """Refuse to continue a checkpoint under settings other than its own."""
+    stored = dataclasses.replace(cfg, model=state.model_cfg, train=state.cfg,
+                                 method="smooth" if state.smart else "vanilla")
+    ours, theirs = config_values(cfg), config_values(stored)
+    differing = [f"[{s}].{k} is {ours[s, k]}, the checkpoint has {theirs[s, k]}"
+                 for s, k in ours if ours[s, k] != theirs[s, k]]
+    if differing:
+        raise ConfigError(f"config differs from checkpoint {path}: " + "; ".join(differing))
 
 
 def _train_with_eval(cfg, train_ds, test_ds, init, eval_rows, ckpt_path):
@@ -220,8 +233,6 @@ def cmd_boundary(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config, _collect_overrides(args), require_sweep=True)
-    import dataclasses as dc
-
     methods = cfg.sweep.get("methods", ["vanilla", "smooth"])
     reg_weights = cfg.sweep.get("reg_weights", [cfg.train.reg_weight])
     prox_weights = cfg.sweep.get("prox_weights", [cfg.train.prox.prox_weight])
@@ -251,9 +262,9 @@ def cmd_sweep(args) -> int:
         for fi, frac in enumerate(fractions):
             for seed in seeds:
                 split = splits[seed][fi]
-                train_cfg = dc.replace(
+                train_cfg = dataclasses.replace(
                     cfg.train, reg_weight=rw,
-                    prox=dc.replace(cfg.train.prox, prox_weight=pw), seed=seed,
+                    prox=dataclasses.replace(cfg.train.prox, prox_weight=pw), seed=seed,
                 )
                 init = mdl.init_params(cfg.model, Rng(seed).child(0))
                 run = tr.smooth_finetune if method == "smooth" else tr.vanilla_finetune

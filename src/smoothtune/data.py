@@ -41,11 +41,18 @@ class Dataset:
         )
 
 
+def _check_scales(**scales: float) -> None:
+    for name, value in scales.items():
+        if not 0 <= value < np.inf:
+            raise InputError(f"{name} must be finite and >= 0, got {value}")
+
+
 def gen_two_moons(n: int, noise_std: float, seed: int) -> Dataset:
     """Two interleaved arcs: class 0 at (cos t, sin t), class 1 at
     (1 - cos t, 0.5 - sin t), t uniform on [0, pi], plus N(0, noise_std^2)."""
     if n < 2 or n % 2 != 0:
         raise InputError(f"n must be even and >= 2, got {n}")
+    _check_scales(noise=noise_std)
     rng = Rng(seed)
     half = n // 2
     t0 = rng.uniform((half,)) * np.pi
@@ -80,6 +87,7 @@ def gen_cluster_classification(
     """
     if n < classes or classes < 2 or dim < 1:
         raise InputError(f"invalid sizes n={n}, classes={classes}, dim={dim}")
+    _check_scales(separation=separation, noise=noise)
     rng = Rng(seed)
     centroids = _cluster_centroids(classes, dim, separation, rng)
     counts = [n // classes + (1 if j < n % classes else 0) for j in range(classes)]
@@ -218,10 +226,16 @@ def read_dataset(path: str) -> Dataset:
         labels.append(rec["y"])
         if "p" in schema:
             soft.append(rec["p"])
-    inputs_arr = (np.asarray(inputs, dtype=np.float64) if input_kind == "vector"
-                  else np.asarray(inputs, dtype=np.int64))
-    if inputs_arr.ndim != 2:
-        raise InputError(f"{path}: input rows have inconsistent lengths")
+    try:
+        inputs_arr = np.asarray(inputs, dtype=np.float64 if input_kind == "vector" else None)
+    except ValueError:
+        inputs_arr = None
+    if inputs_arr is None or inputs_arr.ndim != 2:
+        raise InputError(f"{path}: input rows must be equal-length lists of numbers")
+    if input_kind == "tokens" and inputs_arr.dtype.kind != "i":
+        lineno = next(lineno for lineno, rec in records
+                      if not rec["tokens"] or any(type(t) is not int for t in rec["tokens"]))
+        raise InputError(f"{path}:{lineno}: token ids must be JSON integers")
     labels_arr = (np.asarray(labels, dtype=np.int64) if task == "classification"
                   else np.asarray(labels, dtype=np.float64))
     soft_arr = np.asarray(soft, dtype=np.float64) if soft else None

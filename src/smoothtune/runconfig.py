@@ -2,13 +2,16 @@
 
 A run's effective (merged) config is archived into its output directory before
 any work starts, so every output file is reproducible from what was recorded.
-Validation collects every offending key before failing.
+Validation collects every offending key before failing. Each value's type and
+default live on its dataclass field; `CONFIG_KEYS` says which key sets which field.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
+import typing
 from dataclasses import dataclass, field
 
 from .adversarial import AdvConfig
@@ -17,30 +20,6 @@ from .model import ModelConfig
 from .optimizer import ProxConfig
 from .trainer import TrainConfig
 
-_MODEL_KEYS = {
-    "task": str, "classes": int, "arch": str, "input_dim": int, "hidden": "intlist",
-    "embed_dim": int, "heads": int, "layers": int, "max_len": int, "vocab_size": int,
-    "dropout": float, "activation": str,
-}
-_SMART_KEYS = {
-    "method": str, "reg_weight": float, "eps": float, "noise_std": float,
-    "step_size": float, "adv_steps": int, "norm": str, "prox_mode": str,
-    "prox_weight": float, "ema_early": float, "ema_late": float, "ema_switch": float,
-    "inner_steps": int, "outer_steps": int, "batch_size": int, "peak_lr": float,
-    "warmup_frac": float, "clip_norm": float, "detach_clean": "bool",
-}
-_DATA_KEYS = {"train": str, "test": str}
-_RUN_KEYS = {"seed": int, "out": str, "eval_every": int, "checkpoint_every": int,
-             "probe_eps": float, "probe_samples": int}
-_SWEEP_KEYS = {"methods": "strlist", "reg_weights": "floatlist", "prox_weights": "floatlist",
-               "fractions": "floatlist", "seeds": "intlist"}
-
-_SCHEMA = {"model": _MODEL_KEYS, "smart": _SMART_KEYS, "data": _DATA_KEYS,
-           "run": _RUN_KEYS, "sweep": _SWEEP_KEYS}
-
-_REQUIRED = {("smart", "method"), ("smart", "outer_steps"), ("data", "train"),
-             ("run", "seed"), ("run", "out")}
-
 
 @dataclass
 class RunConfig:
@@ -48,40 +27,52 @@ class RunConfig:
     train: TrainConfig
     method: str                      # "smooth" | "vanilla"
     train_path: str
-    test_path: str | None
     out_dir: str
+    test_path: str | None = None
     eval_every: int = 0
     checkpoint_every: int = 0
     probe_eps: float | None = None   # defaults to the adversarial eps
     probe_samples: int = 64
     sweep: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)  # merged section -> key -> string
 
 
-def _parse_value(kind, text: str, errors: list[str], where: str):
-    try:
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-        if kind is str:
-            return text
-        if kind == "bool":
-            low = text.strip().lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
-        items = [t.strip() for t in text.split(",") if t.strip()]
-        if kind == "intlist":
-            return [int(t) for t in items]
-        if kind == "floatlist":
-            return [float(t) for t in items]
-        return items  # strlist
-    except ValueError:
-        errors.append(f"{where}: cannot parse {text!r}")
-        return None
+# (section, key, dataclass, field) in archive order; `key=field` where the names differ
+CONFIG_KEYS = [(section, token.split("=")[0], cls, token.split("=")[-1]) for section, cls, keys in (
+    ("model", ModelConfig, " ".join(f.name for f in dataclasses.fields(ModelConfig))),
+    ("smart", RunConfig, "method"),
+    ("smart", TrainConfig, "reg_weight"),
+    ("smart", AdvConfig, "eps noise_std step_size adv_steps=steps norm"),
+    ("smart", ProxConfig, "prox_mode=mode prox_weight ema_early ema_late ema_switch"),
+    ("smart", TrainConfig, "inner_steps outer_steps batch_size peak_lr warmup_frac clip_norm "
+                           "detach_clean=reg_detach_clean"),
+    ("data", RunConfig, "train=train_path test=test_path"),
+    ("run", TrainConfig, "seed"),
+    ("run", RunConfig, "out=out_dir eval_every checkpoint_every probe_samples probe_eps"),
+) for token in keys.split()]
+
+_SWEEP_KEYS = {"methods": list[str], "reg_weights": list[float], "prox_weights": list[float],
+               "fractions": list[float], "seeds": list[int]}
+
+_REQUIRED = {("smart", "method"), ("smart", "outer_steps"), ("data", "train"),
+             ("run", "seed"), ("run", "out")}
+
+_HINTS = {cls: typing.get_type_hints(cls)
+          for cls in (ModelConfig, AdvConfig, ProxConfig, TrainConfig, RunConfig)}
+_TYPES = {(section, key): _HINTS[cls][name] for section, key, cls, name in CONFIG_KEYS}
+_TYPES.update({("sweep", key): kind for key, kind in _SWEEP_KEYS.items()})
+_SECTIONS = {section for section, _ in _TYPES}
+
+
+def _parse_value(kind, text: str):
+    args = typing.get_args(kind)
+    if type(None) in args:           # `X | None` parses as X
+        return _parse_value(args[0], text)
+    if kind is bool:                 # index() raises ValueError for any other word
+        return ("false", "0", "no", "true", "1", "yes").index(text.strip().lower()) >= 3
+    container = typing.get_origin(kind)
+    if container in (list, tuple):
+        return container(args[0](t.strip()) for t in text.split(",") if t.strip())
+    return kind(text)
 
 
 def parse_config(path: str | None, overrides: list[str] | None = None,
@@ -106,138 +97,68 @@ def parse_config(path: str | None, overrides: list[str] | None = None,
             parser.add_section(section)
         parser.set(section.strip(), key.strip(), value.strip())
 
-    merged: dict[str, dict[str, str]] = {}
+    values: dict[tuple[str, str], object] = {}
+    unparsed: list[str] = []            # reported after every unknown key
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             errors.append(f"[{section}]: unknown section")
             continue
-        merged[section] = {}
         for key, text in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _TYPES:
                 errors.append(f"[{section}].{key}: unknown key")
-            else:
-                merged[section][key] = text
-
-    values: dict[str, dict] = {s: {} for s in _SCHEMA}
-    for section, keys in merged.items():
-        for key, text in keys.items():
-            parsed = _parse_value(_SCHEMA[section][key], text, errors,
-                                  f"[{section}].{key}")
-            if parsed is not None:
-                values[section][key] = parsed
-
-    for section, key in sorted(_REQUIRED):
-        if key not in values.get(section, {}):
-            errors.append(f"[{section}].{key}: missing required key")
-    if require_sweep and not values.get("sweep"):
+                continue
+            try:
+                values[section, key] = _parse_value(_TYPES[section, key], text)
+            except ValueError:
+                unparsed.append(f"[{section}].{key}: cannot parse {text!r}")
+    errors += unparsed
+    errors += [f"[{section}].{key}: missing required key"
+               for section, key in sorted(_REQUIRED) if (section, key) not in values]
+    sweep = {key: value for (section, key), value in values.items() if section == "sweep"}
+    if require_sweep and not sweep:
         errors.append("[sweep]: section required for sweep runs")
-
-    method = values["smart"].get("method", "smooth")
-    if method not in ("smooth", "vanilla"):
+    method = values.get(("smart", "method"))
+    if method is not None and method not in ("smooth", "vanilla"):
         errors.append(f"[smart].method: must be 'smooth' or 'vanilla', got {method!r}")
     if errors:
         raise ConfigError("; ".join(errors))
 
-    m = values["model"]
+    kwargs: dict[type, dict] = {cls: {} for cls in _HINTS}
+    for section, key, cls, name in CONFIG_KEYS:
+        if (section, key) in values:
+            kwargs[cls][name] = values[section, key]
     try:
-        model = ModelConfig(
-            task=m.get("task", "classification"),
-            classes=m.get("classes", 2),
-            arch=m.get("arch", "mlp"),
-            input_dim=m.get("input_dim", 2),
-            hidden=tuple(m.get("hidden", (16, 16))),
-            embed_dim=m.get("embed_dim", 8),
-            heads=m.get("heads", 2),
-            layers=m.get("layers", 1),
-            max_len=m.get("max_len", 8),
-            vocab_size=m.get("vocab_size", 16),
-            dropout=m.get("dropout", 0.1),
-            activation=m.get("activation", "tanh"),
-        )
-        s = values["smart"]
-        train = TrainConfig(
-            reg_weight=s.get("reg_weight", 1.0),
-            adv=AdvConfig(
-                eps=s.get("eps", 1e-5),
-                noise_std=s.get("noise_std", 1e-5),
-                step_size=s.get("step_size", 1e-3),
-                steps=s.get("adv_steps", 1),
-                norm=s.get("norm", "inf"),
-            ),
-            prox=ProxConfig(
-                prox_weight=s.get("prox_weight", 1.0),
-                mode=s.get("prox_mode", "mbpp"),
-                ema_early=s.get("ema_early", 0.99),
-                ema_late=s.get("ema_late", 0.999),
-                ema_switch=s.get("ema_switch", 0.1),
-            ),
-            inner_steps=s.get("inner_steps", 1),
-            outer_steps=s["outer_steps"],
-            batch_size=s.get("batch_size", 32),
-            peak_lr=s.get("peak_lr", 1e-3),
-            warmup_frac=s.get("warmup_frac", 0.1),
-            clip_norm=s.get("clip_norm", 1.0),
-            seed=values["run"]["seed"],
-            reg_detach_clean=s.get("detach_clean", False),
-        )
+        model = ModelConfig(**kwargs[ModelConfig])
+        train = TrainConfig(adv=AdvConfig(**kwargs[AdvConfig]),
+                            prox=ProxConfig(**kwargs[ProxConfig]), **kwargs[TrainConfig])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    r = values["run"]
-    return RunConfig(
-        model=model, train=train, method=method,
-        train_path=values["data"]["train"],
-        test_path=values["data"].get("test"),
-        out_dir=r["out"],
-        eval_every=r.get("eval_every", 0),
-        checkpoint_every=r.get("checkpoint_every", 0),
-        probe_eps=r.get("probe_eps"),
-        probe_samples=r.get("probe_samples", 64),
-        sweep=values.get("sweep", {}),
-        raw=merged,
-    )
+    return RunConfig(model=model, train=train, sweep=sweep, **kwargs[RunConfig])
+
+
+def _format(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return ",".join(str(v) for v in value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def config_values(cfg: RunConfig) -> dict[tuple[str, str], object]:
+    """(section, key) -> the value of the field each key sets, in archive order."""
+    owners = {ModelConfig: cfg.model, AdvConfig: cfg.train.adv, ProxConfig: cfg.train.prox,
+              TrainConfig: cfg.train, RunConfig: cfg}
+    return {(section, key): getattr(owners[cls], name) for section, key, cls, name in CONFIG_KEYS}
 
 
 def effective_config_text(cfg: RunConfig) -> str:
-    """The merged config as a sectioned key=value document."""
-    parser = configparser.ConfigParser()
-    model, train = cfg.model, cfg.train
-    parser["model"] = {
-        "task": model.task, "classes": str(model.classes), "arch": model.arch,
-        "input_dim": str(model.input_dim),
-        "hidden": ",".join(str(h) for h in model.hidden),
-        "embed_dim": str(model.embed_dim), "heads": str(model.heads),
-        "layers": str(model.layers), "max_len": str(model.max_len),
-        "vocab_size": str(model.vocab_size), "dropout": repr(model.dropout),
-        "activation": model.activation,
-    }
-    parser["smart"] = {
-        "method": cfg.method, "reg_weight": repr(train.reg_weight),
-        "eps": repr(train.adv.eps), "noise_std": repr(train.adv.noise_std),
-        "step_size": repr(train.adv.step_size), "adv_steps": str(train.adv.steps),
-        "norm": train.adv.norm, "prox_mode": train.prox.mode,
-        "prox_weight": repr(train.prox.prox_weight),
-        "ema_early": repr(train.prox.ema_early), "ema_late": repr(train.prox.ema_late),
-        "ema_switch": repr(train.prox.ema_switch),
-        "inner_steps": str(train.inner_steps), "outer_steps": str(train.outer_steps),
-        "batch_size": str(train.batch_size), "peak_lr": repr(train.peak_lr),
-        "warmup_frac": repr(train.warmup_frac), "clip_norm": repr(train.clip_norm),
-        "detach_clean": str(train.reg_detach_clean).lower(),
-    }
-    data = {"train": cfg.train_path}
-    if cfg.test_path:
-        data["test"] = cfg.test_path
-    parser["data"] = data
-    run = {"seed": str(train.seed), "out": cfg.out_dir,
-           "eval_every": str(cfg.eval_every),
-           "checkpoint_every": str(cfg.checkpoint_every),
-           "probe_samples": str(cfg.probe_samples)}
-    if cfg.probe_eps is not None:
-        run["probe_eps"] = repr(cfg.probe_eps)
-    parser["run"] = run
+    """The merged config as a sectioned key=value document; None values are left out."""
+    items: dict[str, dict[str, str]] = {}
+    for (section, key), value in config_values(cfg).items():
+        if value is not None:
+            items.setdefault(section, {})[key] = _format(value)
     if cfg.sweep:
-        parser["sweep"] = {
-            key: ",".join(str(v) for v in vals) for key, vals in cfg.sweep.items()
-        }
+        items["sweep"] = {key: _format(vals) for key, vals in cfg.sweep.items()}
+    parser = configparser.ConfigParser()
+    parser.read_dict(items)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

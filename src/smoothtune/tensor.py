@@ -129,8 +129,8 @@ class Rng:
 
         sigma = 0 returns zeros without consuming any draws.
         """
-        if sigma < 0:
-            raise ContractViolation(f"gaussian: sigma must be >= 0, got {sigma}")
+        if not 0 <= sigma < np.inf:
+            raise ContractViolation(f"gaussian: sigma must be finite and >= 0, got {sigma}")
         shape = tuple(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         if sigma == 0.0:

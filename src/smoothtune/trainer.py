@@ -21,8 +21,7 @@ from .adversarial import AdvConfig, PassCounters, build_smoothness_term, find_ad
 from .autodiff import Tape, Var
 from .checkpoint import (
     CHECKPOINT_VERSION,
-    model_config_from_obj,
-    model_config_to_obj,
+    config_from_obj,
     read_json,
     tensors_from_obj,
     tensors_to_obj,
@@ -221,17 +220,6 @@ def build_iteration_objective(
                      pvars=pvars, embedding=emb.value, adversarial=x_adv)
 
 
-def iteration_objective(state: TrainState, xs: np.ndarray, ys: np.ndarray,
-                        masks: list[np.ndarray] | None = None) -> Objective:
-    """Objective at the state's current parameters (consumes the noise stream)."""
-    return build_iteration_objective(
-        state.model_cfg, state.cfg, state.params,
-        state.teacher.params if state.teacher is not None else None,
-        xs, ys, smart=state.smart, masks=masks,
-        noise_rng=state.streams["noise"], counters=state.counters,
-    )
-
-
 def _next_batch(state: TrainState, n: int) -> np.ndarray:
     """Consecutive slices of a per-epoch shuffle; reshuffles when a full batch
     no longer fits (partial tail batches are dropped)."""
@@ -403,19 +391,13 @@ def expected_pass_counts(cfg: TrainConfig, smart: bool) -> tuple[int, int]:
 
 def records_csv_lines(records: list[TrainRecord]) -> list[str]:
     """CSV rows; the penalty columns appear only when the run produced them."""
-    with_penalties = any(r.reg_loss is not None or r.breg_loss is not None for r in records)
-    if with_penalties:
-        lines = ["step,lr,beta,task_loss,reg_loss,breg_loss,total,grad_norm"]
-        for r in records:
-            reg = "" if r.reg_loss is None else repr(r.reg_loss)
-            breg = "" if r.breg_loss is None else repr(r.breg_loss)
-            lines.append(f"{r.step},{r.lr!r},{r.beta!r},{r.task_loss!r},"
-                         f"{reg},{breg},{r.total!r},{r.grad_norm!r}")
-    else:
-        lines = ["step,lr,beta,task_loss,total,grad_norm"]
-        for r in records:
-            lines.append(f"{r.step},{r.lr!r},{r.beta!r},{r.task_loss!r},"
-                         f"{r.total!r},{r.grad_norm!r}")
+    columns = [f.name for f in dataclasses.fields(TrainRecord)]
+    if all(r.reg_loss is None and r.breg_loss is None for r in records):
+        columns = [c for c in columns if c not in ("reg_loss", "breg_loss")]
+    lines = [",".join(columns)]
+    for r in records:
+        values = (getattr(r, c) for c in columns)
+        lines.append(",".join("" if v is None else repr(v) for v in values))
     return lines
 
 
@@ -428,28 +410,14 @@ def write_records_csv(path: str, records: list[TrainRecord]) -> None:
 # Train-state checkpointing
 # ---------------------------------------------------------------------------
 
-def _train_config_to_obj(cfg: TrainConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
-def _train_config_from_obj(obj: dict) -> TrainConfig:
-    try:
-        obj = dict(obj)
-        obj["adv"] = AdvConfig(**obj["adv"])
-        obj["prox"] = ProxConfig(**obj["prox"])
-        return TrainConfig(**obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed train config: {exc}") from exc
-
-
 def save_train_checkpoint(path: str, state: TrainState) -> None:
     write_json(path, {
         "version": CHECKPOINT_VERSION,
-        "config": model_config_to_obj(state.model_cfg),
+        "config": dataclasses.asdict(state.model_cfg),
         "tensors": tensors_to_obj(state.params),
         "train_state": {
             "smart": state.smart,
-            "train_config": _train_config_to_obj(state.cfg),
+            "train_config": dataclasses.asdict(state.cfg),
             "adam": {
                 "m": tensors_to_obj(state.adam.m),
                 "v": tensors_to_obj(state.adam.v),
@@ -475,8 +443,8 @@ def resume_from_checkpoint(path: str) -> TrainState:
             raise CheckpointError(f"cannot load {path}: missing section {key!r}")
     ts = document["train_state"]
     try:
-        model_cfg = model_config_from_obj(document["config"])
-        cfg = _train_config_from_obj(ts["train_config"])
+        model_cfg = config_from_obj(mdl.ModelConfig, document["config"])
+        cfg = config_from_obj(TrainConfig, ts["train_config"])
         adam = AdamState(
             m=tensors_from_obj(ts["adam"]["m"]),
             v=tensors_from_obj(ts["adam"]["v"]),

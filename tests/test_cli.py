@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -11,7 +12,7 @@ from smoothtune.evaluate import accuracy, local_smoothness_probe
 from smoothtune.model import init_params
 from smoothtune.runconfig import parse_config
 from smoothtune.tensor import Rng
-from smoothtune.trainer import vanilla_finetune
+from smoothtune.trainer import smooth_finetune, vanilla_finetune
 
 
 def _write_config(path, train, test, out, extra=""):
@@ -154,6 +155,53 @@ def test_train_resume_matches_straight_run(workspace):
     _, pr = load_params(os.path.join(resumed, "checkpoint_final.json"))
     for name in pf:
         assert np.array_equal(pf[name], pr[name])
+
+
+def test_resume_refuses_a_config_that_differs_from_the_checkpoint(workspace, capsys):
+    tmp, cfg, train, test = workspace
+    part = str(tmp / "part")
+    assert main(["train", "--config", cfg, "--out", part,
+                 "--set", "run.checkpoint_every=5"]) == 0
+    capsys.readouterr()
+    resumed = tmp / "resumed"
+    code = main(["train", "--config", cfg, "--out", str(resumed),
+                 "--resume", os.path.join(part, "checkpoint.json"),
+                 "--set", "smart.outer_steps=30", "--set", "smart.reg_weight=9"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("smoothtune: error: config: config differs from checkpoint")
+    assert "[smart].reg_weight is 9.0, the checkpoint has 2.0" in err
+    assert "[smart].outer_steps is 30, the checkpoint has 12" in err
+    assert err.count("[") == 2
+    assert (resumed / "FAILED").exists()
+    assert not (resumed / "records.csv").exists()
+
+
+def test_resume_accepts_equal_values_written_as_ints(workspace):
+    # a library run may hold 2 where the config file says 2.0
+    tmp, cfg, train, test = workspace
+    run_cfg = parse_config(cfg)
+    ckpt = str(tmp / "lib.json")
+    smooth_finetune(run_cfg.model, dataclasses.replace(run_cfg.train, reg_weight=2),
+                    read_dataset(str(train)), init_params(run_cfg.model, Rng(5).child(0)),
+                    checkpoint_path=ckpt, checkpoint_every=5)
+    assert main(["train", "--config", cfg, "--out", str(tmp / "resumed"),
+                 "--resume", ckpt]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--generator", "two-moons", "--n", "4", "--noise", "nan"],
+    ["--generator", "two-moons", "--n", "4", "--noise", "inf"],
+    ["--generator", "two-moons", "--n", "4", "--noise", "-0.1"],
+    ["--generator", "cluster", "--n", "4", "--noise", "inf"],
+    ["--generator", "cluster", "--n", "4", "--separation", "nan"],
+    ["--generator", "cluster", "--n", "4", "--separation", "-1"],
+])
+def test_gen_data_refuses_bad_scales(tmp_path, capsys, argv):
+    out = tmp_path / "d.jsonl"
+    assert main(["gen-data", *argv, "--seed", "1", "--out", str(out)]) == 1
+    assert "must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_error_lists_every_offending_key(tmp_path, capsys):

@@ -183,3 +183,26 @@ def test_reader_rejects_non_finite_values(tmp_path, field, good, bad):
         fh.write(json.dumps(bad) + "\n")
     with pytest.raises(InputError, match=rf"nonfinite\.jsonl:3: non-finite value in '{field}'"):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("tokens", [[1.7, 2], [1.0, 2], ["1", 2]])
+def test_reader_rejects_token_ids_that_are_not_json_integers(tmp_path, tokens):
+    path = str(tmp_path / "tokens.jsonl")
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"tokens": [1, 2], "y": 0}) + "\n")
+        fh.write(json.dumps({"tokens": tokens, "y": 1}) + "\n")
+    with pytest.raises(InputError, match=r"tokens\.jsonl:2: token ids must be JSON integers"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("rows", [
+    ({"x": [1.0, 2.0], "y": 0}, {"x": [1.0], "y": 1}),
+    ({"tokens": [1, 2], "y": 0}, {"tokens": [], "y": 1}),
+    ({"x": [1.0, 2.0], "y": 0}, {"x": [1.0, "a"], "y": 1}),
+])
+def test_reader_rejects_rows_that_are_not_equal_length_numbers(tmp_path, rows):
+    path = str(tmp_path / "ragged.jsonl")
+    with open(path, "w") as fh:
+        fh.write("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(InputError, match="equal-length lists of numbers"):
+        read_dataset(path)

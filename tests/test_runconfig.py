@@ -1,0 +1,97 @@
+"""The config schema: every key's type and default come from the config
+dataclasses, the archived `config.ini` bytes of the presets are pinned, and an
+archived config parses back to the config it was written from."""
+
+import dataclasses
+import hashlib
+import json
+import os
+
+import pytest
+
+from smoothtune.adversarial import AdvConfig
+from smoothtune.checkpoint import config_from_obj
+from smoothtune.errors import CheckpointError
+from smoothtune.model import ModelConfig
+from smoothtune.optimizer import ProxConfig
+from smoothtune.runconfig import CONFIG_KEYS, RunConfig, effective_config_text, parse_config
+from smoothtune.trainer import TrainConfig
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# sha256 of effective_config_text(parse_config(path, overrides)), taken from the
+# hand-written archive that preceded the derived schema
+_ARCHIVES = [
+    ("configs/cluster_sweep.ini", [],
+     "b4a72489061982273671e8329ca799d3b995721c97363b30fc557040e13162d7"),
+    ("configs/two_moons_smooth.ini", [],
+     "bdde4f2471c63888ed7ffb1032eaca4a7382980051338bf0511c3e480911cd10"),
+    ("configs/two_moons_vanilla.ini", [],
+     "b70cdad59836151f28c30deaa7336e2b4957545043f82965ee7ce4229a5a7700"),
+    ("bench/tokens_transformer.ini", [],
+     "4c07a705c5aa83bd51c3e3243d48a75982499702f27618eec982d47234138e40"),
+    ("configs/two_moons_vanilla.ini", ["run.probe_eps=0.05"],
+     "82b410a5b20fe2162f3e7881658b9352251ec19e97dc19b65b7cb5f0b7fdeb1d"),
+]
+
+
+@pytest.mark.parametrize("path,overrides,digest", _ARCHIVES)
+def test_archived_config_bytes_are_pinned(path, overrides, digest):
+    text = effective_config_text(parse_config(os.path.join(_ROOT, path), overrides))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("path,overrides,digest", _ARCHIVES)
+def test_archived_config_parses_back_to_the_same_config(tmp_path, path, overrides, digest):
+    cfg = parse_config(os.path.join(_ROOT, path), overrides)
+    archived = tmp_path / "config.ini"
+    archived.write_text(effective_config_text(cfg))
+    assert parse_config(str(archived)) == cfg
+
+
+def test_every_field_is_set_by_exactly_one_key():
+    nested = {(RunConfig, "model"), (RunConfig, "train"), (RunConfig, "sweep"),
+              (TrainConfig, "adv"), (TrainConfig, "prox")}
+    fields = [(cls, f.name)
+              for cls in (ModelConfig, AdvConfig, ProxConfig, TrainConfig, RunConfig)
+              for f in dataclasses.fields(cls) if (cls, f.name) not in nested]
+    targets = [(cls, name) for _, _, cls, name in CONFIG_KEYS]
+    assert sorted(targets, key=str) == sorted(fields, key=str)
+    keys = [(section, key) for section, key, _, _ in CONFIG_KEYS]
+    assert len(set(keys)) == len(keys) == 39
+
+
+def test_defaults_come_from_the_dataclasses(tmp_path):
+    path = tmp_path / "minimal.ini"
+    path.write_text("[smart]\nmethod = smooth\nouter_steps = 7\n"
+                    "[data]\ntrain = t.jsonl\n[run]\nseed = 3\nout = o\n")
+    cfg = parse_config(str(path))
+    assert cfg == RunConfig(model=ModelConfig(), train=TrainConfig(outer_steps=7, seed=3),
+                            method="smooth", train_path="t.jsonl", out_dir="o")
+
+
+def test_checkpointed_configs_round_trip_through_json():
+    train = TrainConfig(reg_weight=2.5, adv=AdvConfig(eps=0.2, steps=3, norm="two"),
+                        prox=ProxConfig(mode="vbpp"), seed=9, reg_detach_clean=True)
+    model = ModelConfig(hidden=(8, 4), dropout=0.0)
+    for cls, cfg in ((TrainConfig, train), (ModelConfig, model)):
+        obj = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert config_from_obj(cls, obj) == cfg
+
+
+@pytest.mark.parametrize("obj", [
+    {"hidden": None},
+    {"unknown": 1},
+    {"dropout": 2.0},
+    "not an object",
+])
+def test_malformed_checkpointed_config_raises(obj):
+    with pytest.raises(CheckpointError, match="malformed ModelConfig"):
+        config_from_obj(ModelConfig, obj)
+
+
+def test_malformed_nested_config_raises():
+    obj = dataclasses.asdict(TrainConfig())
+    obj["adv"]["norm"] = "three"
+    with pytest.raises(CheckpointError, match="malformed AdvConfig"):
+        config_from_obj(TrainConfig, obj)

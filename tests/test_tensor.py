@@ -75,6 +75,12 @@ def test_gaussian_determinism_and_negative_sigma():
         gaussian_tensor(Rng(1), (2,), -0.5)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_gaussian_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ContractViolation, match="finite and >= 0"):
+        Rng(1).gaussian((2,), sigma)
+
+
 def test_gaussian_statistics():
     z = gaussian_tensor(Rng(99), (100000,), 1.0)
     assert abs(z.mean()) < 0.02
