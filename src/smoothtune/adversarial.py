@@ -3,12 +3,14 @@ on the output divergence, confined to an eps-ball around each embedding.
 
 The inner search treats parameters as constants; the outer objective treats the
 returned points as constants (no differentiation through the search), so no
-second-order machinery is ever needed.
+second-order machinery is ever needed. Stacked params and embeddings search
+for S runs at once; each run draws its noise from its own stream.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as mdl
 from .autodiff import Tape
-from .errors import ContractViolation
+from .errors import ContractViolation, check_finite_fields
 from .losses import smooth_kind_for, smooth_loss_mean_node, smooth_loss_rows
 from .tensor import Rng, l2_norm, linf_norm
 
@@ -30,6 +32,7 @@ class AdvConfig:
     norm: str = "inf"        # "inf" | "two"
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.eps < 0:
             raise ContractViolation("eps must be >= 0")
         if self.noise_std < 0:
@@ -79,23 +82,26 @@ def normalized_ascent_direction(grad: np.ndarray, norm: str = "inf") -> np.ndarr
     return grad / nrm
 
 
-def _rows_norm(d: np.ndarray, norm: str) -> np.ndarray:
-    """Per-example norm over all non-batch axes, shaped for broadcasting."""
-    flat = np.abs(d).reshape(d.shape[0], -1)
-    n = np.max(flat, axis=1) if norm == "inf" else np.sqrt(np.sum(flat * flat, axis=1))
-    return n.reshape((d.shape[0],) + (1,) * (d.ndim - 1))
+def rows_norm(d: np.ndarray, norm: str, examples: int) -> np.ndarray:
+    """Per-example norm over the axes after the first `examples` (the batch
+    axis, after a stack axis when there is one), shaped for broadcasting."""
+    rows = d.shape[:examples]
+    flat = np.abs(d).reshape(rows + (-1,))
+    n = np.max(flat, axis=-1) if norm == "inf" else np.sqrt(np.sum(flat * flat, axis=-1))
+    return n.reshape(rows + (1,) * (d.ndim - examples))
 
 
-def _normalize_rows(grad: np.ndarray, norm: str) -> np.ndarray:
-    n = _rows_norm(grad, norm)
+def _normalize_rows(grad: np.ndarray, norm: str, examples: int) -> np.ndarray:
+    n = rows_norm(grad, norm, examples)
     return np.divide(grad, n, out=np.zeros_like(grad), where=n > 0)
 
 
-def _project_rows(x_tilde: np.ndarray, x: np.ndarray, eps: float, norm: str) -> np.ndarray:
+def _project_rows(x_tilde: np.ndarray, x: np.ndarray, eps: float, norm: str,
+                  examples: int) -> np.ndarray:
     if norm == "inf":
         return np.clip(x_tilde, x - eps, x + eps)
     d = x_tilde - x
-    n = _rows_norm(d, "two")
+    n = rows_norm(d, "two", examples)
     scale = np.where(n > eps, np.divide(eps, n, out=np.ones_like(n), where=n > 0), 1.0)
     return x + d * scale
 
@@ -106,7 +112,7 @@ def find_adversarial(
     batch_embeddings: np.ndarray,
     clean_outputs: np.ndarray,
     cfg: AdvConfig,
-    rng: Rng,
+    rng: Rng | Sequence[Rng],
     masks: list[np.ndarray] | None = None,
     counters: PassCounters | None = None,
 ) -> np.ndarray:
@@ -115,12 +121,16 @@ def find_adversarial(
     Starts from x + noise, then takes `cfg.steps` normalized gradient-ascent
     steps on the divergence from the (cached) clean outputs, projecting back
     onto the ball after every step. Gradients are per example: each point
-    climbs toward its own worst case.
+    climbs toward its own worst case. Stacked params take one rng per run.
     """
     x = batch_embeddings
     kind = smooth_kind_for(model_cfg.task)
-    noise = rng.gaussian(x.shape, cfg.noise_std)
-    x_adv = _project_rows(x + noise, x, cfg.eps, cfg.norm)
+    examples = 1 + mdl.stack_axes(model_cfg, params)
+    if isinstance(rng, Rng):
+        noise = rng.gaussian(x.shape, cfg.noise_std)
+    else:
+        noise = np.stack([r.gaussian(x.shape[1:], cfg.noise_std) for r in rng])
+    x_adv = _project_rows(x + noise, x, cfg.eps, cfg.norm, examples)
     for _ in range(cfg.steps):
         tape = Tape()
         pvars = mdl.leaf_params(tape, params, requires_grad=False)
@@ -130,10 +140,10 @@ def find_adversarial(
         if counters is not None:
             counters.forwards += 1
             counters.backwards += 1
-        grad = tape.backward(loss)[x_var]
-        x_adv = _project_rows(
-            x_adv + cfg.step_size * _normalize_rows(grad, cfg.norm), x, cfg.eps, cfg.norm
-        )
+        # runs are independent, so the gradient of their sum is each run's own
+        grad = tape.backward(ad.sum_all(loss))[x_var]
+        x_adv = _project_rows(x_adv + cfg.step_size * _normalize_rows(grad, cfg.norm, examples),
+                              x, cfg.eps, cfg.norm, examples)
     return x_adv
 
 

@@ -11,6 +11,11 @@ Nothing a tape holds points back at a Var, so a tape and its intermediates are
 freed by reference counting as soon as the last Var or tape reference goes. A
 ForwardTape runs the same ops but records nothing, so forward-only passes keep
 an intermediate only while the next op still needs it.
+
+Ops are rank-generic: a leading stack axis on both operands (S runs trained as
+one) gives every slice the values and adjoints of its own unstacked run, bit
+for bit. Broadcast operands are reduced one axis at a time, in the order an
+unstacked run reduces them.
 """
 
 from __future__ import annotations
@@ -110,12 +115,16 @@ class Tape:
             raise ContractViolation(
                 f"backward: output must be scalar, got shape {output.value.shape}"
             )
+        leaves = [leaf for leaf in (ref() for ref in self._grad_leaves) if leaf is not None]
+        keep = {leaf.index for leaf in leaves}
         adjoints: list[np.ndarray | None] = [None] * len(self._nodes)
         adjoints[output.index] = np.ones(())
         for i in range(output.index, -1, -1):
             g = adjoints[i]
             if g is None:
                 continue
+            if i not in keep:
+                adjoints[i] = None  # consumed: its parents get their parts below
             node = self._nodes[i]
             if node.vjp is None:
                 continue
@@ -127,10 +136,7 @@ class Tape:
                 else:
                     adjoints[parent] = adjoints[parent] + part
         grads: dict[Var, np.ndarray] = {}
-        for ref in self._grad_leaves:
-            leaf = ref()
-            if leaf is None:
-                continue
+        for leaf in leaves:
             g = adjoints[leaf.index]
             grads[leaf] = g if g is not None else np.zeros_like(leaf.value)
         return grads
@@ -183,11 +189,12 @@ def add(a: Var, b: Var) -> Var:
 
 
 def add_broadcast(a: Var, b: Var) -> Var:
-    """a + b where b's shape equals the trailing axes of a's (bias, position table)."""
+    """a + b where b broadcasts to a's shape (bias, gain, position table)."""
     tape = _same_tape(a, b)
-    if b.value.shape != a.value.shape[a.value.ndim - b.value.ndim:]:
+    if b.value.ndim > a.value.ndim or any(
+            nb not in (1, na) for nb, na in zip(b.value.shape[::-1], a.value.shape[::-1])):
         raise ContractViolation(
-            f"add_broadcast: {b.value.shape} is not a trailing-shape of {a.value.shape}"
+            f"add_broadcast: {b.value.shape} does not broadcast to {a.value.shape}"
         )
     bshape = b.value.shape
     return tape._record(
@@ -323,18 +330,32 @@ def layer_norm(a: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
 
 # -- reductions and indexing -------------------------------------------------
 
-def sum_all(a: Var) -> Var:
+def _per_run(a: Var, lead: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """a's value with every axis after the first `lead` flattened into one, and
+    the shape an adjoint of the reduced value takes to broadcast back."""
     shape = a.value.shape
+    return a.value.reshape(shape[:lead] + (-1,)), shape[:lead] + (1,) * (len(shape) - lead)
+
+
+def sum_all(a: Var, lead: int = 0) -> Var:
+    """Sum over every axis after the first `lead`: all of them by default, or
+    each run's own total when `lead` stack axes come first."""
+    shape = a.value.shape
+    flat, kept = _per_run(a, lead)
     return a.tape._record(
-        np.sum(a.value), (a.index,), lambda g: (np.broadcast_to(g, shape).copy(),)
+        flat.sum(axis=-1), (a.index,),
+        lambda g: (np.broadcast_to(g.reshape(kept), shape).copy(),),
     )
 
 
-def mean_all(a: Var) -> Var:
+def mean_all(a: Var, lead: int = 0) -> Var:
+    """Mean over every axis after the first `lead` (see sum_all)."""
     shape = a.value.shape
-    n = a.value.size
+    flat, kept = _per_run(a, lead)
+    n = flat.shape[-1]
     return a.tape._record(
-        np.mean(a.value), (a.index,), lambda g: (np.broadcast_to(g / n, shape).copy(),)
+        flat.mean(axis=-1), (a.index,),
+        lambda g: (np.broadcast_to((g / n).reshape(kept), shape).copy(),),
     )
 
 
@@ -348,28 +369,39 @@ def mean_axis(a: Var, axis: int) -> Var:
 
 
 def pick(a: Var, idx: np.ndarray) -> Var:
-    """Select a[i, idx[i]] from a 2-D tensor; the per-row entry used by cross-entropy."""
-    if a.value.ndim != 2:
-        raise ContractViolation(f"pick: expected 2-D tensor, got {a.value.shape}")
-    rows = np.arange(a.value.shape[0])
+    """Select a[..., i, idx[..., i]]: per row, the entry of the last axis that
+    cross-entropy uses. `idx` has a's shape without the last axis."""
+    if a.value.ndim < 2 or idx.shape != a.value.shape[:-1]:
+        raise ContractViolation(
+            f"pick: expected rows of shape {idx.shape} + (k,), got {a.value.shape}")
+    where = idx[..., None]
     shape = a.value.shape
 
     def vjp(g):
         out = np.zeros(shape)
-        out[rows, idx] = g
+        np.put_along_axis(out, where, g[..., None], axis=-1)
         return (out,)
 
-    return a.tape._record(a.value[rows, idx], (a.index,), vjp)
+    return a.tape._record(np.take_along_axis(a.value, where, axis=-1)[..., 0], (a.index,), vjp)
 
 
 def gather_rows(table: Var, ids: np.ndarray) -> Var:
-    """Embedding lookup: output shape ids.shape + (row_dim,); adjoint scatter-adds."""
+    """Embedding lookup: output shape ids.shape + (row_dim,); adjoint scatter-adds.
+
+    A stacked table (S, rows, dim) takes ids (S, ...) and looks each slice up
+    in its own table."""
     tv = table.value
-    value = tv[ids]
+    if tv.ndim == 2:
+        where = ids.ravel()
+        value = tv[ids]
+    else:
+        runs = np.arange(tv.shape[0]).reshape((-1,) + (1,) * (ids.ndim - 1))
+        where = (np.broadcast_to(runs, ids.shape).ravel(), ids.ravel())
+        value = tv[runs, ids]
 
     def vjp(g):
         out = np.zeros_like(tv)
-        np.add.at(out, ids.ravel(), g.reshape(-1, tv.shape[-1]))
+        np.add.at(out, where, g.reshape(-1, tv.shape[-1]))
         return (out,)
 
     return table.tape._record(value, (table.index,), vjp)

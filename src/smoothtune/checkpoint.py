@@ -64,8 +64,8 @@ def write_json(path: str, document: dict) -> None:
     """Write atomically so failed runs never leave a readable partial file."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(document, fh)
-        fh.write("\n")
+        # json.dumps runs the C encoder; json.dump streams through the Python one
+        fh.write(json.dumps(document) + "\n")
     os.replace(tmp, path)
 
 

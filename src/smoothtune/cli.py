@@ -106,10 +106,14 @@ def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
                         "\n".join(lines) + "\n")
 
         probe_eps = cfg.probe_eps if cfg.probe_eps is not None else cfg.train.adv.eps
+        if eval_rows:  # the last segment ends at the final step and measured both
+            _, final_train, final_test = eval_rows[-1]
+        else:
+            final_train = _metric(cfg.model, result.params, train_ds)
+            final_test = None if test_ds is None else _metric(cfg.model, result.params, test_ds)
         metrics = {
-            "final_train_metric": _metric(cfg.model, result.params, train_ds),
-            "final_test_metric": None if test_ds is None
-                else _metric(cfg.model, result.params, test_ds),
+            "final_train_metric": final_train,
+            "final_test_metric": final_test,
             "smoothness_probe": ev.local_smoothness_probe(
                 cfg.model, result.params, train_ds, probe_eps,
                 cfg.probe_samples, cfg.train.seed),
@@ -151,10 +155,10 @@ def _train_with_eval(cfg, train_ds, test_ds, init, eval_rows, ckpt_path):
         records.extend(seg.records)
         eval_rows.append((
             state.global_step,
-            _metric(cfg.model, state.params, train_ds),
-            None if test_ds is None else _metric(cfg.model, state.params, test_ds),
+            _metric(cfg.model, seg.params, train_ds),
+            None if test_ds is None else _metric(cfg.model, seg.params, test_ds),
         ))
-    return tr.TrainResult(params=state.params, records=records, state=state)
+    return tr.TrainResult(params=seg.params, records=records, state=state)
 
 
 def cmd_train(args) -> int:
@@ -258,26 +262,33 @@ def cmd_sweep(args) -> int:
     header = "method,reg_weight,prox_weight,fraction,seed,train_metric,test_metric,probe"
     rows = [header]
     groups: dict[tuple, list[tuple[float, float, float]]] = {}
+    probe_eps = cfg.probe_eps if cfg.probe_eps is not None else cfg.train.adv.eps
     for method, rw, pw in cells():
-        for fi, frac in enumerate(fractions):
-            for seed in seeds:
-                split = splits[seed][fi]
-                train_cfg = dataclasses.replace(
-                    cfg.train, reg_weight=rw,
-                    prox=dataclasses.replace(cfg.train.prox, prox_weight=pw), seed=seed,
-                )
-                init = mdl.init_params(cfg.model, Rng(seed).child(0))
-                run = tr.smooth_finetune if method == "smooth" else tr.vanilla_finetune
-                result = run(cfg.model, train_cfg, split, init)
-                tm = _metric(cfg.model, result.params, split)
-                sm = (None if test_ds is None
-                      else _metric(cfg.model, result.params, test_ds))
-                probe_eps = cfg.probe_eps if cfg.probe_eps is not None else train_cfg.adv.eps
-                probe = ev.local_smoothness_probe(cfg.model, result.params, split,
-                                                  probe_eps, cfg.probe_samples, seed)
-                rows.append(f"{method},{rw!r},{pw!r},{frac!r},{seed},"
-                            f"{tm!r},{'' if sm is None else repr(sm)},{probe!r}")
-                groups.setdefault((method, rw, pw, frac), []).append((tm, sm, probe))
+        cell_cfg = dataclasses.replace(
+            cfg.train, reg_weight=rw, prox=dataclasses.replace(cfg.train.prox, prox_weight=pw))
+        runs = [(frac, seed, splits[seed][fi])
+                for fi, frac in enumerate(fractions) for seed in seeds]
+        # every run of a cell with the same batch size trains in one stack
+        stacks: dict[int, list[int]] = {}
+        for i, (_, _, split) in enumerate(runs):
+            stacks.setdefault(tr.stack_batch_size(cell_cfg, split), []).append(i)
+        finals: dict[int, mdl.ModelParams] = {}
+        finetune = tr.smooth_finetune if method == "smooth" else tr.vanilla_finetune
+        for members in stacks.values():
+            seeds_of = [runs[i][1] for i in members]
+            # keep only the params: a result also holds the whole stack's state
+            finals.update({i: result.params for i, result in zip(members, finetune(
+                cfg.model, [dataclasses.replace(cell_cfg, seed=seed) for seed in seeds_of],
+                [runs[i][2] for i in members],
+                [mdl.init_params(cfg.model, Rng(seed).child(0)) for seed in seeds_of]))})
+        for i, (frac, seed, split) in enumerate(runs):
+            tm = _metric(cfg.model, finals[i], split)
+            sm = None if test_ds is None else _metric(cfg.model, finals[i], test_ds)
+            probe = ev.local_smoothness_probe(cfg.model, finals[i], split,
+                                              probe_eps, cfg.probe_samples, seed)
+            rows.append(f"{method},{rw!r},{pw!r},{frac!r},{seed},"
+                        f"{tm!r},{'' if sm is None else repr(sm)},{probe!r}")
+            groups.setdefault((method, rw, pw, frac), []).append((tm, sm, probe))
     for (method, rw, pw, frac), vals in groups.items():
         tms = float(np.median([v[0] for v in vals]))
         sms = (None if vals[0][1] is None

@@ -8,6 +8,7 @@ label); a sidecar <path>.meta.json records provenance.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -232,7 +233,10 @@ def read_dataset(path: str) -> Dataset:
         inputs_arr = None
     if inputs_arr is None or inputs_arr.ndim != 2:
         raise InputError(f"{path}: input rows must be equal-length lists of numbers")
-    if input_kind == "tokens" and inputs_arr.dtype.kind != "i":
+    # numpy folds true/false into integer arrays, so bools are looked for by type
+    if input_kind == "tokens" and (
+            inputs_arr.dtype.kind != "i"
+            or bool in set(map(type, itertools.chain.from_iterable(inputs)))):
         lineno = next(lineno for lineno, rec in records
                       if not rec["tokens"] or any(type(t) is not int for t in rec["tokens"]))
         raise InputError(f"{path}:{lineno}: token ids must be JSON integers")

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check every
+config dataclass runs."""
+
+import dataclasses
+import math
 
 
 class ContractViolation(ValueError):
@@ -15,3 +19,12 @@ class CheckpointError(ValueError):
 
 class ConfigError(ValueError):
     """A run configuration is invalid; message lists every offending key."""
+
+
+def check_finite_fields(config) -> None:
+    """Refuse a config dataclass with a NaN or infinite number in any field:
+    range checks written as comparisons let NaN through."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ContractViolation(f"{f.name} must be finite, got {value}")

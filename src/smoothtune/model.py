@@ -4,6 +4,10 @@ The forward pass is split at the embedding boundary because input perturbations
 are applied to embeddings, not raw tokens. For raw-vector inputs the embedding
 is the identity, so perturbations land on the input itself. Classification
 outputs are probability rows; regression outputs are one scalar per example.
+
+The builders are rank-generic. Parameters from `stack_params` carry a leading
+axis of S same-shape runs, and batches then carry the same leading axis, so one
+pass computes all S runs; each slice is bit-identical to its run computed alone.
 """
 
 from __future__ import annotations
@@ -127,6 +131,38 @@ def copy_params(params: ModelParams) -> ModelParams:
     return {name: block.copy() for name, block in params.items()}
 
 
+def _activation_rank(config: ModelConfig, name: str) -> int:
+    """Rank of the unstacked activation a block acts on: [n, seq, d] inside
+    the transformer's blocks and output norm, [n, width] everywhere else."""
+    inner = config.arch == "transformer" and name.startswith(("block", "out_ln"))
+    return 3 if inner else 2
+
+
+def stack_params(config: ModelConfig, runs: list[ModelParams]) -> ModelParams:
+    """Blocks of S runs stacked on a leading axis, each shaped to broadcast
+    against the stacked activation it meets: a transformer bias (d,) becomes
+    (S, 1, 1, d), an MLP weight (d, h) stays (S, d, h)."""
+    stacked: ModelParams = {}
+    for name, shape in param_shapes(config).items():
+        pad = (1,) * (_activation_rank(config, name) - len(shape))
+        stacked[name] = np.stack([run[name] for run in runs]).reshape((len(runs),) + pad + shape)
+    return stacked
+
+
+def unstack_params(config: ModelConfig, stacked: ModelParams) -> list[ModelParams]:
+    """Copies of the S runs held by stacked parameters."""
+    shapes = param_shapes(config)
+    size = len(next(iter(stacked.values())))
+    return [{name: block[i].reshape(shapes[name]).copy() for name, block in stacked.items()}
+            for i in range(size)]
+
+
+def stack_axes(config: ModelConfig, params) -> int:
+    """1 when params (arrays or tape Vars) are stacked runs, else 0."""
+    first = params["layer0.weight" if config.arch == "mlp" else "embed.table"]
+    return np.ndim(getattr(first, "value", first)) - 2
+
+
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
     """Fixed sin/cos position table, rows = positions."""
     pos = np.arange(max_len)[:, None].astype(np.float64)
@@ -168,14 +204,14 @@ def draw_dropout_masks(config: ModelConfig, n: int, rng: Rng) -> list[np.ndarray
 # Tape-level forward builders
 # ---------------------------------------------------------------------------
 
-def _check_token_inputs(config: ModelConfig, ids: np.ndarray) -> np.ndarray:
+def _check_token_inputs(config: ModelConfig, ids: np.ndarray, lead: int) -> np.ndarray:
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise InputError("token inputs must be integers")
-    if ids.ndim != 2:
+    if ids.ndim != 2 + lead:
         raise InputError(f"token inputs must be [batch, seq], got shape {ids.shape}")
-    if ids.shape[1] > config.max_len:
-        raise InputError(f"sequence length {ids.shape[1]} exceeds max_len {config.max_len}")
+    if ids.shape[-1] > config.max_len:
+        raise InputError(f"sequence length {ids.shape[-1]} exceeds max_len {config.max_len}")
     if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
         raise InputError(
             f"token id out of range [0, {config.vocab_size}): "
@@ -191,14 +227,15 @@ def build_embed(tape: Tape, config: ModelConfig, pvars: dict[str, Var], inputs) 
     Position encodings are added inside the head, so perturbing the lookup is
     the same as perturbing the encoder input up to a constant shift.
     """
+    lead = stack_axes(config, pvars)
     if config.arch == "mlp":
         x = as_tensor(inputs)
-        if x.ndim != 2 or x.shape[1] != config.input_dim:
+        if x.ndim != 2 + lead or x.shape[-1] != config.input_dim:
             raise InputError(
                 f"raw inputs must be [batch, {config.input_dim}], got {x.shape}"
             )
         return tape.const(x)
-    ids = _check_token_inputs(config, inputs)
+    ids = _check_token_inputs(config, inputs, lead)
     return ad.gather_rows(pvars["embed.table"], ids)
 
 
@@ -209,7 +246,8 @@ def build_head(
     emb: Var,
     masks: list[np.ndarray] | None = None,
 ) -> Var:
-    """Forward from an embedded batch to probabilities [n, k] or predictions [n]."""
+    """Forward from an embedded batch to probabilities [n, k] or predictions [n],
+    with a leading stack axis on everything when the params are stacked."""
     act = ad.tanh if config.activation == "tanh" else ad.relu
     if config.arch == "mlp":
         h = emb
@@ -223,7 +261,7 @@ def build_head(
             ad.matmul(h, pvars[f"layer{n_hidden}.weight"]), pvars[f"layer{n_hidden}.bias"]
         )
     else:
-        n, seq = emb.value.shape[0], emb.value.shape[1]
+        batch, seq = emb.value.shape[:-2], emb.value.shape[-2]  # batch is [S,] n
         d, heads = config.embed_dim, config.heads
         hd = d // heads
         pos = sinusoidal_positions(config.max_len, d)[:seq]
@@ -235,12 +273,12 @@ def build_head(
             q = ad.add_broadcast(ad.matmul(x, pvars[f"{p}.attn.wq"]), pvars[f"{p}.attn.bq"])
             k = ad.add_broadcast(ad.matmul(x, pvars[f"{p}.attn.wk"]), pvars[f"{p}.attn.bk"])
             v = ad.add_broadcast(ad.matmul(x, pvars[f"{p}.attn.wv"]), pvars[f"{p}.attn.bv"])
-            q = ad.swapaxes(ad.reshape(q, (n, seq, heads, hd)), 1, 2)
-            k = ad.swapaxes(ad.reshape(k, (n, seq, heads, hd)), 1, 2)
-            v = ad.swapaxes(ad.reshape(v, (n, seq, heads, hd)), 1, 2)
+            q = ad.swapaxes(ad.reshape(q, batch + (seq, heads, hd)), -3, -2)
+            k = ad.swapaxes(ad.reshape(k, batch + (seq, heads, hd)), -3, -2)
+            v = ad.swapaxes(ad.reshape(v, batch + (seq, heads, hd)), -3, -2)
             scores = ad.cmul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / np.sqrt(hd))
             ctx = ad.matmul(ad.softmax(scores), v)
-            ctx = ad.reshape(ad.swapaxes(ctx, 1, 2), (n, seq, d))
+            ctx = ad.reshape(ad.swapaxes(ctx, -3, -2), batch + (seq, d))
             attn = ad.add_broadcast(ad.matmul(ctx, pvars[f"{p}.attn.wo"]),
                                     pvars[f"{p}.attn.bo"])
             h = ad.add(h, attn)
@@ -250,13 +288,13 @@ def build_head(
             x = ad.add_broadcast(ad.matmul(x, pvars[f"{p}.ff.w2"]), pvars[f"{p}.ff.b2"])
             h = ad.add(h, x)
         h = ad.layer_norm(h, pvars["out_ln.gain"], pvars["out_ln.bias"])
-        pooled = ad.mean_axis(h, 1)
+        pooled = ad.mean_axis(h, -2)
         if masks is not None:
             pooled = ad.mul_const(pooled, masks[0])
         logits = ad.add_broadcast(ad.matmul(pooled, pvars["head.weight"]), pvars["head.bias"])
     if config.task == "classification":
         return ad.softmax(logits)
-    return ad.reshape(logits, (logits.value.shape[0],))
+    return ad.reshape(logits, logits.value.shape[:-1])
 
 
 def leaf_params(tape: Tape, params: ModelParams, requires_grad: bool = True) -> dict[str, Var]:

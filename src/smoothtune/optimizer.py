@@ -1,5 +1,9 @@
 """ADAM with global-norm gradient clipping, the warmup/linear-decay schedule,
-the trust-region divergence between parameter settings, and the EMA teacher."""
+the trust-region divergence between parameter settings, and the EMA teacher.
+
+Norms and clipping take a `lead` count of stack axes: stacked runs are normed
+and clipped each on its own, and ADAM and the EMA are elementwise, so every run
+of a stack is updated exactly as it would be alone."""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as mdl
-from .errors import ContractViolation
+from .errors import ContractViolation, check_finite_fields
 from .losses import smooth_kind_for, smooth_loss_rows
 
 GradientMap = dict[str, np.ndarray]
@@ -33,23 +37,29 @@ def init_adam(params: mdl.ModelParams) -> AdamState:
     return AdamState(m=zeros, v={name: z.copy() for name, z in zeros.items()})
 
 
-def global_grad_norm(grads: GradientMap) -> float:
-    """L2 norm over the concatenation of all blocks."""
+def global_grad_norm(grads: GradientMap, lead: int = 0):
+    """L2 norm over the concatenation of all blocks: a float, or with `lead`
+    stack axes an array of one norm per run (block sums added in block order)."""
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(g * g))
-    return float(np.sqrt(total))
+        total = total + (g * g).reshape(g.shape[:lead] + (-1,)).sum(axis=-1)
+    norm = np.sqrt(total)
+    return float(norm) if lead == 0 else norm
 
 
-def clip_gradients(grads: GradientMap, max_norm: float) -> GradientMap:
-    """Scale all blocks together so the global L2 norm is at most max_norm."""
+def clip_gradients(grads: GradientMap, max_norm: float, lead: int = 0) -> GradientMap:
+    """Scale all blocks together so the global L2 norm is at most max_norm;
+    with `lead` stack axes, each run on its own."""
     if max_norm <= 0:
         raise ContractViolation("max_norm must be > 0")
-    norm = global_grad_norm(grads)
-    if norm <= max_norm:
+    norm = np.asarray(global_grad_norm(grads, lead))
+    inside = norm <= max_norm
+    if inside.all():
         return grads
-    scale = max_norm / norm
-    return {name: g * scale for name, g in grads.items()}
+    # exactly 1.0 for a run inside the bound, which leaves its gradients as they are
+    scale = np.divide(max_norm, norm, out=np.ones_like(norm), where=~inside)
+    return {name: g * scale.reshape(scale.shape + (1,) * (g.ndim - lead))
+            for name, g in grads.items()}
 
 
 def lr_at(step: int, total_steps: int, peak: float, warmup_fraction: float) -> float:
@@ -66,23 +76,29 @@ def lr_at(step: int, total_steps: int, peak: float, warmup_fraction: float) -> f
 
 
 def adam_step(
-    state: AdamState, params: mdl.ModelParams, grads: GradientMap, lr: float
+    state: AdamState, params: mdl.ModelParams, grads: GradientMap, lr: float,
+    out: mdl.ModelParams | None = None,
 ) -> mdl.ModelParams:
-    """One bias-corrected ADAM update; advances the state in place."""
+    """One bias-corrected ADAM update; advances the state in place.
+
+    Returns new parameter arrays, or writes them into `out` (which may be
+    `params`) and returns it; the arithmetic is the same either way.
+    """
     if list(params.keys()) != list(state.m.keys()) or list(params.keys()) != list(grads.keys()):
         raise ContractViolation("adam_step: parameter/gradient structure mismatch")
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
-    out: mdl.ModelParams = {}
+    result: mdl.ModelParams = {} if out is None else out
     for name, p in params.items():
         g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[name] / c1
-        v_hat = state.v[name] / c2
-        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return out
+        m, v = state.m[name], state.v[name]
+        # m <- beta1 m + (1 - beta1) g and v <- beta2 v + (1 - beta2) g^2, in place
+        np.add(np.multiply(m, state.beta1, out=m), (1.0 - state.beta1) * g, out=m)
+        np.add(np.multiply(v, state.beta2, out=v), (1.0 - state.beta2) * (g * g), out=v)
+        step = lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        result[name] = p - step if out is None else np.subtract(p, step, out=out[name])
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +114,13 @@ class ProxConfig:
     ema_switch: float = 0.1    # fraction of outer steps run at ema_early
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.mode not in ("mbpp", "vbpp", "off"):
             raise ContractViolation(f"mode must be mbpp/vbpp/off, got {self.mode!r}")
         if self.prox_weight < 0:
             raise ContractViolation("prox_weight must be >= 0")
+        if not (0 <= self.ema_early < 1 and 0 <= self.ema_late < 1):
+            raise ContractViolation("ema_early and ema_late must lie in [0, 1)")
 
     @property
     def effective_weight(self) -> float:

@@ -5,11 +5,18 @@ smoothness penalty at fixed adversarial points and the trust-region divergence
 from the teacher. Terms with zero coefficient contribute no tape nodes at all,
 so the regularized loop with both weights at zero is bit-for-bit the baseline
 loop: same batches, same dropout masks, same updates, same records.
+
+A TrainState is a stack of S runs that differ only in seed and data, with
+parameters, moments and teacher stacked on a leading axis (`model.stack_params`).
+Each run keeps its own rng streams and batch order, losses are per-run means,
+and norms and clipping are per run, so one stacked update gives every run the
+bits it would get alone. A solo run is a stack of one, through the same loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +24,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as mdl
-from .adversarial import AdvConfig, PassCounters, build_smoothness_term, find_adversarial
+from .adversarial import (
+    AdvConfig,
+    PassCounters,
+    build_smoothness_term,
+    find_adversarial,
+    rows_norm,
+)
 from .autodiff import Tape, Var
 from .checkpoint import (
     CHECKPOINT_VERSION,
@@ -28,7 +41,7 @@ from .checkpoint import (
     write_json,
 )
 from .data import Dataset
-from .errors import CheckpointError, ContractViolation
+from .errors import CheckpointError, ContractViolation, check_finite_fields
 from .losses import smooth_kind_for, smooth_loss_mean_node, task_kind_for, task_loss_mean_node
 from .optimizer import (
     AdamState,
@@ -66,6 +79,7 @@ class TrainConfig:
     reg_detach_clean: bool = False   # ablation: freeze the clean branch of the penalty
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.reg_weight < 0:
             raise ContractViolation("reg_weight must be >= 0")
         if self.inner_steps < 1 or self.outer_steps < 1:
@@ -107,26 +121,38 @@ class PerturbationEvent:
 
 
 @dataclass
-class TrainState:
-    model_cfg: mdl.ModelConfig
-    cfg: TrainConfig
-    smart: bool                       # regularized method vs baseline
-    params: mdl.ModelParams
-    teacher: TeacherState | None
-    adam: AdamState
+class RunState:
+    """What each run of a stack keeps for itself."""
+
+    cfg: TrainConfig                  # differs between the runs of a stack only in seed
     streams: dict[str, Rng]
-    outer_t: int = 0                  # completed outer iterations
-    global_step: int = 0              # completed updates
-    counters: PassCounters = dataclasses.field(default_factory=PassCounters)
     sampler_perm: np.ndarray | None = None
     sampler_cursor: int = 0
 
 
 @dataclass
+class TrainState:
+    model_cfg: mdl.ModelConfig
+    runs: list[RunState]
+    smart: bool                       # regularized method vs baseline
+    params: mdl.ModelParams           # stacked, one slice per run
+    teacher: TeacherState | None      # stacked
+    adam: AdamState                   # stacked
+    outer_t: int = 0                  # completed outer iterations
+    global_step: int = 0              # completed updates
+    counters: PassCounters = dataclasses.field(default_factory=PassCounters)  # stacked passes
+
+    @property
+    def cfg(self) -> TrainConfig:
+        """The settings every run shares (and the first run's seed)."""
+        return self.runs[0].cfg
+
+
+@dataclass
 class TrainResult:
-    params: mdl.ModelParams
+    params: mdl.ModelParams           # this run's own (unstacked) copy
     records: list[TrainRecord]
-    state: TrainState
+    state: TrainState                 # the whole stack
 
 
 @dataclass
@@ -141,24 +167,37 @@ class Objective:
     adversarial: np.ndarray | None
 
 
+def _as_list(value, solo_type) -> list:
+    return [value] if isinstance(value, solo_type) else list(value)
+
+
+def _new_state(model_cfg, cfgs, params, teacher, adam, smart, streams) -> TrainState:
+    if any(dataclasses.replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
+        raise ContractViolation("the runs of one stack may differ only in seed")
+    runs = [RunState(cfg=c, streams=st) for c, st in zip(cfgs, streams)]
+    return TrainState(model_cfg=model_cfg, runs=runs, smart=smart, params=params,
+                      teacher=teacher, adam=adam)
+
+
 def init_train_state(
     model_cfg: mdl.ModelConfig,
-    cfg: TrainConfig,
-    initial: mdl.ModelParams,
+    cfg: TrainConfig | Sequence[TrainConfig],
+    initial: mdl.ModelParams | Sequence[mdl.ModelParams],
     smart: bool,
 ) -> TrainState:
-    master = Rng(cfg.seed)
-    streams = {name: master.child(tag) for name, tag in _STREAM_TAGS.items()}
-    use_teacher = smart and cfg.prox.effective_weight > 0
-    return TrainState(
-        model_cfg=model_cfg,
-        cfg=cfg,
-        smart=smart,
-        params=mdl.copy_params(initial),
-        teacher=TeacherState(mdl.copy_params(initial)) if use_teacher else None,
-        adam=init_adam(initial),
-        streams=streams,
-    )
+    """A fresh state for one run, or for a stack of runs given one config and
+    one set of initial params per run."""
+    cfgs, inits = _as_list(cfg, TrainConfig), _as_list(initial, dict)
+    if len(cfgs) != len(inits) or not cfgs:
+        raise ContractViolation(f"{len(cfgs)} configs for {len(inits)} initial params")
+    streams = []
+    for c in cfgs:
+        master = Rng(c.seed)
+        streams.append({name: master.child(tag) for name, tag in _STREAM_TAGS.items()})
+    params = mdl.stack_params(model_cfg, inits)
+    use_teacher = smart and cfgs[0].prox.effective_weight > 0
+    teacher = TeacherState(mdl.copy_params(params)) if use_teacher else None
+    return _new_state(model_cfg, cfgs, params, teacher, init_adam(params), smart, streams)
 
 
 def build_iteration_objective(
@@ -171,7 +210,7 @@ def build_iteration_objective(
     *,
     smart: bool,
     masks: list[np.ndarray] | None = None,
-    noise_rng: Rng | None = None,
+    noise_rng: Rng | Sequence[Rng] | None = None,
     counters: PassCounters | None = None,
     adversarial_points: np.ndarray | None = None,
 ) -> Objective:
@@ -180,7 +219,8 @@ def build_iteration_objective(
     The clean forward is computed once and shared by the task loss, the inner
     ascent target, and the smoothness term. Adversarial points enter as
     constants; teacher outputs come from a deterministic forward and likewise
-    stay constant under differentiation.
+    stay constant under differentiation. With stacked params and batches the
+    loss terms hold one value per run, and `noise_rng` one rng per run.
     """
     reg_on = smart and cfg.reg_weight > 0
     breg_on = smart and cfg.prox.effective_weight > 0 and teacher_params is not None
@@ -220,15 +260,15 @@ def build_iteration_objective(
                      pvars=pvars, embedding=emb.value, adversarial=x_adv)
 
 
-def _next_batch(state: TrainState, n: int) -> np.ndarray:
+def _next_batch(run: RunState, n: int) -> np.ndarray:
     """Consecutive slices of a per-epoch shuffle; reshuffles when a full batch
     no longer fits (partial tail batches are dropped)."""
-    bs = min(state.cfg.batch_size, n)
-    if state.sampler_perm is None or state.sampler_cursor + bs > len(state.sampler_perm):
-        state.sampler_perm = state.streams["batch"].permutation(n)
-        state.sampler_cursor = 0
-    idx = state.sampler_perm[state.sampler_cursor:state.sampler_cursor + bs]
-    state.sampler_cursor += bs
+    bs = min(run.cfg.batch_size, n)
+    if run.sampler_perm is None or run.sampler_cursor + bs > len(run.sampler_perm):
+        run.sampler_perm = run.streams["batch"].permutation(n)
+        run.sampler_cursor = 0
+    idx = run.sampler_perm[run.sampler_cursor:run.sampler_cursor + bs]
+    run.sampler_cursor += bs
     return idx
 
 
@@ -239,9 +279,9 @@ def _audit_perturbation(
     s: int,
     hook: Callable[[PerturbationEvent], None] | None,
 ) -> None:
-    d = obj.adversarial - obj.embedding
-    flat = np.abs(d).reshape(d.shape[0], -1)
-    per_ex = flat.max(axis=1) if cfg.adv.norm == "inf" else np.sqrt((flat * flat).sum(axis=1))
+    """Check every point of every run against the ball; report each run's
+    points to the hook."""
+    per_ex = rows_norm(obj.adversarial - obj.embedding, cfg.adv.norm, 2)
     worst = float(per_ex.max()) if per_ex.size else 0.0
     if worst > cfg.adv.eps + _BALL_SLACK:
         raise ContractViolation(
@@ -249,9 +289,9 @@ def _audit_perturbation(
             f"{worst} > {cfg.adv.eps} + {_BALL_SLACK}"
         )
     if hook is not None:
-        hook(PerturbationEvent(outer_step=t, inner_step=s, embedding=obj.embedding,
-                               adversarial=obj.adversarial, eps=cfg.adv.eps,
-                               norm=cfg.adv.norm))
+        for emb, adv in zip(obj.embedding, obj.adversarial):
+            hook(PerturbationEvent(outer_step=t, inner_step=s, embedding=emb,
+                                   adversarial=adv, eps=cfg.adv.eps, norm=cfg.adv.norm))
 
 
 def _check_dataset(model_cfg: mdl.ModelConfig, dataset: Dataset) -> None:
@@ -269,69 +309,93 @@ def _check_dataset(model_cfg: mdl.ModelConfig, dataset: Dataset) -> None:
         )
 
 
+def stack_batch_size(cfg: TrainConfig, dataset: Dataset) -> int:
+    """Examples per update of a run on this dataset; runs that share a stack
+    must agree on it."""
+    return min(cfg.batch_size, len(dataset))
+
+
 def _run(
-    dataset: Dataset,
+    dataset: Dataset | Sequence[Dataset],
     state: TrainState,
     *,
     perturbation_hook: Callable[[PerturbationEvent], None] | None = None,
     checkpoint_path: str | None = None,
     checkpoint_every: int = 0,
     stop_after: int | None = None,
-) -> TrainResult:
-    model_cfg, cfg = state.model_cfg, state.cfg
-    _check_dataset(model_cfg, dataset)
-    n = len(dataset)
-    records: list[TrainRecord] = []
+) -> TrainResult | list[TrainResult]:
+    """The training loop. A stack takes one dataset per run and gives one
+    result per run; a single dataset gives a single result."""
+    model_cfg, cfg, runs = state.model_cfg, state.cfg, state.runs
+    datasets = _as_list(dataset, Dataset)
+    if len(datasets) != len(runs):
+        raise ContractViolation(f"{len(datasets)} datasets for a stack of {len(runs)} runs")
+    for ds in datasets:
+        _check_dataset(model_cfg, ds)
+    if len({stack_batch_size(cfg, ds) for ds in datasets}) > 1:
+        raise ContractViolation("the runs of one stack need equal batch sizes")
+    records: list[list[TrainRecord]] = [[] for _ in runs]
+    noise = [run.streams["noise"] for run in runs]
     last = cfg.outer_steps if stop_after is None else min(stop_after, cfg.outer_steps)
     for t in range(state.outer_t + 1, last + 1):
         beta = beta_at(t, cfg.outer_steps, cfg.prox)
         for s in range(1, cfg.inner_steps + 1):
-            idx = _next_batch(state, n)
-            xs, ys = dataset.inputs[idx], dataset.labels[idx]
+            idx = [_next_batch(run, len(ds)) for run, ds in zip(runs, datasets)]
+            xs = np.stack([ds.inputs[i] for ds, i in zip(datasets, idx)])
+            ys = np.stack([ds.labels[i] for ds, i in zip(datasets, idx)])
             masks = None
             if model_cfg.dropout > 0:
-                masks = mdl.draw_dropout_masks(model_cfg, len(idx), state.streams["dropout"])
+                drawn = [mdl.draw_dropout_masks(model_cfg, len(i), run.streams["dropout"])
+                         for run, i in zip(runs, idx)]
+                masks = [np.stack(site) for site in zip(*drawn)]
             obj = build_iteration_objective(
                 model_cfg, cfg, state.params,
                 state.teacher.params if state.teacher is not None else None,
                 xs, ys, smart=state.smart, masks=masks,
-                noise_rng=state.streams["noise"], counters=state.counters,
+                noise_rng=noise, counters=state.counters,
             )
             if obj.adversarial is not None:
                 _audit_perturbation(obj, cfg, t, s, perturbation_hook)
-            grad_map = obj.tape.backward(obj.total)
+            # runs are independent, so the gradient of their sum is each run's own
+            grad_map = obj.tape.backward(ad.sum_all(obj.total))
             state.counters.backwards += 1
             grads = {name: grad_map[var] for name, var in obj.pvars.items()}
-            grad_norm = global_grad_norm(grads)
-            grads = clip_gradients(grads, cfg.clip_norm)
+            task, reg, breg, total = (None if term is None else term.value.tolist()
+                                      for term in (obj.task, obj.reg, obj.breg, obj.total))
+            del obj, grad_map  # free the tape before the optimizer's temporaries exist
+            grad_norms = global_grad_norm(grads, 1).tolist()
+            grads = clip_gradients(grads, cfg.clip_norm, 1)
             state.global_step += 1
             lr = lr_at(state.global_step, cfg.total_updates, cfg.peak_lr, cfg.warmup_frac)
-            state.params = adam_step(state.adam, state.params, grads, lr)
-            records.append(TrainRecord(
-                step=state.global_step, lr=lr, beta=beta,
-                task_loss=float(obj.task.value),
-                reg_loss=None if obj.reg is None else float(obj.reg.value),
-                breg_loss=None if obj.breg is None else float(obj.breg.value),
-                total=float(obj.total.value), grad_norm=grad_norm,
-            ))
+            adam_step(state.adam, state.params, grads, lr, out=state.params)
+            del grads  # likewise free before the next update's tape is built
+            for i, run_records in enumerate(records):
+                run_records.append(TrainRecord(
+                    step=state.global_step, lr=lr, beta=beta, task_loss=task[i],
+                    reg_loss=None if reg is None else reg[i],
+                    breg_loss=None if breg is None else breg[i],
+                    total=total[i], grad_norm=grad_norms[i],
+                ))
         if state.teacher is not None:
             state.teacher = teacher_update(state.teacher, state.params, beta)
         state.outer_t = t
         if checkpoint_path and checkpoint_every and t % checkpoint_every == 0 \
                 and t < cfg.outer_steps:
             save_train_checkpoint(checkpoint_path, state)
-    return TrainResult(params=state.params, records=records, state=state)
+    finals = mdl.unstack_params(model_cfg, state.params)
+    results = [TrainResult(params=p, records=r, state=state) for p, r in zip(finals, records)]
+    return results[0] if isinstance(dataset, Dataset) else results
 
 
 def continue_training(
     state: TrainState,
-    dataset: Dataset,
+    dataset: Dataset | Sequence[Dataset],
     *,
     perturbation_hook: Callable[[PerturbationEvent], None] | None = None,
     checkpoint_path: str | None = None,
     checkpoint_every: int = 0,
     stop_after: int | None = None,
-) -> TrainResult:
+) -> TrainResult | list[TrainResult]:
     """Advance an existing state, optionally pausing after a given outer step;
     segmented runs traverse exactly the trajectory of an unpaused one."""
     return _run(dataset, state, perturbation_hook=perturbation_hook,
@@ -341,15 +405,17 @@ def continue_training(
 
 def smooth_finetune(
     model_cfg: mdl.ModelConfig,
-    cfg: TrainConfig,
-    dataset: Dataset,
-    initial: mdl.ModelParams,
+    cfg: TrainConfig | Sequence[TrainConfig],
+    dataset: Dataset | Sequence[Dataset],
+    initial: mdl.ModelParams | Sequence[mdl.ModelParams],
     *,
     perturbation_hook: Callable[[PerturbationEvent], None] | None = None,
     checkpoint_path: str | None = None,
     checkpoint_every: int = 0,
-) -> TrainResult:
-    """Run the full regularized proximal loop; deterministic in (config, seed, data)."""
+) -> TrainResult | list[TrainResult]:
+    """Run the full regularized proximal loop; deterministic in (config, seed, data).
+
+    Sequences of configs, datasets and initial params train a stack of runs."""
     state = init_train_state(model_cfg, cfg, initial, smart=True)
     return _run(dataset, state, perturbation_hook=perturbation_hook,
                 checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every)
@@ -357,13 +423,13 @@ def smooth_finetune(
 
 def vanilla_finetune(
     model_cfg: mdl.ModelConfig,
-    cfg: TrainConfig,
-    dataset: Dataset,
-    initial: mdl.ModelParams,
+    cfg: TrainConfig | Sequence[TrainConfig],
+    dataset: Dataset | Sequence[Dataset],
+    initial: mdl.ModelParams | Sequence[mdl.ModelParams],
     *,
     checkpoint_path: str | None = None,
     checkpoint_every: int = 0,
-) -> TrainResult:
+) -> TrainResult | list[TrainResult]:
     """Same loop with the penalty terms structurally absent: the control arm."""
     state = init_train_state(model_cfg, cfg, initial, smart=False)
     return _run(dataset, state, checkpoint_path=checkpoint_path,
@@ -411,26 +477,34 @@ def write_records_csv(path: str, records: list[TrainRecord]) -> None:
 # ---------------------------------------------------------------------------
 
 def save_train_checkpoint(path: str, state: TrainState) -> None:
+    """Write a one-run state; a checkpoint holds a single run."""
+    if len(state.runs) != 1:
+        raise ContractViolation(f"a checkpoint holds one run, not a stack of {len(state.runs)}")
+    (run,) = state.runs
+
+    def tensors(stacked):
+        return tensors_to_obj(mdl.unstack_params(state.model_cfg, stacked)[0])
+
     write_json(path, {
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(state.model_cfg),
-        "tensors": tensors_to_obj(state.params),
+        "tensors": tensors(state.params),
         "train_state": {
             "smart": state.smart,
-            "train_config": dataclasses.asdict(state.cfg),
+            "train_config": dataclasses.asdict(run.cfg),
             "adam": {
-                "m": tensors_to_obj(state.adam.m),
-                "v": tensors_to_obj(state.adam.v),
+                "m": tensors(state.adam.m),
+                "v": tensors(state.adam.v),
                 "t": state.adam.t,
             },
-            "teacher": None if state.teacher is None else tensors_to_obj(state.teacher.params),
-            "streams": {name: list(rng.state()) for name, rng in state.streams.items()},
+            "teacher": None if state.teacher is None else tensors(state.teacher.params),
+            "streams": {name: list(rng.state()) for name, rng in run.streams.items()},
             "outer_t": state.outer_t,
             "global_step": state.global_step,
             "counters": [state.counters.forwards, state.counters.backwards],
             "sampler": {
-                "perm": None if state.sampler_perm is None else state.sampler_perm.tolist(),
-                "cursor": state.sampler_cursor,
+                "perm": None if run.sampler_perm is None else run.sampler_perm.tolist(),
+                "cursor": run.sampler_cursor,
             },
         },
     })
@@ -445,28 +519,25 @@ def resume_from_checkpoint(path: str) -> TrainState:
     try:
         model_cfg = config_from_obj(mdl.ModelConfig, document["config"])
         cfg = config_from_obj(TrainConfig, ts["train_config"])
-        adam = AdamState(
-            m=tensors_from_obj(ts["adam"]["m"]),
-            v=tensors_from_obj(ts["adam"]["v"]),
-            t=int(ts["adam"]["t"]),
-        )
-        teacher = None if ts["teacher"] is None \
-            else TeacherState(tensors_from_obj(ts["teacher"]))
+
+        def tensors(obj):
+            return mdl.stack_params(model_cfg, [tensors_from_obj(obj)])
+
+        adam = AdamState(m=tensors(ts["adam"]["m"]), v=tensors(ts["adam"]["v"]),
+                         t=int(ts["adam"]["t"]))
+        teacher = None if ts["teacher"] is None else TeacherState(tensors(ts["teacher"]))
         streams = {name: Rng.from_state(st) for name, st in ts["streams"].items()}
         if set(streams) != set(_STREAM_TAGS):
             raise CheckpointError(f"cannot load {path}: unexpected rng streams")
+        state = _new_state(model_cfg, [cfg], tensors(document["tensors"]), teacher, adam,
+                           bool(ts["smart"]), [streams])
         sampler = ts["sampler"]
-        perm = None if sampler["perm"] is None \
+        state.runs[0].sampler_perm = None if sampler["perm"] is None \
             else np.asarray(sampler["perm"], dtype=np.int64)
-        counters = PassCounters(int(ts["counters"][0]), int(ts["counters"][1]))
-        return TrainState(
-            model_cfg=model_cfg, cfg=cfg, smart=bool(ts["smart"]),
-            params=tensors_from_obj(document["tensors"]),
-            teacher=teacher, adam=adam, streams=streams,
-            outer_t=int(ts["outer_t"]), global_step=int(ts["global_step"]),
-            counters=counters, sampler_perm=perm,
-            sampler_cursor=int(sampler["cursor"]),
-        )
+        state.runs[0].sampler_cursor = int(sampler["cursor"])
+        state.outer_t, state.global_step = int(ts["outer_t"]), int(ts["global_step"])
+        state.counters = PassCounters(int(ts["counters"][0]), int(ts["counters"][1]))
+        return state
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CheckpointError):
             raise

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from smoothtune import trainer as tr
 from smoothtune.checkpoint import load_params
 from smoothtune.cli import main
 from smoothtune.data import read_dataset, subsample_splits
@@ -204,6 +205,20 @@ def test_gen_data_refuses_bad_scales(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", [
+    *(f"smart.{key}=nan" for key in (
+        "reg_weight", "eps", "noise_std", "step_size", "prox_weight", "ema_early",
+        "ema_late", "ema_switch", "peak_lr", "warmup_frac", "clip_norm")),
+    "smart.eps=inf", "smart.ema_early=1.0", "smart.ema_late=-0.5",
+])
+def test_train_refuses_non_finite_and_out_of_range_hyperparameters(workspace, capsys, setting):
+    tmp, cfg, _, _ = workspace
+    out = tmp / "refused"
+    assert main(["train", "--config", cfg, "--out", str(out), "--set", setting]) == 2
+    assert "smoothtune: error: config:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_lists_every_offending_key(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("""
@@ -296,6 +311,58 @@ seeds = 0,1
     result = vanilla_finetune(run_cfg.model, cell_train, split, init)
     test_metric = accuracy(run_cfg.model, result.params, read_dataset(str(test)))
     assert float(target.split(",")[6]) == test_metric
+
+
+def test_sweep_splits_a_cell_by_batch_size_and_matches_solo_runs(tmp_path, monkeypatch):
+    train = tmp_path / "t.jsonl"
+    test = tmp_path / "e.jsonl"
+    assert main(["gen-data", "--generator", "two-moons", "--n", "40",
+                 "--noise", "0.25", "--seed", "4", "--out", str(train)]) == 0
+    assert main(["gen-data", "--generator", "two-moons", "--n", "20",
+                 "--noise", "0.25", "--seed", "5", "--out", str(test)]) == 0
+    out = tmp_path / "so"
+    # fraction 0.2 keeps 8 examples, below batch_size 10, so it trains apart
+    cfg = _write_config(tmp_path / "s.ini", train, test, out, extra="""
+probe_samples = 3
+[sweep]
+methods = vanilla,smooth
+reg_weights = 2
+prox_weights = 1
+fractions = 0.2,0.5,1.0
+seeds = 0,1
+""")
+    stacks = []
+    real_init = tr.init_train_state
+
+    def init(model_cfg, cfgs, initial, smart):
+        stacks.append((smart, [c.seed for c in cfgs]))
+        return real_init(model_cfg, cfgs, initial, smart)
+
+    monkeypatch.setattr(tr, "init_train_state", init)
+    assert main(["sweep", "--config", cfg]) == 0
+    assert stacks == [(False, [0, 1]), (False, [0, 1, 0, 1]),
+                      (True, [0, 1]), (True, [0, 1, 0, 1])]
+    monkeypatch.undo()
+
+    run_cfg = parse_config(cfg)
+    base, test_ds = read_dataset(str(train)), read_dataset(str(test))
+    rows = open(out / "sweep.csv").read().strip().split("\n")[1:]
+    runs = [row for row in rows if row.split(",")[4] != "median"]
+    assert len(runs) == 2 * 3 * 2
+    for row in runs:
+        method, rw, pw, frac, seed = row.split(",")[:5]
+        fi = [0.2, 0.5, 1.0].index(float(frac))
+        split = subsample_splits(base, [0.2, 0.5, 1.0], seed=int(seed))[fi]
+        cell = dataclasses.replace(
+            run_cfg.train, reg_weight=float(rw), seed=int(seed),
+            prox=dataclasses.replace(run_cfg.train.prox, prox_weight=float(pw)))
+        solo = (smooth_finetune if method == "smooth" else vanilla_finetune)(
+            run_cfg.model, cell, split, init_params(run_cfg.model, Rng(int(seed)).child(0)))
+        probe = local_smoothness_probe(run_cfg.model, solo.params, split,
+                                       run_cfg.train.adv.eps, 3, int(seed))
+        assert row.split(",")[5:] == [repr(accuracy(run_cfg.model, solo.params, split)),
+                                      repr(accuracy(run_cfg.model, solo.params, test_ds)),
+                                      repr(probe)]
 
 
 def test_median_rows_match_recomputation(tmp_path):

@@ -185,7 +185,7 @@ def test_reader_rejects_non_finite_values(tmp_path, field, good, bad):
         read_dataset(path)
 
 
-@pytest.mark.parametrize("tokens", [[1.7, 2], [1.0, 2], ["1", 2]])
+@pytest.mark.parametrize("tokens", [[1.7, 2], [1.0, 2], ["1", 2], [True, 2]])
 def test_reader_rejects_token_ids_that_are_not_json_integers(tmp_path, tokens):
     path = str(tmp_path / "tokens.jsonl")
     with open(path, "w") as fh:

@@ -1,8 +1,9 @@
 """Golden fingerprints: sha256 of the byte-reproducible outputs of three short
-CLI runs. `records.csv` and `checkpoint_final.json` pin training; `metrics.json`
-pins the forward-only passes (accuracy and the smoothness probe). A change to
-any digest means the numbers changed; such a change must be explained in
-CHANGES.md together with the new digests."""
+CLI runs and one sweep. `records.csv` and `checkpoint_final.json` pin training;
+`metrics.json` pins the forward-only passes (accuracy and the smoothness probe);
+`sweep.csv` pins stacked sweep training. A change to any digest means the
+numbers changed; such a change must be explained in CHANGES.md together with
+the new digests."""
 
 import hashlib
 
@@ -124,3 +125,27 @@ def test_golden_fingerprints(run, datasets, tmp_path):
                    + f"\n[run]\nseed = 3\nout = {tmp_path / 'out'}\nprobe_samples = 4\n")
     assert main(["train", "--config", str(cfg)]) == 0
     assert _digests(tmp_path / "out") == GOLDEN[run]
+
+
+_SWEEP = """
+[sweep]
+methods = vanilla,smooth
+reg_weights = 2
+prox_weights = 1
+fractions = 0.5,1.0
+seeds = 0,1
+"""
+
+GOLDEN_SWEEP = "dbf641b89159c4f193ebb22e4cbeb189b24bf44d2c689feb3ce23ee70fada162"
+
+
+def test_golden_sweep_fingerprint(datasets, tmp_path):
+    train, test = datasets["moons"]
+    smart = dict(method="smooth", reg=2.0, steps=2, norm="inf", prox_mode="mbpp", prox=1.0)
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(_MLP_MODEL + _SMART.format(**smart) + _SWEEP
+                   + f"\n[data]\ntrain = {train}\ntest = {test}\n"
+                   + f"\n[run]\nseed = 3\nout = {tmp_path / 'out'}\nprobe_samples = 4\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SWEEP
