@@ -12,6 +12,13 @@ freed by reference counting as soon as the last Var or tape reference goes. A
 ForwardTape runs the same ops but records nothing, so forward-only passes keep
 an intermediate only while the next op still needs it.
 
+A dense layer is one node: `affine` forms x @ w, then adds the bias and
+applies the activation in place in the product's buffer. As three ops
+(matmul, add_broadcast, activation) a layer would allocate three
+activation-sized arrays, and over large batches those cost about as much as
+the product itself. The one node does the same float ops in the same order, so
+its values and adjoints equal the three-op chain's bit for bit.
+
 Ops are rank-generic: a leading stack axis on both operands (S runs trained as
 one) gives every slice the values and adjoints of its own unstacked run, bit
 for bit. Broadcast operands are reduced one axis at a time, in the order an
@@ -181,6 +188,12 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _check_broadcast(bshape: tuple[int, ...], shape: tuple[int, ...], op: str) -> None:
+    """Refuse an operand that does not broadcast to `shape` without growing it."""
+    if len(bshape) > len(shape) or any(nb not in (1, n) for nb, n in zip(bshape[::-1], shape[::-1])):
+        raise ContractViolation(f"{op}: {bshape} does not broadcast to {shape}")
+
+
 # -- arithmetic --------------------------------------------------------------
 
 def add(a: Var, b: Var) -> Var:
@@ -191,12 +204,8 @@ def add(a: Var, b: Var) -> Var:
 def add_broadcast(a: Var, b: Var) -> Var:
     """a + b where b broadcasts to a's shape (bias, gain, position table)."""
     tape = _same_tape(a, b)
-    if b.value.ndim > a.value.ndim or any(
-            nb not in (1, na) for nb, na in zip(b.value.shape[::-1], a.value.shape[::-1])):
-        raise ContractViolation(
-            f"add_broadcast: {b.value.shape} does not broadcast to {a.value.shape}"
-        )
     bshape = b.value.shape
+    _check_broadcast(bshape, a.value.shape, "add_broadcast")
     return tape._record(
         a.value + b.value, (a.index, b.index), lambda g: (g, _reduce_to(g, bshape))
     )
@@ -228,25 +237,61 @@ def mul_const(a: Var, arr: np.ndarray) -> Var:
     return a.tape._record(a.value * arr, (a.index,), lambda g: (g * arr,))
 
 
+def _product(av: np.ndarray, bv: np.ndarray, op: str) -> np.ndarray:
+    """av @ bv for operands of rank >= 2, leading axes broadcast per numpy rules."""
+    if av.ndim < 2 or bv.ndim < 2:
+        raise ContractViolation(f"{op}: expected rank >= 2, got {av.shape} and {bv.shape}")
+    if av.shape[-1] != bv.shape[-2]:
+        raise ContractViolation(f"{op}: inner dimensions differ, {av.shape} vs {bv.shape}")
+    if av.ndim == 2 and bv.ndim == 2:
+        return tc.matmul(av, bv)
+    return np.matmul(av, bv)
+
+
+def _product_vjp(g: np.ndarray, av: np.ndarray, bv: np.ndarray):
+    ga = _reduce_to(np.matmul(g, bv.swapaxes(-1, -2)), av.shape)
+    gb = _reduce_to(np.matmul(av.swapaxes(-1, -2), g), bv.shape)
+    return ga, gb
+
+
 def matmul(a: Var, b: Var) -> Var:
     """Matrix product; operands of rank >= 2, leading axes broadcast per numpy rules."""
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
-    if av.ndim < 2 or bv.ndim < 2:
-        raise ContractViolation(f"matmul: expected rank >= 2, got {av.shape} and {bv.shape}")
-    if av.shape[-1] != bv.shape[-2]:
-        raise ContractViolation(f"matmul: inner dimensions differ, {av.shape} vs {bv.shape}")
-    if av.ndim == 2 and bv.ndim == 2:
-        value = tc.matmul(av, bv)
-    else:
-        value = np.matmul(av, bv)
+    return tape._record(_product(av, bv, "matmul"), (a.index, b.index),
+                        lambda g: _product_vjp(g, av, bv))
+
+
+def affine(x: Var, w: Var, b: Var, act: str | None = None) -> Var:
+    """act(x @ w + b) as one node, with act "tanh", "relu" or None; b broadcasts
+    to the product's shape.
+
+    Values and adjoints equal those of matmul, add_broadcast and the
+    activation recorded one after another. The relu mask is read off the
+    output: y > 0 exactly where the input is > 0, NaN included.
+    """
+    tape = _same_tape(x, w, b)
+    xv, wv = x.value, w.value
+    y = _product(xv, wv, "affine")
+    bshape = b.value.shape
+    _check_broadcast(bshape, y.shape, "affine")
+    y += b.value
+    if act == "tanh":
+        np.tanh(y, out=y)
+    elif act == "relu":
+        np.maximum(y, 0.0, out=y)
+    elif act is not None:
+        raise ContractViolation(f"affine: unknown activation {act!r}")
+    out = None if act is None else y  # a plain affine's vjp keeps no output alive
 
     def vjp(g):
-        ga = _reduce_to(np.matmul(g, bv.swapaxes(-1, -2)), av.shape)
-        gb = _reduce_to(np.matmul(av.swapaxes(-1, -2), g), bv.shape)
-        return ga, gb
+        if act == "tanh":
+            g = g * (1.0 - out * out)
+        elif act == "relu":
+            g = g * (out > 0)
+        return (*_product_vjp(g, xv, wv), _reduce_to(g, bshape))
 
-    return tape._record(value, (a.index, b.index), vjp)
+    return tape._record(y, (x.index, w.index, b.index), vjp)
 
 
 def swapaxes(a: Var, ax1: int, ax2: int) -> Var:
@@ -265,16 +310,6 @@ def reshape(a: Var, shape) -> Var:
 
 
 # -- nonlinearities ----------------------------------------------------------
-
-def relu(a: Var) -> Var:
-    av = a.value
-    return a.tape._record(tc.relu(av), (a.index,), lambda g: (g * (av > 0),))
-
-
-def tanh(a: Var) -> Var:
-    t = tc.tanh(a.value)
-    return a.tape._record(t, (a.index,), lambda g: (g * (1.0 - t * t),))
-
 
 def exp(a: Var) -> Var:
     e = np.exp(a.value)

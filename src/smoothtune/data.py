@@ -221,6 +221,8 @@ def read_dataset(path: str) -> Dataset:
     task = "classification" if isinstance(y0, int) else "regression"
     inputs, labels, soft = [], [], []
     for lineno, rec in records:
+        if type(rec["y"]) is bool:  # a subclass of int, so it would pass as a class id
+            raise InputError(f"{path}:{lineno}: labels must be JSON numbers, not true/false")
         if isinstance(rec["y"], int) != (task == "classification"):
             raise InputError(f"{path}:{lineno}: mixed label types")
         inputs.append(rec["x"] if input_kind == "vector" else rec["tokens"])

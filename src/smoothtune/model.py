@@ -248,18 +248,15 @@ def build_head(
 ) -> Var:
     """Forward from an embedded batch to probabilities [n, k] or predictions [n],
     with a leading stack axis on everything when the params are stacked."""
-    act = ad.tanh if config.activation == "tanh" else ad.relu
+    act = config.activation
     if config.arch == "mlp":
         h = emb
         n_hidden = len(config.hidden)
         for i in range(n_hidden):
-            h = act(ad.add_broadcast(ad.matmul(h, pvars[f"layer{i}.weight"]),
-                                     pvars[f"layer{i}.bias"]))
+            h = ad.affine(h, pvars[f"layer{i}.weight"], pvars[f"layer{i}.bias"], act)
             if masks is not None:
                 h = ad.mul_const(h, masks[i])
-        logits = ad.add_broadcast(
-            ad.matmul(h, pvars[f"layer{n_hidden}.weight"]), pvars[f"layer{n_hidden}.bias"]
-        )
+        logits = ad.affine(h, pvars[f"layer{n_hidden}.weight"], pvars[f"layer{n_hidden}.bias"])
     else:
         batch, seq = emb.value.shape[:-2], emb.value.shape[-2]  # batch is [S,] n
         d, heads = config.embed_dim, config.heads
@@ -270,28 +267,27 @@ def build_head(
             p = f"block{i}"
             # pre-LN self-attention with residual
             x = ad.layer_norm(h, pvars[f"{p}.ln1.gain"], pvars[f"{p}.ln1.bias"])
-            q = ad.add_broadcast(ad.matmul(x, pvars[f"{p}.attn.wq"]), pvars[f"{p}.attn.bq"])
-            k = ad.add_broadcast(ad.matmul(x, pvars[f"{p}.attn.wk"]), pvars[f"{p}.attn.bk"])
-            v = ad.add_broadcast(ad.matmul(x, pvars[f"{p}.attn.wv"]), pvars[f"{p}.attn.bv"])
+            q = ad.affine(x, pvars[f"{p}.attn.wq"], pvars[f"{p}.attn.bq"])
+            k = ad.affine(x, pvars[f"{p}.attn.wk"], pvars[f"{p}.attn.bk"])
+            v = ad.affine(x, pvars[f"{p}.attn.wv"], pvars[f"{p}.attn.bv"])
             q = ad.swapaxes(ad.reshape(q, batch + (seq, heads, hd)), -3, -2)
             k = ad.swapaxes(ad.reshape(k, batch + (seq, heads, hd)), -3, -2)
             v = ad.swapaxes(ad.reshape(v, batch + (seq, heads, hd)), -3, -2)
             scores = ad.cmul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / np.sqrt(hd))
             ctx = ad.matmul(ad.softmax(scores), v)
             ctx = ad.reshape(ad.swapaxes(ctx, -3, -2), batch + (seq, d))
-            attn = ad.add_broadcast(ad.matmul(ctx, pvars[f"{p}.attn.wo"]),
-                                    pvars[f"{p}.attn.bo"])
+            attn = ad.affine(ctx, pvars[f"{p}.attn.wo"], pvars[f"{p}.attn.bo"])
             h = ad.add(h, attn)
             # pre-LN feedforward with residual
             x = ad.layer_norm(h, pvars[f"{p}.ln2.gain"], pvars[f"{p}.ln2.bias"])
-            x = act(ad.add_broadcast(ad.matmul(x, pvars[f"{p}.ff.w1"]), pvars[f"{p}.ff.b1"]))
-            x = ad.add_broadcast(ad.matmul(x, pvars[f"{p}.ff.w2"]), pvars[f"{p}.ff.b2"])
+            x = ad.affine(x, pvars[f"{p}.ff.w1"], pvars[f"{p}.ff.b1"], act)
+            x = ad.affine(x, pvars[f"{p}.ff.w2"], pvars[f"{p}.ff.b2"])
             h = ad.add(h, x)
         h = ad.layer_norm(h, pvars["out_ln.gain"], pvars["out_ln.bias"])
         pooled = ad.mean_axis(h, -2)
         if masks is not None:
             pooled = ad.mul_const(pooled, masks[0])
-        logits = ad.add_broadcast(ad.matmul(pooled, pvars["head.weight"]), pvars["head.bias"])
+        logits = ad.affine(pooled, pvars["head.weight"], pvars["head.bias"])
     if config.task == "classification":
         return ad.softmax(logits)
     return ad.reshape(logits, logits.value.shape[:-1])

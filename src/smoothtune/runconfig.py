@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -52,6 +53,16 @@ CONFIG_KEYS = [(section, token.split("=")[0], cls, token.split("=")[-1]) for sec
 
 _SWEEP_KEYS = {"methods": list[str], "reg_weights": list[float], "prox_weights": list[float],
                "fractions": list[float], "seeds": list[int]}
+
+_METHODS = ("smooth", "vanilla")
+_WEIGHT_RANGE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+# [sweep] lists whose every entry must pass a range check: (test, what it requires)
+_SWEEP_RANGES = {
+    "methods": (lambda v: v in _METHODS, "'smooth' or 'vanilla'"),
+    "reg_weights": _WEIGHT_RANGE,
+    "prox_weights": _WEIGHT_RANGE,
+    "fractions": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+}
 
 _REQUIRED = {("smart", "method"), ("smart", "outer_steps"), ("data", "train"),
              ("run", "seed"), ("run", "out")}
@@ -118,8 +129,14 @@ def parse_config(path: str | None, overrides: list[str] | None = None,
     if require_sweep and not sweep:
         errors.append("[sweep]: section required for sweep runs")
     method = values.get(("smart", "method"))
-    if method is not None and method not in ("smooth", "vanilla"):
+    if method is not None and method not in _METHODS:
         errors.append(f"[smart].method: must be 'smooth' or 'vanilla', got {method!r}")
+    errors += [f"[sweep].{key}: must list at least one value"
+               for key, vals in sweep.items() if not vals]
+    for key, (ok, wanted) in _SWEEP_RANGES.items():
+        bad = [v for v in sweep.get(key, ()) if not ok(v)]
+        if bad:
+            errors.append(f"[sweep].{key}: every entry must be {wanted}, got {_format(bad)}")
     if errors:
         raise ConfigError("; ".join(errors))
 

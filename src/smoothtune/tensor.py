@@ -55,14 +55,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return a @ b
 
 
-def relu(a: Tensor) -> Tensor:
-    return np.maximum(a, 0.0)
-
-
-def tanh(a: Tensor) -> Tensor:
-    return np.tanh(a)
-
-
 def softmax_row(x: Tensor) -> Tensor:
     """Softmax over the last axis, stabilized by subtracting the row maximum."""
     shifted = x - np.max(x, axis=-1, keepdims=True)

@@ -4,6 +4,8 @@ against the package code paths they check."""
 
 import numpy as np
 
+from smoothtune import autodiff as ad
+
 
 def ref_softmax(z):
     z = np.asarray(z, dtype=np.float64)
@@ -66,3 +68,24 @@ def ref_permutation(rng, n):
         j = int(draws[k] % np.uint64(i + 1))
         perm[i], perm[j] = perm[j], perm[i]
     return perm
+
+
+def ref_tanh(a):
+    """tanh as a tape node of its own, with d tanh = 1 - tanh^2."""
+    t = np.tanh(a.value)
+    return a.tape._record(t, (a.index,), lambda g: (g * (1.0 - t * t),))
+
+
+def ref_relu(a):
+    """relu as a tape node of its own, masked by the input's sign."""
+    av = a.value
+    return a.tape._record(np.maximum(av, 0.0), (a.index,), lambda g: (g * (av > 0),))
+
+
+def unfused_affine(x, w, b, act=None):
+    """act(x @ w + b) as three nodes: matmul, then add_broadcast, then the
+    activation, the chain ad.affine must reproduce bit for bit."""
+    y = ad.add_broadcast(ad.matmul(x, w), b)
+    if act is None:
+        return y
+    return {"tanh": ref_tanh, "relu": ref_relu}[act](y)

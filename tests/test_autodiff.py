@@ -6,7 +6,7 @@ from smoothtune.autodiff import Tape
 from smoothtune.errors import ContractViolation
 from smoothtune.tensor import Rng, softmax_row
 
-from oracles import assert_grads_close, central_diff
+from oracles import assert_grads_close, central_diff, unfused_affine
 
 
 def test_recorded_forward_matches_eager_bitwise():
@@ -53,15 +53,6 @@ def test_softmax_cross_entropy_gradient_closed_form():
     assert np.max(np.abs(g - expected)) < 1e-10
 
 
-def _random_net_loss(tape, leaves, x, labels):
-    W1, b1, W2, b2 = leaves
-    h = ad.tanh(ad.add_broadcast(ad.matmul(tape.const(x), W1), b1))
-    logits = ad.add_broadcast(ad.matmul(h, W2), b2)
-    p = ad.softmax(logits)
-    picked = ad.clip(ad.pick(p, labels), 1e-12, 1.0)
-    return ad.cmul(ad.mean_all(ad.log(picked)), -1.0)
-
-
 def test_finite_difference_agreement_params_and_inputs():
     rng = Rng(21)
     x = rng.gaussian((5, 3), 1.0)
@@ -72,8 +63,8 @@ def test_finite_difference_agreement_params_and_inputs():
     tape = Tape()
     leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
     xleaf = tape.leaf(x, requires_grad=True)
-    h = ad.tanh(ad.add_broadcast(ad.matmul(xleaf, leaves[0]), leaves[1]))
-    logits = ad.add_broadcast(ad.matmul(h, leaves[2]), leaves[3])
+    h = ad.affine(xleaf, leaves[0], leaves[1], "tanh")
+    logits = ad.affine(h, leaves[2], leaves[3])
     loss = ad.cmul(ad.mean_all(ad.log(ad.clip(ad.pick(ad.softmax(logits), labels),
                                               1e-12, 1.0))), -1.0)
     grads = tape.backward(loss)
@@ -82,8 +73,8 @@ def test_finite_difference_agreement_params_and_inputs():
         t = Tape()
         ls = [t.leaf(a) for a in arrays]
         xl = t.leaf(x)
-        hh = ad.tanh(ad.add_broadcast(ad.matmul(xl, ls[0]), ls[1]))
-        lg = ad.add_broadcast(ad.matmul(hh, ls[2]), ls[3])
+        hh = ad.affine(xl, ls[0], ls[1], "tanh")
+        lg = ad.affine(hh, ls[2], ls[3])
         out = ad.cmul(ad.mean_all(ad.log(ad.clip(ad.pick(ad.softmax(lg), labels),
                                                  1e-12, 1.0))), -1.0)
         return float(out.value)
@@ -111,13 +102,15 @@ def test_stop_gradient():
 def test_backward_linearity():
     rng = Rng(4)
     x = rng.gaussian((6,), 1.0)
+    w, bias = rng.gaussian((3, 3), 1.0), rng.gaussian((3,), 0.5)
     a, b = 2.5, -1.25
 
     def grad_of(fa, fb):
         tape = Tape()
         leaf = tape.leaf(x, requires_grad=True)
         f = ad.sum_all(ad.mul(leaf, leaf))
-        g = ad.sum_all(ad.tanh(leaf))
+        g = ad.sum_all(ad.affine(ad.reshape(leaf, (2, 3)), tape.const(w), tape.const(bias),
+                                 "tanh"))
         out = ad.add(ad.cmul(f, fa), ad.cmul(g, fb))
         return tape.backward(out)[leaf]
 
@@ -133,7 +126,7 @@ def test_backward_determinism_bitwise():
     def run():
         tape = Tape()
         leaf = tape.leaf(x, requires_grad=True)
-        out = ad.mean_all(ad.softmax(ad.tanh(ad.matmul(leaf, leaf))))
+        out = ad.mean_all(ad.softmax(ad.affine(leaf, leaf, tape.const(np.zeros(4)), "tanh")))
         return tape.backward(out)[leaf]
 
     assert np.array_equal(run(), run())
@@ -150,7 +143,7 @@ def test_cross_tape_operands_rejected():
 def test_non_scalar_backward_rejected():
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)), requires_grad=True)
-    y = ad.tanh(x)
+    y = ad.affine(x, x, tape.const(np.zeros(2)), "tanh")
     with pytest.raises(ContractViolation):
         tape.backward(y)
 
@@ -161,17 +154,18 @@ def test_assorted_primitive_gradients_match_finite_differences():
     gain = 1.0 + rng.gaussian((4,), 0.1)
     bias = rng.gaussian((4,), 0.1)
     table = rng.gaussian((5, 3), 1.0)
+    w, b = rng.gaussian((3, 3), 1.0), rng.gaussian((3,), 0.5)
     ids = np.array([[0, 4], [2, 2]])
-    arrays = [a, gain, bias, table]
+    arrays = [a, gain, bias, table, w, b]
 
     def build(tape, leaves):
-        av, gv, bv, tv = leaves
+        av, gv, bv, tv, wv, bb = leaves
         ln = ad.layer_norm(av, gv, bv)
         e = ad.gather_rows(tv, ids)
         pooled = ad.mean_axis(e, 1)
         mixed = ad.matmul(ad.swapaxes(ln, 0, 1), ad.reshape(ln, (3, 4)))
         return ad.add(ad.mean_all(ad.exp(ad.cmul(mixed, 0.1))),
-                      ad.mean_all(ad.relu(pooled)))
+                      ad.mean_all(ad.affine(pooled, wv, bb, "relu")))
 
     tape = Tape()
     leaves = [tape.leaf(arr, requires_grad=True) for arr in arrays]
@@ -185,3 +179,90 @@ def test_assorted_primitive_gradients_match_finite_differences():
     fd = central_diff(value, arrays)
     for leaf, g_fd in zip(leaves, fd):
         assert_grads_close(grads[leaf], g_fd)
+
+
+# (x, w, b) shapes: a solo layer, an MLP layer of a stack of 3 runs, and a
+# transformer projection of a stack of 2 runs
+AFFINE_SHAPES = {
+    "solo": ((7, 5), (5, 4), (4,)),
+    "mlp_stacked": ((3, 7, 5), (3, 5, 4), (3, 1, 4)),
+    "transformer_stacked": ((2, 3, 6, 4), (2, 1, 4, 4), (2, 1, 1, 4)),
+}
+
+
+def _affine_values_and_grads(layer, arrays, act, shared_weight=False):
+    """Value and gradients of sum(c * layer(x, w, b)); with shared_weight, one
+    weight leaf feeds two layers on the same tape, the second fed by the first."""
+    xv, wv, bv, cv = arrays
+    tape = Tape()
+    x, w, b = (tape.leaf(a, requires_grad=True) for a in (xv, wv, bv))
+    out = layer(x, w, b, act)
+    if shared_weight:
+        out = layer(out, w, b, act)
+    loss = ad.sum_all(ad.mul(out, tape.const(cv)))
+    grads = tape.backward(loss)
+    return out.value, [grads[v] for v in (x, w, b)]
+
+
+@pytest.mark.parametrize("shared_weight", [False, True], ids=["one_node", "shared_weight"])
+@pytest.mark.parametrize("shapes", list(AFFINE_SHAPES.values()), ids=list(AFFINE_SHAPES))
+@pytest.mark.parametrize("act", ["tanh", "relu", None], ids=["tanh", "relu", "none"])
+def test_affine_matches_unfused_chain_bitwise(act, shapes, shared_weight):
+    rng = Rng(31)
+    xs, ws, bs = shapes
+    if shared_weight:  # a square weight, so the first layer's output can feed the second
+        ws, bs = ws[:-1] + ws[-2:-1], bs[:-1] + ws[-2:-1]
+    out_shape = np.matmul(np.zeros(xs), np.zeros(ws)).shape
+    arrays = [rng.gaussian(xs, 1.0), rng.gaussian(ws, 0.7), rng.gaussian(bs, 0.5),
+              rng.gaussian(out_shape, 1.0)]
+    fused, fused_grads = _affine_values_and_grads(ad.affine, arrays, act, shared_weight)
+    chain, chain_grads = _affine_values_and_grads(unfused_affine, arrays, act, shared_weight)
+    assert np.array_equal(fused, chain)
+    for g_fused, g_chain in zip(fused_grads, chain_grads):
+        assert np.array_equal(g_fused, g_chain)
+
+
+def test_affine_relu_masks_nan_like_the_unfused_chain():
+    rng = Rng(32)
+    xv = rng.gaussian((4, 3), 1.0)
+    xv[1, 2] = np.nan
+    arrays = [xv, rng.gaussian((3, 5), 1.0), rng.gaussian((5,), 0.5), rng.gaussian((4, 5), 1.0)]
+    fused, fused_grads = _affine_values_and_grads(ad.affine, arrays, "relu")
+    chain, chain_grads = _affine_values_and_grads(unfused_affine, arrays, "relu")
+    assert np.isnan(fused[1]).all()
+    assert np.array_equal(fused, chain, equal_nan=True)
+    for g_fused, g_chain in zip(fused_grads, chain_grads):
+        assert np.array_equal(g_fused, g_chain, equal_nan=True)
+
+
+@pytest.mark.parametrize("act", ["tanh", "relu", None], ids=["tanh", "relu", "none"])
+def test_affine_gradients_match_finite_differences(act):
+    rng = Rng(33)
+    arrays = [rng.gaussian((2, 4, 3), 1.0), rng.gaussian((2, 3, 5), 0.7),
+              rng.gaussian((2, 1, 5), 0.5)]
+    c = rng.gaussian((2, 4, 5), 1.0)
+
+    def build(tape, leaves):
+        return ad.sum_all(ad.mul(ad.affine(*leaves, act), tape.const(c)))
+
+    tape = Tape()
+    leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
+    grads = tape.backward(build(tape, leaves))
+
+    def value():
+        t = Tape()
+        return float(build(t, [t.leaf(a) for a in arrays]).value)
+
+    for leaf, g_fd in zip(leaves, central_diff(value, arrays)):
+        assert_grads_close(grads[leaf], g_fd)
+
+
+def test_affine_refuses_bad_shapes_and_activations():
+    tape = Tape()
+    x, w = tape.leaf(np.ones((3, 2))), tape.leaf(np.ones((2, 4)))
+    with pytest.raises(ContractViolation, match="inner dimensions"):
+        ad.affine(x, tape.leaf(np.ones((3, 4))), tape.leaf(np.ones(4)))
+    with pytest.raises(ContractViolation, match="does not broadcast"):
+        ad.affine(x, w, tape.leaf(np.ones((3, 1, 4))))
+    with pytest.raises(ContractViolation, match="unknown activation"):
+        ad.affine(x, w, tape.leaf(np.ones(4)), "sigmoid")

@@ -219,6 +219,22 @@ def test_train_refuses_non_finite_and_out_of_range_hyperparameters(workspace, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", [
+    "sweep.methods=bogus,smooth", "sweep.reg_weights=nan", "sweep.reg_weights=inf",
+    "sweep.prox_weights=-1", "sweep.fractions=1.5", "sweep.fractions=0",
+    "sweep.seeds=", "sweep.methods=",
+])
+def test_sweep_refuses_unknown_methods_and_out_of_range_values(workspace, capsys, setting):
+    tmp, cfg, _, _ = workspace
+    out = tmp / "refused"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--set", "sweep.seeds=0",
+                 "--set", setting]) == 2
+    key, value = setting.split(".")[1].split("=")
+    wanted = "every entry must be" if value else "must list at least one value"
+    assert f"[sweep].{key}: {wanted}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_lists_every_offending_key(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("""

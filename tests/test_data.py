@@ -145,6 +145,13 @@ def test_reader_rejects_mixed_label_types(tmp_path):
         fh.write(json.dumps({"x": [2.0], "y": 0.5}) + "\n")
     with pytest.raises(InputError, match="label"):
         read_dataset(path)
+    # numpy would read true as class 1, so a bool label is refused where it stands
+    path = str(tmp_path / "booly.jsonl")
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"x": [1.0], "y": 0}) + "\n")
+        fh.write(json.dumps({"x": [2.0], "y": True}) + "\n")
+    with pytest.raises(InputError, match=r"booly\.jsonl:2: label"):
+        read_dataset(path)
 
 
 def test_reader_rejects_garbage_and_empty(tmp_path):

@@ -104,8 +104,8 @@ def test_transformer_forward_keeps_no_tape(no_cyclic_gc, monkeypatch):
 
 def test_forward_tape_records_nothing_and_refuses_backward():
     tape = ForwardTape()
-    x = tape.leaf(np.array([1.0, -2.0]), requires_grad=True)
-    y = ad.sum_all(ad.relu(x))
+    x = tape.leaf(np.array([[1.0, -2.0]]), requires_grad=True)
+    y = ad.sum_all(ad.affine(x, tape.const(np.eye(2)), tape.const(np.zeros(2)), "relu"))
     assert y.value == 1.0
     assert len(tape) == 0
     with pytest.raises(ContractViolation, match="forward-only"):
@@ -138,3 +138,35 @@ def test_eager_forwards_equal_recording_tape(config):
         assert np.array_equal(mdl.forward(config, params, xs, mode, masks=m), recorded)
         assert np.array_equal(
             mdl.forward_from_embedding(config, params, emb.value, mode, masks=m), recorded)
+
+
+@pytest.mark.parametrize("act", [None, "tanh"], ids=["none", "tanh"])
+def test_plain_affine_node_keeps_no_reference_to_its_output(act, no_cyclic_gc):
+    rng = Rng(6)
+    tape = Tape()
+    x = tape.leaf(rng.gaussian((5, 3), 1.0), requires_grad=True)
+    w = tape.leaf(rng.gaussian((3, 4), 1.0), requires_grad=True)
+    b = tape.leaf(rng.gaussian((4,), 1.0), requires_grad=True)
+    y = ad.affine(x, w, b, act)
+    out = weakref.ref(y.value)
+    flat = ad.reshape(y, (20,))  # a view: its Var keeps the output's buffer alive
+    loss = ad.sum_all(flat)
+    del y
+    assert out() is not None
+    del flat
+    # tanh's adjoint needs the output, so only the plain node lets it go
+    assert (out() is None) == (act is None)
+    assert list(tape.backward(loss)) == [x, w, b]
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_eager_forward_equals_recording_tape_for_a_stack_at_probe_scale(activation):
+    config = dataclasses.replace(MLP, hidden=(64, 64), activation=activation, dropout=0.0)
+    runs = [mdl.init_params(config, Rng(seed)) for seed in range(3)]
+    params = mdl.stack_params(config, runs)
+    xs = Rng(7).gaussian((3, 4096, 2), 1.5)
+    tape = Tape()
+    pvars = mdl.leaf_params(tape, params)
+    recorded = mdl.build_head(tape, config, pvars, mdl.build_embed(tape, config, pvars, xs))
+    assert len(tape) == len(params) + 1 + 3 + 1  # leaves, input, one node per layer, softmax
+    assert np.array_equal(mdl.forward(config, params, xs), recorded.value)
