@@ -19,6 +19,11 @@ activation-sized arrays, and over large batches those cost about as much as
 the product itself. The one node does the same float ops in the same order, so
 its values and adjoints equal the three-op chain's bit for bit.
 
+A ForwardTape made with recycle=True and reused for many same-shape passes
+hands dense layers the dead output buffers of earlier passes. glibc maps each
+large fresh array from the kernel and unmaps it on free, so over the probe's
+10k points page faults, not FLOPs, were what fresh buffers cost.
+
 Ops are rank-generic: a leading stack axis on both operands (S runs trained as
 one) gives every slice the values and adjoints of its own unstacked run, bit
 for bit. Broadcast operands are reduced one axis at a time, in the order an
@@ -27,6 +32,7 @@ unstacked run reduces them.
 
 from __future__ import annotations
 
+import sys
 import weakref
 from typing import Callable
 
@@ -110,6 +116,11 @@ class Tape:
         self._nodes.append(_Node(parents, vjp))
         return Var(self, len(self._nodes) - 1, value)
 
+    def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A float64 array for an op to write its output into. A recording
+        tape's adjoint closures keep outputs alive, so it never recycles."""
+        return np.empty(shape)
+
     def backward(self, output: Var) -> dict[Var, np.ndarray]:
         """Reverse sweep from a scalar output.
 
@@ -152,10 +163,16 @@ class Tape:
 class ForwardTape(Tape):
     """Record-nothing tape for forward-only passes: the ops compute the same
     values, but no node, adjoint closure or value is kept, so each intermediate
-    is freed once the next op has consumed it."""
+    is freed once the next op has consumed it.
 
-    def __init__(self):
-        pass
+    With recycle=True, an op gets a pooled buffer of its shape once nothing
+    outside the pool references it, so an output the caller holds (or the base
+    of a live view) is never written again. A tape for one pass does not pool:
+    keeping its dead buffers to the end would only raise its peak memory.
+    """
+
+    def __init__(self, recycle: bool = False):
+        self._pool: list[np.ndarray] | None = [] if recycle else None
 
     def __len__(self):
         return 0
@@ -166,8 +183,29 @@ class ForwardTape(Tape):
     def _record(self, value: np.ndarray, parents: tuple[int, ...], vjp) -> Var:
         return Var(self, -1, value)
 
+    def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
+        if self._pool is None:
+            return np.empty(shape)
+        for buf in self._pool:
+            if buf.shape == shape and sys.getrefcount(buf) == _POOL_ONLY_REFS:
+                return buf
+        buf = np.empty(shape)
+        self._pool.append(buf)
+        return buf
+
     def backward(self, output: Var) -> dict[Var, np.ndarray]:
         raise ContractViolation("backward: a forward-only tape records nothing to differentiate")
+
+
+def _pool_only_refs() -> int:
+    """sys.getrefcount of an array held only by a pool list, read the way
+    ForwardTape._buffer reads it (list, loop name, argument)."""
+    pool = [np.empty(0)]
+    for buf in pool:
+        return sys.getrefcount(buf)
+
+
+_POOL_ONLY_REFS = _pool_only_refs()
 
 
 def _same_tape(*vars_: Var) -> Tape:
@@ -237,15 +275,17 @@ def mul_const(a: Var, arr: np.ndarray) -> Var:
     return a.tape._record(a.value * arr, (a.index,), lambda g: (g * arr,))
 
 
-def _product(av: np.ndarray, bv: np.ndarray, op: str) -> np.ndarray:
-    """av @ bv for operands of rank >= 2, leading axes broadcast per numpy rules."""
+def _product(av: np.ndarray, bv: np.ndarray, op: str, tape: Tape | None = None) -> np.ndarray:
+    """av @ bv for operands of rank >= 2, leading axes broadcast per numpy rules;
+    written into a buffer from `tape` when one is given."""
     if av.ndim < 2 or bv.ndim < 2:
         raise ContractViolation(f"{op}: expected rank >= 2, got {av.shape} and {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ContractViolation(f"{op}: inner dimensions differ, {av.shape} vs {bv.shape}")
-    if av.ndim == 2 and bv.ndim == 2:
-        return tc.matmul(av, bv)
-    return np.matmul(av, bv)
+    if tape is None:
+        return np.matmul(av, bv)
+    lead = np.broadcast_shapes(av.shape[:-2], bv.shape[:-2])
+    return np.matmul(av, bv, out=tape._buffer(lead + (av.shape[-2], bv.shape[-1])))
 
 
 def _product_vjp(g: np.ndarray, av: np.ndarray, bv: np.ndarray):
@@ -272,7 +312,7 @@ def affine(x: Var, w: Var, b: Var, act: str | None = None) -> Var:
     """
     tape = _same_tape(x, w, b)
     xv, wv = x.value, w.value
-    y = _product(xv, wv, "affine")
+    y = _product(xv, wv, "affine", tape)
     bshape = b.value.shape
     _check_broadcast(bshape, y.shape, "affine")
     y += b.value
@@ -333,7 +373,7 @@ def softmax(a: Var) -> Var:
     y = tc.softmax_row(a.value)
 
     def vjp(g):
-        return (y * (g - np.sum(g * y, axis=-1, keepdims=True)),)
+        return (y * (g - tc.row_sum(g * y)),)
 
     return a.tape._record(y, (a.index,), vjp)
 

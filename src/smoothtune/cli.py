@@ -9,6 +9,7 @@ creating its output directory leaves a FAILED sentinel file there.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -66,14 +67,26 @@ def cmd_gen_data(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
-    """Run one training cell into cfg.out_dir; returns the metrics object."""
+@contextlib.contextmanager
+def _output_dir(cfg: RunConfig):
+    """Create cfg.out_dir, clear a FAILED sentinel left by an earlier run and
+    archive the effective config; a failure inside the block leaves FAILED
+    holding the exception."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     sentinel = os.path.join(cfg.out_dir, "FAILED")
     if os.path.exists(sentinel):
         os.remove(sentinel)
     _write_text(os.path.join(cfg.out_dir, "config.ini"), effective_config_text(cfg))
     try:
+        yield
+    except Exception as exc:
+        _write_text(sentinel, f"{type(exc).__name__}: {exc}\n")
+        raise
+
+
+def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
+    """Run one training cell into cfg.out_dir; returns the metrics object."""
+    with _output_dir(cfg):
         train_ds = dat.read_dataset(cfg.train_path)
         test_ds = dat.read_dataset(cfg.test_path) if cfg.test_path else None
         ckpt_path = os.path.join(cfg.out_dir, "checkpoint.json")
@@ -126,9 +139,6 @@ def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
             json.dump(metrics, fh)
             fh.write("\n")
         return metrics
-    except Exception as exc:
-        _write_text(sentinel, f"{type(exc).__name__}: {exc}\n")
-        raise
 
 
 def _check_resume_config(cfg: RunConfig, state: tr.TrainState, path: str) -> None:
@@ -237,14 +247,22 @@ def cmd_boundary(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config, _collect_overrides(args), require_sweep=True)
+    path = os.path.join(cfg.out_dir, "sweep.csv")
+    with _output_dir(cfg):
+        rows = _sweep_rows(cfg)
+        _write_text(path, "\n".join(rows) + "\n")
+    print(f"wrote {len(rows) - 1} sweep rows to {path}")
+    return 0
+
+
+def _sweep_rows(cfg: RunConfig) -> list[str]:
+    """Train and probe every run of every cell; the lines of sweep.csv, header first."""
     methods = cfg.sweep.get("methods", ["vanilla", "smooth"])
     reg_weights = cfg.sweep.get("reg_weights", [cfg.train.reg_weight])
     prox_weights = cfg.sweep.get("prox_weights", [cfg.train.prox.prox_weight])
     fractions = cfg.sweep.get("fractions", [1.0])
     seeds = cfg.sweep.get("seeds", list(range(10)))
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_text(os.path.join(cfg.out_dir, "config.ini"), effective_config_text(cfg))
     base_train = dat.read_dataset(cfg.train_path)
     test_ds = dat.read_dataset(cfg.test_path) if cfg.test_path else None
     # the splits of one seed come from one shuffle, so every cell shares them
@@ -296,10 +314,7 @@ def cmd_sweep(args) -> int:
         prb = float(np.median([v[2] for v in vals]))
         rows.append(f"{method},{rw!r},{pw!r},{frac!r},median,"
                     f"{tms!r},{'' if sms is None else repr(sms)},{prb!r}")
-    _write_text(os.path.join(cfg.out_dir, "sweep.csv"), "\n".join(rows) + "\n")
-    print(f"wrote {len(rows) - 1} sweep rows to "
-          f"{os.path.join(cfg.out_dir, 'sweep.csv')}")
-    return 0
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import model as mdl
+from .autodiff import ForwardTape
 from .data import Dataset
 from .errors import InputError
 from .losses import PROB_CLAMP, smooth_kind_for, smooth_loss_rows
@@ -59,18 +60,28 @@ def local_smoothness_probe(
     the L-inf eps-ball around each embedding.
 
     Sample offsets are unit-cube draws scaled by eps, so growing eps with the
-    same seed pushes the same sample directions outward.
+    same seed pushes the same sample directions outward. The clean forward and
+    every sample forward run on one recycling ForwardTape, so from the second
+    sample on the dense layers write into the previous sample's dead
+    activations instead of freshly faulted pages.
     """
-    if eps < 0 or samples_per_point < 1:
-        raise InputError("need eps >= 0 and samples_per_point >= 1")
+    if not (0 <= eps < np.inf and samples_per_point >= 1):
+        raise InputError(f"need a finite eps >= 0 and samples_per_point >= 1, "
+                         f"got eps={eps}, samples_per_point={samples_per_point}")
     emb = mdl.embed(model_cfg, params, dataset.inputs)
-    clean = mdl.forward_from_embedding(model_cfg, params, emb, "eval")
+    tape = ForwardTape(recycle=True)
+    clean = mdl.forward_from_embedding(model_cfg, params, emb, "eval", tape=tape)
     kind = smooth_kind_for(model_cfg.task)
     rng = Rng(seed)
     worst = np.zeros(len(dataset))
     for _ in range(samples_per_point):
-        offsets = (2.0 * rng.uniform(emb.shape) - 1.0) * eps
-        out = mdl.forward_from_embedding(model_cfg, params, emb + offsets, "eval")
+        # emb + (2u - 1) * eps, the same float ops done in the draw's buffer
+        point = rng.uniform(emb.shape)
+        point *= 2.0
+        point -= 1.0
+        point *= eps
+        point += emb
+        out = mdl.forward_from_embedding(model_cfg, params, point, "eval", tape=tape)
         worst = np.maximum(worst, smooth_loss_rows(kind, out, clean))
     return float(np.mean(worst))
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import ContractViolation, InputError
-from .tensor import as_tensor
+from .tensor import as_tensor, row_sum
 
 PROB_CLAMP = 1e-12
 
@@ -61,7 +61,7 @@ def smooth_loss_rows(kind: str, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per-example divergence between two output batches (no simplex re-check)."""
     if kind == "symmetrized_kl":
         diff = _clamped_log(p) - _clamped_log(q)
-        return np.sum((p - q) * diff, axis=-1)
+        return row_sum((p - q) * diff)[..., 0]
     if kind == "squared":
         return (p - q) ** 2
     raise ContractViolation(f"unknown smooth loss kind {kind!r}")

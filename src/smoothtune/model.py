@@ -336,8 +336,11 @@ def forward_from_embedding(
     mode: str = "eval",
     rng: Rng | None = None,
     masks: list[np.ndarray] | None = None,
+    tape: ForwardTape | None = None,
 ) -> np.ndarray:
-    tape = ForwardTape()
+    """Head forward from an embedded batch. Passing one `tape` to many calls
+    lets them recycle each other's dead output buffers (see ForwardTape)."""
+    tape = ForwardTape() if tape is None else tape
     pvars = leaf_params(tape, params, requires_grad=False)
     masks = _resolve_masks(config, embedded.shape[0], mode, rng, masks)
     return build_head(tape, config, pvars, tape.const(embedded), masks).value

@@ -55,13 +55,21 @@ _SWEEP_KEYS = {"methods": list[str], "reg_weights": list[float], "prox_weights":
                "fractions": list[float], "seeds": list[int]}
 
 _METHODS = ("smooth", "vanilla")
-_WEIGHT_RANGE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+_FINITE_NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 # [sweep] lists whose every entry must pass a range check: (test, what it requires)
 _SWEEP_RANGES = {
     "methods": (lambda v: v in _METHODS, "'smooth' or 'vanilla'"),
-    "reg_weights": _WEIGHT_RANGE,
-    "prox_weights": _WEIGHT_RANGE,
+    "reg_weights": _FINITE_NON_NEGATIVE,
+    "prox_weights": _FINITE_NON_NEGATIVE,
     "fractions": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+}
+# [run] values checked the same way, so a bad one fails before any output exists
+_RUN_RANGES = {
+    "eval_every": _NON_NEGATIVE,
+    "checkpoint_every": _NON_NEGATIVE,
+    "probe_samples": (lambda v: v >= 1, ">= 1"),
+    "probe_eps": _FINITE_NON_NEGATIVE,
 }
 
 _REQUIRED = {("smart", "method"), ("smart", "outer_steps"), ("data", "train"),
@@ -137,6 +145,9 @@ def parse_config(path: str | None, overrides: list[str] | None = None,
         bad = [v for v in sweep.get(key, ()) if not ok(v)]
         if bad:
             errors.append(f"[sweep].{key}: every entry must be {wanted}, got {_format(bad)}")
+    errors += [f"[run].{key}: must be {wanted}, got {_format(values['run', key])}"
+               for key, (ok, wanted) in _RUN_RANGES.items()
+               if ("run", key) in values and not ok(values["run", key])]
     if errors:
         raise ConfigError("; ".join(errors))
 

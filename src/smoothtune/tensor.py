@@ -55,11 +55,48 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return a @ b
 
 
+# numpy sums a last axis narrower than this as one left fold from 0; from this
+# width on it sums pairwise.
+_PAIRWISE_WIDTH = 8
+
+
+def row_max(x: Tensor) -> Tensor:
+    """np.max(x, axis=-1, keepdims=True) as a fold of np.maximum over columns.
+
+    numpy reduces a last axis row by row, which on narrow rows costs far more
+    than the comparisons; the fold is one vectorized op per column. Max is
+    order-free, so the values are equal; only a NaN's sign bit may differ.
+    """
+    if x.shape[-1] == 0:
+        return np.max(x, axis=-1, keepdims=True)
+    m = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j:j + 1], out=m)
+    return m
+
+
+def row_sum(x: Tensor) -> Tensor:
+    """np.sum(x, axis=-1, keepdims=True), bit for bit.
+
+    Rows of 1 to 7 entries are folded one column at a time, in numpy's own
+    order (0 + x0 + x1 + ...); wider rows keep np.sum, whose pairwise order a
+    column fold would not reproduce.
+    """
+    if not 0 < x.shape[-1] < _PAIRWISE_WIDTH:
+        return np.sum(x, axis=-1, keepdims=True)
+    s = x[..., :1] + 0.0
+    for j in range(1, x.shape[-1]):
+        s += x[..., j:j + 1]
+    return s
+
+
 def softmax_row(x: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by subtracting the row maximum."""
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    """Softmax over the last axis, stabilized by subtracting the row maximum;
+    the shift, exp and divide run in one buffer."""
+    y = x - row_max(x)
+    np.exp(y, out=y)
+    y /= row_sum(y)
+    return y
 
 
 def linf_norm(x: Tensor) -> float:

@@ -210,6 +210,8 @@ def test_gen_data_refuses_bad_scales(tmp_path, capsys, argv):
         "reg_weight", "eps", "noise_std", "step_size", "prox_weight", "ema_early",
         "ema_late", "ema_switch", "peak_lr", "warmup_frac", "clip_norm")),
     "smart.eps=inf", "smart.ema_early=1.0", "smart.ema_late=-0.5",
+    "run.probe_eps=nan", "run.probe_eps=inf", "run.probe_eps=-1", "run.probe_samples=0",
+    "run.checkpoint_every=-1", "run.eval_every=-2",
 ])
 def test_train_refuses_non_finite_and_out_of_range_hyperparameters(workspace, capsys, setting):
     tmp, cfg, _, _ = workspace
@@ -267,6 +269,23 @@ def test_failed_run_leaves_sentinel(tmp_path, capsys):
     assert code == 1
     assert (tmp_path / "out" / "FAILED").exists()
     assert "smoothtune: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fraction, code", [("0.01", 1), ("1.0", 0)],
+                         ids=["failing", "after-a-failure"])
+def test_sweep_leaves_a_failed_sentinel_and_clears_a_stale_one(workspace, capsys, fraction, code):
+    tmp, cfg, _, _ = workspace
+    out = tmp / "sweep"
+    out.mkdir()
+    (out / "FAILED").write_text("stale\n")
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--set", "sweep.methods=vanilla",
+                 "--set", "sweep.seeds=0", "--set", f"sweep.fractions={fraction}"]) == code
+    if code:
+        assert "selects no examples" in capsys.readouterr().err
+        assert "selects no examples" in (out / "FAILED").read_text()
+        assert sorted(os.listdir(out)) == ["FAILED", "config.ini"]
+    else:
+        assert sorted(os.listdir(out)) == ["config.ini", "sweep.csv"]
 
 
 def test_eval_history_cadence(workspace):

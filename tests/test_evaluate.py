@@ -97,6 +97,17 @@ def test_probe_zero_radius_and_constant_model():
     assert local_smoothness_probe(cfg, constant, ds, 0.5, 8, seed=6) == 0.0
 
 
+@pytest.mark.parametrize("eps, samples", [
+    (float("nan"), 8), (float("inf"), 8), (-0.1, 8), (0.1, 0),
+])
+def test_probe_refuses_a_bad_radius_or_sample_count(eps, samples):
+    cfg = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2,
+                      hidden=(8,), dropout=0.0)
+    ds = gen_two_moons(10, 0.1, seed=3)
+    with pytest.raises(InputError, match="finite eps >= 0"):
+        local_smoothness_probe(cfg, init_params(cfg, Rng(4)), ds, eps, samples, seed=5)
+
+
 def test_probe_monotone_in_radius():
     cfg = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2,
                       hidden=(8,), dropout=0.0)

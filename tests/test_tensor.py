@@ -9,6 +9,8 @@ from smoothtune.tensor import (
     l2_norm,
     linf_norm,
     matmul,
+    row_max,
+    row_sum,
     softmax_row,
     sub,
 )
@@ -61,6 +63,31 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
     for c in (0.5, -12.0, 300.0):
         assert np.allclose(softmax_row(x + c), p, atol=1e-12)
+
+
+def _rows_with_special_values(width):
+    """Random rows of one width plus rows mixing +-0, +-inf and NaN, stacked (2, n, width)."""
+    rng = Rng(width)
+    scaled = rng.gaussian((40, width), 1.0) * np.exp(rng.gaussian((40, width), 4.0))
+    special = np.array([-0.0, 0.0, -np.inf, np.inf, np.nan, 1.0, -1.0])
+    picks = (rng.uniform((40, width)) * len(special)).astype(np.int64)
+    zeros = np.where(rng.uniform((4, width)) < 0.5, -0.0, 0.0)
+    rows = np.concatenate([scaled, special[picks], zeros, -np.abs(zeros)])
+    return rows.reshape(2, -1, width)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 13])
+def test_row_folds_equal_numpy_reductions(width):
+    x = _rows_with_special_values(width)
+    with np.errstate(invalid="ignore"):
+        want_max, want_sum = np.max(x, axis=-1, keepdims=True), np.sum(x, axis=-1, keepdims=True)
+        got_max, got_sum = row_max(x), row_sum(x)
+    # max agrees in value and in the sign of zero; a NaN's sign bit may differ
+    assert np.array_equal(got_max, want_max, equal_nan=True)
+    assert np.array_equal(np.signbit(got_max[~np.isnan(got_max)]),
+                          np.signbit(want_max[~np.isnan(want_max)]))
+    # the sum is numpy's own, bit for bit
+    assert np.array_equal(got_sum.view(np.uint64), want_sum.view(np.uint64))
 
 
 def test_gaussian_zero_sigma_is_exact_zeros():
