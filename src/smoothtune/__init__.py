@@ -1,16 +1,9 @@
 """Smoothness-regularized fine-tuning with trust-region proximal updates,
 plus the synthetic-experiment harness that exercises it."""
 
-from .adversarial import (
-    AdvConfig,
-    PassCounters,
-    find_adversarial,
-    normalized_ascent_direction,
-    project_ball,
-    smoothness_regularizer,
-)
+from .adversarial import AdvConfig, PassCounters, find_adversarial
 from .autodiff import Tape, Var
-from .checkpoint import load_params, save_params
+from .checkpoint import load_params
 from .data import (
     Dataset,
     gen_cluster_classification,
@@ -33,7 +26,6 @@ from .evaluate import (
     local_smoothness_probe,
     mean_squared_error,
 )
-from .losses import kl, squared_smooth, sym_kl, task_loss
 from .model import (
     ModelConfig,
     ModelParams,
@@ -49,13 +41,12 @@ from .optimizer import (
     TeacherState,
     adam_step,
     beta_at,
-    bregman_divergence,
     clip_gradients,
     init_adam,
     lr_at,
     teacher_update,
 )
-from .tensor import Rng, gaussian_tensor, l2_norm, linf_norm, softmax_row
+from .tensor import Rng, softmax_row
 from .trainer import (
     TrainConfig,
     TrainRecord,

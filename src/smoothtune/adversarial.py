@@ -19,8 +19,8 @@ from . import autodiff as ad
 from . import model as mdl
 from .autodiff import Tape
 from .errors import ContractViolation, check_finite_fields
-from .losses import smooth_kind_for, smooth_loss_mean_node, smooth_loss_rows
-from .tensor import Rng, l2_norm, linf_norm
+from .losses import smooth_kind_for, smooth_loss_mean_node
+from .tensor import Rng
 
 
 @dataclass(frozen=True)
@@ -59,27 +59,6 @@ class PassCounters:
     def __init__(self, forwards: int = 0, backwards: int = 0):
         self.forwards = forwards
         self.backwards = backwards
-
-
-def project_ball(x_tilde: np.ndarray, x: np.ndarray, eps: float, norm: str = "inf") -> np.ndarray:
-    """Project one point back into the eps-ball around x."""
-    if x_tilde.shape != x.shape:
-        raise ContractViolation(f"project_ball: shape mismatch {x_tilde.shape} vs {x.shape}")
-    if norm == "inf":
-        return np.clip(x_tilde, x - eps, x + eps)
-    d = x_tilde - x
-    nrm = l2_norm(d)
-    if nrm <= eps:
-        return x_tilde.copy()
-    return x + d * (eps / nrm)
-
-
-def normalized_ascent_direction(grad: np.ndarray, norm: str = "inf") -> np.ndarray:
-    """grad divided by its norm; the zero gradient maps to the zero step."""
-    nrm = linf_norm(grad) if norm == "inf" else l2_norm(grad)
-    if nrm == 0.0:
-        return np.zeros_like(grad)
-    return grad / nrm
 
 
 def rows_norm(d: np.ndarray, norm: str, examples: int) -> np.ndarray:
@@ -166,26 +145,3 @@ def build_smoothness_term(
     )
     kind = smooth_kind_for(model_cfg.task)
     return smooth_loss_mean_node(kind, perturbed, clean_outputs_var)
-
-
-def smoothness_regularizer(
-    model_cfg: mdl.ModelConfig,
-    params: mdl.ModelParams,
-    inputs,
-    cfg: AdvConfig,
-    rng: Rng,
-    mode: str = "eval",
-    masks: list[np.ndarray] | None = None,
-) -> tuple[float, np.ndarray]:
-    """Value of the smoothness penalty on one batch, with the points it used."""
-    emb = mdl.embed(model_cfg, params, inputs)
-    if mode == "train" and masks is None and model_cfg.dropout > 0:
-        masks = mdl.draw_dropout_masks(model_cfg, emb.shape[0], rng)
-    clean = mdl.forward_from_embedding(model_cfg, params, emb, "eval" if masks is None else "train",
-                                       masks=masks)
-    x_adv = find_adversarial(model_cfg, params, emb, clean, cfg, rng, masks)
-    perturbed = mdl.forward_from_embedding(model_cfg, params, x_adv,
-                                           "eval" if masks is None else "train", masks=masks)
-    kind = smooth_kind_for(model_cfg.task)
-    value = float(np.mean(smooth_loss_rows(kind, perturbed, clean)))
-    return value, x_adv

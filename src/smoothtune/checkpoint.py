@@ -86,14 +86,6 @@ def read_json(path: str) -> dict:
     return document
 
 
-def save_params(path: str, config: ModelConfig, params: ModelParams) -> None:
-    write_json(path, {
-        "version": CHECKPOINT_VERSION,
-        "config": dataclasses.asdict(config),
-        "tensors": tensors_to_obj(params),
-    })
-
-
 def load_params(path: str) -> tuple[ModelConfig, ModelParams]:
     document = read_json(path)
     for key in ("config", "tensors"):

@@ -4,6 +4,10 @@ boundary export, and sweeps, all as reproducible file-based runs.
 Every command is deterministic given its config and seed. Failures exit
 nonzero with one machine-parsable line on stderr; a run that dies after
 creating its output directory leaves a FAILED sentinel file there.
+
+`train`, `train --resume` and `sweep` share one stack runner: `train` trains
+a stack of one run, segmented for periodic evaluation, and `sweep` trains
+each cell as one stack per batch size, then scores every run the same way.
 """
 
 from __future__ import annotations
@@ -37,10 +41,12 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _metric(model_cfg: mdl.ModelConfig, params, dataset) -> float:
-    if model_cfg.task == "classification":
-        return ev.accuracy(model_cfg, params, dataset)
-    return ev.mean_squared_error(model_cfg, params, dataset)
+def _metrics(model_cfg: mdl.ModelConfig, params, train_ds, test_ds) -> tuple:
+    """Accuracy or mean squared error of a run on its own data and on the test
+    set (None without one)."""
+    metric = ev.accuracy if model_cfg.task == "classification" else ev.mean_squared_error
+    return (metric(model_cfg, params, train_ds),
+            None if test_ds is None else metric(model_cfg, params, test_ds))
 
 
 # ---------------------------------------------------------------------------
@@ -84,56 +90,79 @@ def _output_dir(cfg: RunConfig):
         raise
 
 
+def _train_stack(state: tr.TrainState, datasets: list[dat.Dataset], test_ds, segment: int,
+                 ckpt_path: str | None = None, checkpoint_every: int = 0) -> list[tuple]:
+    """Advance a stack to its last outer step in segments of `segment` steps
+    (0: one segment) and return each run's (final params, records, eval rows).
+
+    A segmented run measures every run after each segment, giving an eval row
+    (step, train metric, test metric); its segments traverse exactly the
+    trajectory of an unpaused run. A state already at its last step still
+    takes one (empty) segment."""
+    last = state.cfg.outer_steps
+    records: list[list[tr.TrainRecord]] = [[] for _ in datasets]
+    evals: list[list[tuple]] = [[] for _ in datasets]
+    for stop in [*range(state.outer_t + segment, last, segment), last] if segment else [last]:
+        results = tr.continue_training(state, datasets, stop_after=stop,
+                                       checkpoint_path=ckpt_path,
+                                       checkpoint_every=checkpoint_every)
+        for ds, result, run_records, run_evals in zip(datasets, results, records, evals):
+            run_records.extend(result.records)
+            if segment:
+                run_evals.append((state.global_step,
+                                  *_metrics(state.model_cfg, result.params, ds, test_ds)))
+    return [(result.params, run_records, run_evals)
+            for result, run_records, run_evals in zip(results, records, evals)]
+
+
+def _score(cfg: RunConfig, params, train_ds, test_ds, probe_eps: float, seed: int,
+           evals=()) -> tuple[float, float | None, float]:
+    """One run's final train metric, test metric and smoothness probe; the
+    metrics come from the last eval row when the run has one, since the last
+    segment ends at the final step."""
+    final = evals[-1][1:] if evals else _metrics(cfg.model, params, train_ds, test_ds)
+    return (*final, ev.local_smoothness_probe(cfg.model, params, train_ds, probe_eps,
+                                              cfg.probe_samples, seed))
+
+
 def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
-    """Run one training cell into cfg.out_dir; returns the metrics object."""
+    """Run one training cell into cfg.out_dir as a stack of one; returns the
+    metrics object. A fresh run is evaluated every eval_every steps, a resumed
+    one only at its end."""
     with _output_dir(cfg):
         train_ds = dat.read_dataset(cfg.train_path)
         test_ds = dat.read_dataset(cfg.test_path) if cfg.test_path else None
-        ckpt_path = os.path.join(cfg.out_dir, "checkpoint.json")
-        eval_rows: list[tuple[int, float, float | None]] = []
-
         if resume is not None:
             state = tr.resume_from_checkpoint(resume)
             _check_resume_config(cfg, state, resume)
-            result = tr.continue_training(state, train_ds, checkpoint_path=ckpt_path,
-                                          checkpoint_every=cfg.checkpoint_every)
         else:
-            init = mdl.init_params(cfg.model, Rng(cfg.train.seed).child(0))
-            run = tr.smooth_finetune if cfg.method == "smooth" else tr.vanilla_finetune
-            if cfg.eval_every > 0:
-                # stepwise segments so periodic evaluation sees frozen snapshots
-                result = _train_with_eval(cfg, train_ds, test_ds, init, eval_rows, ckpt_path)
-            else:
-                result = run(cfg.model, cfg.train, train_ds, init,
-                             checkpoint_path=ckpt_path,
-                             checkpoint_every=cfg.checkpoint_every)
+            state = tr.init_train_state(cfg.model, cfg.train,
+                                        mdl.init_params(cfg.model, Rng(cfg.train.seed).child(0)),
+                                        smart=cfg.method == "smooth")
+        [(params, records, evals)] = _train_stack(
+            state, [train_ds], test_ds, 0 if resume is not None else cfg.eval_every,
+            os.path.join(cfg.out_dir, "checkpoint.json"), cfg.checkpoint_every)
 
-        tr.write_records_csv(os.path.join(cfg.out_dir, "records.csv"), result.records)
-        tr.save_train_checkpoint(os.path.join(cfg.out_dir, "checkpoint_final.json"),
-                                 result.state)
-        if eval_rows:
+        tr.write_records_csv(os.path.join(cfg.out_dir, "records.csv"), records)
+        tr.save_train_checkpoint(os.path.join(cfg.out_dir, "checkpoint_final.json"), state)
+        if evals:
             lines = ["step,train_metric,test_metric"]
-            for step, tm, sm in eval_rows:
+            for step, tm, sm in evals:
                 lines.append(f"{step},{tm!r},{'' if sm is None else repr(sm)}")
             _write_text(os.path.join(cfg.out_dir, "eval_history.csv"),
                         "\n".join(lines) + "\n")
 
         probe_eps = cfg.probe_eps if cfg.probe_eps is not None else cfg.train.adv.eps
-        if eval_rows:  # the last segment ends at the final step and measured both
-            _, final_train, final_test = eval_rows[-1]
-        else:
-            final_train = _metric(cfg.model, result.params, train_ds)
-            final_test = None if test_ds is None else _metric(cfg.model, result.params, test_ds)
+        final_train, final_test, probe = _score(cfg, params, train_ds, test_ds, probe_eps,
+                                                cfg.train.seed, evals)
         metrics = {
             "final_train_metric": final_train,
             "final_test_metric": final_test,
-            "smoothness_probe": ev.local_smoothness_probe(
-                cfg.model, result.params, train_ds, probe_eps,
-                cfg.probe_samples, cfg.train.seed),
+            "smoothness_probe": probe,
             "probe_eps": probe_eps,
-            "steps": result.state.global_step,
-            "forward_passes": result.state.counters.forwards,
-            "backward_passes": result.state.counters.backwards,
+            "steps": state.global_step,
+            "forward_passes": state.counters.forwards,
+            "backward_passes": state.counters.backwards,
         }
         with open(os.path.join(cfg.out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
             json.dump(metrics, fh)
@@ -150,25 +179,6 @@ def _check_resume_config(cfg: RunConfig, state: tr.TrainState, path: str) -> Non
                  for s, k in ours if ours[s, k] != theirs[s, k]]
     if differing:
         raise ConfigError(f"config differs from checkpoint {path}: " + "; ".join(differing))
-
-
-def _train_with_eval(cfg, train_ds, test_ds, init, eval_rows, ckpt_path):
-    """Train in eval_every-sized segments, recording metrics between them."""
-    state = tr.init_train_state(cfg.model, cfg.train, init, smart=(cfg.method == "smooth"))
-    records = []
-    t = 0
-    while t < cfg.train.outer_steps:
-        t = min(t + cfg.eval_every, cfg.train.outer_steps)
-        seg = tr.continue_training(state, train_ds, stop_after=t,
-                                   checkpoint_path=ckpt_path,
-                                   checkpoint_every=cfg.checkpoint_every)
-        records.extend(seg.records)
-        eval_rows.append((
-            state.global_step,
-            _metric(cfg.model, seg.params, train_ds),
-            None if test_ds is None else _metric(cfg.model, seg.params, test_ds),
-        ))
-    return tr.TrainResult(params=seg.params, records=records, state=state)
 
 
 def cmd_train(args) -> int:
@@ -291,19 +301,17 @@ def _sweep_rows(cfg: RunConfig) -> list[str]:
         for i, (_, _, split) in enumerate(runs):
             stacks.setdefault(tr.stack_batch_size(cell_cfg, split), []).append(i)
         finals: dict[int, mdl.ModelParams] = {}
-        finetune = tr.smooth_finetune if method == "smooth" else tr.vanilla_finetune
         for members in stacks.values():
             seeds_of = [runs[i][1] for i in members]
-            # keep only the params: a result also holds the whole stack's state
-            finals.update({i: result.params for i, result in zip(members, finetune(
-                cfg.model, [dataclasses.replace(cell_cfg, seed=seed) for seed in seeds_of],
-                [runs[i][2] for i in members],
-                [mdl.init_params(cfg.model, Rng(seed).child(0)) for seed in seeds_of]))})
+            # keep only the params: no stack's state outlives its training
+            finals.update({i: params for i, (params, _, _) in zip(members, _train_stack(
+                tr.init_train_state(
+                    cfg.model, [dataclasses.replace(cell_cfg, seed=seed) for seed in seeds_of],
+                    [mdl.init_params(cfg.model, Rng(seed).child(0)) for seed in seeds_of],
+                    smart=method == "smooth"),
+                [runs[i][2] for i in members], test_ds, 0))})
         for i, (frac, seed, split) in enumerate(runs):
-            tm = _metric(cfg.model, finals[i], split)
-            sm = None if test_ds is None else _metric(cfg.model, finals[i], test_ds)
-            probe = ev.local_smoothness_probe(cfg.model, finals[i], split,
-                                              probe_eps, cfg.probe_samples, seed)
+            tm, sm, probe = _score(cfg, finals[i], split, test_ds, probe_eps, seed)
             rows.append(f"{method},{rw!r},{pw!r},{frac!r},{seed},"
                         f"{tm!r},{'' if sm is None else repr(sm)},{probe!r}")
             groups.setdefault((method, rw, pw, frac), []).append((tm, sm, probe))

@@ -16,7 +16,7 @@ def accuracy(model_cfg: mdl.ModelConfig, params: mdl.ModelParams, dataset: Datas
     """Fraction of argmax-correct predictions; ties break toward the lowest class."""
     if model_cfg.task != "classification" or dataset.task != "classification":
         raise InputError("accuracy needs a classification model and dataset")
-    probs = mdl.forward(model_cfg, params, dataset.inputs, "eval")
+    probs = mdl.forward(model_cfg, params, dataset.inputs)
     return float(np.mean(np.argmax(probs, axis=1) == dataset.labels))
 
 
@@ -24,7 +24,7 @@ def mean_squared_error(model_cfg: mdl.ModelConfig, params: mdl.ModelParams,
                        dataset: Dataset) -> float:
     if model_cfg.task != "regression" or dataset.task != "regression":
         raise InputError("mean_squared_error needs a regression model and dataset")
-    preds = mdl.forward(model_cfg, params, dataset.inputs, "eval")
+    preds = mdl.forward(model_cfg, params, dataset.inputs)
     return float(np.mean((preds - dataset.labels) ** 2))
 
 
@@ -38,7 +38,7 @@ def agreement_cross_entropy(model_cfg: mdl.ModelConfig, params: mdl.ModelParams,
     """
     if dataset.soft_labels is None:
         raise InputError("agreement_cross_entropy needs soft labels")
-    probs = mdl.forward(model_cfg, params, dataset.inputs, "eval")
+    probs = mdl.forward(model_cfg, params, dataset.inputs)
     if probs.shape[1] != dataset.soft_labels.shape[1]:
         raise InputError(
             f"model outputs {probs.shape[1]} classes but soft labels have "
@@ -70,7 +70,7 @@ def local_smoothness_probe(
                          f"got eps={eps}, samples_per_point={samples_per_point}")
     emb = mdl.embed(model_cfg, params, dataset.inputs)
     tape = ForwardTape(recycle=True)
-    clean = mdl.forward_from_embedding(model_cfg, params, emb, "eval", tape=tape)
+    clean = mdl.forward_from_embedding(model_cfg, params, emb, tape=tape)
     kind = smooth_kind_for(model_cfg.task)
     rng = Rng(seed)
     worst = np.zeros(len(dataset))
@@ -81,7 +81,7 @@ def local_smoothness_probe(
         point -= 1.0
         point *= eps
         point += emb
-        out = mdl.forward_from_embedding(model_cfg, params, point, "eval", tape=tape)
+        out = mdl.forward_from_embedding(model_cfg, params, point, tape=tape)
         worst = np.maximum(worst, smooth_loss_rows(kind, out, clean))
     return float(np.mean(worst))
 
@@ -100,8 +100,10 @@ def decision_boundary_grid(
     if resolution < 2:
         raise InputError("resolution must be >= 2")
     x0_lo, x0_hi, x1_lo, x1_hi = bounds
+    if not (np.isfinite(bounds).all() and x0_lo < x0_hi and x1_lo < x1_hi):
+        raise InputError(f"bounds must be finite with each min below its max, got {bounds}")
     xs = np.linspace(x0_lo, x0_hi, resolution)
     ys = np.linspace(x1_lo, x1_hi, resolution)
     grid = np.array([[a, b] for a in xs for b in ys])
-    probs = mdl.forward(model_cfg, params, grid, "eval")
+    probs = mdl.forward(model_cfg, params, grid)
     return np.column_stack([grid, probs[:, 1]])

@@ -1,4 +1,4 @@
-"""Task losses, output-divergence losses, and KL machinery.
+"""Task losses and output-divergence losses, as tape nodes and per-example rows.
 
 Probabilities are clamped to [1e-12, 1] before every logarithm; the clamp sits
 far below any probability shift the regularizer can produce, so it only guards
@@ -18,10 +18,6 @@ from .tensor import as_tensor, row_sum
 
 PROB_CLAMP = 1e-12
 
-TASK_KINDS = ("cross_entropy", "squared_error")
-SMOOTH_KINDS = ("symmetrized_kl", "squared")
-
-
 def task_kind_for(task: str) -> str:
     return "cross_entropy" if task == "classification" else "squared_error"
 
@@ -30,31 +26,8 @@ def smooth_kind_for(task: str) -> str:
     return "symmetrized_kl" if task == "classification" else "squared"
 
 
-def _check_simplex(p: np.ndarray, name: str) -> None:
-    sums = np.sum(p, axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-9) or np.any(p < -1e-12):
-        raise ContractViolation(f"{name} is not on the probability simplex")
-
-
 def _clamped_log(x: np.ndarray) -> np.ndarray:
     return np.log(np.clip(x, PROB_CLAMP, 1.0))
-
-
-def kl(p, q) -> float:
-    """D_KL(p || q) for simplex rows, with 0*log(0/q) treated as 0."""
-    p, q = as_tensor(p), as_tensor(q)
-    _check_simplex(p, "p")
-    _check_simplex(q, "q")
-    return float(np.sum(p * (_clamped_log(p) - _clamped_log(q))))
-
-
-def sym_kl(p, q) -> float:
-    """D_KL(p || q) + D_KL(q || p)."""
-    return kl(p, q) + kl(q, p)
-
-
-def squared_smooth(p: float, q: float) -> float:
-    return float((p - q) ** 2)
 
 
 def smooth_loss_rows(kind: str, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -65,30 +38,6 @@ def smooth_loss_rows(kind: str, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     if kind == "squared":
         return (p - q) ** 2
     raise ContractViolation(f"unknown smooth loss kind {kind!r}")
-
-
-def task_loss(kind: str, output, label) -> float:
-    """Loss for a single example."""
-    if kind == "cross_entropy":
-        output = as_tensor(output)
-        label = int(label)
-        if not 0 <= label < output.shape[-1]:
-            raise InputError(f"label {label} out of range for {output.shape[-1]} classes")
-        return float(-_clamped_log(output[..., label]))
-    if kind == "squared_error":
-        return float((float(output) - float(label)) ** 2)
-    raise ContractViolation(f"unknown task loss kind {kind!r}")
-
-
-def batch_task_loss(kind: str, outputs: np.ndarray, labels: np.ndarray) -> float:
-    """Arithmetic mean of per-example task losses."""
-    if kind == "cross_entropy":
-        labels = _check_labels(labels, outputs.shape[-1])
-        picked = outputs[np.arange(outputs.shape[0]), labels]
-        return float(-np.mean(_clamped_log(picked)))
-    if kind == "squared_error":
-        return float(np.mean((outputs - as_tensor(labels)) ** 2))
-    raise ContractViolation(f"unknown task loss kind {kind!r}")
 
 
 def _check_labels(labels, k: int) -> np.ndarray:

@@ -302,22 +302,8 @@ def leaf_params(tape: Tape, params: ModelParams, requires_grad: bool = True) -> 
 # ---------------------------------------------------------------------------
 # Eager (numpy-level) forwards: the tape builders run on a ForwardTape, so the
 # recorded and eager paths are the same code, bit for bit, while the eager
-# path keeps no intermediate beyond its last use.
+# path keeps no intermediate beyond its last use. Eager forwards apply no dropout.
 # ---------------------------------------------------------------------------
-
-def _resolve_masks(config, n, mode, rng, masks):
-    if mode == "eval":
-        return None
-    if mode != "train":
-        raise ContractViolation(f"mode must be 'train' or 'eval', got {mode!r}")
-    if masks is not None:
-        return masks
-    if config.dropout == 0.0:
-        return None
-    if rng is None:
-        raise ContractViolation("train-mode forward with dropout needs an rng or masks")
-    return draw_dropout_masks(config, n, rng)
-
 
 def embed(config: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
     """Embedding of a batch: identity for raw vectors, table lookup for tokens.
@@ -333,30 +319,18 @@ def forward_from_embedding(
     config: ModelConfig,
     params: ModelParams,
     embedded: np.ndarray,
-    mode: str = "eval",
-    rng: Rng | None = None,
-    masks: list[np.ndarray] | None = None,
     tape: ForwardTape | None = None,
 ) -> np.ndarray:
     """Head forward from an embedded batch. Passing one `tape` to many calls
     lets them recycle each other's dead output buffers (see ForwardTape)."""
     tape = ForwardTape() if tape is None else tape
     pvars = leaf_params(tape, params, requires_grad=False)
-    masks = _resolve_masks(config, embedded.shape[0], mode, rng, masks)
-    return build_head(tape, config, pvars, tape.const(embedded), masks).value
+    return build_head(tape, config, pvars, tape.const(embedded)).value
 
 
-def forward(
-    config: ModelConfig,
-    params: ModelParams,
-    inputs,
-    mode: str = "eval",
-    rng: Rng | None = None,
-    masks: list[np.ndarray] | None = None,
-) -> np.ndarray:
+def forward(config: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
     """Fused embed + head; identical to calling the two stages separately."""
     tape = ForwardTape()
     pvars = leaf_params(tape, params, requires_grad=False)
     emb = build_embed(tape, config, pvars, inputs)
-    masks = _resolve_masks(config, emb.value.shape[0], mode, rng, masks)
-    return build_head(tape, config, pvars, emb, masks).value
+    return build_head(tape, config, pvars, emb).value

@@ -1,5 +1,5 @@
 """ADAM with global-norm gradient clipping, the warmup/linear-decay schedule,
-the trust-region divergence between parameter settings, and the EMA teacher.
+the trust-region settings, and the EMA teacher.
 
 Norms and clipping take a `lead` count of stack axes: stacked runs are normed
 and clipped each on its own, and ADAM and the EMA are elementwise, so every run
@@ -7,13 +7,12 @@ of a stack is updated exactly as it would be alone."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as mdl
 from .errors import ContractViolation, check_finite_fields
-from .losses import smooth_kind_for, smooth_loss_rows
 
 GradientMap = dict[str, np.ndarray]
 
@@ -148,17 +147,3 @@ def beta_at(outer_step: int, total: int, cfg: ProxConfig) -> float:
     if cfg.mode == "vbpp":
         return 0.0
     return cfg.ema_early if outer_step <= cfg.ema_switch * total else cfg.ema_late
-
-
-def bregman_divergence(
-    model_cfg: mdl.ModelConfig,
-    params: mdl.ModelParams,
-    teacher: TeacherState,
-    inputs,
-) -> float:
-    """Mean output divergence between two parameter settings on the same clean
-    inputs, with deterministic (eval-mode) forwards."""
-    live = mdl.forward(model_cfg, params, inputs, "eval")
-    ref = mdl.forward(model_cfg, teacher.params, inputs, "eval")
-    kind = smooth_kind_for(model_cfg.task)
-    return float(np.mean(smooth_loss_rows(kind, live, ref)))

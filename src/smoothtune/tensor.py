@@ -37,22 +37,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return a - b
 
 
-def scalar_mul(c: float, a: Tensor) -> Tensor:
-    return c * a
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
     return a * b
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Row-major matrix product of 2-D tensors."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ContractViolation(f"matmul: expected 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
-    return a @ b
 
 
 # numpy sums a last axis narrower than this as one left fold from 0; from this
@@ -97,15 +84,6 @@ def softmax_row(x: Tensor) -> Tensor:
     np.exp(y, out=y)
     y /= row_sum(y)
     return y
-
-
-def linf_norm(x: Tensor) -> float:
-    """Max absolute entry; 0 for an all-zero (or empty) tensor."""
-    return float(np.max(np.abs(x))) if x.size else 0.0
-
-
-def l2_norm(x: Tensor) -> float:
-    return float(np.sqrt(np.sum(x * x)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +169,6 @@ class Rng:
             s = _mix64((np.uint64(self.seed) ^ _CHILD_SALT) + np.uint64(tag) * _GOLDEN)
         return Rng(int(s))
 
-    def clone(self) -> "Rng":
-        return Rng(self.seed, self.counter)
-
     def state(self) -> tuple[int, int]:
         return (self.seed, self.counter)
 
@@ -201,8 +176,3 @@ class Rng:
     def from_state(cls, state) -> "Rng":
         seed, counter = state
         return cls(seed, counter)
-
-
-def gaussian_tensor(rng: Rng, shape, sigma: float) -> Tensor:
-    """Tensor of i.i.d. N(0, sigma^2) entries drawn from `rng`."""
-    return rng.gaussian(shape, sigma)

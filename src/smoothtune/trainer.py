@@ -16,6 +16,7 @@ bits it would get alone. A solo run is a stack of one, through the same loop.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
@@ -249,7 +250,7 @@ def build_iteration_objective(
                                     masks, counters)
         total = ad.add(total, ad.cmul(reg, cfg.reg_weight))
     if breg_on:
-        teacher_out = mdl.forward(model_cfg, teacher_params, xs, "eval")
+        teacher_out = mdl.forward(model_cfg, teacher_params, xs)
         if counters is not None:
             counters.forwards += 1
         breg = smooth_loss_mean_node(
@@ -364,6 +365,11 @@ def _run(
                                       for term in (obj.task, obj.reg, obj.breg, obj.total))
             del obj, grad_map  # free the tape before the optimizer's temporaries exist
             grad_norms = global_grad_norm(grads, 1).tolist()
+            for i, (loss, norm) in enumerate(zip(total, grad_norms)):
+                if not (math.isfinite(loss) and math.isfinite(norm)):
+                    what = "gradient" if math.isfinite(loss) else "loss"
+                    raise ContractViolation(f"non-finite {what} at step {state.global_step + 1} "
+                                            f"in run {i} (seed {runs[i].cfg.seed})")
             grads = clip_gradients(grads, cfg.clip_norm, 1)
             state.global_step += 1
             lr = lr_at(state.global_step, cfg.total_updates, cfg.peak_lr, cfg.warmup_frac)

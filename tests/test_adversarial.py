@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from smoothtune.adversarial import (
-    AdvConfig,
-    find_adversarial,
-    normalized_ascent_direction,
-    project_ball,
-    smoothness_regularizer,
-)
+from smoothtune.adversarial import AdvConfig, _normalize_rows, _project_rows, find_adversarial
 from smoothtune.errors import ContractViolation
 from smoothtune.losses import smooth_loss_rows
-from smoothtune.model import ModelConfig, embed, forward_from_embedding, init_params
+from smoothtune.model import ModelConfig, forward_from_embedding, init_params
+from smoothtune.optimizer import ProxConfig
 from smoothtune.tensor import Rng
+from smoothtune.trainer import TrainConfig, build_iteration_objective
 
 from oracles import grid_oracle_max
 
@@ -28,34 +24,41 @@ def test_config_validation_and_sigma_warning():
         AdvConfig(eps=0.01, noise_std=0.05)
 
 
+def _project(x_tilde, x, eps, norm):
+    return _project_rows(np.array([x_tilde]), np.array([x]), eps, norm, 1)[0]
+
+
+def _direction(grad, norm):
+    return _normalize_rows(np.array([grad]), norm, 1)[0]
+
+
 def test_project_ball_inf_clamps():
-    x = np.zeros(3)
-    out = project_ball(np.array([0.25, -0.05, 0.1]), x, 0.1, "inf")
+    out = _project([0.25, -0.05, 0.1], np.zeros(3), 0.1, "inf")
     assert np.array_equal(out, [0.1, -0.05, 0.1])
 
 
 def test_project_ball_identity_inside():
     x = np.array([1.0, 2.0])
     inside = np.array([1.05, 1.97])
-    assert np.array_equal(project_ball(inside, x, 0.1, "inf"), inside)
-    assert np.array_equal(project_ball(inside, x, 0.2, "two"), inside)
+    assert np.array_equal(_project(inside, x, 0.1, "inf"), inside)
+    assert np.array_equal(_project(inside, x, 0.2, "two"), inside)
 
 
 def test_project_ball_l2_rescale():
-    out = project_ball(np.array([3.0, 4.0]), np.zeros(2), 1.0, "two")
+    out = _project([3.0, 4.0], np.zeros(2), 1.0, "two")
     assert np.allclose(out, [0.6, 0.8], atol=1e-15)
     assert np.sqrt(np.sum(out * out)) <= 1.0 + 1e-15
 
 
 def test_normalized_direction():
-    out = normalized_ascent_direction(np.array([2.0, -4.0]), "inf")
+    out = _direction([2.0, -4.0], "inf")
     assert np.array_equal(out, [0.5, -1.0])
     g = Rng(1).gaussian((5,), 1.0)
-    base = normalized_ascent_direction(g, "inf")
+    base = _direction(g, "inf")
     for c in (0.5, 3.0, 1e6):
-        assert np.allclose(normalized_ascent_direction(c * g, "inf"), base, atol=1e-12)
-    assert np.array_equal(normalized_ascent_direction(np.zeros(4), "inf"), np.zeros(4))
-    l2 = normalized_ascent_direction(np.array([3.0, 4.0]), "two")
+        assert np.allclose(_direction(c * g, "inf"), base, atol=1e-12)
+    assert np.array_equal(_direction(np.zeros(4), "inf"), np.zeros(4))
+    l2 = _direction([3.0, 4.0], "two")
     assert np.allclose(l2, [0.6, 0.8], atol=1e-15)
 
 
@@ -130,23 +133,28 @@ def test_search_beats_plain_noise_against_grid_oracle():
     assert np.median(ratios) > 10 * np.median(noise_ratios)
 
 
-def test_regularizer_nonnegative_and_returns_feasible_points():
+def _smoothness_objective(seed, n, adv):
+    """The training objective with only its smoothness term: the penalty's
+    value and the adversarial points it was taken at."""
     mcfg = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2,
                        hidden=(6,), dropout=0.0)
-    params = init_params(mcfg, Rng(3))
-    x = Rng(4).gaussian((8, 2), 1.0)
+    params = init_params(mcfg, Rng(seed))
+    x = Rng(seed + 1).gaussian((n, 2), 1.0)
+    cfg = TrainConfig(reg_weight=1.0, adv=adv, prox=ProxConfig(prox_weight=0.0))
+    obj = build_iteration_objective(mcfg, cfg, params, None, x, np.zeros(n, dtype=np.int64),
+                                    smart=True, noise_rng=Rng(seed + 2))
+    return float(obj.reg.value), obj.adversarial, x
+
+
+def test_regularizer_nonnegative_and_returns_feasible_points():
     cfg = AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02, steps=2)
-    value, pts = smoothness_regularizer(mcfg, params, x, cfg, Rng(5))
+    value, pts, x = _smoothness_objective(3, 8, cfg)
     assert value >= 0.0
-    assert np.all(np.abs(pts - embed(mcfg, params, x)).max(axis=1) <= 0.1 + 1e-12)
+    assert np.all(np.abs(pts - x).max(axis=1) <= 0.1 + 1e-12)
 
 
 def test_zero_radius_collapse_value_exact_zero():
-    mcfg = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2,
-                       hidden=(6,), dropout=0.0)
-    params = init_params(mcfg, Rng(6))
-    x = Rng(7).gaussian((5, 2), 1.0)
     cfg = AdvConfig(eps=0.0, noise_std=0.0, step_size=0.02, steps=1)
-    value, pts = smoothness_regularizer(mcfg, params, x, cfg, Rng(8))
+    value, pts, x = _smoothness_objective(6, 5, cfg)
     assert value == 0.0
     assert np.array_equal(pts, x)

@@ -303,6 +303,55 @@ def test_eval_history_cadence(workspace):
     _, pp = load_params(os.path.join(plain, "checkpoint_final.json"))
     for name in ph:
         assert np.array_equal(ph[name], pp[name])
+    # the final metrics come from the last eval row, and equal the plain run's
+    for name in ("records.csv", "metrics.json"):
+        with open(os.path.join(out, name), "rb") as a, open(os.path.join(plain, name), "rb") as b:
+            assert a.read() == b.read(), name
+    assert not os.path.exists(os.path.join(plain, "eval_history.csv"))
+
+
+def test_resume_from_the_final_checkpoint_rewrites_the_same_outputs(workspace):
+    tmp, cfg, train, test = workspace
+    full, again = tmp / "full", tmp / "again"
+    assert main(["train", "--config", cfg, "--out", str(full), "--set", "run.eval_every=5"]) == 0
+    assert main(["train", "--config", cfg, "--out", str(again), "--set", "run.eval_every=5",
+                 "--resume", str(full / "checkpoint_final.json")]) == 0
+    for name in ("checkpoint_final.json", "metrics.json"):
+        assert (full / name).read_bytes() == (again / name).read_bytes(), name
+    # no update is left to log or evaluate
+    assert (again / "records.csv").read_text() == "step,lr,beta,task_loss,total,grad_norm\n"
+    assert sorted(os.listdir(again)) == ["checkpoint_final.json", "config.ini", "metrics.json",
+                                        "records.csv"]
+
+
+def test_train_refuses_a_non_finite_update(tmp_path, capsys):
+    data = tmp_path / "moons.jsonl"
+    assert main(["gen-data", "--generator", "two-moons", "--n", "40", "--seed", "1",
+                 "--out", str(data)]) == 0
+    out = tmp_path / "out"
+    preset = os.path.join(os.path.dirname(__file__), "..", "configs", "two_moons_smooth.ini")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "--config", preset, "--out", str(out),
+                     "--set", f"data.train={data}", "--set", f"data.test={data}",
+                     "--set", "model.activation=relu", "--set", "smart.peak_lr=1e300",
+                     "--set", "smart.outer_steps=20"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "smoothtune: error: contract: non-finite loss at step 2 in run 0 (seed 0)" in err
+    assert "non-finite loss at step 2" in (out / "FAILED").read_text()
+    assert sorted(os.listdir(out)) == ["FAILED", "config.ini"]
+
+
+@pytest.mark.parametrize("bounds", ["nan,1,0,1", "0,1,-inf,1", "0,inf,0,1", "1,0,0,1",
+                                    "0,1,0.5,0.5"])
+def test_boundary_refuses_non_finite_or_empty_bounds(workspace, capsys, bounds):
+    tmp, cfg, train, test = workspace
+    assert main(["train", "--config", cfg, "--out", str(tmp / "b")]) == 0
+    grid = tmp / "grid.csv"
+    assert main(["boundary", "--checkpoint", str(tmp / "b" / "checkpoint_final.json"),
+                 f"--bounds={bounds}", "--resolution", "3", "--out", str(grid)]) == 1
+    assert "finite with each min below its max" in capsys.readouterr().err
+    assert not grid.exists()
 
 
 def test_sweep_summary_and_cell_reproducibility(tmp_path):

@@ -1,24 +1,36 @@
 import numpy as np
 import pytest
 
-from smoothtune.checkpoint import load_params, save_params
+from smoothtune.autodiff import ForwardTape
+from smoothtune.checkpoint import load_params
 from smoothtune.errors import CheckpointError, ContractViolation, InputError
 from smoothtune.model import (
     ModelConfig,
+    build_embed,
+    build_head,
     draw_dropout_masks,
     embed,
     forward,
     forward_from_embedding,
     init_params,
+    leaf_params,
     param_shapes,
     params_axpy,
 )
 from smoothtune.tensor import Rng
+from smoothtune.trainer import TrainConfig, init_train_state, save_train_checkpoint
 
 MLP = ModelConfig(task="classification", classes=3, arch="mlp", input_dim=2,
                   hidden=(8, 8), dropout=0.1)
 TF = ModelConfig(task="classification", classes=2, arch="transformer", embed_dim=8,
                  heads=2, layers=1, max_len=6, vocab_size=10, dropout=0.1)
+
+
+def _train_forward(config, params, x, masks):
+    """The training forward, dropout masks included, on a record-nothing tape."""
+    tape = ForwardTape()
+    pvars = leaf_params(tape, params, requires_grad=False)
+    return build_head(tape, config, pvars, build_embed(tape, config, pvars, x), masks).value
 
 
 def test_config_invariants():
@@ -103,8 +115,9 @@ def test_eval_deterministic_and_dropout_zero_matches_eval():
     assert np.array_equal(forward(MLP, params, x), forward(MLP, params, x))
     nodrop = ModelConfig(task="classification", classes=3, arch="mlp", input_dim=2,
                          hidden=(8, 8), dropout=0.0)
-    assert np.array_equal(forward(nodrop, params, x, "train", Rng(1)),
-                          forward(nodrop, params, x))
+    assert np.array_equal(
+        _train_forward(nodrop, params, x, draw_dropout_masks(nodrop, 4, Rng(1))),
+        forward(nodrop, params, x))
 
 
 def test_split_equals_fused_forward_bitwise():
@@ -132,8 +145,8 @@ def test_shared_masks_make_train_forward_repeatable():
     params = init_params(MLP, Rng(13))
     x = Rng(14).gaussian((6, 2), 1.0)
     masks = draw_dropout_masks(MLP, 6, Rng(15))
-    a = forward(MLP, params, x, "train", masks=masks)
-    b = forward(MLP, params, x, "train", masks=masks)
+    a = _train_forward(MLP, params, x, masks)
+    b = _train_forward(MLP, params, x, masks)
     assert np.array_equal(a, b)
 
 
@@ -167,7 +180,7 @@ def test_params_axpy():
 def test_checkpoint_round_trip_bitwise(tmp_path):
     params = init_params(TF, Rng(19))
     path = str(tmp_path / "model.json")
-    save_params(path, TF, params)
+    save_train_checkpoint(path, init_train_state(TF, TrainConfig(), params, smart=False))
     cfg2, params2 = load_params(path)
     assert cfg2 == TF
     for name in params:
@@ -177,7 +190,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 def test_checkpoint_rejects_unknown_version_and_truncation(tmp_path):
     params = init_params(MLP, Rng(20))
     path = str(tmp_path / "model.json")
-    save_params(path, MLP, params)
+    save_train_checkpoint(path, init_train_state(MLP, TrainConfig(), params, smart=False))
     text = open(path).read()
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:

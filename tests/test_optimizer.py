@@ -10,7 +10,6 @@ from smoothtune.optimizer import (
     TeacherState,
     adam_step,
     beta_at,
-    bregman_divergence,
     clip_gradients,
     global_grad_norm,
     init_adam,
@@ -18,6 +17,7 @@ from smoothtune.optimizer import (
     teacher_update,
 )
 from smoothtune.tensor import Rng
+from smoothtune.trainer import TrainConfig, build_iteration_objective
 
 SYM_KL_HALF_91 = 0.8788898309344878
 
@@ -153,12 +153,21 @@ def test_beta_schedule_boundary():
         beta_at(0, 100, cfg)
 
 
+def _trust_region_term(cfg, live, teacher, x):
+    """The training objective's trust-region term: the mean output divergence
+    between the live and the teacher params on the same clean inputs."""
+    train = TrainConfig(reg_weight=0.0, prox=ProxConfig(prox_weight=1.0))
+    obj = build_iteration_objective(cfg, train, live, teacher, x,
+                                    np.zeros(len(x), dtype=np.int64), smart=True)
+    return float(obj.breg.value)
+
+
 def test_bregman_zero_when_teacher_equals_live():
     cfg = ModelConfig(task="classification", classes=3, arch="mlp", input_dim=2,
-                      hidden=(6,), dropout=0.1)  # eval-mode forwards ignore dropout
+                      hidden=(6,), dropout=0.1)  # no masks, no dropout
     params = init_params(cfg, Rng(8))
     x = Rng(9).gaussian((10, 2), 1.0)
-    d = bregman_divergence(cfg, params, TeacherState(copy.deepcopy(params)), x)
+    d = _trust_region_term(cfg, params, copy.deepcopy(params), x)
     assert d <= 1e-9
 
 
@@ -169,7 +178,7 @@ def test_bregman_nonnegative_random_pairs():
     for seed in range(4):
         live = init_params(cfg, Rng(20 + seed))
         ref = init_params(cfg, Rng(30 + seed))
-        assert bregman_divergence(cfg, live, TeacherState(ref), x) >= 0.0
+        assert _trust_region_term(cfg, live, ref, x) >= 0.0
 
 
 def test_bregman_single_example_matches_sym_kl_fixture():
@@ -179,5 +188,5 @@ def test_bregman_single_example_matches_sym_kl_fixture():
     live = {"layer0.weight": np.zeros((1, 2)), "layer0.bias": np.zeros(2)}
     teacher = {"layer0.weight": np.array([[np.log(0.9), np.log(0.1)]]),
                "layer0.bias": np.zeros(2)}
-    d = bregman_divergence(cfg, live, TeacherState(teacher), np.array([[1.0]]))
+    d = _trust_region_term(cfg, live, teacher, np.array([[1.0]]))
     assert abs(d - SYM_KL_HALF_91) < 1e-6

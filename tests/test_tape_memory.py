@@ -31,6 +31,13 @@ CFG = TrainConfig(reg_weight=2.0,
                   outer_steps=10, batch_size=10, peak_lr=0.01, seed=3)
 
 
+def _eager_head(config, params, emb, masks):
+    """build_head from an embedded batch on a record-nothing tape, dropout masks included."""
+    tape = ForwardTape()
+    pvars = mdl.leaf_params(tape, params, requires_grad=False)
+    return mdl.build_head(tape, config, pvars, tape.const(emb), masks).value
+
+
 def _batch(config):
     if config.arch == "mlp":
         ds = gen_two_moons(10, 0.2, 0)
@@ -87,7 +94,7 @@ def test_ascent_tapes_freed_on_return(config, no_cyclic_gc, monkeypatch):
     xs, _ = _batch(config)
     masks = mdl.draw_dropout_masks(config, len(xs), Rng(4))
     emb = mdl.embed(config, params, xs)
-    clean = mdl.forward_from_embedding(config, params, emb, "train", masks=masks)
+    clean = _eager_head(config, params, emb, masks)
     find_adversarial(config, params, emb, clean, CFG.adv, Rng(5), masks)
     assert len(made) == CFG.adv.steps
     assert all(ref() is None for ref in made)
@@ -97,7 +104,7 @@ def test_transformer_forward_keeps_no_tape(no_cyclic_gc, monkeypatch):
     made = _spy_tapes(monkeypatch, mdl, "ForwardTape")
     params = mdl.init_params(TF, Rng(1))
     xs, _ = _batch(TF)
-    out = mdl.forward(TF, params, xs, "train", rng=Rng(3))
+    out = mdl.forward(TF, params, xs)
     assert out.shape == (len(xs), TF.classes)
     assert len(made) == 1 and made[0]() is None
 
@@ -129,15 +136,16 @@ def test_eager_forwards_equal_recording_tape(config):
     params = mdl.init_params(config, Rng(1))
     xs, _ = _batch(config)
     masks = mdl.draw_dropout_masks(config, len(xs), Rng(4))
-    for mode, m in (("eval", None), ("train", masks)):
+    for m in (None, masks):
         tape = Tape()
         pvars = mdl.leaf_params(tape, params)
         emb = mdl.build_embed(tape, config, pvars, xs)
         recorded = mdl.build_head(tape, config, pvars, emb, m).value
         assert np.array_equal(mdl.embed(config, params, xs), emb.value)
-        assert np.array_equal(mdl.forward(config, params, xs, mode, masks=m), recorded)
-        assert np.array_equal(
-            mdl.forward_from_embedding(config, params, emb.value, mode, masks=m), recorded)
+        assert np.array_equal(_eager_head(config, params, emb.value, m), recorded)
+        if m is None:
+            assert np.array_equal(mdl.forward(config, params, xs), recorded)
+            assert np.array_equal(mdl.forward_from_embedding(config, params, emb.value), recorded)
 
 
 @pytest.mark.parametrize("act", [None, "tanh"], ids=["none", "tanh"])
