@@ -56,26 +56,6 @@ class Var:
     def shape(self):
         return self.value.shape
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Var):
-            return mul(self, other)
-        return cmul(self, float(other))
-
-    def __rmul__(self, other):
-        return cmul(self, float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Var(shape={self.value.shape}, node={self.index})"
 
@@ -234,9 +214,15 @@ def _check_broadcast(bshape: tuple[int, ...], shape: tuple[int, ...], op: str) -
 
 # -- arithmetic --------------------------------------------------------------
 
+def _require_same_shape(av: np.ndarray, bv: np.ndarray, op: str) -> None:
+    if av.shape != bv.shape:
+        raise ContractViolation(f"{op}: shape mismatch {av.shape} vs {bv.shape}")
+
+
 def add(a: Var, b: Var) -> Var:
     tape = _same_tape(a, b)
-    return tape._record(tc.add(a.value, b.value), (a.index, b.index), lambda g: (g, g))
+    _require_same_shape(a.value, b.value, "add")
+    return tape._record(a.value + b.value, (a.index, b.index), lambda g: (g, g))
 
 
 def add_broadcast(a: Var, b: Var) -> Var:
@@ -251,17 +237,15 @@ def add_broadcast(a: Var, b: Var) -> Var:
 
 def sub(a: Var, b: Var) -> Var:
     tape = _same_tape(a, b)
-    return tape._record(tc.sub(a.value, b.value), (a.index, b.index), lambda g: (g, -g))
-
-
-def neg(a: Var) -> Var:
-    return a.tape._record(-a.value, (a.index,), lambda g: (-g,))
+    _require_same_shape(a.value, b.value, "sub")
+    return tape._record(a.value - b.value, (a.index, b.index), lambda g: (g, -g))
 
 
 def mul(a: Var, b: Var) -> Var:
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
-    return tape._record(tc.mul(av, bv), (a.index, b.index), lambda g: (g * bv, g * av))
+    _require_same_shape(av, bv, "mul")
+    return tape._record(av * bv, (a.index, b.index), lambda g: (g * bv, g * av))
 
 
 def cmul(a: Var, c: float) -> Var:
@@ -270,8 +254,7 @@ def cmul(a: Var, c: float) -> Var:
 
 def mul_const(a: Var, arr: np.ndarray) -> Var:
     """Elementwise product with a non-differentiated constant (dropout masks)."""
-    if arr.shape != a.value.shape:
-        raise ContractViolation(f"mul_const: shape mismatch {a.value.shape} vs {arr.shape}")
+    _require_same_shape(a.value, arr, "mul_const")
     return a.tape._record(a.value * arr, (a.index,), lambda g: (g * arr,))
 
 
@@ -350,11 +333,6 @@ def reshape(a: Var, shape) -> Var:
 
 
 # -- nonlinearities ----------------------------------------------------------
-
-def exp(a: Var) -> Var:
-    e = np.exp(a.value)
-    return a.tape._record(e, (a.index,), lambda g: (g * e,))
-
 
 def log(a: Var) -> Var:
     av = a.value

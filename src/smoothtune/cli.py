@@ -6,8 +6,11 @@ nonzero with one machine-parsable line on stderr; a run that dies after
 creating its output directory leaves a FAILED sentinel file there.
 
 `train`, `train --resume` and `sweep` share one stack runner: `train` trains
-a stack of one run, segmented for periodic evaluation, and `sweep` trains
-each cell as one stack per batch size, then scores every run the same way.
+a stack of one run, and `sweep` trains each cell as one stack per batch size,
+then scores every run the same way. The runner is the one place a run pauses,
+for periodic evaluation and for periodic checkpoints; from the library, a
+periodic checkpoint is `continue_training(..., stop_after=t)` followed by
+`save_train_checkpoint`.
 """
 
 from __future__ import annotations
@@ -90,25 +93,28 @@ def _output_dir(cfg: RunConfig):
         raise
 
 
-def _train_stack(state: tr.TrainState, datasets: list[dat.Dataset], test_ds, segment: int,
-                 ckpt_path: str | None = None, checkpoint_every: int = 0) -> list[tuple]:
-    """Advance a stack to its last outer step in segments of `segment` steps
-    (0: one segment) and return each run's (final params, records, eval rows).
-
-    A segmented run measures every run after each segment, giving an eval row
-    (step, train metric, test metric); its segments traverse exactly the
-    trajectory of an unpaused run. A state already at its last step still
-    takes one (empty) segment."""
-    last = state.cfg.outer_steps
+def _train_stack(state: tr.TrainState, datasets: list[dat.Dataset], test_ds, eval_every: int,
+                 checkpoint_every: int = 0, ckpt_path: str | None = None) -> list[tuple]:
+    """Advance a stack to its last outer step and return each run's (final
+    params, records, eval rows). This is the one place a run pauses: every
+    `eval_every` steps after the start, and at the last step, to give each run
+    an eval row (step, train metric, test metric); and at each multiple of
+    `checkpoint_every` before the last step to write `ckpt_path`. Paused runs
+    traverse exactly the trajectory of an unpaused one, and a state already at
+    its last step still takes one (empty) segment."""
+    start, last = state.outer_t, state.cfg.outer_steps
+    eval_stops = {*range(start + eval_every, last, eval_every), last} if eval_every else set()
+    ckpt_stops = {t for t in range(start + 1, last)
+                  if checkpoint_every and t % checkpoint_every == 0}
     records: list[list[tr.TrainRecord]] = [[] for _ in datasets]
     evals: list[list[tuple]] = [[] for _ in datasets]
-    for stop in [*range(state.outer_t + segment, last, segment), last] if segment else [last]:
-        results = tr.continue_training(state, datasets, stop_after=stop,
-                                       checkpoint_path=ckpt_path,
-                                       checkpoint_every=checkpoint_every)
+    for stop in sorted(eval_stops | ckpt_stops | {last}):
+        results = tr.continue_training(state, datasets, stop_after=stop)
+        if stop in ckpt_stops:
+            tr.save_train_checkpoint(ckpt_path, state)
         for ds, result, run_records, run_evals in zip(datasets, results, records, evals):
             run_records.extend(result.records)
-            if segment:
+            if stop in eval_stops:
                 run_evals.append((state.global_step,
                                   *_metrics(state.model_cfg, result.params, ds, test_ds)))
     return [(result.params, run_records, run_evals)
@@ -141,7 +147,7 @@ def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
                                         smart=cfg.method == "smooth")
         [(params, records, evals)] = _train_stack(
             state, [train_ds], test_ds, 0 if resume is not None else cfg.eval_every,
-            os.path.join(cfg.out_dir, "checkpoint.json"), cfg.checkpoint_every)
+            cfg.checkpoint_every, os.path.join(cfg.out_dir, "checkpoint.json"))
 
         tr.write_records_csv(os.path.join(cfg.out_dir, "records.csv"), records)
         tr.save_train_checkpoint(os.path.join(cfg.out_dir, "checkpoint_final.json"), state)
@@ -164,9 +170,7 @@ def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
             "forward_passes": state.counters.forwards,
             "backward_passes": state.counters.backwards,
         }
-        with open(os.path.join(cfg.out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh)
-            fh.write("\n")
+        _write_text(os.path.join(cfg.out_dir, "metrics.json"), json.dumps(metrics) + "\n")
         return metrics
 
 
@@ -213,9 +217,7 @@ def cmd_eval(args) -> int:
                 model_cfg, params, ds)
     else:
         metrics["mse"] = ev.mean_squared_error(model_cfg, params, ds)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh)
-        fh.write("\n")
+    _write_text(args.out, json.dumps(metrics) + "\n")
     print(f"wrote metrics to {args.out}")
     return 0
 
@@ -227,9 +229,7 @@ def cmd_probe(args) -> int:
                                       args.samples, args.seed)
     report = {"eps": args.eps, "samples_per_point": args.samples,
               "seed": args.seed, "n": len(ds), "smoothness_probe": value}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh)
-        fh.write("\n")
+    _write_text(args.out, json.dumps(report) + "\n")
     print(f"wrote probe report to {args.out}")
     return 0
 

@@ -26,9 +26,6 @@ class AdamState:
     m: mdl.ModelParams
     v: mdl.ModelParams
     t: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
 
 def init_adam(params: mdl.ModelParams) -> AdamState:
@@ -86,16 +83,16 @@ def adam_step(
     if list(params.keys()) != list(state.m.keys()) or list(params.keys()) != list(grads.keys()):
         raise ContractViolation("adam_step: parameter/gradient structure mismatch")
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     result: mdl.ModelParams = {} if out is None else out
     for name, p in params.items():
         g = grads[name]
         m, v = state.m[name], state.v[name]
         # m <- beta1 m + (1 - beta1) g and v <- beta2 v + (1 - beta2) g^2, in place
-        np.add(np.multiply(m, state.beta1, out=m), (1.0 - state.beta1) * g, out=m)
-        np.add(np.multiply(v, state.beta2, out=v), (1.0 - state.beta2) * (g * g), out=v)
-        step = lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        np.add(np.multiply(m, ADAM_BETA1, out=m), (1.0 - ADAM_BETA1) * g, out=m)
+        np.add(np.multiply(v, ADAM_BETA2, out=v), (1.0 - ADAM_BETA2) * (g * g), out=v)
+        step = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         result[name] = p - step if out is None else np.subtract(p, step, out=out[name])
     return result
 

@@ -1,8 +1,8 @@
 """Dense float64 tensors, a counter-based deterministic RNG, and stable numeric primitives.
 
 Tensors are plain numpy float64 arrays in row-major (C) order; numpy supplies the
-arithmetic while this module pins down the contracts (shape rules, stability,
-determinism) the rest of the package relies on.
+arithmetic while this module pins down the contracts (stability, determinism) the
+rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -20,26 +20,6 @@ def as_tensor(data) -> Tensor:
     if a.ndim and not a.flags.c_contiguous:
         a = np.ascontiguousarray(a)
     return a
-
-
-def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ContractViolation(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "add")
-    return a + b
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-    return a - b
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "mul")
-    return a * b
 
 
 # numpy sums a last axis narrower than this as one left fold from 0; from this

@@ -316,17 +316,17 @@ def stack_batch_size(cfg: TrainConfig, dataset: Dataset) -> int:
     return min(cfg.batch_size, len(dataset))
 
 
-def _run(
-    dataset: Dataset | Sequence[Dataset],
+def continue_training(
     state: TrainState,
+    dataset: Dataset | Sequence[Dataset],
     *,
     perturbation_hook: Callable[[PerturbationEvent], None] | None = None,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 0,
     stop_after: int | None = None,
 ) -> TrainResult | list[TrainResult]:
-    """The training loop. A stack takes one dataset per run and gives one
-    result per run; a single dataset gives a single result."""
+    """Advance a state, optionally pausing after a given outer step; segmented
+    runs traverse exactly the trajectory of an unpaused one. A stack takes one
+    dataset per run and gives one result per run; a single dataset gives a
+    single result."""
     model_cfg, cfg, runs = state.model_cfg, state.cfg, state.runs
     datasets = _as_list(dataset, Dataset)
     if len(datasets) != len(runs):
@@ -349,22 +349,25 @@ def _run(
                 drawn = [mdl.draw_dropout_masks(model_cfg, len(i), run.streams["dropout"])
                          for run, i in zip(runs, idx)]
                 masks = [np.stack(site) for site in zip(*drawn)]
-            obj = build_iteration_objective(
-                model_cfg, cfg, state.params,
-                state.teacher.params if state.teacher is not None else None,
-                xs, ys, smart=state.smart, masks=masks,
-                noise_rng=noise, counters=state.counters,
-            )
-            if obj.adversarial is not None:
-                _audit_perturbation(obj, cfg, t, s, perturbation_hook)
-            # runs are independent, so the gradient of their sum is each run's own
-            grad_map = obj.tape.backward(ad.sum_all(obj.total))
-            state.counters.backwards += 1
-            grads = {name: grad_map[var] for name, var in obj.pvars.items()}
-            task, reg, breg, total = (None if term is None else term.value.tolist()
-                                      for term in (obj.task, obj.reg, obj.breg, obj.total))
-            del obj, grad_map  # free the tape before the optimizer's temporaries exist
-            grad_norms = global_grad_norm(grads, 1).tolist()
+            # a diverging update is refused by the finite check below, not by
+            # numpy warnings on the way there
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                obj = build_iteration_objective(
+                    model_cfg, cfg, state.params,
+                    state.teacher.params if state.teacher is not None else None,
+                    xs, ys, smart=state.smart, masks=masks,
+                    noise_rng=noise, counters=state.counters,
+                )
+                if obj.adversarial is not None:
+                    _audit_perturbation(obj, cfg, t, s, perturbation_hook)
+                # runs are independent, so the gradient of their sum is each run's own
+                grad_map = obj.tape.backward(ad.sum_all(obj.total))
+                state.counters.backwards += 1
+                grads = {name: grad_map[var] for name, var in obj.pvars.items()}
+                task, reg, breg, total = (None if term is None else term.value.tolist()
+                                          for term in (obj.task, obj.reg, obj.breg, obj.total))
+                del obj, grad_map  # free the tape before the optimizer's temporaries exist
+                grad_norms = global_grad_norm(grads, 1).tolist()
             for i, (loss, norm) in enumerate(zip(total, grad_norms)):
                 if not (math.isfinite(loss) and math.isfinite(norm)):
                     what = "gradient" if math.isfinite(loss) else "loss"
@@ -385,28 +388,9 @@ def _run(
         if state.teacher is not None:
             state.teacher = teacher_update(state.teacher, state.params, beta)
         state.outer_t = t
-        if checkpoint_path and checkpoint_every and t % checkpoint_every == 0 \
-                and t < cfg.outer_steps:
-            save_train_checkpoint(checkpoint_path, state)
     finals = mdl.unstack_params(model_cfg, state.params)
     results = [TrainResult(params=p, records=r, state=state) for p, r in zip(finals, records)]
     return results[0] if isinstance(dataset, Dataset) else results
-
-
-def continue_training(
-    state: TrainState,
-    dataset: Dataset | Sequence[Dataset],
-    *,
-    perturbation_hook: Callable[[PerturbationEvent], None] | None = None,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 0,
-    stop_after: int | None = None,
-) -> TrainResult | list[TrainResult]:
-    """Advance an existing state, optionally pausing after a given outer step;
-    segmented runs traverse exactly the trajectory of an unpaused one."""
-    return _run(dataset, state, perturbation_hook=perturbation_hook,
-                checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
-                stop_after=stop_after)
 
 
 def smooth_finetune(
@@ -416,15 +400,12 @@ def smooth_finetune(
     initial: mdl.ModelParams | Sequence[mdl.ModelParams],
     *,
     perturbation_hook: Callable[[PerturbationEvent], None] | None = None,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 0,
 ) -> TrainResult | list[TrainResult]:
     """Run the full regularized proximal loop; deterministic in (config, seed, data).
 
     Sequences of configs, datasets and initial params train a stack of runs."""
-    state = init_train_state(model_cfg, cfg, initial, smart=True)
-    return _run(dataset, state, perturbation_hook=perturbation_hook,
-                checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every)
+    return continue_training(init_train_state(model_cfg, cfg, initial, smart=True), dataset,
+                             perturbation_hook=perturbation_hook)
 
 
 def vanilla_finetune(
@@ -432,14 +413,9 @@ def vanilla_finetune(
     cfg: TrainConfig | Sequence[TrainConfig],
     dataset: Dataset | Sequence[Dataset],
     initial: mdl.ModelParams | Sequence[mdl.ModelParams],
-    *,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 0,
 ) -> TrainResult | list[TrainResult]:
     """Same loop with the penalty terms structurally absent: the control arm."""
-    state = init_train_state(model_cfg, cfg, initial, smart=False)
-    return _run(dataset, state, checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every)
+    return continue_training(init_train_state(model_cfg, cfg, initial, smart=False), dataset)
 
 
 def expected_pass_counts(cfg: TrainConfig, smart: bool) -> tuple[int, int]:
@@ -555,11 +531,8 @@ def resume_training(
     dataset: Dataset,
     *,
     perturbation_hook: Callable[[PerturbationEvent], None] | None = None,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 0,
 ) -> TrainResult:
     """Continue a checkpointed run; the completed trajectory matches an
     uninterrupted one bit for bit."""
-    state = resume_from_checkpoint(path)
-    return _run(dataset, state, perturbation_hook=perturbation_hook,
-                checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every)
+    return continue_training(resume_from_checkpoint(path), dataset,
+                             perturbation_hook=perturbation_hook)

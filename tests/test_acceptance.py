@@ -294,24 +294,30 @@ def test_criterion_6_low_resource_trend():
     mlp = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2,
                       hidden=(64, 64), dropout=0.0)
     fracs = (0.01, 0.1, 1.0)
-    acc = {f: {"s": [], "v": []} for f in fracs}
+    tests, runs = [], []  # runs: (fraction, seed, split)
     for seed in range(10):
         full = gen_cluster_classification(10_000, 2, 2, 1.6, 0.8, seed=500 + seed)
-        test = gen_cluster_classification(2_000, 2, 2, 1.6, 0.8, seed=7700 + seed)
+        tests.append(gen_cluster_classification(2_000, 2, 2, 1.6, 0.8, seed=7700 + seed))
         splits = subsample_splits(full, list(fracs), seed=31 + seed)
-        for frac, ds in zip(fracs, splits):
-            init = init_params(mlp, Rng(seed))
-            base = dict(outer_steps=800, batch_size=16, peak_lr=0.05, seed=seed)
-            scfg = TrainConfig(reg_weight=3.0,
-                               adv=AdvConfig(eps=0.3, noise_std=0.01,
-                                             step_size=0.06, steps=1),
-                               prox=ProxConfig(prox_weight=1.0, mode="mbpp"), **base)
-            vcfg = TrainConfig(reg_weight=0.0, adv=scfg.adv,
-                               prox=ProxConfig(prox_weight=0.0, mode="mbpp"), **base)
-            s = smooth_finetune(mlp, scfg, ds, init)
-            v = vanilla_finetune(mlp, vcfg, ds, init)
-            acc[frac]["s"].append(accuracy(mlp, s.params, test))
-            acc[frac]["v"].append(accuracy(mlp, v.params, test))
+        runs += [(frac, seed, ds) for frac, ds in zip(fracs, splits)]
+    base = dict(outer_steps=800, batch_size=16, peak_lr=0.05)
+    scfg = TrainConfig(reg_weight=3.0,
+                       adv=AdvConfig(eps=0.3, noise_std=0.01, step_size=0.06, steps=1),
+                       prox=ProxConfig(prox_weight=1.0, mode="mbpp"), **base)
+    vcfg = TrainConfig(reg_weight=0.0, adv=scfg.adv,
+                       prox=ProxConfig(prox_weight=0.0, mode="mbpp"), **base)
+    # even the 1% split holds 100 examples, so every run takes batches of 16
+    # and each method trains its 30 runs as one stack
+    inits = [init_params(mlp, Rng(seed)) for _, seed, _ in runs]
+    splits = [ds for _, _, ds in runs]
+    arms = {"s": smooth_finetune(mlp, [dataclasses.replace(scfg, seed=seed)
+                                       for _, seed, _ in runs], splits, inits),
+            "v": vanilla_finetune(mlp, [dataclasses.replace(vcfg, seed=seed)
+                                        for _, seed, _ in runs], splits, inits)}
+    acc = {f: {"s": [], "v": []} for f in fracs}
+    for arm, results in arms.items():
+        for (frac, seed, _), result in zip(runs, results):
+            acc[frac][arm].append(accuracy(mlp, result.params, tests[seed]))
     med = {f: (float(np.median(acc[f]["s"])), float(np.median(acc[f]["v"])))
            for f in fracs}
     elapsed = time.time() - start

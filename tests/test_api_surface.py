@@ -24,15 +24,33 @@ def _public_functions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name
 
 
+def _external_modules(tree: ast.Module) -> set[str]:
+    """Names bound by `import x` / `import x as y` of modules outside the package."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.split(".")[0] != "smoothtune"}
+
+
+def _root(node: ast.expr) -> ast.expr:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
 def _referenced_names(tree: ast.Module) -> set[str]:
     """Names, attribute names and the dotted parts of string constants (the
-    benchmark's span targets name functions as strings)."""
+    benchmark's span targets name functions as strings). An attribute of a
+    module from outside the package (np.exp, math.isfinite) names no function
+    of ours."""
+    external = _external_modules(tree)
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            root = _root(node)
+            if not (isinstance(root, ast.Name) and root.id in external):
+                names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.update(node.value.split("."))
     return names

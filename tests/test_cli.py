@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -183,9 +184,10 @@ def test_resume_accepts_equal_values_written_as_ints(workspace):
     tmp, cfg, train, test = workspace
     run_cfg = parse_config(cfg)
     ckpt = str(tmp / "lib.json")
-    smooth_finetune(run_cfg.model, dataclasses.replace(run_cfg.train, reg_weight=2),
-                    read_dataset(str(train)), init_params(run_cfg.model, Rng(5).child(0)),
-                    checkpoint_path=ckpt, checkpoint_every=5)
+    state = tr.init_train_state(run_cfg.model, dataclasses.replace(run_cfg.train, reg_weight=2),
+                                init_params(run_cfg.model, Rng(5).child(0)), smart=True)
+    tr.continue_training(state, read_dataset(str(train)), stop_after=10)
+    tr.save_train_checkpoint(ckpt, state)
     assert main(["train", "--config", cfg, "--out", str(tmp / "resumed"),
                  "--resume", ckpt]) == 0
 
@@ -289,25 +291,25 @@ def test_sweep_leaves_a_failed_sentinel_and_clears_a_stale_one(workspace, capsys
 
 
 def test_eval_history_cadence(workspace):
+    # 12 steps: evals at 4, 8, 12 and checkpoints at 5, 10 share no pause
     tmp, cfg, train, test = workspace
-    out = str(tmp / "hist")
-    assert main(["train", "--config", cfg, "--out", out,
-                 "--set", "run.eval_every=4"]) == 0
-    lines = open(os.path.join(out, "eval_history.csv")).read().strip().split("\n")
+    runs = {"hist": ["--set", "run.eval_every=4", "--set", "run.checkpoint_every=5"],
+            "ckpt": ["--set", "run.checkpoint_every=5"], "plain": []}
+    for name, extra in runs.items():
+        assert main(["train", "--config", cfg, "--out", str(tmp / name), *extra]) == 0
+    hist, plain = tmp / "hist", tmp / "plain"
+    lines = (hist / "eval_history.csv").read_text().strip().split("\n")
     assert lines[0] == "step,train_metric,test_metric"
-    assert len(lines) == 4  # steps 4, 8, 12
-    # segmented training must match the unsegmented trajectory
-    plain = str(tmp / "plain")
-    assert main(["train", "--config", cfg, "--out", plain]) == 0
-    _, ph = load_params(os.path.join(out, "checkpoint_final.json"))
-    _, pp = load_params(os.path.join(plain, "checkpoint_final.json"))
-    for name in ph:
-        assert np.array_equal(ph[name], pp[name])
-    # the final metrics come from the last eval row, and equal the plain run's
-    for name in ("records.csv", "metrics.json"):
-        with open(os.path.join(out, name), "rb") as a, open(os.path.join(plain, name), "rb") as b:
-            assert a.read() == b.read(), name
-    assert not os.path.exists(os.path.join(plain, "eval_history.csv"))
+    assert [line.split(",")[0] for line in lines[1:]] == ["4", "8", "12"]
+    # the last checkpoint stop before step 12 is 10, whatever the eval cadence
+    stored = hist / "checkpoint.json"
+    assert stored.read_bytes() == (tmp / "ckpt" / "checkpoint.json").read_bytes()
+    assert json.loads(stored.read_text())["train_state"]["outer_t"] == 10
+    # paused training must match the unpaused trajectory, and the final
+    # metrics come from the last eval row, equal to the plain run's
+    for name in ("checkpoint_final.json", "records.csv", "metrics.json"):
+        assert (hist / name).read_bytes() == (plain / name).read_bytes(), name
+    assert not (plain / "eval_history.csv").exists()
 
 
 def test_resume_from_the_final_checkpoint_rewrites_the_same_outputs(workspace):
@@ -330,13 +332,16 @@ def test_train_refuses_a_non_finite_update(tmp_path, capsys):
                  "--out", str(data)]) == 0
     out = tmp_path / "out"
     preset = os.path.join(os.path.dirname(__file__), "..", "configs", "two_moons_smooth.ini")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["train", "--config", preset, "--out", str(out),
                      "--set", f"data.train={data}", "--set", f"data.test={data}",
                      "--set", "model.activation=relu", "--set", "smart.peak_lr=1e300",
                      "--set", "smart.outer_steps=20"])
     assert code == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
+    assert err.count("\n") == 1  # one machine-parsable line
     assert "smoothtune: error: contract: non-finite loss at step 2 in run 0 (seed 0)" in err
     assert "non-finite loss at step 2" in (out / "FAILED").read_text()
     assert sorted(os.listdir(out)) == ["FAILED", "config.ini"]
