@@ -33,7 +33,6 @@ from .model import (
     forward,
     forward_from_embedding,
     init_params,
-    params_axpy,
 )
 from .optimizer import (
     AdamState,
@@ -61,7 +60,6 @@ from .trainer import (
     save_train_checkpoint,
     smooth_finetune,
     vanilla_finetune,
-    write_records_csv,
 )
 
 __version__ = "0.1.0"

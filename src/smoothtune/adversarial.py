@@ -4,7 +4,8 @@ on the output divergence, confined to an eps-ball around each embedding.
 The inner search treats parameters as constants; the outer objective treats the
 returned points as constants (no differentiation through the search), so no
 second-order machinery is ever needed. Stacked params and embeddings search
-for S runs at once; each run draws its noise from its own stream.
+for S runs at once; each run draws its noise from its own stream, all of them
+in one grid draw.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import model as mdl
 from .autodiff import Tape
 from .errors import ContractViolation, check_finite_fields
 from .losses import smooth_kind_for, smooth_loss_mean_node
-from .tensor import Rng
+from .tensor import Rng, gaussian_stack
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,12 @@ class AdvConfig:
             )
 
 
+@dataclass(slots=True)
 class PassCounters:
     """Monotone counts of whole-batch model passes."""
 
-    __slots__ = ("forwards", "backwards")
-
-    def __init__(self, forwards: int = 0, backwards: int = 0):
-        self.forwards = forwards
-        self.backwards = backwards
+    forwards: int = 0
+    backwards: int = 0
 
 
 def rows_norm(d: np.ndarray, norm: str, examples: int) -> np.ndarray:
@@ -105,10 +104,9 @@ def find_adversarial(
     x = batch_embeddings
     kind = smooth_kind_for(model_cfg.task)
     examples = 1 + mdl.stack_axes(model_cfg, params)
-    if isinstance(rng, Rng):
-        noise = rng.gaussian(x.shape, cfg.noise_std)
-    else:
-        noise = np.stack([r.gaussian(x.shape[1:], cfg.noise_std) for r in rng])
+    # a lone rng draws for unstacked params, as a stack of one
+    rngs = [rng] if isinstance(rng, Rng) else rng
+    noise = gaussian_stack(rngs, x.shape[examples - 1:], cfg.noise_std).reshape(x.shape)
     x_adv = _project_rows(x + noise, x, cfg.eps, cfg.norm, examples)
     for _ in range(cfg.steps):
         tape = Tape()

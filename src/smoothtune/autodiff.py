@@ -24,6 +24,12 @@ hands dense layers the dead output buffers of earlier passes. glibc maps each
 large fresh array from the kernel and unmaps it on free, so over the probe's
 10k points page faults, not FLOPs, were what fresh buffers cost.
 
+Adjoints flow only toward gradient leaves: a node is live when it is a
+requires_grad leaf or has a live parent. A dead node (a constant, an ascent
+step's weights) keeps no closure, and `affine`, `matmul`, `layer_norm` and
+`add_broadcast` compute no part for a dead parent; a part that reaches no leaf
+changes none that does, so gradients are those of a full sweep, bit for bit.
+
 Ops are rank-generic: a leading stack axis on both operands (S runs trained as
 one) gives every slice the values and adjoints of its own unstacked run, bit
 for bit. Broadcast operands are reduced one axis at a time, in the order an
@@ -34,7 +40,6 @@ from __future__ import annotations
 
 import sys
 import weakref
-from typing import Callable
 
 import numpy as np
 
@@ -60,14 +65,6 @@ class Var:
         return f"Var(shape={self.value.shape}, node={self.index})"
 
 
-class _Node:
-    __slots__ = ("parents", "vjp")
-
-    def __init__(self, parents: tuple[int, ...], vjp: Callable | None):
-        self.parents = parents
-        self.vjp = vjp
-
-
 class Tape:
     """Single-owner recording of a computation; reusable for one or more backward sweeps.
 
@@ -76,7 +73,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple | None] = []  # (parent indices, adjoint rule), None if dead
         self._grad_leaves: list[weakref.ref] = []
 
     def __len__(self):
@@ -86,6 +83,7 @@ class Tape:
         """Enter a value as a leaf; gradient is tracked only if requested."""
         v = self._record(tc.as_tensor(value), (), None)
         if requires_grad:
+            self._nodes[v.index] = ((), None)  # live, with no parent to pass to
             self._grad_leaves.append(weakref.ref(v))
         return v
 
@@ -93,8 +91,14 @@ class Tape:
         return self.leaf(value, requires_grad=False)
 
     def _record(self, value: np.ndarray, parents: tuple[int, ...], vjp) -> Var:
-        self._nodes.append(_Node(parents, vjp))
-        return Var(self, len(self._nodes) - 1, value)
+        nodes = self._nodes
+        # a live node is a non-empty tuple, so truthy
+        nodes.append((parents, vjp) if any(map(nodes.__getitem__, parents)) else None)
+        return Var(self, len(nodes) - 1, value)
+
+    def needs(self, v: Var) -> bool:
+        """Whether v is live: an adjoint of it can reach a requires_grad leaf."""
+        return self._nodes[v.index] is not None
 
     def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
         """A float64 array for an op to write its output into. A recording
@@ -115,7 +119,8 @@ class Tape:
             )
         leaves = [leaf for leaf in (ref() for ref in self._grad_leaves) if leaf is not None]
         keep = {leaf.index for leaf in leaves}
-        adjoints: list[np.ndarray | None] = [None] * len(self._nodes)
+        nodes = self._nodes
+        adjoints: list[np.ndarray | None] = [None] * len(nodes)
         adjoints[output.index] = np.ones(())
         for i in range(output.index, -1, -1):
             g = adjoints[i]
@@ -123,11 +128,11 @@ class Tape:
                 continue
             if i not in keep:
                 adjoints[i] = None  # consumed: its parents get their parts below
-            node = self._nodes[i]
-            if node.vjp is None:
+            parents, vjp = nodes[i] or ((), None)
+            if vjp is None:
                 continue
-            for parent, part in zip(node.parents, node.vjp(g)):
-                if part is None:
+            for parent, part in zip(parents, vjp(g)):
+                if part is None or nodes[parent] is None:
                     continue
                 if adjoints[parent] is None:
                     adjoints[parent] = part
@@ -162,6 +167,9 @@ class ForwardTape(Tape):
 
     def _record(self, value: np.ndarray, parents: tuple[int, ...], vjp) -> Var:
         return Var(self, -1, value)
+
+    def needs(self, v: Var) -> bool:
+        return False
 
     def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
         if self._pool is None:
@@ -230,9 +238,9 @@ def add_broadcast(a: Var, b: Var) -> Var:
     tape = _same_tape(a, b)
     bshape = b.value.shape
     _check_broadcast(bshape, a.value.shape, "add_broadcast")
-    return tape._record(
-        a.value + b.value, (a.index, b.index), lambda g: (g, _reduce_to(g, bshape))
-    )
+    need_b = tape.needs(b)
+    return tape._record(a.value + b.value, (a.index, b.index),
+                        lambda g: (g, _reduce_to(g, bshape) if need_b else None))
 
 
 def sub(a: Var, b: Var) -> Var:
@@ -271,18 +279,21 @@ def _product(av: np.ndarray, bv: np.ndarray, op: str, tape: Tape | None = None) 
     return np.matmul(av, bv, out=tape._buffer(lead + (av.shape[-2], bv.shape[-1])))
 
 
-def _product_vjp(g: np.ndarray, av: np.ndarray, bv: np.ndarray):
-    ga = _reduce_to(np.matmul(g, bv.swapaxes(-1, -2)), av.shape)
-    gb = _reduce_to(np.matmul(av.swapaxes(-1, -2), g), bv.shape)
-    return ga, gb
+def _product_vjp(tape: Tape, a: Var, b: Var):
+    """g -> the adjoints of a.value @ b.value toward a and b, None toward a
+    dead operand; it keeps only the values its live parts read."""
+    ashape, bshape = a.value.shape, b.value.shape
+    av, bv = (a.value if tape.needs(b) else None), (b.value if tape.needs(a) else None)
+    return lambda g: (
+        None if bv is None else _reduce_to(np.matmul(g, bv.swapaxes(-1, -2)), ashape),
+        None if av is None else _reduce_to(np.matmul(av.swapaxes(-1, -2), g), bshape))
 
 
 def matmul(a: Var, b: Var) -> Var:
     """Matrix product; operands of rank >= 2, leading axes broadcast per numpy rules."""
     tape = _same_tape(a, b)
-    av, bv = a.value, b.value
-    return tape._record(_product(av, bv, "matmul"), (a.index, b.index),
-                        lambda g: _product_vjp(g, av, bv))
+    return tape._record(_product(a.value, b.value, "matmul"), (a.index, b.index),
+                        _product_vjp(tape, a, b))
 
 
 def affine(x: Var, w: Var, b: Var, act: str | None = None) -> Var:
@@ -294,8 +305,7 @@ def affine(x: Var, w: Var, b: Var, act: str | None = None) -> Var:
     output: y > 0 exactly where the input is > 0, NaN included.
     """
     tape = _same_tape(x, w, b)
-    xv, wv = x.value, w.value
-    y = _product(xv, wv, "affine", tape)
+    y = _product(x.value, w.value, "affine", tape)
     bshape = b.value.shape
     _check_broadcast(bshape, y.shape, "affine")
     y += b.value
@@ -306,13 +316,14 @@ def affine(x: Var, w: Var, b: Var, act: str | None = None) -> Var:
     elif act is not None:
         raise ContractViolation(f"affine: unknown activation {act!r}")
     out = None if act is None else y  # a plain affine's vjp keeps no output alive
+    product_vjp, need_b = _product_vjp(tape, x, w), tape.needs(b)
 
     def vjp(g):
         if act == "tanh":
             g = g * (1.0 - out * out)
         elif act == "relu":
             g = g * (out > 0)
-        return (*_product_vjp(g, xv, wv), _reduce_to(g, bshape))
+        return (*product_vjp(g), _reduce_to(g, bshape) if need_b else None)
 
     return tape._record(y, (x.index, w.index, b.index), vjp)
 
@@ -366,17 +377,19 @@ def layer_norm(a: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
     xhat = (av - mu) * inv
     gv = gain.value
     bshape = bias.value.shape
+    need_a, need_gain, need_bias = tape.needs(a), tape.needs(gain), tape.needs(bias)
 
     def vjp(g):
-        gx = g * gv
-        dx = inv * (
-            gx
-            - gx.mean(axis=-1, keepdims=True)
-            - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        )
-        ggain = _reduce_to(g * xhat, gv.shape)
-        gbias = _reduce_to(g, bshape)
-        return dx, ggain, gbias
+        dx = None
+        if need_a:
+            gx = g * gv
+            dx = inv * (
+                gx
+                - gx.mean(axis=-1, keepdims=True)
+                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            )
+        return (dx, _reduce_to(g * xhat, gv.shape) if need_gain else None,
+                _reduce_to(g, bshape) if need_bias else None)
 
     return tape._record(xhat * gv + bias.value, (a.index, gain.index, bias.index), vjp)
 
@@ -462,4 +475,4 @@ def gather_rows(table: Var, ids: np.ndarray) -> Var:
 
 def stop_gradient(a: Var) -> Var:
     """Same forward value; backward treats it as a constant."""
-    return a.tape._record(a.value, (a.index,), lambda g: (None,))
+    return a.tape._record(a.value, (), None)

@@ -69,7 +69,8 @@ def write_json(path: str, document: dict) -> None:
     os.replace(tmp, path)
 
 
-def read_json(path: str) -> dict:
+def read_json(path: str, sections: tuple[str, ...] = ()) -> dict:
+    """A checkpoint document of the supported version holding `sections`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
@@ -83,12 +84,12 @@ def read_json(path: str) -> dict:
             f"cannot load {path}: unsupported version {version!r} "
             f"(expected {CHECKPOINT_VERSION})"
         )
+    for key in sections:
+        if key not in document:
+            raise CheckpointError(f"cannot load {path}: missing section {key!r}")
     return document
 
 
 def load_params(path: str) -> tuple[ModelConfig, ModelParams]:
-    document = read_json(path)
-    for key in ("config", "tensors"):
-        if key not in document:
-            raise CheckpointError(f"cannot load {path}: missing section {key!r}")
+    document = read_json(path, ("config", "tensors"))
     return config_from_obj(ModelConfig, document["config"]), tensors_from_obj(document["tensors"])

@@ -44,11 +44,12 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _metrics(model_cfg: mdl.ModelConfig, params, train_ds, test_ds) -> tuple:
-    """Accuracy or mean squared error of a run on its own data and on the test
-    set (None without one)."""
+def _metrics(model_cfg: mdl.ModelConfig, params, train_ds, test_ds,
+             train_metric: float | None = None) -> tuple:
+    """Accuracy or mean squared error of a run on its own data (unless already
+    known) and on the test set (None without one)."""
     metric = ev.accuracy if model_cfg.task == "classification" else ev.mean_squared_error
-    return (metric(model_cfg, params, train_ds),
+    return (metric(model_cfg, params, train_ds) if train_metric is None else train_metric,
             None if test_ds is None else metric(model_cfg, params, test_ds))
 
 
@@ -76,15 +77,20 @@ def cmd_gen_data(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
+_TRAIN_OUTPUTS = ("records.csv", "metrics.json", "checkpoint.json", "checkpoint_final.json",
+                  "eval_history.csv")
+
+
 @contextlib.contextmanager
-def _output_dir(cfg: RunConfig):
-    """Create cfg.out_dir, clear a FAILED sentinel left by an earlier run and
-    archive the effective config; a failure inside the block leaves FAILED
-    holding the exception."""
+def _output_dir(cfg: RunConfig, outputs: tuple[str, ...], keep: str | None = None):
+    """Create cfg.out_dir, remove FAILED and the command's `outputs` left by an
+    earlier run (never the file `keep`) and archive the effective config; a
+    failure inside the block leaves FAILED holding the exception."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     sentinel = os.path.join(cfg.out_dir, "FAILED")
-    if os.path.exists(sentinel):
-        os.remove(sentinel)
+    for path in (os.path.join(cfg.out_dir, name) for name in ("FAILED", *outputs)):
+        if os.path.exists(path) and os.path.realpath(path) != (keep and os.path.realpath(keep)):
+            os.remove(path)
     _write_text(os.path.join(cfg.out_dir, "config.ini"), effective_config_text(cfg))
     try:
         yield
@@ -125,17 +131,20 @@ def _score(cfg: RunConfig, params, train_ds, test_ds, probe_eps: float, seed: in
            evals=()) -> tuple[float, float | None, float]:
     """One run's final train metric, test metric and smoothness probe; the
     metrics come from the last eval row when the run has one, since the last
-    segment ends at the final step."""
-    final = evals[-1][1:] if evals else _metrics(cfg.model, params, train_ds, test_ds)
-    return (*final, ev.local_smoothness_probe(cfg.model, params, train_ds, probe_eps,
-                                              cfg.probe_samples, seed))
+    segment ends at the final step. Otherwise the train metric is read off the
+    probe's clean forward, so the train split runs 1 + probe_samples forwards."""
+    probe, train_metric = ev.local_smoothness_probe(cfg.model, params, train_ds, probe_eps,
+                                                    cfg.probe_samples, seed, with_metric=True)
+    final = evals[-1][1:] if evals else _metrics(cfg.model, params, train_ds, test_ds,
+                                                 train_metric)
+    return (*final, probe)
 
 
 def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
     """Run one training cell into cfg.out_dir as a stack of one; returns the
     metrics object. A fresh run is evaluated every eval_every steps, a resumed
     one only at its end."""
-    with _output_dir(cfg):
+    with _output_dir(cfg, _TRAIN_OUTPUTS, keep=resume):
         train_ds = dat.read_dataset(cfg.train_path)
         test_ds = dat.read_dataset(cfg.test_path) if cfg.test_path else None
         if resume is not None:
@@ -149,7 +158,8 @@ def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
             state, [train_ds], test_ds, 0 if resume is not None else cfg.eval_every,
             cfg.checkpoint_every, os.path.join(cfg.out_dir, "checkpoint.json"))
 
-        tr.write_records_csv(os.path.join(cfg.out_dir, "records.csv"), records)
+        _write_text(os.path.join(cfg.out_dir, "records.csv"),
+                    "\n".join(tr.records_csv_lines(records)) + "\n")
         tr.save_train_checkpoint(os.path.join(cfg.out_dir, "checkpoint_final.json"), state)
         if evals:
             lines = ["step,train_metric,test_metric"]
@@ -258,7 +268,7 @@ def cmd_boundary(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config, _collect_overrides(args), require_sweep=True)
     path = os.path.join(cfg.out_dir, "sweep.csv")
-    with _output_dir(cfg):
+    with _output_dir(cfg, ("sweep.csv",)):
         rows = _sweep_rows(cfg)
         _write_text(path, "\n".join(rows) + "\n")
     print(f"wrote {len(rows) - 1} sweep rows to {path}")

@@ -132,10 +132,6 @@ def gen_token_sequences(n: int, vocab: int, length: int, rule: str, seed: int) -
     )
 
 
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
-
-
 def subsample_splits(dataset: Dataset, fractions: list[float], seed: int) -> list[Dataset]:
     """Nested low-resource subsets from one shuffled order.
 
@@ -158,7 +154,7 @@ def subsample_splits(dataset: Dataset, fractions: list[float], seed: int) -> lis
         class_orders = [rng.permutation(n)]
     splits = []
     for f in fractions:
-        take = [order[: _round_half_up(f * len(order))] for order in class_orders]
+        take = [order[: int(np.floor(f * len(order) + 0.5))] for order in class_orders]  # half up
         idx = np.sort(np.concatenate(take))
         if idx.size == 0:
             largest = max(class_orders, key=len)

@@ -16,16 +16,22 @@ def accuracy(model_cfg: mdl.ModelConfig, params: mdl.ModelParams, dataset: Datas
     """Fraction of argmax-correct predictions; ties break toward the lowest class."""
     if model_cfg.task != "classification" or dataset.task != "classification":
         raise InputError("accuracy needs a classification model and dataset")
-    probs = mdl.forward(model_cfg, params, dataset.inputs)
-    return float(np.mean(np.argmax(probs, axis=1) == dataset.labels))
+    return _task_metric(model_cfg, mdl.forward(model_cfg, params, dataset.inputs), dataset)
 
 
 def mean_squared_error(model_cfg: mdl.ModelConfig, params: mdl.ModelParams,
                        dataset: Dataset) -> float:
     if model_cfg.task != "regression" or dataset.task != "regression":
         raise InputError("mean_squared_error needs a regression model and dataset")
-    preds = mdl.forward(model_cfg, params, dataset.inputs)
-    return float(np.mean((preds - dataset.labels) ** 2))
+    return _task_metric(model_cfg, mdl.forward(model_cfg, params, dataset.inputs), dataset)
+
+
+def _task_metric(model_cfg: mdl.ModelConfig, outputs: np.ndarray, dataset: Dataset) -> float:
+    """Accuracy of probability rows (ties break toward the lowest class), or
+    the mean squared error of predictions, against the dataset's labels."""
+    if model_cfg.task == "classification":
+        return float(np.mean(np.argmax(outputs, axis=1) == dataset.labels))
+    return float(np.mean((outputs - dataset.labels) ** 2))
 
 
 def agreement_cross_entropy(model_cfg: mdl.ModelConfig, params: mdl.ModelParams,
@@ -55,9 +61,11 @@ def local_smoothness_probe(
     eps: float,
     samples_per_point: int,
     seed: int,
-) -> float:
+    with_metric: bool = False,
+) -> float | tuple[float, float]:
     """Mean over examples of the worst divergence seen among uniform samples in
-    the L-inf eps-ball around each embedding.
+    the L-inf eps-ball around each embedding; `with_metric` adds the value
+    `accuracy` / `mean_squared_error` gives, read off the clean outputs.
 
     Sample offsets are unit-cube draws scaled by eps, so growing eps with the
     same seed pushes the same sample directions outward. The clean forward and
@@ -83,7 +91,8 @@ def local_smoothness_probe(
         point += emb
         out = mdl.forward_from_embedding(model_cfg, params, point, tape=tape)
         worst = np.maximum(worst, smooth_loss_rows(kind, out, clean))
-    return float(np.mean(worst))
+    probe = float(np.mean(worst))
+    return (probe, _task_metric(model_cfg, clean, dataset)) if with_metric else probe
 
 
 def decision_boundary_grid(

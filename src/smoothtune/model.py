@@ -12,6 +12,7 @@ pass computes all S runs; each slice is bit-identical to its run computed alone.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ForwardTape, Tape, Var
 from .errors import ContractViolation, InputError
-from .tensor import Rng, as_tensor
+from .tensor import Rng, as_tensor, uniform_stack
 
 ModelParams = dict[str, np.ndarray]
 
@@ -113,20 +114,6 @@ def init_params(config: ModelConfig, rng: Rng) -> ModelParams:
     return params
 
 
-def params_axpy(a: float, x: ModelParams, b: float, y: ModelParams) -> ModelParams:
-    """Blockwise a*x + b*y over two parameter sets with equal structure."""
-    if list(x.keys()) != list(y.keys()):
-        raise ContractViolation("params_axpy: block structure mismatch")
-    out: ModelParams = {}
-    for name, block in x.items():
-        if block.shape != y[name].shape:
-            raise ContractViolation(
-                f"params_axpy: block {name} shape {block.shape} vs {y[name].shape}"
-            )
-        out[name] = a * block + b * y[name]
-    return out
-
-
 def copy_params(params: ModelParams) -> ModelParams:
     return {name: block.copy() for name, block in params.items()}
 
@@ -183,11 +170,13 @@ def dropout_site_shapes(config: ModelConfig, n: int) -> list[tuple[int, ...]]:
     return [(n, config.embed_dim)]  # pooled representation before the head
 
 
-def draw_dropout_masks(config: ModelConfig, n: int, rng: Rng) -> list[np.ndarray] | None:
+def draw_dropout_masks(config: ModelConfig, n: int,
+                       rng: Rng | Sequence[Rng]) -> list[np.ndarray] | None:
     """Pre-scaled inverted-dropout masks (entries 0 or 1/keep), or None when rate is 0.
 
     Sharing one mask set between two forwards on equal-sized batches makes the
-    two passes differ only through their inputs.
+    two passes differ only through their inputs. A sequence of rngs gives
+    stacked masks, each run's slice drawn from its own stream as if alone.
     """
     rate = config.dropout
     if rate == 0.0:
@@ -195,7 +184,7 @@ def draw_dropout_masks(config: ModelConfig, n: int, rng: Rng) -> list[np.ndarray
     keep = 1.0 - rate
     masks = []
     for shape in dropout_site_shapes(config, n):
-        u = rng.uniform(shape)
+        u = rng.uniform(shape) if isinstance(rng, Rng) else uniform_stack(rng, shape)
         masks.append(np.where(u < rate, 0.0, 1.0 / keep))
     return masks
 

@@ -3,11 +3,12 @@ the trust-region settings, and the EMA teacher.
 
 Norms and clipping take a `lead` count of stack axes: stacked runs are normed
 and clipped each on its own, and ADAM and the EMA are elementwise, so every run
-of a stack is updated exactly as it would be alone."""
+of a stack is updated exactly as it would be alone. Both work in arrays they
+own, with the float ops of the out-of-place formulas in the same order."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +27,8 @@ class AdamState:
     m: mdl.ModelParams
     v: mdl.ModelParams
     t: int = 0
+    # two arrays per block for adam_step's temporaries; never saved
+    work: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def init_adam(params: mdl.ModelParams) -> AdamState:
@@ -43,12 +46,14 @@ def global_grad_norm(grads: GradientMap, lead: int = 0):
     return float(norm) if lead == 0 else norm
 
 
-def clip_gradients(grads: GradientMap, max_norm: float, lead: int = 0) -> GradientMap:
+def clip_gradients(grads: GradientMap, max_norm: float, lead: int = 0,
+                   norm=None) -> GradientMap:
     """Scale all blocks together so the global L2 norm is at most max_norm;
-    with `lead` stack axes, each run on its own."""
+    with `lead` stack axes, each run on its own. `norm` is global_grad_norm's
+    value when the caller has it already."""
     if max_norm <= 0:
         raise ContractViolation("max_norm must be > 0")
-    norm = np.asarray(global_grad_norm(grads, lead))
+    norm = np.asarray(global_grad_norm(grads, lead) if norm is None else norm)
     inside = norm <= max_norm
     if inside.all():
         return grads
@@ -89,11 +94,17 @@ def adam_step(
     for name, p in params.items():
         g = grads[name]
         m, v = state.m[name], state.v[name]
-        # m <- beta1 m + (1 - beta1) g and v <- beta2 v + (1 - beta2) g^2, in place
-        np.add(np.multiply(m, ADAM_BETA1, out=m), (1.0 - ADAM_BETA1) * g, out=m)
-        np.add(np.multiply(v, ADAM_BETA2, out=v), (1.0 - ADAM_BETA2) * (g * g), out=v)
-        step = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        result[name] = p - step if out is None else np.subtract(p, step, out=out[name])
+        if name not in state.work or state.work[name][0].shape != p.shape:
+            state.work[name] = (np.empty(p.shape), np.empty(p.shape))
+        a, b = state.work[name]
+        # m <- beta1 m + (1 - beta1) g and v <- beta2 v + (1 - beta2) g^2
+        np.add(np.multiply(m, ADAM_BETA1, out=m), np.multiply(g, 1.0 - ADAM_BETA1, out=a), out=m)
+        np.multiply(np.multiply(g, g, out=a), 1.0 - ADAM_BETA2, out=a)
+        np.add(np.multiply(v, ADAM_BETA2, out=v), a, out=v)
+        # step = lr * (m / c1) / (sqrt(v / c2) + eps), in a
+        np.multiply(np.divide(m, c1, out=a), lr, out=a)
+        a /= np.add(np.sqrt(np.divide(v, c2, out=b), out=b), ADAM_EPS, out=b)
+        result[name] = p - a if out is None else np.subtract(p, a, out=out[name])
     return result
 
 
@@ -129,10 +140,20 @@ class TeacherState:
 
 
 def teacher_update(teacher: TeacherState, current: mdl.ModelParams, beta: float) -> TeacherState:
-    """Blockwise (1 - beta) * current + beta * teacher."""
+    """Blockwise (1 - beta) * current + beta * teacher, written into the
+    teacher's own arrays; returns the same teacher."""
     if not 0 <= beta < 1:
         raise ContractViolation(f"beta must lie in [0, 1), got {beta}")
-    return TeacherState(params=mdl.params_axpy(1.0 - beta, current, beta, teacher.params))
+    if list(current.keys()) != list(teacher.params.keys()):
+        raise ContractViolation("teacher_update: block structure mismatch")
+    for name, block in current.items():
+        held = teacher.params[name]
+        if block.shape != held.shape:
+            raise ContractViolation(f"teacher_update: block {name} shape {block.shape} "
+                                    f"vs {held.shape}")
+        # the current term first, so a teacher sharing arrays with `current` blends right
+        np.add(np.multiply(block, 1.0 - beta), np.multiply(held, beta, out=held), out=held)
+    return teacher
 
 
 def beta_at(outer_step: int, total: int, cfg: ProxConfig) -> float:

@@ -84,6 +84,46 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _draw_grid(rngs, n: int) -> np.ndarray:
+    """(S, n) raw draws, row r the next n draws of rngs[r] (each advances by
+    n): one _mix64 over the grid gives every stream its own bits."""
+    seeds = np.array([r.seed for r in rngs], dtype=np.uint64)[:, None]
+    idx = np.array([r.counter for r in rngs], dtype=np.uint64)[:, None]
+    for r in rngs:
+        r.counter += n
+    with np.errstate(over="ignore"):
+        return _mix64(seeds + (idx + np.arange(1, n + 1, dtype=np.uint64)) * _GOLDEN)
+
+
+def uniform_stack(rngs, shape) -> Tensor:
+    """Uniforms of shape (len(rngs),) + shape, row r drawn from rngs[r] as
+    rngs[r].uniform(shape) would draw it."""
+    n = int(np.prod(shape, dtype=np.int64))
+    u = (_draw_grid(rngs, n) >> np.uint64(11)).astype(np.float64) / _U53
+    return u.reshape((len(rngs),) + tuple(shape))
+
+
+def gaussian_stack(rngs, shape, sigma: float) -> Tensor:
+    """Gaussians of shape (len(rngs),) + shape, row r drawn from rngs[r] as
+    rngs[r].gaussian(shape, sigma) would draw it: Box-Muller is elementwise.
+    sigma = 0 returns zeros without consuming any draws."""
+    if not 0 <= sigma < np.inf:
+        raise ContractViolation(f"gaussian: sigma must be finite and >= 0, got {sigma}")
+    shape = (len(rngs),) + tuple(shape)
+    n = int(np.prod(shape[1:], dtype=np.int64))
+    if sigma == 0.0:
+        return np.zeros(shape)
+    m = (n + 1) // 2
+    bits = _draw_grid(rngs, 2 * m) >> np.uint64(11)
+    # u1 in (0, 1] so log never sees 0
+    u1 = (bits[:, :m].astype(np.float64) + 1.0) / _U53
+    u2 = bits[:, m:].astype(np.float64) / _U53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)[:, :n]
+    return (sigma * z).reshape(shape)
+
+
 class Rng:
     """Counter-based generator: draw i of stream `seed` is mix64(seed + (i+1)*GOLDEN).
 
@@ -100,37 +140,15 @@ class Rng:
         self.counter = int(counter)
 
     def _next_block(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        self.counter += n
-        with np.errstate(over="ignore"):
-            return _mix64(np.uint64(self.seed) + idx * _GOLDEN)
+        return _draw_grid([self], n)[0]
 
     def uniform(self, shape=()) -> Tensor:
         """i.i.d. uniforms in [0, 1)."""
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        u = (self._next_block(n) >> np.uint64(11)).astype(np.float64) / _U53
-        return u.reshape(shape) if shape else u[0]
+        return uniform_stack([self], shape)[0]
 
     def gaussian(self, shape, sigma: float) -> Tensor:
-        """i.i.d. N(0, sigma^2) via Box-Muller on consecutive uniform pairs.
-
-        sigma = 0 returns zeros without consuming any draws.
-        """
-        if not 0 <= sigma < np.inf:
-            raise ContractViolation(f"gaussian: sigma must be finite and >= 0, got {sigma}")
-        shape = tuple(shape)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if sigma == 0.0:
-            z = np.zeros(n)
-        else:
-            m = (n + 1) // 2
-            # u1 in (0, 1] so log never sees 0
-            u1 = ((self._next_block(m) >> np.uint64(11)).astype(np.float64) + 1.0) / _U53
-            u2 = (self._next_block(m) >> np.uint64(11)).astype(np.float64) / _U53
-            r = np.sqrt(-2.0 * np.log(u1))
-            theta = 2.0 * np.pi * u2
-            z = sigma * np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return z.reshape(shape) if shape else z[0]
+        """i.i.d. N(0, sigma^2) via Box-Muller; sigma = 0 consumes no draws."""
+        return gaussian_stack([self], shape, sigma)[0]
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of range(n), descending, j = draw mod (i+1)."""

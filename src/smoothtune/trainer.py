@@ -344,11 +344,8 @@ def continue_training(
             idx = [_next_batch(run, len(ds)) for run, ds in zip(runs, datasets)]
             xs = np.stack([ds.inputs[i] for ds, i in zip(datasets, idx)])
             ys = np.stack([ds.labels[i] for ds, i in zip(datasets, idx)])
-            masks = None
-            if model_cfg.dropout > 0:
-                drawn = [mdl.draw_dropout_masks(model_cfg, len(i), run.streams["dropout"])
-                         for run, i in zip(runs, idx)]
-                masks = [np.stack(site) for site in zip(*drawn)]
+            masks = mdl.draw_dropout_masks(model_cfg, len(idx[0]),
+                                           [run.streams["dropout"] for run in runs])
             # a diverging update is refused by the finite check below, not by
             # numpy warnings on the way there
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -367,13 +364,14 @@ def continue_training(
                 task, reg, breg, total = (None if term is None else term.value.tolist()
                                           for term in (obj.task, obj.reg, obj.breg, obj.total))
                 del obj, grad_map  # free the tape before the optimizer's temporaries exist
-                grad_norms = global_grad_norm(grads, 1).tolist()
+                norms = global_grad_norm(grads, 1)
+            grad_norms = norms.tolist()
             for i, (loss, norm) in enumerate(zip(total, grad_norms)):
                 if not (math.isfinite(loss) and math.isfinite(norm)):
                     what = "gradient" if math.isfinite(loss) else "loss"
                     raise ContractViolation(f"non-finite {what} at step {state.global_step + 1} "
                                             f"in run {i} (seed {runs[i].cfg.seed})")
-            grads = clip_gradients(grads, cfg.clip_norm, 1)
+            grads = clip_gradients(grads, cfg.clip_norm, 1, norms)
             state.global_step += 1
             lr = lr_at(state.global_step, cfg.total_updates, cfg.peak_lr, cfg.warmup_frac)
             adam_step(state.adam, state.params, grads, lr, out=state.params)
@@ -386,7 +384,7 @@ def continue_training(
                     total=total[i], grad_norm=grad_norms[i],
                 ))
         if state.teacher is not None:
-            state.teacher = teacher_update(state.teacher, state.params, beta)
+            teacher_update(state.teacher, state.params, beta)
         state.outer_t = t
     finals = mdl.unstack_params(model_cfg, state.params)
     results = [TrainResult(params=p, records=r, state=state) for p, r in zip(finals, records)]
@@ -449,11 +447,6 @@ def records_csv_lines(records: list[TrainRecord]) -> list[str]:
     return lines
 
 
-def write_records_csv(path: str, records: list[TrainRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(records_csv_lines(records)) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Train-state checkpointing
 # ---------------------------------------------------------------------------
@@ -493,10 +486,7 @@ def save_train_checkpoint(path: str, state: TrainState) -> None:
 
 
 def resume_from_checkpoint(path: str) -> TrainState:
-    document = read_json(path)
-    for key in ("config", "tensors", "train_state"):
-        if key not in document:
-            raise CheckpointError(f"cannot load {path}: missing section {key!r}")
+    document = read_json(path, ("config", "tensors", "train_state"))
     ts = document["train_state"]
     try:
         model_cfg = config_from_obj(mdl.ModelConfig, document["config"])

@@ -89,3 +89,39 @@ def unfused_affine(x, w, b, act=None):
     if act is None:
         return y
     return {"tanh": ref_tanh, "relu": ref_relu}[act](y)
+
+
+def ref_uniform(rng, shape):
+    """Uniforms in [0, 1) from one stream's next draws, top 53 bits / 2^53."""
+    n = int(np.prod(shape, dtype=np.int64))
+    return ((rng._next_block(n) >> np.uint64(11)).astype(np.float64) / float(1 << 53)).reshape(shape)
+
+
+def ref_gaussian(rng, shape, sigma):
+    """Box-Muller on one stream, as one run draws it alone: the first half of
+    the 2m draws gives u1 in (0, 1], the second half u2; cosines then sines."""
+    n = int(np.prod(shape, dtype=np.int64))
+    m = (n + 1) // 2
+    u1 = ((rng._next_block(m) >> np.uint64(11)).astype(np.float64) + 1.0) / float(1 << 53)
+    u2 = (rng._next_block(m) >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return (sigma * np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]).reshape(shape)
+
+
+def ref_adam_step(state, params, grads, lr):
+    """The out-of-place bias-corrected ADAM step: new m, v and params arrays."""
+    t = state["t"] + 1
+    c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+    m, v, out = {}, {}, {}
+    for name, p in params.items():
+        g = grads[name]
+        m[name] = state["m"][name] * 0.9 + (1.0 - 0.9) * g
+        v[name] = state["v"][name] * 0.999 + (1.0 - 0.999) * (g * g)
+        out[name] = p - lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + 1e-8)
+    return {"m": m, "v": v, "t": t}, out
+
+
+def ref_teacher_update(teacher, current, beta):
+    """Blockwise (1 - beta) * current + beta * teacher into new arrays."""
+    return {name: (1.0 - beta) * block + beta * teacher[name] for name, block in current.items()}

@@ -5,16 +5,13 @@ behavioral criteria (5 and 6) train dozens of models and dominate the runtime.
 """
 
 import dataclasses
-import json
 import os
 import time
 
 import numpy as np
-import pytest
 
 from smoothtune.adversarial import AdvConfig, find_adversarial
 from smoothtune.cli import main as cli_main
-from smoothtune.checkpoint import load_params
 from smoothtune.data import gen_cluster_classification, gen_two_moons, subsample_splits
 from smoothtune.evaluate import accuracy, local_smoothness_probe
 from smoothtune.losses import smooth_loss_rows
@@ -23,7 +20,6 @@ from smoothtune.model import (
     forward,
     forward_from_embedding,
     init_params,
-    params_axpy,
 )
 from smoothtune.optimizer import (
     ProxConfig,

@@ -67,3 +67,25 @@ def test_every_public_function_has_a_caller_outside_the_tests():
               for qualified, name in _public_functions(ast.parse(path.read_text(encoding="utf-8")))
               if name not in referenced]
     assert unused == [], f"public functions only tests call: {unused}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names an import binds that nothing else in the module reads; the
+    package's `__init__.py` re-exports and `__future__` imports are exempt."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_imports_in_src_or_tests():
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    unused = {path.relative_to(ROOT).as_posix(): names for path in paths
+              if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert unused == {}, f"unused imports: {unused}"

@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
+from smoothtune import cli
+from smoothtune import model as mdl
 from smoothtune import trainer as tr
 from smoothtune.checkpoint import load_params
 from smoothtune.cli import main
-from smoothtune.data import read_dataset, subsample_splits
-from smoothtune.evaluate import accuracy, local_smoothness_probe
-from smoothtune.model import init_params
+from smoothtune.data import Dataset, read_dataset, subsample_splits
+from smoothtune.evaluate import accuracy, local_smoothness_probe, mean_squared_error
+from smoothtune.model import ModelConfig, init_params
 from smoothtune.runconfig import parse_config
 from smoothtune.tensor import Rng
 from smoothtune.trainer import smooth_finetune, vanilla_finetune
@@ -324,6 +326,75 @@ def test_resume_from_the_final_checkpoint_rewrites_the_same_outputs(workspace):
     assert (again / "records.csv").read_text() == "step,lr,beta,task_loss,total,grad_norm\n"
     assert sorted(os.listdir(again)) == ["checkpoint_final.json", "config.ini", "metrics.json",
                                         "records.csv"]
+
+
+def test_a_rerun_into_the_same_directory_leaves_no_stale_outputs(workspace):
+    tmp, cfg, train, test = workspace
+    out, fresh = tmp / "out", tmp / "fresh"
+    assert main(["train", "--config", cfg, "--out", str(out), "--set", "run.checkpoint_every=5",
+                 "--set", "run.eval_every=5"]) == 0
+    assert (out / "checkpoint.json").exists() and (out / "eval_history.csv").exists()
+    # the second run has neither cadence: nothing of the first may be left beside it
+    for where in (out, fresh):
+        assert main(["train", "--config", cfg, "--out", str(where),
+                     "--set", "smart.reg_weight=9"]) == 0
+    assert sorted(os.listdir(out)) == ["checkpoint_final.json", "config.ini", "metrics.json",
+                                      "records.csv"]
+    for name in ("checkpoint_final.json", "metrics.json", "records.csv"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_a_resume_from_inside_the_output_directory_keeps_its_checkpoint(workspace):
+    tmp, cfg, train, test = workspace
+    out, full = tmp / "out", tmp / "full"
+    assert main(["train", "--config", cfg, "--out", str(full)]) == 0
+    assert main(["train", "--config", cfg, "--out", str(out),
+                 "--set", "run.checkpoint_every=5"]) == 0
+    ckpt = out / "checkpoint.json"
+    stored = ckpt.read_bytes()
+    for path in (str(ckpt), os.path.relpath(ckpt)):
+        assert main(["train", "--config", cfg, "--out", str(out), "--resume", path]) == 0
+        assert ckpt.read_bytes() == stored
+        assert (out / "checkpoint_final.json").read_bytes() == \
+            (full / "checkpoint_final.json").read_bytes()
+
+
+def test_a_sweep_removes_a_stale_sweep_csv(workspace, capsys):
+    tmp, cfg, _, _ = workspace
+    out = tmp / "sweep"
+    out.mkdir()
+    (out / "sweep.csv").write_text("stale\n")
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--set", "sweep.methods=vanilla",
+                 "--set", "sweep.seeds=0", "--set", "sweep.fractions=0.01"]) == 1
+    assert sorted(os.listdir(out)) == ["FAILED", "config.ini"]
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_score_runs_one_clean_forward_of_the_train_split(workspace, monkeypatch, task):
+    """The train metric is read off the probe's clean forward: the train split
+    runs 1 + probe_samples forwards, and the metrics equal accuracy's / mse's."""
+    tmp, cfg_path, train_path, test_path = workspace
+    cfg = parse_config(cfg_path, ["run.probe_samples=3"])
+    train_ds, test_ds = read_dataset(train_path), read_dataset(test_path)
+    metric = accuracy
+    if task == "regression":
+        cfg = dataclasses.replace(cfg, model=ModelConfig(task="regression", hidden=(8,)))
+        train_ds, test_ds = (Dataset("regression", "vector", ds.inputs, ds.labels * 0.5 - 0.1)
+                             for ds in (train_ds, test_ds))
+        metric = mean_squared_error
+    params = init_params(cfg.model, Rng(3))
+    rows = []
+    for name in ("forward", "forward_from_embedding"):
+        def counted(*args, _inner=getattr(mdl, name), **kwargs):
+            rows.append(len(args[2]))
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(mdl, name, counted)
+    train_metric, test_metric, probe = cli._score(cfg, params, train_ds, test_ds, 0.1, 4)
+    assert rows.count(len(train_ds)) == 1 + 3 and rows.count(len(test_ds)) == 1
+    monkeypatch.undo()
+    assert train_metric == metric(cfg.model, params, train_ds)
+    assert test_metric == metric(cfg.model, params, test_ds)
+    assert probe == local_smoothness_probe(cfg.model, params, train_ds, 0.1, 3, 4)
 
 
 def test_train_refuses_a_non_finite_update(tmp_path, capsys):

@@ -15,7 +15,6 @@ from smoothtune.model import (
     init_params,
     leaf_params,
     param_shapes,
-    params_axpy,
 )
 from smoothtune.tensor import Rng
 from smoothtune.trainer import TrainConfig, init_train_state, save_train_checkpoint
@@ -141,6 +140,21 @@ def test_dropout_zero_fraction_statistics():
     assert np.allclose(keep, 1.0 / 0.7, atol=1e-15)
 
 
+@pytest.mark.parametrize("config", [MLP, TF], ids=["mlp", "transformer"])
+def test_stacked_dropout_masks_equal_each_runs_own_draws(config):
+    """One grid draw per mask site gives every run the masks, and leaves it
+    the counter, that its own stream gives it alone."""
+    stacked_streams = [Rng(100 + i, i) for i in range(9)]
+    solo_streams = [Rng(100 + i, i) for i in range(9)]
+    for _ in range(3):  # consecutive updates
+        stacked = draw_dropout_masks(config, 7, stacked_streams)
+        solo = [draw_dropout_masks(config, 7, r) for r in solo_streams]
+        assert len(stacked) == len(solo[0])
+        for site, mask in enumerate(stacked):
+            assert np.array_equal(mask, np.stack([masks[site] for masks in solo]))
+        assert [r.state() for r in stacked_streams] == [r.state() for r in solo_streams]
+
+
 def test_shared_masks_make_train_forward_repeatable():
     params = init_params(MLP, Rng(13))
     x = Rng(14).gaussian((6, 2), 1.0)
@@ -156,25 +170,6 @@ def test_regression_output_is_scalar_per_example():
     out = forward(cfg, params, Rng(17).gaussian((5, 3), 1.0))
     assert out.shape == (5,)
     assert np.all(np.isfinite(out))
-
-
-def test_params_axpy():
-    x = init_params(MLP, Rng(18))
-    y = {name: np.zeros_like(block) for name, block in x.items()}
-    copy = params_axpy(1.0, x, 0.0, y)
-    for name in x:
-        assert np.array_equal(copy[name], x[name])
-    halves = params_axpy(0.5, x, 0.5, x)
-    for name in x:
-        assert np.allclose(halves[name], x[name], atol=1e-15)
-    ones = {name: np.ones_like(block) for name, block in x.items()}
-    blend = params_axpy(0.01, ones, 0.99, y)
-    for name in x:
-        assert np.allclose(blend[name], 0.01, atol=1e-18)
-    bad = dict(x)
-    bad.pop("layer0.bias")
-    with pytest.raises(ContractViolation):
-        params_axpy(1.0, x, 0.0, bad)
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smoothtune.errors import ContractViolation
-from smoothtune.model import ModelConfig, init_params
+from smoothtune.model import ModelConfig, init_params, stack_params
 from smoothtune.optimizer import (
     ProxConfig,
     TeacherState,
@@ -18,6 +18,8 @@ from smoothtune.optimizer import (
 )
 from smoothtune.tensor import Rng
 from smoothtune.trainer import TrainConfig, build_iteration_objective
+
+from oracles import ref_adam_step, ref_teacher_update
 
 SYM_KL_HALF_91 = 0.8788898309344878
 
@@ -190,3 +192,92 @@ def test_bregman_single_example_matches_sym_kl_fixture():
                "layer0.bias": np.zeros(2)}
     d = _trust_region_term(cfg, live, teacher, np.array([[1.0]]))
     assert abs(d - SYM_KL_HALF_91) < 1e-6
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _stacked_mlp(seed, runs=9):
+    cfg = ModelConfig(arch="mlp", input_dim=2, hidden=(64, 64), dropout=0.0)
+    return stack_params(cfg, [init_params(cfg, Rng(seed + i)) for i in range(runs)])
+
+
+@pytest.mark.parametrize("into_params", [False, True])
+def test_adam_in_place_equals_the_out_of_place_formula_over_400_steps(into_params):
+    params = _stacked_mlp(20)
+    state = init_adam(params)
+    ref = {"m": copy.deepcopy(state.m), "v": copy.deepcopy(state.v), "t": 0}
+    ref_params = copy.deepcopy(params)
+    rng = Rng(21)
+    for step in range(400):
+        grads = {name: rng.gaussian(p.shape, 0.5) for name, p in params.items()}
+        kept = copy.deepcopy(grads)
+        lr = 1e-3 * (1 + step % 7)
+        before = copy.deepcopy(params)
+        out = adam_step(state, params, grads, lr, out=params if into_params else None)
+        ref, ref_params = ref_adam_step(ref, ref_params, grads, lr)
+        for name in params:
+            assert _bits_equal(out[name], ref_params[name])
+            assert _bits_equal(state.m[name], ref["m"][name])
+            assert _bits_equal(state.v[name], ref["v"][name])
+            assert _bits_equal(grads[name], kept[name])  # gradients are never written
+        if into_params:
+            assert out is params
+        else:
+            for name in params:  # nor are the params without out=
+                assert _bits_equal(params[name], before[name])
+            params = out
+    assert state.t == ref["t"] == 400
+
+
+def test_teacher_update_in_place_equals_the_out_of_place_formula_over_400_steps():
+    teacher = TeacherState(_stacked_mlp(30))
+    held = teacher.params
+    ref = copy.deepcopy(teacher.params)
+    rng = Rng(31)
+    for step in range(400):
+        current = {name: rng.gaussian(p.shape, 1.0) for name, p in ref.items()}
+        kept = copy.deepcopy(current)
+        beta = (0.0, 0.37, 0.99, 0.999)[step % 4]
+        assert teacher_update(teacher, current, beta) is teacher
+        ref = ref_teacher_update(ref, current, beta)
+        for name in ref:
+            assert teacher.params[name] is held[name]  # written into the teacher's own arrays
+            assert _bits_equal(teacher.params[name], ref[name])
+            assert _bits_equal(current[name], kept[name])
+
+
+def test_teacher_update_blends_blockwise():
+    x = init_params(ModelConfig(arch="mlp", input_dim=2, hidden=(8, 8)), Rng(18))
+    zeros = {name: np.zeros_like(block) for name, block in x.items()}
+    copied = teacher_update(TeacherState(copy.deepcopy(zeros)), x, 0.0)
+    for name in x:
+        assert np.array_equal(copied.params[name], x[name])
+    # a teacher holding the current arrays themselves still blends to them
+    original = copy.deepcopy(x)
+    halves = teacher_update(TeacherState(x), x, 0.5)
+    for name in x:
+        assert np.allclose(halves.params[name], original[name], atol=1e-15)
+    ones = {name: np.ones_like(block) for name, block in x.items()}
+    blend = teacher_update(TeacherState(copy.deepcopy(zeros)), ones, 0.99)
+    for name in x:
+        assert np.allclose(blend.params[name], 0.01, atol=1e-18)
+    bad = dict(zeros)
+    bad.pop("layer0.bias")
+    with pytest.raises(ContractViolation, match="structure"):
+        teacher_update(TeacherState(bad), ones, 0.5)
+    wrong = dict(zeros, **{"layer0.bias": np.zeros(3)})
+    with pytest.raises(ContractViolation, match="layer0.bias shape"):
+        teacher_update(TeacherState(wrong), ones, 0.5)
+
+
+def test_clip_with_the_norm_already_known_is_the_same_clip():
+    grads = {"w": Rng(40).gaussian((3, 4, 5), 2.0), "b": Rng(41).gaussian((3, 1, 5), 0.1)}
+    norms = global_grad_norm(grads, 1)
+    assert norms.min() < 8.5 < norms.max()
+    for bound in (1.0, 8.5, 100.0):  # every run clipped, some of them, none
+        fresh = clip_gradients(grads, bound, 1)
+        given = clip_gradients(grads, bound, 1, norms)
+        for name in grads:
+            assert _bits_equal(fresh[name], given[name])

@@ -15,6 +15,7 @@ from smoothtune.adversarial import AdvConfig, find_adversarial
 from smoothtune.autodiff import ForwardTape, Tape
 from smoothtune.data import gen_token_sequences, gen_two_moons
 from smoothtune.errors import ContractViolation
+from smoothtune.losses import smooth_loss_mean_node
 from smoothtune.model import ModelConfig
 from smoothtune.optimizer import ProxConfig
 from smoothtune.tensor import Rng
@@ -178,3 +179,46 @@ def test_eager_forward_equals_recording_tape_for_a_stack_at_probe_scale(activati
     recorded = mdl.build_head(tape, config, pvars, mdl.build_embed(tape, config, pvars, xs))
     assert len(tape) == len(params) + 1 + 3 + 1  # leaves, input, one node per layer, softmax
     assert np.array_equal(mdl.forward(config, params, xs), recorded.value)
+
+
+@pytest.mark.parametrize("config", [MLP, TF], ids=["mlp", "transformer"])
+def test_input_adjoint_is_the_same_whether_params_need_gradients(config):
+    """An ascent step's adjoint toward its points, with the params as leaves
+    that want gradients and as leaves that do not (the pruned sweep)."""
+    xs, _ = _batch(config)
+    stacked = mdl.stack_params(config, [mdl.init_params(config, Rng(s)) for s in (5, 6, 7)])
+    emb = np.stack([mdl.embed(config, mdl.unstack_params(config, stacked)[i], xs)
+                    for i in range(3)])
+    masks = mdl.draw_dropout_masks(config, len(xs), [Rng(8), Rng(9), Rng(10)])
+    clean = _eager_head(config, stacked, emb, masks)
+    point = emb + np.stack([Rng(11 + i).gaussian(emb.shape[1:], 0.05) for i in range(3)])
+    grads = []
+    for requires_grad in (True, False):
+        tape = Tape()
+        pvars = mdl.leaf_params(tape, stacked, requires_grad=requires_grad)
+        x_var = tape.leaf(point, requires_grad=True)
+        out = mdl.build_head(tape, config, pvars, x_var, masks)
+        loss = smooth_loss_mean_node("symmetrized_kl", out, tape.const(clean))
+        assert all(tape.needs(v) == requires_grad for v in pvars.values())
+        grads.append(tape.backward(ad.sum_all(loss))[x_var])
+    assert np.array_equal(grads[0].view(np.uint64), grads[1].view(np.uint64))
+    assert np.abs(grads[0]).max() > 0
+
+
+@pytest.mark.usefixtures("no_cyclic_gc")
+@pytest.mark.parametrize("requires_grad", [False, True])
+def test_a_node_with_no_gradient_path_keeps_no_closure(requires_grad):
+    tape = Tape()
+    arr = np.linspace(0.1, 1.0, 6)
+    ref = weakref.ref(arr)
+    x = tape.leaf(arr, requires_grad=requires_grad)
+    y = ad.log(ad.clip(x, 1e-12, 1.0))  # clip's adjoint would capture arr
+    del x, arr
+    assert tape.needs(y) == requires_grad
+    # only a node on a gradient path keeps its closure, and with it the array
+    assert (tape._nodes[y.index] is None) == (not requires_grad)
+    assert (ref() is None) == (not requires_grad)
+    assert not ForwardTape().needs(ForwardTape().const(np.ones(2)))
+    # stop_gradient starts a constant branch
+    z = ad.stop_gradient(tape.leaf(np.ones(2), requires_grad=True))
+    assert not tape.needs(z)

@@ -5,9 +5,9 @@ from smoothtune import autodiff as ad
 from smoothtune.adversarial import rows_norm
 from smoothtune.autodiff import ForwardTape
 from smoothtune.errors import ContractViolation
-from smoothtune.tensor import Rng, row_max, row_sum, softmax_row
+from smoothtune.tensor import Rng, gaussian_stack, row_max, row_sum, softmax_row, uniform_stack
 
-from oracles import ref_permutation
+from oracles import ref_gaussian, ref_permutation, ref_uniform
 
 
 def on_tape(op, a, b):
@@ -175,3 +175,50 @@ def test_permutation_matches_reference_shuffle(seed, counter):
         assert p.dtype == np.int64
         assert np.array_equal(p, ref_permutation(ref, n))
         assert fast.state() == ref.state()
+
+
+def _streams(size):
+    """Streams with unrelated seeds, and counters both even and odd."""
+    return [Rng(1000003 * i + 7, 3 * i) for i in range(size)]
+
+
+@pytest.mark.parametrize("size", [1, 9, 30])
+@pytest.mark.parametrize("shape", [(16, 2), (5, 3), (1,), ()])
+def test_grid_draws_equal_each_runs_own_stream(size, shape):
+    runs, refs = _streams(size), _streams(size)
+    got_u = uniform_stack(runs, shape)
+    got_z = gaussian_stack(runs, shape, 0.01)
+    want_u = np.stack([ref_uniform(r, shape) for r in refs])
+    want_z = np.stack([ref_gaussian(r, shape, 0.01) for r in refs])
+    assert got_u.shape == got_z.shape == (size,) + shape
+    assert np.array_equal(got_u.view(np.uint64), want_u.view(np.uint64))
+    assert np.array_equal(got_z.view(np.uint64), want_z.view(np.uint64))
+    assert [r.state() for r in runs] == [r.state() for r in refs]
+    # the per-run methods are the same draw
+    assert np.array_equal(np.stack([r.gaussian(shape, 0.01) for r in _streams(size)]),
+                          gaussian_stack(_streams(size), shape, 0.01))
+    assert np.array_equal(np.stack([r.uniform(shape) for r in _streams(size)]),
+                          uniform_stack(_streams(size), shape))
+
+
+def test_grid_gaussian_with_zero_sigma_consumes_nothing():
+    runs = _streams(9)
+    before = [r.state() for r in runs]
+    z = gaussian_stack(runs, (16, 2), 0.0)
+    assert z.shape == (9, 16, 2) and not z.any()
+    assert [r.state() for r in runs] == before
+    with pytest.raises(ContractViolation, match="finite and >= 0"):
+        gaussian_stack(runs, (2,), float("nan"))
+
+
+def test_grid_rows_match_scalar_reference_bitwise():
+    golden = 0x9E3779B97F4A7C15
+    runs = [Rng(2**64 - 5, 0), Rng(987654321, 17), Rng(3, 2**40)]
+    starts = [r.counter for r in runs]
+    rows = gaussian_stack(runs, (3,), 1.0)  # 4 draws per stream
+    assert rows.shape == (3, 3)
+    for r, c in zip(runs, starts):
+        assert r.counter == c + 4
+        block = Rng(r.seed, c)._next_block(4)
+        assert [int(v) for v in block] == [_mix64_py(r.seed + (c + i + 1) * golden)
+                                           for i in range(4)]
