@@ -19,6 +19,13 @@ activation-sized arrays, and over large batches those cost about as much as
 the product itself. The one node does the same float ops in the same order, so
 its values and adjoints equal the three-op chain's bit for bit.
 
+So is attention: `attention` splits q, k and v into heads, forms
+softmax(q k^T / sqrt(hd)) v per head and joins the heads, as 15 reshape,
+swapaxes, matmul, cmul and softmax nodes did. Its heads are the chain's
+contiguous copies (k^T made in one copy, not two), so each product is the same
+BLAS call, and its adjoint runs the chain's expressions in the chain's order
+on the same views: values and adjoints are the chain's, bit for bit.
+
 A ForwardTape made with recycle=True and reused for many same-shape passes
 hands dense layers the dead output buffers of earlier passes. glibc maps each
 large fresh array from the kernel and unmaps it on free, so over the probe's
@@ -26,7 +33,7 @@ large fresh array from the kernel and unmaps it on free, so over the probe's
 
 Adjoints flow only toward gradient leaves: a node is live when it is a
 requires_grad leaf or has a live parent. A dead node (a constant, an ascent
-step's weights) keeps no closure, and `affine`, `matmul`, `layer_norm` and
+step's weights) keeps no closure, and `affine`, `attention`, `layer_norm` and
 `add_broadcast` compute no part for a dead parent; a part that reaches no leaf
 changes none that does, so gradients are those of a full sweep, bit for bit.
 
@@ -72,6 +79,8 @@ class Tape:
     keeps a Var alive and the Var -> tape edge forms no cycle.
     """
 
+    _pool: list[np.ndarray] | None = None  # adjoint closures keep outputs alive: no recycling
+
     def __init__(self):
         self._nodes: list[tuple | None] = []  # (parent indices, adjoint rule), None if dead
         self._grad_leaves: list[weakref.ref] = []
@@ -101,8 +110,7 @@ class Tape:
         return self._nodes[v.index] is not None
 
     def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A float64 array for an op to write its output into. A recording
-        tape's adjoint closures keep outputs alive, so it never recycles."""
+        """A float64 array for an op to write its output into."""
         return np.empty(shape)
 
     def backward(self, output: Var) -> dict[Var, np.ndarray]:
@@ -172,6 +180,8 @@ class ForwardTape(Tape):
         return False
 
     def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A pooled float64 array of `shape` that nothing outside the pool holds,
+        or a fresh one that joins the pool; a fresh one without a pool."""
         if self._pool is None:
             return np.empty(shape)
         for buf in self._pool:
@@ -207,10 +217,10 @@ def _same_tape(*vars_: Var) -> Tape:
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
+            g = np.add.reduce(g, axis=ax, keepdims=True)
     return g
 
 
@@ -266,14 +276,14 @@ def mul_const(a: Var, arr: np.ndarray) -> Var:
     return a.tape._record(a.value * arr, (a.index,), lambda g: (g * arr,))
 
 
-def _product(av: np.ndarray, bv: np.ndarray, op: str, tape: Tape | None = None) -> np.ndarray:
+def _product(av: np.ndarray, bv: np.ndarray, op: str, tape: Tape) -> np.ndarray:
     """av @ bv for operands of rank >= 2, leading axes broadcast per numpy rules;
-    written into a buffer from `tape` when one is given."""
+    written into a buffer from `tape` when the tape pools its buffers."""
     if av.ndim < 2 or bv.ndim < 2:
         raise ContractViolation(f"{op}: expected rank >= 2, got {av.shape} and {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ContractViolation(f"{op}: inner dimensions differ, {av.shape} vs {bv.shape}")
-    if tape is None:
+    if tape._pool is None:
         return np.matmul(av, bv)
     lead = np.broadcast_shapes(av.shape[:-2], bv.shape[:-2])
     return np.matmul(av, bv, out=tape._buffer(lead + (av.shape[-2], bv.shape[-1])))
@@ -287,13 +297,6 @@ def _product_vjp(tape: Tape, a: Var, b: Var):
     return lambda g: (
         None if bv is None else _reduce_to(np.matmul(g, bv.swapaxes(-1, -2)), ashape),
         None if av is None else _reduce_to(np.matmul(av.swapaxes(-1, -2), g), bshape))
-
-
-def matmul(a: Var, b: Var) -> Var:
-    """Matrix product; operands of rank >= 2, leading axes broadcast per numpy rules."""
-    tape = _same_tape(a, b)
-    return tape._record(_product(a.value, b.value, "matmul"), (a.index, b.index),
-                        _product_vjp(tape, a, b))
 
 
 def affine(x: Var, w: Var, b: Var, act: str | None = None) -> Var:
@@ -328,12 +331,49 @@ def affine(x: Var, w: Var, b: Var, act: str | None = None) -> Var:
     return tape._record(y, (x.index, w.index, b.index), vjp)
 
 
-def swapaxes(a: Var, ax1: int, ax2: int) -> Var:
-    return a.tape._record(
-        np.ascontiguousarray(a.value.swapaxes(ax1, ax2)),
-        (a.index,),
-        lambda g: (g.swapaxes(ax1, ax2),),
-    )
+def attention(q: Var, k: Var, v: Var, heads: int) -> Var:
+    """Multi-head scaled dot-product attention over q, k, v of shape [..., seq,
+    d], split into `heads` heads of width hd = d / heads (see the module docstring)."""
+    tape = _same_tape(q, k, v)
+    shape = q.value.shape
+    if not k.value.shape == v.value.shape == shape or shape[-1] % heads:
+        raise ContractViolation(f"attention: {heads} heads over shapes {shape}, "
+                                f"{k.value.shape}, {v.value.shape}")
+    split = shape[:-1] + (heads, shape[-1] // heads)  # [..., seq, heads, hd]
+    c = 1.0 / np.sqrt(split[-1])
+    need_q, need_k, need_v = tape.needs(q), tape.needs(k), tape.needs(v)
+    # [..., heads, seq, hd] for q and v; k^T is [..., heads, hd, seq]
+    qh = np.ascontiguousarray(q.value.reshape(split).swapaxes(-3, -2))
+    kt = np.ascontiguousarray(k.value.reshape(split).swapaxes(-3, -2).swapaxes(-1, -2))
+    p = np.matmul(qh, kt)
+    # each split copy is dropped once consumed unless an adjoint reads it
+    qh, kt = (qh if need_k else None), (kt if need_q else None)
+    p *= c
+    tc.softmax_row(p, out=p)
+    vh = np.ascontiguousarray(v.value.reshape(split).swapaxes(-3, -2))
+    ctx = np.matmul(p, vh)
+    out = np.ascontiguousarray(ctx.swapaxes(-3, -2)).reshape(shape)
+    if not (need_q or need_k or need_v):
+        return tape._record(out, (q.index, k.index, v.index), None)
+    vh = vh if need_q or need_k else None
+
+    def vjp(g):
+        g = g.reshape(split).swapaxes(-3, -2)
+        dq = dk = dv = None
+        if vh is not None:
+            ds = np.matmul(g, vh.swapaxes(-1, -2))
+            ds = p * (ds - tc.row_sum(ds * p))
+            ds *= c
+            if need_q:
+                dq = np.matmul(ds, kt.swapaxes(-1, -2)).swapaxes(-3, -2).reshape(shape)
+            if need_k:
+                dk = np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2).swapaxes(-3, -2)\
+                    .reshape(shape)
+        if need_v:
+            dv = np.matmul(p.swapaxes(-1, -2), g).swapaxes(-3, -2).reshape(shape)
+        return dq, dk, dv
+
+    return tape._record(out, (q.index, k.index, v.index), vjp)
 
 
 def reshape(a: Var, shape) -> Var:
@@ -368,30 +408,33 @@ def softmax(a: Var) -> Var:
 
 
 def layer_norm(a: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
-    """Normalize over the last axis, then scale and shift."""
+    """Normalize over the last axis, then scale and shift. a - mean is formed
+    once and scaled into xhat in place; a mean is np.add.reduce(...) / n, what
+    ndarray.mean runs, and d * d is what ** 2 runs: the textbook formula's bits."""
     tape = _same_tape(a, gain, bias)
-    av = a.value
-    mu = av.mean(axis=-1, keepdims=True)
-    var = ((av - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (av - mu) * inv
-    gv = gain.value
+    av, gv = a.value, gain.value
+    n = av.shape[-1]
+    xhat = av - np.add.reduce(av, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + eps)
+    xhat *= inv
     bshape = bias.value.shape
     need_a, need_gain, need_bias = tape.needs(a), tape.needs(gain), tape.needs(bias)
+    # without an adjoint that reads xhat, the output is written over it
+    y = np.multiply(xhat, gv, out=None if need_a or need_gain else xhat)
+    y += bias.value
 
     def vjp(g):
         dx = None
         if need_a:
             gx = g * gv
-            dx = inv * (
-                gx
-                - gx.mean(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            )
+            dx = gx - np.add.reduce(gx, axis=-1, keepdims=True) / n
+            gx *= xhat
+            dx -= xhat * (np.add.reduce(gx, axis=-1, keepdims=True) / n)
+            dx *= inv
         return (dx, _reduce_to(g * xhat, gv.shape) if need_gain else None,
                 _reduce_to(g, bshape) if need_bias else None)
 
-    return tape._record(xhat * gv + bias.value, (a.index, gain.index, bias.index), vjp)
+    return tape._record(y, (a.index, gain.index, bias.index), vjp)
 
 
 # -- reductions and indexing -------------------------------------------------

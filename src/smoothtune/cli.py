@@ -44,13 +44,12 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _metrics(model_cfg: mdl.ModelConfig, params, train_ds, test_ds,
-             train_metric: float | None = None) -> tuple:
-    """Accuracy or mean squared error of a run on its own data (unless already
-    known) and on the test set (None without one)."""
+def _metric(model_cfg: mdl.ModelConfig, params, dataset) -> float | None:
+    """Accuracy or mean squared error of a run on a dataset (None without one)."""
+    if dataset is None:
+        return None
     metric = ev.accuracy if model_cfg.task == "classification" else ev.mean_squared_error
-    return (metric(model_cfg, params, train_ds) if train_metric is None else train_metric,
-            None if test_ds is None else metric(model_cfg, params, test_ds))
+    return metric(model_cfg, params, dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,8 @@ def _train_stack(state: tr.TrainState, datasets: list[dat.Dataset], test_ds, eva
     an eval row (step, train metric, test metric); and at each multiple of
     `checkpoint_every` before the last step to write `ckpt_path`. Paused runs
     traverse exactly the trajectory of an unpaused one, and a state already at
-    its last step still takes one (empty) segment."""
+    its last step still takes one (empty) segment. The last row's train metric
+    is left None for `_score` to read off the probe."""
     start, last = state.outer_t, state.cfg.outer_steps
     eval_stops = {*range(start + eval_every, last, eval_every), last} if eval_every else set()
     ckpt_stops = {t for t in range(start + 1, last)
@@ -122,22 +122,27 @@ def _train_stack(state: tr.TrainState, datasets: list[dat.Dataset], test_ds, eva
             run_records.extend(result.records)
             if stop in eval_stops:
                 run_evals.append((state.global_step,
-                                  *_metrics(state.model_cfg, result.params, ds, test_ds)))
+                                  None if stop == last else _metric(state.model_cfg,
+                                                                    result.params, ds),
+                                  _metric(state.model_cfg, result.params, test_ds)))
     return [(result.params, run_records, run_evals)
             for result, run_records, run_evals in zip(results, records, evals)]
 
 
 def _score(cfg: RunConfig, params, train_ds, test_ds, probe_eps: float, seed: int,
            evals=()) -> tuple[float, float | None, float]:
-    """One run's final train metric, test metric and smoothness probe; the
-    metrics come from the last eval row when the run has one, since the last
-    segment ends at the final step. Otherwise the train metric is read off the
-    probe's clean forward, so the train split runs 1 + probe_samples forwards."""
+    """One run's final train metric, test metric and smoothness probe. The
+    train metric is read off the probe's clean forward (the train split runs
+    1 + probe_samples forwards) and fills in the last eval row's, which is at
+    the final step and holds the test metric."""
     probe, train_metric = ev.local_smoothness_probe(cfg.model, params, train_ds, probe_eps,
                                                     cfg.probe_samples, seed, with_metric=True)
-    final = evals[-1][1:] if evals else _metrics(cfg.model, params, train_ds, test_ds,
-                                                 train_metric)
-    return (*final, probe)
+    if evals:
+        step, _, test_metric = evals[-1]
+        evals[-1] = (step, train_metric, test_metric)
+    else:
+        test_metric = _metric(cfg.model, params, test_ds)
+    return train_metric, test_metric, probe
 
 
 def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
@@ -161,16 +166,15 @@ def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
         _write_text(os.path.join(cfg.out_dir, "records.csv"),
                     "\n".join(tr.records_csv_lines(records)) + "\n")
         tr.save_train_checkpoint(os.path.join(cfg.out_dir, "checkpoint_final.json"), state)
+        probe_eps = cfg.probe_eps if cfg.probe_eps is not None else cfg.train.adv.eps
+        final_train, final_test, probe = _score(cfg, params, train_ds, test_ds, probe_eps,
+                                                cfg.train.seed, evals)
         if evals:
             lines = ["step,train_metric,test_metric"]
             for step, tm, sm in evals:
                 lines.append(f"{step},{tm!r},{'' if sm is None else repr(sm)}")
             _write_text(os.path.join(cfg.out_dir, "eval_history.csv"),
                         "\n".join(lines) + "\n")
-
-        probe_eps = cfg.probe_eps if cfg.probe_eps is not None else cfg.train.adv.eps
-        final_train, final_test, probe = _score(cfg, params, train_ds, test_ds, probe_eps,
-                                                cfg.train.seed, evals)
         metrics = {
             "final_train_metric": final_train,
             "final_test_metric": final_test,
@@ -326,10 +330,8 @@ def _sweep_rows(cfg: RunConfig) -> list[str]:
                         f"{tm!r},{'' if sm is None else repr(sm)},{probe!r}")
             groups.setdefault((method, rw, pw, frac), []).append((tm, sm, probe))
     for (method, rw, pw, frac), vals in groups.items():
-        tms = float(np.median([v[0] for v in vals]))
-        sms = (None if vals[0][1] is None
-               else float(np.median([v[1] for v in vals])))
-        prb = float(np.median([v[2] for v in vals]))
+        tms, sms, prb = (None if column[0] is None else float(np.median(column))
+                         for column in zip(*vals))
         rows.append(f"{method},{rw!r},{pw!r},{frac!r},median,"
                     f"{tms!r},{'' if sms is None else repr(sms)},{prb!r}")
     return rows

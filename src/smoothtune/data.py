@@ -191,43 +191,71 @@ def write_dataset(path: str, dataset: Dataset) -> None:
         fh.write("\n")
 
 
+_DECODER = json.JSONDecoder()
+_SCHEMAS = ({"x", "y"}, {"x", "y", "p"}, {"tokens", "y"}, {"tokens", "y", "p"})
+
+
+def _numbered_records(path: str):
+    """(line number, record) of each non-blank line, as a line-by-line reader
+    sees them; the first line that is not UTF-8 or not JSON is refused with
+    its number. Only a file that the column checks refuse is read this way."""
+    with open(path, "rb") as fh:
+        lines = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    for lineno, line in enumerate(lines, start=1):
+        try:  # no byte of a multi-byte UTF-8 character is a line break
+            if line := line.decode("utf-8").strip():
+                yield lineno, json.loads(line)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InputError(f"{path}:{lineno}: malformed record: {exc}") from exc
+
+
+def _refusal(path: str, bad) -> InputError:
+    """An InputError naming the first line for whose record `bad(k, record)`
+    (k counting records) returns a message."""
+    lineno, message = next((lineno, message) for k, (lineno, rec)
+                           in enumerate(_numbered_records(path)) if (message := bad(k, rec)))
+    return InputError(f"{path}:{lineno}: {message}")
+
+
 def read_dataset(path: str) -> Dataset:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            records.append((lineno, rec))
+    """Load a dataset file, refusing a malformed one with an InputError that
+    names its first bad line where there is one. Each check runs over a whole
+    column; only a refused file is read again line by line to find the line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            # raw_decode accepts what json.loads accepts when it ends where the
+            # (stripped) line does
+            parsed = [(_DECODER.raw_decode(line), len(line)) for line in map(str.strip, fh)
+                      if line]
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        parsed = None
+    if parsed is None or any(end != n for (_, end), n in parsed):
+        list(_numbered_records(path))  # raises at the first line that is not JSON
+    records = [rec for (rec, _), _ in parsed]
+    del parsed  # before the columns are built
     if not records:
         raise InputError(f"{path}: empty dataset")
-    schema = frozenset(records[0][1].keys())
-    allowed = ({"x", "y"}, {"x", "y", "p"}, {"tokens", "y"}, {"tokens", "y", "p"})
-    if set(schema) not in allowed:
+    if set(map(type, records)) != {dict}:
+        raise _refusal(path, lambda k, rec: type(rec) is not dict
+                       and "malformed record: not a JSON object")
+    schema = frozenset(records[0])
+    if set(schema) not in _SCHEMAS:
         raise InputError(f"{path}: unsupported record fields {sorted(schema)}")
-    for lineno, rec in records:
-        if frozenset(rec.keys()) != schema:
-            raise InputError(f"{path}:{lineno}: mixed record schemas")
+    if len(set(map(frozenset, records))) > 1:
+        raise _refusal(path, lambda k, rec: frozenset(rec) != schema and "mixed record schemas")
     input_kind = "vector" if "x" in schema else "tokens"
-    y0 = records[0][1]["y"]
-    task = "classification" if isinstance(y0, int) else "regression"
-    inputs, labels, soft = [], [], []
-    for lineno, rec in records:
-        if type(rec["y"]) is bool:  # a subclass of int, so it would pass as a class id
-            raise InputError(f"{path}:{lineno}: labels must be JSON numbers, not true/false")
-        if isinstance(rec["y"], int) != (task == "classification"):
-            raise InputError(f"{path}:{lineno}: mixed label types")
-        inputs.append(rec["x"] if input_kind == "vector" else rec["tokens"])
-        labels.append(rec["y"])
-        if "p" in schema:
-            soft.append(rec["p"])
+    labels = [rec["y"] for rec in records]
+    task = "classification" if isinstance(labels[0], int) else "regression"
+    if set(map(type, labels)) != {int if task == "classification" else float}:
+        # bool is a subclass of int, so it is looked for first
+        raise _refusal(path, lambda k, rec: (
+            "labels must be JSON numbers, not true/false" if type(rec["y"]) is bool
+            else "mixed label types" if isinstance(rec["y"], int) != (task == "classification")
+            else None if type(rec["y"]) in (int, float) else "labels must be JSON numbers"))
+    inputs = [rec["x" if input_kind == "vector" else "tokens"] for rec in records]
     try:
         inputs_arr = np.asarray(inputs, dtype=np.float64 if input_kind == "vector" else None)
-    except ValueError:
+    except (ValueError, TypeError):
         inputs_arr = None
     if inputs_arr is None or inputs_arr.ndim != 2:
         raise InputError(f"{path}: input rows must be equal-length lists of numbers")
@@ -235,16 +263,16 @@ def read_dataset(path: str) -> Dataset:
     if input_kind == "tokens" and (
             inputs_arr.dtype.kind != "i"
             or bool in set(map(type, itertools.chain.from_iterable(inputs)))):
-        lineno = next(lineno for lineno, rec in records
-                      if not rec["tokens"] or any(type(t) is not int for t in rec["tokens"]))
-        raise InputError(f"{path}:{lineno}: token ids must be JSON integers")
-    labels_arr = (np.asarray(labels, dtype=np.int64) if task == "classification"
-                  else np.asarray(labels, dtype=np.float64))
-    soft_arr = np.asarray(soft, dtype=np.float64) if soft else None
+        raise _refusal(path, lambda k, rec: (not rec["tokens"] or any(
+            type(t) is not int or not -2**63 <= t < 2**63 for t in rec["tokens"]))
+            and "token ids must be JSON integers")
+    labels_arr = np.asarray(labels, dtype=np.int64 if task == "classification" else np.float64)
+    soft_arr = np.asarray([rec["p"] for rec in records], dtype=np.float64) \
+        if "p" in schema else None
     for name, arr in (("x", inputs_arr), ("y", labels_arr), ("p", soft_arr)):
         if arr is not None and arr.dtype == np.float64 and not np.isfinite(arr).all():
             row = np.flatnonzero(~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1))[0]
-            raise InputError(f"{path}:{records[row][0]}: non-finite value in {name!r}")
+            raise _refusal(path, lambda k, rec: k == row and f"non-finite value in {name!r}")
     if soft_arr is not None and np.any(np.abs(soft_arr.sum(axis=1) - 1.0) > 1e-9):
         raise InputError(f"{path}: soft labels must sum to 1")
     provenance = {}

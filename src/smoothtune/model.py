@@ -12,6 +12,8 @@ pass computes all S runs; each slice is bit-identical to its run computed alone.
 
 from __future__ import annotations
 
+import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -114,10 +116,6 @@ def init_params(config: ModelConfig, rng: Rng) -> ModelParams:
     return params
 
 
-def copy_params(params: ModelParams) -> ModelParams:
-    return {name: block.copy() for name, block in params.items()}
-
-
 def _activation_rank(config: ModelConfig, name: str) -> int:
     """Rank of the unstacked activation a block acts on: [n, seq, d] inside
     the transformer's blocks and output norm, [n, width] everywhere else."""
@@ -144,18 +142,36 @@ def unstack_params(config: ModelConfig, stacked: ModelParams) -> list[ModelParam
             for i in range(size)]
 
 
+def flatten_params(params: ModelParams) -> tuple[np.ndarray, ModelParams]:
+    """A copy of the blocks in one buffer, one after another (all runs of a
+    stacked block together, so every block stays contiguous), and per-block
+    views of it: an elementwise update of the buffer updates every block."""
+    flat = np.concatenate([block.ravel() for block in params.values()])
+    return flat, flat_views(flat, {name: block.shape for name, block in params.items()})
+
+
+def flat_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> ModelParams:
+    """Per-block views of a buffer laid out by flatten_params."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+    return {name: part.reshape(shape)
+            for (name, shape), part in zip(shapes.items(), np.split(flat, ends[:-1]))}
+
+
 def stack_axes(config: ModelConfig, params) -> int:
     """1 when params (arrays or tape Vars) are stacked runs, else 0."""
     first = params["layer0.weight" if config.arch == "mlp" else "embed.table"]
     return np.ndim(getattr(first, "value", first)) - 2
 
 
+@functools.lru_cache(maxsize=None)
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
-    """Fixed sin/cos position table, rows = positions."""
+    """Fixed sin/cos position table, rows = positions; built once per
+    (max_len, dim) and read-only, since every forward shares it."""
     pos = np.arange(max_len)[:, None].astype(np.float64)
     i = np.arange(dim)[None, :].astype(np.float64)
     angle = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / dim)
     table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    table.flags.writeable = False
     return table
 
 
@@ -247,24 +263,14 @@ def build_head(
                 h = ad.mul_const(h, masks[i])
         logits = ad.affine(h, pvars[f"layer{n_hidden}.weight"], pvars[f"layer{n_hidden}.bias"])
     else:
-        batch, seq = emb.value.shape[:-2], emb.value.shape[-2]  # batch is [S,] n
-        d, heads = config.embed_dim, config.heads
-        hd = d // heads
-        pos = sinusoidal_positions(config.max_len, d)[:seq]
+        pos = sinusoidal_positions(config.max_len, config.embed_dim)[:emb.value.shape[-2]]
         h = ad.add_broadcast(emb, emb.tape.const(pos))
         for i in range(config.layers):
             p = f"block{i}"
             # pre-LN self-attention with residual
             x = ad.layer_norm(h, pvars[f"{p}.ln1.gain"], pvars[f"{p}.ln1.bias"])
-            q = ad.affine(x, pvars[f"{p}.attn.wq"], pvars[f"{p}.attn.bq"])
-            k = ad.affine(x, pvars[f"{p}.attn.wk"], pvars[f"{p}.attn.bk"])
-            v = ad.affine(x, pvars[f"{p}.attn.wv"], pvars[f"{p}.attn.bv"])
-            q = ad.swapaxes(ad.reshape(q, batch + (seq, heads, hd)), -3, -2)
-            k = ad.swapaxes(ad.reshape(k, batch + (seq, heads, hd)), -3, -2)
-            v = ad.swapaxes(ad.reshape(v, batch + (seq, heads, hd)), -3, -2)
-            scores = ad.cmul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / np.sqrt(hd))
-            ctx = ad.matmul(ad.softmax(scores), v)
-            ctx = ad.reshape(ad.swapaxes(ctx, -3, -2), batch + (seq, d))
+            ctx = ad.attention(*(ad.affine(x, pvars[f"{p}.attn.w{n}"], pvars[f"{p}.attn.b{n}"])
+                                 for n in "qkv"), config.heads)
             attn = ad.affine(ctx, pvars[f"{p}.attn.wo"], pvars[f"{p}.attn.bo"])
             h = ad.add(h, attn)
             # pre-LN feedforward with residual

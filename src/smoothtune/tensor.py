@@ -50,17 +50,17 @@ def row_sum(x: Tensor) -> Tensor:
     column fold would not reproduce.
     """
     if not 0 < x.shape[-1] < _PAIRWISE_WIDTH:
-        return np.sum(x, axis=-1, keepdims=True)
+        return np.add.reduce(x, axis=-1, keepdims=True)
     s = x[..., :1] + 0.0
     for j in range(1, x.shape[-1]):
         s += x[..., j:j + 1]
     return s
 
 
-def softmax_row(x: Tensor) -> Tensor:
+def softmax_row(x: Tensor, out: Tensor | None = None) -> Tensor:
     """Softmax over the last axis, stabilized by subtracting the row maximum;
-    the shift, exp and divide run in one buffer."""
-    y = x - row_max(x)
+    the shift, exp and divide run in one buffer (`out`, which may be x)."""
+    y = np.subtract(x, row_max(x), out=out)
     np.exp(y, out=y)
     y /= row_sum(y)
     return y

@@ -11,6 +11,10 @@ parameters, moments and teacher stacked on a leading axis (`model.stack_params`)
 Each run keeps its own rng streams and batch order, losses are per-run means,
 and norms and clipping are per run, so one stacked update gives every run the
 bits it would get alone. A solo run is a stack of one, through the same loop.
+
+Parameters, gradients, ADAM moments and teacher each live in one flat buffer
+(`model.flatten_params`) that the blocks are views of, so ADAM and the EMA run
+once per stack instead of once per block, with the same bits.
 """
 
 from __future__ import annotations
@@ -136,9 +140,10 @@ class TrainState:
     model_cfg: mdl.ModelConfig
     runs: list[RunState]
     smart: bool                       # regularized method vs baseline
-    params: mdl.ModelParams           # stacked, one slice per run
-    teacher: TeacherState | None      # stacked
-    adam: AdamState                   # stacked
+    params: mdl.ModelParams           # stacked, one slice per run; views of flat["params"]
+    teacher: TeacherState | None      # stacked; views of flat["teacher"]
+    adam: AdamState                   # moments of flat["params"], one "flat" block each
+    flat: dict[str, dict[str, np.ndarray]]  # {"flat": buffer} for params, teacher, grads
     outer_t: int = 0                  # completed outer iterations
     global_step: int = 0              # completed updates
     counters: PassCounters = dataclasses.field(default_factory=PassCounters)  # stacked passes
@@ -173,11 +178,18 @@ def _as_list(value, solo_type) -> list:
 
 
 def _new_state(model_cfg, cfgs, params, teacher, adam, smart, streams) -> TrainState:
+    """A state over flat copies of stacked `params`, `teacher` (or None) and `adam`."""
     if any(dataclasses.replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
         raise ContractViolation("the runs of one stack may differ only in seed")
     runs = [RunState(cfg=c, streams=st) for c, st in zip(cfgs, streams)]
+    flat_params, params = mdl.flatten_params(params)
+    flat = {"params": {"flat": flat_params}, "grads": {"flat": np.empty_like(flat_params)}}
+    if teacher is not None:
+        flat_teacher, blocks = mdl.flatten_params(teacher)
+        flat["teacher"], teacher = {"flat": flat_teacher}, TeacherState(blocks)
+    adam = AdamState(*({"flat": mdl.flatten_params(m)[0]} for m in (adam.m, adam.v)), adam.t)
     return TrainState(model_cfg=model_cfg, runs=runs, smart=smart, params=params,
-                      teacher=teacher, adam=adam)
+                      teacher=teacher, adam=adam, flat=flat)
 
 
 def init_train_state(
@@ -197,8 +209,8 @@ def init_train_state(
         streams.append({name: master.child(tag) for name, tag in _STREAM_TAGS.items()})
     params = mdl.stack_params(model_cfg, inits)
     use_teacher = smart and cfgs[0].prox.effective_weight > 0
-    teacher = TeacherState(mdl.copy_params(params)) if use_teacher else None
-    return _new_state(model_cfg, cfgs, params, teacher, init_adam(params), smart, streams)
+    return _new_state(model_cfg, cfgs, params, params if use_teacher else None,
+                      init_adam(params), smart, streams)
 
 
 def build_iteration_objective(
@@ -327,7 +339,7 @@ def continue_training(
     runs traverse exactly the trajectory of an unpaused one. A stack takes one
     dataset per run and gives one result per run; a single dataset gives a
     single result."""
-    model_cfg, cfg, runs = state.model_cfg, state.cfg, state.runs
+    model_cfg, cfg, runs, flat = state.model_cfg, state.cfg, state.runs, state.flat
     datasets = _as_list(dataset, Dataset)
     if len(datasets) != len(runs):
         raise ContractViolation(f"{len(datasets)} datasets for a stack of {len(runs)} runs")
@@ -351,7 +363,7 @@ def continue_training(
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 obj = build_iteration_objective(
                     model_cfg, cfg, state.params,
-                    state.teacher.params if state.teacher is not None else None,
+                    None if state.teacher is None else state.teacher.params,
                     xs, ys, smart=state.smart, masks=masks,
                     noise_rng=noise, counters=state.counters,
                 )
@@ -372,10 +384,12 @@ def continue_training(
                     raise ContractViolation(f"non-finite {what} at step {state.global_step + 1} "
                                             f"in run {i} (seed {runs[i].cfg.seed})")
             grads = clip_gradients(grads, cfg.clip_norm, 1, norms)
+            np.concatenate([grads[name].ravel() for name in state.params],
+                           out=flat["grads"]["flat"])
+            del grads  # likewise free before the next update's tape is built
             state.global_step += 1
             lr = lr_at(state.global_step, cfg.total_updates, cfg.peak_lr, cfg.warmup_frac)
-            adam_step(state.adam, state.params, grads, lr, out=state.params)
-            del grads  # likewise free before the next update's tape is built
+            adam_step(state.adam, flat["params"], flat["grads"], lr, out=flat["params"])
             for i, run_records in enumerate(records):
                 run_records.append(TrainRecord(
                     step=state.global_step, lr=lr, beta=beta, task_loss=task[i],
@@ -384,7 +398,7 @@ def continue_training(
                     total=total[i], grad_norm=grad_norms[i],
                 ))
         if state.teacher is not None:
-            teacher_update(state.teacher, state.params, beta)
+            teacher_update(TeacherState(flat["teacher"]), flat["params"], beta)
         state.outer_t = t
     finals = mdl.unstack_params(model_cfg, state.params)
     results = [TrainResult(params=p, records=r, state=state) for p, r in zip(finals, records)]
@@ -456,6 +470,7 @@ def save_train_checkpoint(path: str, state: TrainState) -> None:
     if len(state.runs) != 1:
         raise ContractViolation(f"a checkpoint holds one run, not a stack of {len(state.runs)}")
     (run,) = state.runs
+    shapes = {name: block.shape for name, block in state.params.items()}
 
     def tensors(stacked):
         return tensors_to_obj(mdl.unstack_params(state.model_cfg, stacked)[0])
@@ -468,8 +483,8 @@ def save_train_checkpoint(path: str, state: TrainState) -> None:
             "smart": state.smart,
             "train_config": dataclasses.asdict(run.cfg),
             "adam": {
-                "m": tensors(state.adam.m),
-                "v": tensors(state.adam.v),
+                "m": tensors(mdl.flat_views(state.adam.m["flat"], shapes)),
+                "v": tensors(mdl.flat_views(state.adam.v["flat"], shapes)),
                 "t": state.adam.t,
             },
             "teacher": None if state.teacher is None else tensors(state.teacher.params),
@@ -497,7 +512,7 @@ def resume_from_checkpoint(path: str) -> TrainState:
 
         adam = AdamState(m=tensors(ts["adam"]["m"]), v=tensors(ts["adam"]["v"]),
                          t=int(ts["adam"]["t"]))
-        teacher = None if ts["teacher"] is None else TeacherState(tensors(ts["teacher"]))
+        teacher = None if ts["teacher"] is None else tensors(ts["teacher"])
         streams = {name: Rng.from_state(st) for name, st in ts["streams"].items()}
         if set(streams) != set(_STREAM_TAGS):
             raise CheckpointError(f"cannot load {path}: unexpected rng streams")

@@ -82,10 +82,24 @@ def ref_relu(a):
     return a.tape._record(np.maximum(av, 0.0), (a.index,), lambda g: (g * (av > 0),))
 
 
+def ref_matmul(a, b):
+    """a @ b as a tape node of its own, broadcast parts summed back down."""
+    av, bv = a.value, b.value
+    return a.tape._record(np.matmul(av, bv), (a.index, b.index), lambda g: (
+        ad._reduce_to(np.matmul(g, bv.swapaxes(-1, -2)), av.shape),
+        ad._reduce_to(np.matmul(av.swapaxes(-1, -2), g), bv.shape)))
+
+
+def ref_swapaxes(a, ax1, ax2):
+    """A contiguous copy of a with two axes swapped, as a tape node."""
+    return a.tape._record(np.ascontiguousarray(a.value.swapaxes(ax1, ax2)), (a.index,),
+                          lambda g: (g.swapaxes(ax1, ax2),))
+
+
 def unfused_affine(x, w, b, act=None):
     """act(x @ w + b) as three nodes: matmul, then add_broadcast, then the
     activation, the chain ad.affine must reproduce bit for bit."""
-    y = ad.add_broadcast(ad.matmul(x, w), b)
+    y = ad.add_broadcast(ref_matmul(x, w), b)
     if act is None:
         return y
     return {"tanh": ref_tanh, "relu": ref_relu}[act](y)
@@ -125,3 +139,42 @@ def ref_adam_step(state, params, grads, lr):
 def ref_teacher_update(teacher, current, beta):
     """Blockwise (1 - beta) * current + beta * teacher into new arrays."""
     return {name: (1.0 - beta) * block + beta * teacher[name] for name, block in current.items()}
+
+
+def attention_chain(q, k, v, heads):
+    """Multi-head attention as the 15-node chain ad.attention must reproduce
+    bit for bit: split heads (reshape, swapaxes), q k^T (swapaxes, matmul),
+    scale, softmax, times v, and join the heads (swapaxes, reshape)."""
+    shape = q.value.shape
+    hd = shape[-1] // heads
+    split = shape[:-1] + (heads, hd)
+    qh, kh, vh = (ref_swapaxes(ad.reshape(t, split), -3, -2) for t in (q, k, v))
+    scores = ad.cmul(ref_matmul(qh, ref_swapaxes(kh, -1, -2)), 1.0 / np.sqrt(hd))
+    ctx = ref_matmul(ad.softmax(scores), vh)
+    return ad.reshape(ref_swapaxes(ctx, -3, -2), shape)
+
+
+def ref_layer_norm(a, gain, bias, eps=1e-5):
+    """Layer norm over the last axis by the textbook formula (ndarray.mean,
+    ** 2), as a tape node."""
+    av, gv = a.value, gain.value
+    mu = av.mean(axis=-1, keepdims=True)
+    var = ((av - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (av - mu) * inv
+
+    def vjp(g):
+        gx = g * gv
+        dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        return (dx, ad._reduce_to(g * xhat, gv.shape), ad._reduce_to(g, bias.value.shape))
+
+    return a.tape._record(xhat * gv + bias.value, (a.index, gain.index, bias.index), vjp)
+
+
+def ref_sinusoidal_positions(max_len, dim):
+    """sin on even columns, cos on odd ones, of pos / 10000^(2 floor(i/2) / dim)."""
+    pos = np.arange(max_len)[:, None].astype(np.float64)
+    i = np.arange(dim)[None, :].astype(np.float64)
+    angle = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / dim)
+    return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))

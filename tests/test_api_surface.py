@@ -6,6 +6,7 @@ alive only by its tests; this guard keeps such twins from growing back.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -13,15 +14,15 @@ PACKAGE = ROOT / "src" / "smoothtune"
 
 
 def _public_functions(tree: ast.Module):
-    """(qualified name, name) of module-level functions and class methods
-    whose names do not start with an underscore."""
+    """(qualified name, name, definition node) of module-level functions and
+    class methods whose names do not start with an underscore."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node.name, node.name
+            yield node.name, node.name, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item.name, item
 
 
 def _external_modules(tree: ast.Module) -> set[str]:
@@ -37,14 +38,23 @@ def _root(node: ast.expr) -> ast.expr:
     return node
 
 
-def _referenced_names(tree: ast.Module) -> set[str]:
+def _walk_outside(tree: ast.AST, skip: ast.AST | None):
+    """ast.walk that does not enter `skip`."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(child for child in ast.iter_child_nodes(node) if child is not skip)
+
+
+def _referenced_names(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
     """Names, attribute names and the dotted parts of string constants (the
-    benchmark's span targets name functions as strings). An attribute of a
-    module from outside the package (np.exp, math.isfinite) names no function
-    of ours."""
+    benchmark's span targets name functions as strings), outside the body of
+    `skip`. An attribute of a module from outside the package (np.exp,
+    math.isfinite) names no function of ours."""
     external = _external_modules(tree)
     names = set()
-    for node in ast.walk(tree):
+    for node in _walk_outside(tree, skip):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -56,17 +66,57 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def _unreferenced(package: Path, bench: Path) -> list[str]:
+    """Public functions of `package` that nothing in its modules (but
+    `__init__.py`) or in `bench` names; a function's own body, such as an
+    op-name string or a recursive call, does not count as its caller."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py"))}
+    names = {path: _referenced_names(tree) for path, tree in trees.items()
+             if path.name != "__init__.py"}
+    unused = []
+    for path in (path for path in trees if path.parent == package):
+        elsewhere = set().union(*(found for caller, found in names.items() if caller != path))
+        for qualified, name, node in _public_functions(trees[path]):
+            if name in elsewhere:
+                continue
+            if not (path in names and name in _referenced_names(trees[path], node)):
+                unused.append(f"{path.stem}.{qualified}")
+    return unused
+
+
 def test_every_public_function_has_a_caller_outside_the_tests():
-    callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    callers += sorted((ROOT / "bench").glob("*.py"))
-    referenced = set()
-    for path in callers:
-        referenced |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
-    unused = [f"{path.stem}.{qualified}"
-              for path in sorted(PACKAGE.glob("*.py"))
-              for qualified, name in _public_functions(ast.parse(path.read_text(encoding="utf-8")))
-              if name not in referenced]
+    unused = _unreferenced(PACKAGE, ROOT / "bench")
     assert unused == [], f"public functions only tests call: {unused}"
+
+
+def test_a_function_is_not_its_own_caller(tmp_path):
+    package, bench = tmp_path / "package", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "ops.py").write_text(
+        "def product(a):\n    return _check(a, 'product') or product(a)\n\n\n"
+        "def used(a):\n    return a\n\n\n"
+        "def _check(a, op):\n    return used(a)\n")
+    assert _unreferenced(package, bench) == ["ops.product"]
+
+
+def test_every_traced_name_resolves_in_the_package():
+    """Each (module, attribute) in bench/spans.py's TARGETS, read with ast,
+    names a function that exists in src/."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    (targets,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
+    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    assert pairs
+    missing = []
+    for module, attribute in pairs:
+        found = importlib.import_module(f"smoothtune.{module}")
+        for part in attribute.split("."):
+            found = getattr(found, part, None)
+        if not callable(found):
+            missing.append(f"{module}.{attribute}")
+    assert missing == [], f"traced names missing from src/: {missing}"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 from smoothtune import autodiff as ad
-from smoothtune.autodiff import Tape
+from smoothtune.autodiff import ForwardTape, Tape
 from smoothtune.errors import ContractViolation
 from smoothtune.tensor import Rng, softmax_row
 
-from oracles import assert_grads_close, central_diff, unfused_affine
+from oracles import (
+    assert_grads_close,
+    attention_chain,
+    central_diff,
+    ref_layer_norm,
+    unfused_affine,
+)
 
 
 def test_recorded_forward_matches_eager_bitwise():
@@ -163,7 +169,7 @@ def test_assorted_primitive_gradients_match_finite_differences():
         ln = ad.layer_norm(av, gv, bv)
         e = ad.gather_rows(tv, ids)
         pooled = ad.mean_axis(e, 1)
-        mixed = ad.softmax(ad.matmul(ad.swapaxes(ln, 0, 1), ad.reshape(ln, (3, 4))))
+        mixed = ad.softmax(ad.attention(ln, ln, ad.reshape(ln, (3, 4)), 2))
         return ad.add(ad.mean_all(ad.mul(mixed, ad.log(mixed))),
                       ad.mean_all(ad.affine(pooled, wv, bb, "relu")))
 
@@ -266,3 +272,92 @@ def test_affine_refuses_bad_shapes_and_activations():
         ad.affine(x, w, tape.leaf(np.ones((3, 1, 4))))
     with pytest.raises(ContractViolation, match="unknown activation"):
         ad.affine(x, w, tape.leaf(np.ones(4)), "sigmoid")
+
+
+# (q/k/v shape, heads): a solo batch [n, seq, d], and a stack of 3 runs
+ATTENTION_SHAPES = {"solo": ((5, 6, 8), 2), "stacked": ((3, 5, 6, 8), 4)}
+
+
+def _attention_values_and_grads(attend, arrays, heads, live):
+    """Value and the gradients of sum(c * attend(q, k, v)) toward the inputs
+    named in `live`; the others enter as constants."""
+    qv, kv, vv, cv = arrays
+    tape = Tape()
+    q, k, v = (tape.leaf(a, requires_grad=name in live) for name, a in zip("qkv", (qv, kv, vv)))
+    out = attend(q, k, v, heads)
+    grads = tape.backward(ad.sum_all(ad.mul(out, tape.const(cv))))
+    return out.value, [grads.get(var) for var in (q, k, v)]
+
+
+@pytest.mark.parametrize("live", ["qkv", "q", "k", "v", "qk"])
+@pytest.mark.parametrize("case", sorted(ATTENTION_SHAPES))
+def test_attention_matches_the_node_chain_bitwise(case, live):
+    shape, heads = ATTENTION_SHAPES[case]
+    rng = Rng(41)
+    arrays = [rng.gaussian(shape, 1.0) for _ in range(4)]
+    fused, fused_grads = _attention_values_and_grads(ad.attention, arrays, heads, live)
+    chain, chain_grads = _attention_values_and_grads(attention_chain, arrays, heads, live)
+    assert np.array_equal(fused, chain)
+    for g_fused, g_chain in zip(fused_grads, chain_grads):
+        assert (g_fused is None) == (g_chain is None)
+        assert g_fused is None or np.array_equal(g_fused, g_chain)
+    eager = ForwardTape()
+    assert np.array_equal(ad.attention(*(eager.const(a) for a in arrays[:3]), heads).value, chain)
+
+
+def test_attention_gradients_match_finite_differences():
+    rng = Rng(42)
+    arrays = [rng.gaussian((2, 3, 4), 1.0) for _ in range(3)]
+    c = rng.gaussian((2, 3, 4), 1.0)
+
+    def build(tape, leaves):
+        return ad.sum_all(ad.mul(ad.attention(*leaves, 2), tape.const(c)))
+
+    tape = Tape()
+    leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
+    grads = tape.backward(build(tape, leaves))
+
+    def value():
+        t = Tape()
+        return float(build(t, [t.leaf(a) for a in arrays]).value)
+
+    for leaf, g_fd in zip(leaves, central_diff(value, arrays)):
+        assert_grads_close(grads[leaf], g_fd)
+
+
+def test_attention_refuses_mismatched_shapes_and_heads():
+    tape = Tape()
+    q = tape.leaf(np.ones((2, 3, 4)))
+    with pytest.raises(ContractViolation, match="attention"):
+        ad.attention(q, q, tape.leaf(np.ones((2, 3, 5))), 1)
+    with pytest.raises(ContractViolation, match="attention"):
+        ad.attention(q, q, q, 3)
+
+
+# (input, gain, bias) shapes: a solo [n, seq, d], a stacked [S, n, seq, d], and
+# a width whose reciprocal is inexact, so that / n and * (1 / n) differ
+LAYER_NORM_SHAPES = {"solo": ((4, 6, 16), (16,), (16,)),
+                     "stacked": ((3, 4, 6, 16), (3, 1, 1, 16), (3, 1, 1, 16)),
+                     "width_12": ((5, 3, 12), (12,), (12,))}
+
+
+@pytest.mark.parametrize("eager", [False, True], ids=["recording", "forward_only"])
+@pytest.mark.parametrize("case", sorted(LAYER_NORM_SHAPES))
+def test_layer_norm_matches_the_textbook_formula_bitwise(case, eager):
+    rng = Rng(43)
+    shapes = LAYER_NORM_SHAPES[case]
+    arrays = [rng.gaussian(shapes[0], 2.0) + 0.5, 1.0 + rng.gaussian(shapes[1], 0.1),
+              rng.gaussian(shapes[2], 0.1)]
+    c = rng.gaussian(shapes[0], 1.0)
+    results = []
+    for norm in (ad.layer_norm, ref_layer_norm):
+        tape = ForwardTape() if eager else Tape()
+        leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
+        out = norm(*leaves)
+        grads = {} if eager else tape.backward(ad.sum_all(ad.mul(out, tape.const(c))))
+        results.append((out.value, [grads.get(leaf) for leaf in leaves]))
+    (fused, fused_grads), (ref, ref_grads) = results
+    assert np.array_equal(fused, ref)
+    for g_fused, g_ref in zip(fused_grads, ref_grads):
+        assert (g_fused is None) == eager
+        assert eager or np.array_equal(g_fused, g_ref)

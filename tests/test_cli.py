@@ -372,7 +372,9 @@ def test_a_sweep_removes_a_stale_sweep_csv(workspace, capsys):
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_score_runs_one_clean_forward_of_the_train_split(workspace, monkeypatch, task):
     """The train metric is read off the probe's clean forward: the train split
-    runs 1 + probe_samples forwards, and the metrics equal accuracy's / mse's."""
+    runs 1 + probe_samples forwards, and the metrics equal accuracy's / mse's.
+    A run with eval rows takes its test metric from the last row, which is at
+    the final step, and gets that row's train metric filled in."""
     tmp, cfg_path, train_path, test_path = workspace
     cfg = parse_config(cfg_path, ["run.probe_samples=3"])
     train_ds, test_ds = read_dataset(train_path), read_dataset(test_path)
@@ -383,18 +385,24 @@ def test_score_runs_one_clean_forward_of_the_train_split(workspace, monkeypatch,
                              for ds in (train_ds, test_ds))
         metric = mean_squared_error
     params = init_params(cfg.model, Rng(3))
-    rows = []
-    for name in ("forward", "forward_from_embedding"):
-        def counted(*args, _inner=getattr(mdl, name), **kwargs):
-            rows.append(len(args[2]))
-            return _inner(*args, **kwargs)
-        monkeypatch.setattr(mdl, name, counted)
-    train_metric, test_metric, probe = cli._score(cfg, params, train_ds, test_ds, 0.1, 4)
-    assert rows.count(len(train_ds)) == 1 + 3 and rows.count(len(test_ds)) == 1
-    monkeypatch.undo()
-    assert train_metric == metric(cfg.model, params, train_ds)
-    assert test_metric == metric(cfg.model, params, test_ds)
-    assert probe == local_smoothness_probe(cfg.model, params, train_ds, 0.1, 3, 4)
+    test_value = metric(cfg.model, params, test_ds)
+    for evals in ([], [(5, 0.5, 0.5), (10, None, test_value)]):
+        rows = []
+        for name in ("forward", "forward_from_embedding"):
+            def counted(*args, _inner=getattr(mdl, name), **kwargs):
+                rows.append(len(args[2]))
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(mdl, name, counted)
+        train_metric, test_metric, probe = cli._score(cfg, params, train_ds, test_ds, 0.1, 4,
+                                                      evals)
+        assert rows.count(len(train_ds)) == 1 + 3
+        assert rows.count(len(test_ds)) == (0 if evals else 1)
+        monkeypatch.undo()
+        assert train_metric == metric(cfg.model, params, train_ds)
+        assert test_metric == test_value
+        assert probe == local_smoothness_probe(cfg.model, params, train_ds, 0.1, 3, 4)
+        if evals:
+            assert evals == [(5, 0.5, 0.5), (10, train_metric, test_value)]
 
 
 def test_train_refuses_a_non_finite_update(tmp_path, capsys):

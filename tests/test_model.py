@@ -15,9 +15,12 @@ from smoothtune.model import (
     init_params,
     leaf_params,
     param_shapes,
+    sinusoidal_positions,
 )
 from smoothtune.tensor import Rng
 from smoothtune.trainer import TrainConfig, init_train_state, save_train_checkpoint
+
+from oracles import ref_sinusoidal_positions
 
 MLP = ModelConfig(task="classification", classes=3, arch="mlp", input_dim=2,
                   hidden=(8, 8), dropout=0.1)
@@ -197,3 +200,13 @@ def test_checkpoint_rejects_unknown_version_and_truncation(tmp_path):
         fh.write(text[: len(text) // 2])
     with pytest.raises(CheckpointError):
         load_params(trunc)
+
+
+def test_position_table_is_built_once_read_only_and_equal_to_the_formula():
+    table = sinusoidal_positions(8, 16)
+    assert sinusoidal_positions(8, 16) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    assert np.array_equal(table, ref_sinusoidal_positions(8, 16))
+    assert np.array_equal(sinusoidal_positions(6, 8), ref_sinusoidal_positions(6, 8))

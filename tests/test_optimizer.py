@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smoothtune.errors import ContractViolation
-from smoothtune.model import ModelConfig, init_params, stack_params
+from smoothtune.model import ModelConfig, flatten_params, init_params, stack_params
 from smoothtune.optimizer import (
     ProxConfig,
     TeacherState,
@@ -246,6 +246,36 @@ def test_teacher_update_in_place_equals_the_out_of_place_formula_over_400_steps(
             assert teacher.params[name] is held[name]  # written into the teacher's own arrays
             assert _bits_equal(teacher.params[name], ref[name])
             assert _bits_equal(current[name], kept[name])
+
+
+def test_flat_buffers_update_like_per_block_state_over_400_steps():
+    """ADAM and the EMA once over flat buffers (the trainer's layout), with
+    clipping per run before the gradients are gathered, equal the same steps
+    taken block by block."""
+    blocks = _stacked_mlp(40)
+    teacher = TeacherState(copy.deepcopy(blocks))
+    adam = init_adam(blocks)
+    flat_params, views = flatten_params(blocks)
+    flat_teacher, teacher_views = flatten_params(teacher.params)
+    flat_adam = init_adam({"flat": flat_params})
+    flat_grads = np.empty_like(flat_params)
+    rng = Rng(41)
+    for step in range(400):
+        grads = {name: rng.gaussian(p.shape, 0.05 * (1 + step % 5)) for name, p in blocks.items()}
+        clipped = clip_gradients(grads, 1.0, 1, global_grad_norm(grads, 1))
+        np.concatenate([g.ravel() for g in clipped.values()], out=flat_grads)
+        lr, beta = 1e-3 * (1 + step % 7), (0.0, 0.9, 0.99)[step % 3]
+        adam_step(adam, blocks, clipped, lr, out=blocks)
+        adam_step(flat_adam, {"flat": flat_params}, {"flat": flat_grads}, lr,
+                  out={"flat": flat_params})
+        teacher_update(teacher, blocks, beta)
+        teacher_update(TeacherState({"flat": flat_teacher}), {"flat": flat_params}, beta)
+        for name in blocks:
+            assert _bits_equal(views[name], blocks[name])
+            assert _bits_equal(teacher_views[name], teacher.params[name])
+    m, v = (flatten_params(moments)[0] for moments in (adam.m, adam.v))
+    assert _bits_equal(flat_adam.m["flat"], m) and _bits_equal(flat_adam.v["flat"], v)
+    assert flat_adam.t == adam.t == 400
 
 
 def test_teacher_update_blends_blockwise():

@@ -1,0 +1,136 @@
+"""Seeded fuzz tests of the dataset reader, driven by the package's own Rng.
+
+Each case corrupts one or two lines of a valid file (truncation, a flipped
+bit, a bool label, a changed schema, a non-finite value). The reader must
+refuse it with an InputError naming the first corrupted line, and `train`
+on it must exit nonzero leaving only FAILED and its archived config.
+"""
+
+import json
+import os
+
+import pytest
+
+from smoothtune.cli import main
+from smoothtune.data import gen_cluster_classification, read_dataset, write_dataset
+from smoothtune.errors import InputError
+from smoothtune.tensor import Rng
+
+PRESET = os.path.join(os.path.dirname(__file__), "..", "configs", "two_moons_smooth.ini")
+LINES = 40
+CASES = 6  # corrupted files per kind
+
+
+def _pick(rng, n):
+    return int(rng.uniform() * n)
+
+
+def _lines(tmp_path):
+    """The lines of a valid 40-record cluster file with soft labels."""
+    path = str(tmp_path / "clean.jsonl")
+    write_dataset(path, gen_cluster_classification(LINES, 2, 2, 1.5, 0.8, seed=5))
+    with open(path, "rb") as fh:
+        return fh.read().split(b"\n")[:LINES]
+
+
+def _flip(rng, line):
+    """The line with one random bit of one random byte flipped."""
+    pos, bit = _pick(rng, len(line)), 1 << _pick(rng, 8)
+    return line[:pos] + bytes([line[pos] ^ bit]) + line[pos + 1:]
+
+
+def _truncated(rng, line, case):
+    return line[:1 + _pick(rng, len(line) - 1)]
+
+
+def _flipped(rng, line, case):
+    """The line with one bit flipped, chosen so that what the reader sees of
+    it (up to a flipped-in line break) no longer parses."""
+    while True:
+        flipped = _flip(rng, line)
+        try:
+            json.loads(flipped.decode("utf-8").replace("\r", "\n").split("\n")[0].strip())
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return flipped
+
+
+def _edited(edit):
+    def corrupt(rng, line, case):
+        rec = json.loads(line)
+        edit(rng, rec, case)
+        return json.dumps(rec).encode()
+    return corrupt
+
+
+def _bool_label(rng, rec, case):
+    rec["y"] = bool(_pick(rng, 2))
+
+
+def _other_schema(rng, rec, case):
+    choice = _pick(rng, 3)
+    if choice == 2:
+        rec["w"] = 1.0
+    else:
+        del rec[("p", "y")[choice]]
+
+
+def _non_finite(rng, rec, case):
+    # one field per file: "x" is checked on every line before "p" is
+    field = ("x", "p")[case % 2]
+    rec[field][_pick(rng, 2)] = (float("nan"), float("inf"), -float("inf"))[_pick(rng, 3)]
+
+
+KINDS = {
+    "truncated": (_truncated, "malformed record"),
+    "flipped": (_flipped, "malformed record"),
+    "bool_label": (_edited(_bool_label), "labels must be JSON numbers, not true/false"),
+    "mixed_schema": (_edited(_other_schema), "mixed record schemas"),
+    "non_finite": (_edited(_non_finite), r"non-finite value in '[xp]'"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_corrupted_files_are_refused_at_their_first_bad_line(tmp_path, kind):
+    corrupt, message = KINDS[kind]
+    clean = _lines(tmp_path)
+    rng = Rng(1000 + sorted(KINDS).index(kind))
+    for case in range(CASES):
+        lines = list(clean)  # one or two bad lines
+        # the schema is read off line 1, so a schema change starts at line 2
+        low = 1 if kind == "mixed_schema" else 0
+        bad = sorted({low + _pick(rng, LINES - low) for _ in range(1 + case % 2)})
+        for index in bad:
+            lines[index] = corrupt(rng, lines[index], case)
+        path = str(tmp_path / f"{kind}{case}.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines) + b"\n")
+        with pytest.raises(InputError, match=rf"{kind}{case}\.jsonl:{bad[0] + 1}: {message}"):
+            read_dataset(path)
+
+        out = tmp_path / f"out{case}"
+        code = main(["train", "--config", PRESET, "--out", str(out),
+                     "--set", f"data.train={path}", "--set", f"data.test={path}"])
+        assert code == 1
+        assert sorted(os.listdir(out)) == ["FAILED", "config.ini"]
+        assert (out / "FAILED").read_text().startswith("InputError:")
+
+
+def test_random_bit_flips_give_a_dataset_or_an_input_error(tmp_path):
+    """A flip may leave a file valid (a digit for a digit); it must never
+    raise anything but InputError."""
+    clean = _lines(tmp_path)
+    rng = Rng(1100)
+    path = str(tmp_path / "flips.jsonl")
+    outcomes = set()
+    for _ in range(60):
+        lines = list(clean)
+        index = _pick(rng, LINES)
+        lines[index] = _flip(rng, lines[index])
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines) + b"\n")
+        try:
+            read_dataset(path)
+            outcomes.add("read")
+        except InputError:
+            outcomes.add("refused")
+    assert outcomes == {"read", "refused"}

@@ -16,7 +16,8 @@ def on_tape(op, a, b):
 
 
 def matmul(a, b):
-    return on_tape(ad.matmul, a, b)
+    """a @ b through the package's product: an affine node with a zero bias."""
+    return on_tape(lambda x, w: ad.affine(x, w, x.tape.const(np.zeros(w.shape[-1]))), a, b)
 
 
 def test_add_componentwise():
