@@ -250,18 +250,19 @@ def build_head(
     pvars: dict[str, Var],
     emb: Var,
     masks: list[np.ndarray] | None = None,
+    features: list[Var] | None = None,
 ) -> Var:
     """Forward from an embedded batch to probabilities [n, k] or predictions [n],
-    with a leading stack axis on everything when the params are stacked."""
+    with a leading stack axis on everything when the params are stacked.
+    `features`, a list, receives the output layer's input before its dropout."""
     act = config.activation
     if config.arch == "mlp":
         h = emb
         n_hidden = len(config.hidden)
         for i in range(n_hidden):
             h = ad.affine(h, pvars[f"layer{i}.weight"], pvars[f"layer{i}.bias"], act)
-            if masks is not None:
+            if masks is not None and i < n_hidden - 1:
                 h = ad.mul_const(h, masks[i])
-        logits = ad.affine(h, pvars[f"layer{n_hidden}.weight"], pvars[f"layer{n_hidden}.bias"])
     else:
         pos = sinusoidal_positions(config.max_len, config.embed_dim)[:emb.value.shape[-2]]
         h = ad.add_broadcast(emb, emb.tape.const(pos))
@@ -278,11 +279,17 @@ def build_head(
             x = ad.affine(x, pvars[f"{p}.ff.w1"], pvars[f"{p}.ff.b1"], act)
             x = ad.affine(x, pvars[f"{p}.ff.w2"], pvars[f"{p}.ff.b2"])
             h = ad.add(h, x)
-        h = ad.layer_norm(h, pvars["out_ln.gain"], pvars["out_ln.bias"])
-        pooled = ad.mean_axis(h, -2)
-        if masks is not None:
-            pooled = ad.mul_const(pooled, masks[0])
-        logits = ad.affine(pooled, pvars["head.weight"], pvars["head.bias"])
+        h = ad.mean_axis(ad.layer_norm(h, pvars["out_ln.gain"], pvars["out_ln.bias"]), -2)
+    if features is not None:
+        features.append(h)
+    if masks:  # the last dropout site, right before the output layer
+        h = ad.mul_const(h, masks[-1])
+    return _output_layer(config, pvars, h)
+
+
+def _output_layer(config: ModelConfig, pvars: dict[str, Var], h: Var) -> Var:
+    last = f"layer{len(config.hidden)}" if config.arch == "mlp" else "head"
+    logits = ad.affine(h, pvars[f"{last}.weight"], pvars[f"{last}.bias"])
     if config.task == "classification":
         return ad.softmax(logits)
     return ad.reshape(logits, logits.value.shape[:-1])
@@ -323,9 +330,14 @@ def forward_from_embedding(
     return build_head(tape, config, pvars, tape.const(embedded)).value
 
 
-def forward(config: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
-    """Fused embed + head; identical to calling the two stages separately."""
+def forward(config: ModelConfig, params: ModelParams, inputs,
+            features: np.ndarray | None = None) -> np.ndarray:
+    """Fused embed + head; identical to calling the two stages separately.
+    Given `features`, what these params feed the output layer for these inputs
+    (see build_head), only the output layer runs."""
     tape = ForwardTape()
     pvars = leaf_params(tape, params, requires_grad=False)
+    if features is not None:
+        return _output_layer(config, pvars, tape.const(features)).value
     emb = build_embed(tape, config, pvars, inputs)
     return build_head(tape, config, pvars, emb).value

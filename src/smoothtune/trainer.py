@@ -232,15 +232,19 @@ def build_iteration_objective(
     The clean forward is computed once and shared by the task loss, the inner
     ascent target, and the smoothness term. Adversarial points enter as
     constants; teacher outputs come from a deterministic forward and likewise
-    stay constant under differentiation. With stacked params and batches the
-    loss terms hold one value per run, and `noise_rng` one rng per run.
+    stay constant under differentiation. A teacher passed as `params` itself
+    is the current iterate (a vbpp teacher after an update): its forward takes
+    the clean forward's output-layer input when no earlier dropout site shaped
+    it. With stacked params and batches the loss terms hold one value per run,
+    and `noise_rng` one rng per run.
     """
     reg_on = smart and cfg.reg_weight > 0
     breg_on = smart and cfg.prox.effective_weight > 0 and teacher_params is not None
     tape = Tape()
     pvars = mdl.leaf_params(tape, params, requires_grad=True)
     emb = mdl.build_embed(tape, model_cfg, pvars, xs)
-    outputs = mdl.build_head(tape, model_cfg, pvars, emb, masks)
+    features: list[Var] = []
+    outputs = mdl.build_head(tape, model_cfg, pvars, emb, masks, features)
     if counters is not None:
         counters.forwards += 1
     task = task_loss_mean_node(task_kind_for(model_cfg.task), outputs, ys)
@@ -262,7 +266,9 @@ def build_iteration_objective(
                                     masks, counters)
         total = ad.add(total, ad.cmul(reg, cfg.reg_weight))
     if breg_on:
-        teacher_out = mdl.forward(model_cfg, teacher_params, xs)
+        current = teacher_params is params and (masks is None or len(masks) <= 1)
+        teacher_out = mdl.forward(model_cfg, teacher_params, xs,
+                                  features[0].value if current else None)
         if counters is not None:
             counters.forwards += 1
         breg = smooth_loss_mean_node(
@@ -271,6 +277,17 @@ def build_iteration_objective(
         total = ad.add(total, ad.cmul(breg, cfg.prox.effective_weight))
     return Objective(tape=tape, total=total, task=task, reg=reg, breg=breg,
                      pvars=pvars, embedding=emb.value, adversarial=x_adv)
+
+
+def _teacher_params(state: TrainState) -> mdl.ModelParams | None:
+    """The teacher's blocks, or `state.params` itself when the bits are the
+    same; the first entries differ for almost any other teacher."""
+    if state.teacher is None:
+        return None
+    held, current = state.flat["teacher"]["flat"], state.flat["params"]["flat"]
+    same = held[0] == current[0] and np.array_equal(held.view(np.uint64),
+                                                     current.view(np.uint64))
+    return state.params if same else state.teacher.params
 
 
 def _next_batch(run: RunState, n: int) -> np.ndarray:
@@ -362,8 +379,7 @@ def continue_training(
             # numpy warnings on the way there
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 obj = build_iteration_objective(
-                    model_cfg, cfg, state.params,
-                    None if state.teacher is None else state.teacher.params,
+                    model_cfg, cfg, state.params, _teacher_params(state),
                     xs, ys, smart=state.smart, masks=masks,
                     noise_rng=noise, counters=state.counters,
                 )

@@ -93,6 +93,16 @@ def test_row_folds_equal_numpy_reductions(width):
     assert np.array_equal(got_sum.view(np.uint64), want_sum.view(np.uint64))
 
 
+@pytest.mark.parametrize("width", [9, 12, 15, 16, 17])
+def test_row_sum_keeps_numpy_pairwise_order(width):
+    """From 8 entries numpy sums a row pairwise; row_sum's tree of column
+    adds, up to 15 entries, and np.add.reduce beyond, give its bits."""
+    x = _rows_with_special_values(width)
+    with np.errstate(invalid="ignore"):
+        want, got = np.sum(x, axis=-1, keepdims=True), row_sum(x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_gaussian_zero_sigma_is_exact_zeros():
     assert np.array_equal(Rng(3).gaussian((3,), 0.0), np.zeros(3))
 

@@ -7,7 +7,8 @@ from smoothtune.adversarial import AdvConfig
 from smoothtune.data import Dataset, gen_token_sequences, gen_two_moons
 from smoothtune.errors import CheckpointError, ContractViolation
 from smoothtune.evaluate import accuracy
-from smoothtune.model import ModelConfig, init_params
+from smoothtune import model as mdl
+from smoothtune.model import ModelConfig, draw_dropout_masks, init_params
 from smoothtune.optimizer import ProxConfig
 from smoothtune.tensor import Rng
 from smoothtune.trainer import (
@@ -327,3 +328,65 @@ def test_regression_training_runs():
     res = smooth_finetune(cfg_model, _cfg(outer_steps=12, batch_size=8), ds, init)
     assert all(np.isfinite(r.total) for r in res.records)
     assert res.records[-1].reg_loss >= 0.0
+
+
+TEACHER_CASES = {  # (model, whether the teacher forward starts from the clean features)
+    "transformer_dropout": (ModelConfig(task="classification", classes=6, arch="transformer",
+                                        embed_dim=8, heads=2, layers=1, max_len=5, vocab_size=6,
+                                        dropout=0.2), True),
+    "mlp_one_hidden_dropout": (MLP, True),
+    "mlp_two_hidden_dropout": (dataclasses.replace(MLP, hidden=(6, 5)), False),
+    "mlp_linear": (dataclasses.replace(MLP, hidden=(), dropout=0.0), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEACHER_CASES))
+def test_current_teacher_equals_a_teacher_copy_bitwise(case, monkeypatch):
+    """A teacher passed as the params themselves, whose forward starts from
+    the clean forward's output-layer input when no earlier dropout site shaped
+    it, gives the objective and gradients that a bitwise copy gives."""
+    model, reused = TEACHER_CASES[case]
+    if model.arch == "mlp":
+        ds = _moons(12, seed=4)
+    else:
+        ds = gen_token_sequences(12, 6, 5, "majority", 4)
+    params = init_params(model, Rng(9))
+    masks = draw_dropout_masks(model, len(ds), Rng(10))
+    given = []
+
+    def forward(*args, _inner=mdl.forward, **kwargs):
+        given.append(args[3] is not None)
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(mdl, "forward", forward)
+    results = []
+    for teacher in (params, {name: block.copy() for name, block in params.items()}):
+        obj = build_iteration_objective(model, _cfg(), params, teacher, ds.inputs, ds.labels,
+                                        smart=True, masks=masks, noise_rng=Rng(11))
+        grads = obj.tape.backward(obj.total)
+        results.append((obj.breg.value, obj.total.value,
+                        [grads[var] for var in obj.pvars.values()]))
+    assert given == [reused, False]
+    (breg, total, grads), (breg_copy, total_copy, grads_copy) = results
+    assert breg == breg_copy and total == total_copy
+    assert all(np.array_equal(a, b) for a, b in zip(grads, grads_copy))
+
+
+def test_vbpp_teacher_is_the_current_iterate_at_every_update(monkeypatch):
+    """vbpp pins the teacher to the previous iterate, which with one inner
+    step is the params each update starts from, bit for bit; mbpp's teacher
+    is the params only before the first update."""
+    model = TEACHER_CASES["transformer_dropout"][0]
+    ds = gen_token_sequences(20, 6, 5, "majority", 5)
+    given = []
+
+    def forward(*args, _inner=mdl.forward, **kwargs):
+        given.append(args[3] is not None)
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(mdl, "forward", forward)
+    for mode, want in (("vbpp", [True] * 6), ("mbpp", [True] + [False] * 5)):
+        given.clear()
+        smooth_finetune(model, _cfg(prox=ProxConfig(mode=mode), outer_steps=6), ds,
+                        init_params(model, Rng(12)))
+        assert given == want, mode
