@@ -330,8 +330,10 @@ def _sweep_rows(cfg: RunConfig) -> list[str]:
                         f"{tm!r},{'' if sm is None else repr(sm)},{probe!r}")
             groups.setdefault((method, rw, pw, frac), []).append((tm, sm, probe))
     for (method, rw, pw, frac), vals in groups.items():
-        tms, sms, prb = (None if column[0] is None else float(np.median(column))
-                         for column in zip(*vals))
+        tms = float(np.median([v[0] for v in vals]))
+        sms = (None if vals[0][1] is None
+               else float(np.median([v[1] for v in vals])))
+        prb = float(np.median([v[2] for v in vals]))
         rows.append(f"{method},{rw!r},{pw!r},{frac!r},median,"
                     f"{tms!r},{'' if sms is None else repr(sms)},{prb!r}")
     return rows
