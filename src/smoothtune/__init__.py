@@ -37,7 +37,6 @@ from .model import (
 from .optimizer import (
     AdamState,
     ProxConfig,
-    TeacherState,
     adam_step,
     beta_at,
     clip_gradients,

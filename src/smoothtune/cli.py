@@ -102,14 +102,14 @@ def _train_stack(state: tr.TrainState, datasets: list[dat.Dataset], test_ds, eva
                  checkpoint_every: int = 0, ckpt_path: str | None = None) -> list[tuple]:
     """Advance a stack to its last outer step and return each run's (final
     params, records, eval rows). This is the one place a run pauses: every
-    `eval_every` steps after the start, and at the last step, to give each run
-    an eval row (step, train metric, test metric); and at each multiple of
+    `eval_every` steps after the start and before the last step, to give each
+    run an eval row (step, train metric, test metric); and at each multiple of
     `checkpoint_every` before the last step to write `ckpt_path`. Paused runs
     traverse exactly the trajectory of an unpaused one, and a state already at
-    its last step still takes one (empty) segment. The last row's train metric
-    is left None for `_score` to read off the probe."""
+    its last step still takes one (empty) segment. The row at the last step is
+    `_score`'s."""
     start, last = state.outer_t, state.cfg.outer_steps
-    eval_stops = {*range(start + eval_every, last, eval_every), last} if eval_every else set()
+    eval_stops = set(range(start + eval_every, last, eval_every)) if eval_every else set()
     ckpt_stops = {t for t in range(start + 1, last)
                   if checkpoint_every and t % checkpoint_every == 0}
     records: list[list[tr.TrainRecord]] = [[] for _ in datasets]
@@ -121,28 +121,20 @@ def _train_stack(state: tr.TrainState, datasets: list[dat.Dataset], test_ds, eva
         for ds, result, run_records, run_evals in zip(datasets, results, records, evals):
             run_records.extend(result.records)
             if stop in eval_stops:
-                run_evals.append((state.global_step,
-                                  None if stop == last else _metric(state.model_cfg,
-                                                                    result.params, ds),
+                run_evals.append((state.global_step, _metric(state.model_cfg, result.params, ds),
                                   _metric(state.model_cfg, result.params, test_ds)))
     return [(result.params, run_records, run_evals)
             for result, run_records, run_evals in zip(results, records, evals)]
 
 
-def _score(cfg: RunConfig, params, train_ds, test_ds, probe_eps: float, seed: int,
-           evals=()) -> tuple[float, float | None, float]:
+def _score(cfg: RunConfig, params, train_ds, test_ds, probe_eps: float,
+           seed: int) -> tuple[float, float | None, float]:
     """One run's final train metric, test metric and smoothness probe. The
-    train metric is read off the probe's clean forward (the train split runs
-    1 + probe_samples forwards) and fills in the last eval row's, which is at
-    the final step and holds the test metric."""
+    train metric is read off the probe's clean forward, so the train split
+    runs 1 + probe_samples forwards and the test split one."""
     probe, train_metric = ev.local_smoothness_probe(cfg.model, params, train_ds, probe_eps,
                                                     cfg.probe_samples, seed, with_metric=True)
-    if evals:
-        step, _, test_metric = evals[-1]
-        evals[-1] = (step, train_metric, test_metric)
-    else:
-        test_metric = _metric(cfg.model, params, test_ds)
-    return train_metric, test_metric, probe
+    return train_metric, _metric(cfg.model, params, test_ds), probe
 
 
 def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
@@ -159,8 +151,9 @@ def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
             state = tr.init_train_state(cfg.model, cfg.train,
                                         mdl.init_params(cfg.model, Rng(cfg.train.seed).child(0)),
                                         smart=cfg.method == "smooth")
+        eval_every = 0 if resume is not None else cfg.eval_every
         [(params, records, evals)] = _train_stack(
-            state, [train_ds], test_ds, 0 if resume is not None else cfg.eval_every,
+            state, [train_ds], test_ds, eval_every,
             cfg.checkpoint_every, os.path.join(cfg.out_dir, "checkpoint.json"))
 
         _write_text(os.path.join(cfg.out_dir, "records.csv"),
@@ -168,11 +161,11 @@ def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
         tr.save_train_checkpoint(os.path.join(cfg.out_dir, "checkpoint_final.json"), state)
         probe_eps = cfg.probe_eps if cfg.probe_eps is not None else cfg.train.adv.eps
         final_train, final_test, probe = _score(cfg, params, train_ds, test_ds, probe_eps,
-                                                cfg.train.seed, evals)
-        if evals:
-            lines = ["step,train_metric,test_metric"]
-            for step, tm, sm in evals:
-                lines.append(f"{step},{tm!r},{'' if sm is None else repr(sm)}")
+                                                cfg.train.seed)
+        if eval_every:
+            evals.append((state.global_step, final_train, final_test))
+            lines = ["step,train_metric,test_metric"] + [
+                f"{step},{tm!r},{'' if sm is None else repr(sm)}" for step, tm, sm in evals]
             _write_text(os.path.join(cfg.out_dir, "eval_history.csv"),
                         "\n".join(lines) + "\n")
         metrics = {

@@ -217,6 +217,14 @@ def _refusal(path: str, bad) -> InputError:
     return InputError(f"{path}:{lineno}: {message}")
 
 
+def _array(obj, dtype=np.float64) -> np.ndarray | None:
+    """np.asarray(obj, dtype), or None where numpy refuses obj."""
+    try:
+        return np.asarray(obj, dtype=dtype)
+    except (ValueError, TypeError, OverflowError):
+        return None
+
+
 def read_dataset(path: str) -> Dataset:
     """Load a dataset file, refusing a malformed one with an InputError that
     names its first bad line where there is one. Each check runs over a whole
@@ -253,10 +261,7 @@ def read_dataset(path: str) -> Dataset:
             else "mixed label types" if isinstance(rec["y"], int) != (task == "classification")
             else None if type(rec["y"]) in (int, float) else "labels must be JSON numbers"))
     inputs = [rec["x" if input_kind == "vector" else "tokens"] for rec in records]
-    try:
-        inputs_arr = np.asarray(inputs, dtype=np.float64 if input_kind == "vector" else None)
-    except (ValueError, TypeError):
-        inputs_arr = None
+    inputs_arr = _array(inputs, np.float64 if input_kind == "vector" else None)
     if inputs_arr is None or inputs_arr.ndim != 2:
         raise InputError(f"{path}: input rows must be equal-length lists of numbers")
     # numpy folds true/false into integer arrays, so bools are looked for by type
@@ -266,9 +271,16 @@ def read_dataset(path: str) -> Dataset:
         raise _refusal(path, lambda k, rec: (not rec["tokens"] or any(
             type(t) is not int or not -2**63 <= t < 2**63 for t in rec["tokens"]))
             and "token ids must be JSON integers")
-    labels_arr = np.asarray(labels, dtype=np.int64 if task == "classification" else np.float64)
-    soft_arr = np.asarray([rec["p"] for rec in records], dtype=np.float64) \
-        if "p" in schema else None
+    # the label types are checked, so only a class label beyond int64 is refused here
+    labels_arr = _array(labels, np.int64 if task == "classification" else np.float64)
+    if labels_arr is None:
+        raise _refusal(path, lambda k, rec: not -2**63 <= rec["y"] < 2**63
+                       and "class labels must fit in 64 bits")
+    soft_arr = _array([rec["p"] for rec in records]) if "p" in schema else None
+    if "p" in schema and (soft_arr is None or soft_arr.ndim != 2):
+        raise _refusal(path, lambda k, rec: ((p := _array(rec["p"])) is None or p.ndim != 1
+                                             or len(p) != len(records[0]["p"]))
+                       and "soft labels must be equal-length lists of numbers")
     for name, arr in (("x", inputs_arr), ("y", labels_arr), ("p", soft_arr)):
         if arr is not None and arr.dtype == np.float64 and not np.isfinite(arr).all():
             row = np.flatnonzero(~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1))[0]

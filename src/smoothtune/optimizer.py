@@ -1,18 +1,19 @@
 """ADAM with global-norm gradient clipping, the warmup/linear-decay schedule,
 the trust-region settings, and the EMA teacher.
 
-Norms and clipping take a `lead` count of stack axes: stacked runs are normed
-and clipped each on its own, and ADAM and the EMA are elementwise, so every run
-of a stack is updated exactly as it would be alone. Both work in arrays they
-own, with the float ops of the out-of-place formulas in the same order."""
+Norms and clipping take the per-block gradients and a `lead` count of stack
+axes: stacked runs are normed and clipped each on its own, with the block sums
+added in block order. ADAM and the EMA are elementwise, so they work on one
+flat array per stack (`model.flatten_params`), in place, with the float ops of
+the out-of-place formulas in the same order; every run of a stack is updated
+exactly as it would be alone."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import model as mdl
 from .errors import ContractViolation, check_finite_fields
 
 GradientMap = dict[str, np.ndarray]
@@ -22,18 +23,16 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
 class AdamState:
-    m: mdl.ModelParams
-    v: mdl.ModelParams
-    t: int = 0
-    # two arrays per block for adam_step's temporaries; never saved
-    work: dict = field(default_factory=dict, repr=False, compare=False)
+    """Flat moments and step count; `work` holds adam_step's temporaries."""
+
+    def __init__(self, m: np.ndarray, v: np.ndarray, t: int = 0):
+        self.m, self.v, self.t = m, v, t
+        self.work = (np.empty(m.shape), np.empty(m.shape))
 
 
-def init_adam(params: mdl.ModelParams) -> AdamState:
-    zeros = {name: np.zeros_like(block) for name, block in params.items()}
-    return AdamState(m=zeros, v={name: z.copy() for name, z in zeros.items()})
+def init_adam(params: np.ndarray) -> AdamState:
+    return AdamState(np.zeros_like(params), np.zeros_like(params))
 
 
 def global_grad_norm(grads: GradientMap, lead: int = 0):
@@ -76,36 +75,24 @@ def lr_at(step: int, total_steps: int, peak: float, warmup_fraction: float) -> f
     return peak * (total_steps - step) / (total_steps - w)
 
 
-def adam_step(
-    state: AdamState, params: mdl.ModelParams, grads: GradientMap, lr: float,
-    out: mdl.ModelParams | None = None,
-) -> mdl.ModelParams:
-    """One bias-corrected ADAM update; advances the state in place.
-
-    Returns new parameter arrays, or writes them into `out` (which may be
-    `params`) and returns it; the arithmetic is the same either way.
-    """
-    if list(params.keys()) != list(state.m.keys()) or list(params.keys()) != list(grads.keys()):
-        raise ContractViolation("adam_step: parameter/gradient structure mismatch")
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+    """One bias-corrected ADAM update of the flat `params`, in place; advances
+    the state and never writes `grads`."""
+    if not params.shape == grads.shape == state.m.shape:
+        raise ContractViolation(f"adam_step: params {params.shape}, grads {grads.shape}, "
+                                f"moments {state.m.shape}")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    result: mdl.ModelParams = {} if out is None else out
-    for name, p in params.items():
-        g = grads[name]
-        m, v = state.m[name], state.v[name]
-        if name not in state.work or state.work[name][0].shape != p.shape:
-            state.work[name] = (np.empty(p.shape), np.empty(p.shape))
-        a, b = state.work[name]
-        # m <- beta1 m + (1 - beta1) g and v <- beta2 v + (1 - beta2) g^2
-        np.add(np.multiply(m, ADAM_BETA1, out=m), np.multiply(g, 1.0 - ADAM_BETA1, out=a), out=m)
-        np.multiply(np.multiply(g, g, out=a), 1.0 - ADAM_BETA2, out=a)
-        np.add(np.multiply(v, ADAM_BETA2, out=v), a, out=v)
-        # step = lr * (m / c1) / (sqrt(v / c2) + eps), in a
-        np.multiply(np.divide(m, c1, out=a), lr, out=a)
-        a /= np.add(np.sqrt(np.divide(v, c2, out=b), out=b), ADAM_EPS, out=b)
-        result[name] = p - a if out is None else np.subtract(p, a, out=out[name])
-    return result
+    m, v, (a, b) = state.m, state.v, state.work
+    # m <- beta1 m + (1 - beta1) g and v <- beta2 v + (1 - beta2) g^2
+    np.add(np.multiply(m, ADAM_BETA1, out=m), np.multiply(grads, 1.0 - ADAM_BETA1, out=a), out=m)
+    np.multiply(np.multiply(grads, grads, out=a), 1.0 - ADAM_BETA2, out=a)
+    np.add(np.multiply(v, ADAM_BETA2, out=v), a, out=v)
+    # step = lr * (m / c1) / (sqrt(v / c2) + eps), in a
+    np.multiply(np.divide(m, c1, out=a), lr, out=a)
+    a /= np.add(np.sqrt(np.divide(v, c2, out=b), out=b), ADAM_EPS, out=b)
+    np.subtract(params, a, out=params)
 
 
 # ---------------------------------------------------------------------------
@@ -134,26 +121,14 @@ class ProxConfig:
         return 0.0 if self.mode == "off" else self.prox_weight
 
 
-@dataclass
-class TeacherState:
-    params: mdl.ModelParams
-
-
-def teacher_update(teacher: TeacherState, current: mdl.ModelParams, beta: float) -> TeacherState:
-    """Blockwise (1 - beta) * current + beta * teacher, written into the
-    teacher's own arrays; returns the same teacher."""
+def teacher_update(teacher: np.ndarray, current: np.ndarray, beta: float) -> None:
+    """(1 - beta) * current + beta * teacher, written into the flat teacher."""
     if not 0 <= beta < 1:
         raise ContractViolation(f"beta must lie in [0, 1), got {beta}")
-    if list(current.keys()) != list(teacher.params.keys()):
-        raise ContractViolation("teacher_update: block structure mismatch")
-    for name, block in current.items():
-        held = teacher.params[name]
-        if block.shape != held.shape:
-            raise ContractViolation(f"teacher_update: block {name} shape {block.shape} "
-                                    f"vs {held.shape}")
-        # the current term first, so a teacher sharing arrays with `current` blends right
-        np.add(np.multiply(block, 1.0 - beta), np.multiply(held, beta, out=held), out=held)
-    return teacher
+    if current.shape != teacher.shape:
+        raise ContractViolation(f"teacher_update: shape {current.shape} vs {teacher.shape}")
+    # the current term first, so a teacher sharing memory with `current` blends right
+    np.add(np.multiply(current, 1.0 - beta), np.multiply(teacher, beta, out=teacher), out=teacher)
 
 
 def beta_at(outer_step: int, total: int, cfg: ProxConfig) -> float:

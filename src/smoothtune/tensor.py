@@ -32,7 +32,9 @@ def row_max(x: Tensor) -> Tensor:
 
     numpy reduces a last axis row by row, which on narrow rows costs far more
     than the comparisons; the fold is one vectorized op per column. Max is
-    order-free, so the values are equal; only a NaN's sign bit may differ.
+    order-free, so the values are equal; a NaN's sign bit may differ, and from
+    9 entries so may the sign of a zero maximum on rows mixing -0.0 and +0.0,
+    which softmax does not see (exp(-0.0) == exp(0.0)).
     """
     if x.shape[-1] == 0:
         return np.max(x, axis=-1, keepdims=True)

@@ -12,9 +12,11 @@ Each run keeps its own rng streams and batch order, losses are per-run means,
 and norms and clipping are per run, so one stacked update gives every run the
 bits it would get alone. A solo run is a stack of one, through the same loop.
 
-Parameters, gradients, ADAM moments and teacher each live in one flat buffer
-(`model.flatten_params`) that the blocks are views of, so ADAM and the EMA run
-once per stack instead of once per block, with the same bits.
+Parameters, gradients, ADAM moments and teacher each live in one flat array
+per stack laid out by `model.flatten_params`. The tape reads the params through
+their block views, the gradients are gathered into the flat array after the
+per-run clip, and ADAM and the EMA run once over the flat arrays, with the bits
+a per-block update would give.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .losses import smooth_kind_for, smooth_loss_mean_node, task_kind_for, task_
 from .optimizer import (
     AdamState,
     ProxConfig,
-    TeacherState,
     adam_step,
     beta_at,
     clip_gradients,
@@ -140,10 +141,12 @@ class TrainState:
     model_cfg: mdl.ModelConfig
     runs: list[RunState]
     smart: bool                       # regularized method vs baseline
-    params: mdl.ModelParams           # stacked, one slice per run; views of flat["params"]
-    teacher: TeacherState | None      # stacked; views of flat["teacher"]
-    adam: AdamState                   # moments of flat["params"], one "flat" block each
-    flat: dict[str, dict[str, np.ndarray]]  # {"flat": buffer} for params, teacher, grads
+    flat: np.ndarray                  # every run's params in one array (model.flatten_params)
+    params: mdl.ModelParams           # stacked block views of flat, one slice per run
+    grads: np.ndarray                 # the clipped gradients, laid out as flat
+    adam: AdamState                   # the moments, laid out as flat
+    teacher: np.ndarray | None        # laid out as flat
+    teacher_params: mdl.ModelParams | None  # stacked block views of teacher
     outer_t: int = 0                  # completed outer iterations
     global_step: int = 0              # completed updates
     counters: PassCounters = dataclasses.field(default_factory=PassCounters)  # stacked passes
@@ -177,19 +180,19 @@ def _as_list(value, solo_type) -> list:
     return [value] if isinstance(value, solo_type) else list(value)
 
 
-def _new_state(model_cfg, cfgs, params, teacher, adam, smart, streams) -> TrainState:
-    """A state over flat copies of stacked `params`, `teacher` (or None) and `adam`."""
+def _new_state(model_cfg, cfgs, params, teacher, moments, smart, streams) -> TrainState:
+    """A state over flat copies of stacked `params`, `teacher` (or None) and
+    ADAM `moments` (stacked m, stacked v, t), or fresh moments when None."""
     if any(dataclasses.replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
         raise ContractViolation("the runs of one stack may differ only in seed")
     runs = [RunState(cfg=c, streams=st) for c, st in zip(cfgs, streams)]
-    flat_params, params = mdl.flatten_params(params)
-    flat = {"params": {"flat": flat_params}, "grads": {"flat": np.empty_like(flat_params)}}
-    if teacher is not None:
-        flat_teacher, blocks = mdl.flatten_params(teacher)
-        flat["teacher"], teacher = {"flat": flat_teacher}, TeacherState(blocks)
-    adam = AdamState(*({"flat": mdl.flatten_params(m)[0]} for m in (adam.m, adam.v)), adam.t)
-    return TrainState(model_cfg=model_cfg, runs=runs, smart=smart, params=params,
-                      teacher=teacher, adam=adam, flat=flat)
+    flat, params = mdl.flatten_params(params)
+    adam = init_adam(flat) if moments is None else AdamState(
+        mdl.flatten_params(moments[0])[0], mdl.flatten_params(moments[1])[0], moments[2])
+    teacher, teacher_params = (None, None) if teacher is None else mdl.flatten_params(teacher)
+    return TrainState(model_cfg=model_cfg, runs=runs, smart=smart, flat=flat, params=params,
+                      grads=np.empty_like(flat), adam=adam, teacher=teacher,
+                      teacher_params=teacher_params)
 
 
 def init_train_state(
@@ -209,8 +212,8 @@ def init_train_state(
         streams.append({name: master.child(tag) for name, tag in _STREAM_TAGS.items()})
     params = mdl.stack_params(model_cfg, inits)
     use_teacher = smart and cfgs[0].prox.effective_weight > 0
-    return _new_state(model_cfg, cfgs, params, params if use_teacher else None,
-                      init_adam(params), smart, streams)
+    return _new_state(model_cfg, cfgs, params, params if use_teacher else None, None,
+                      smart, streams)
 
 
 def build_iteration_objective(
@@ -284,10 +287,9 @@ def _teacher_params(state: TrainState) -> mdl.ModelParams | None:
     same; the first entries differ for almost any other teacher."""
     if state.teacher is None:
         return None
-    held, current = state.flat["teacher"]["flat"], state.flat["params"]["flat"]
-    same = held[0] == current[0] and np.array_equal(held.view(np.uint64),
-                                                     current.view(np.uint64))
-    return state.params if same else state.teacher.params
+    same = (state.teacher[0] == state.flat[0]
+            and np.array_equal(state.teacher.view(np.uint64), state.flat.view(np.uint64)))
+    return state.params if same else state.teacher_params
 
 
 def _next_batch(run: RunState, n: int) -> np.ndarray:
@@ -356,7 +358,7 @@ def continue_training(
     runs traverse exactly the trajectory of an unpaused one. A stack takes one
     dataset per run and gives one result per run; a single dataset gives a
     single result."""
-    model_cfg, cfg, runs, flat = state.model_cfg, state.cfg, state.runs, state.flat
+    model_cfg, cfg, runs = state.model_cfg, state.cfg, state.runs
     datasets = _as_list(dataset, Dataset)
     if len(datasets) != len(runs):
         raise ContractViolation(f"{len(datasets)} datasets for a stack of {len(runs)} runs")
@@ -400,12 +402,11 @@ def continue_training(
                     raise ContractViolation(f"non-finite {what} at step {state.global_step + 1} "
                                             f"in run {i} (seed {runs[i].cfg.seed})")
             grads = clip_gradients(grads, cfg.clip_norm, 1, norms)
-            np.concatenate([grads[name].ravel() for name in state.params],
-                           out=flat["grads"]["flat"])
+            np.concatenate([grads[name].ravel() for name in state.params], out=state.grads)
             del grads  # likewise free before the next update's tape is built
             state.global_step += 1
             lr = lr_at(state.global_step, cfg.total_updates, cfg.peak_lr, cfg.warmup_frac)
-            adam_step(state.adam, flat["params"], flat["grads"], lr, out=flat["params"])
+            adam_step(state.adam, state.flat, state.grads, lr)
             for i, run_records in enumerate(records):
                 run_records.append(TrainRecord(
                     step=state.global_step, lr=lr, beta=beta, task_loss=task[i],
@@ -414,7 +415,7 @@ def continue_training(
                     total=total[i], grad_norm=grad_norms[i],
                 ))
         if state.teacher is not None:
-            teacher_update(TeacherState(flat["teacher"]), flat["params"], beta)
+            teacher_update(state.teacher, state.flat, beta)
         state.outer_t = t
     finals = mdl.unstack_params(model_cfg, state.params)
     results = [TrainResult(params=p, records=r, state=state) for p, r in zip(finals, records)]
@@ -488,22 +489,18 @@ def save_train_checkpoint(path: str, state: TrainState) -> None:
     (run,) = state.runs
     shapes = {name: block.shape for name, block in state.params.items()}
 
-    def tensors(stacked):
-        return tensors_to_obj(mdl.unstack_params(state.model_cfg, stacked)[0])
+    def tensors(flat):
+        return tensors_to_obj(mdl.unstack_params(state.model_cfg, mdl.flat_views(flat, shapes))[0])
 
     write_json(path, {
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(state.model_cfg),
-        "tensors": tensors(state.params),
+        "tensors": tensors(state.flat),
         "train_state": {
             "smart": state.smart,
             "train_config": dataclasses.asdict(run.cfg),
-            "adam": {
-                "m": tensors(mdl.flat_views(state.adam.m["flat"], shapes)),
-                "v": tensors(mdl.flat_views(state.adam.v["flat"], shapes)),
-                "t": state.adam.t,
-            },
-            "teacher": None if state.teacher is None else tensors(state.teacher.params),
+            "adam": {"m": tensors(state.adam.m), "v": tensors(state.adam.v), "t": state.adam.t},
+            "teacher": None if state.teacher is None else tensors(state.teacher),
             "streams": {name: list(rng.state()) for name, rng in run.streams.items()},
             "outer_t": state.outer_t,
             "global_step": state.global_step,
@@ -526,14 +523,13 @@ def resume_from_checkpoint(path: str) -> TrainState:
         def tensors(obj):
             return mdl.stack_params(model_cfg, [tensors_from_obj(obj)])
 
-        adam = AdamState(m=tensors(ts["adam"]["m"]), v=tensors(ts["adam"]["v"]),
-                         t=int(ts["adam"]["t"]))
+        moments = (tensors(ts["adam"]["m"]), tensors(ts["adam"]["v"]), int(ts["adam"]["t"]))
         teacher = None if ts["teacher"] is None else tensors(ts["teacher"])
         streams = {name: Rng.from_state(st) for name, st in ts["streams"].items()}
         if set(streams) != set(_STREAM_TAGS):
             raise CheckpointError(f"cannot load {path}: unexpected rng streams")
-        state = _new_state(model_cfg, [cfg], tensors(document["tensors"]), teacher, adam,
-                           bool(ts["smart"]), [streams])
+        state = _new_state(model_cfg, [cfg], tensors(document["tensors"]), teacher,
+                           moments, bool(ts["smart"]), [streams])
         sampler = ts["sampler"]
         state.runs[0].sampler_perm = None if sampler["perm"] is None \
             else np.asarray(sampler["perm"], dtype=np.int64)

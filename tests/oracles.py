@@ -127,18 +127,14 @@ def ref_adam_step(state, params, grads, lr):
     """The out-of-place bias-corrected ADAM step: new m, v and params arrays."""
     t = state["t"] + 1
     c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
-    m, v, out = {}, {}, {}
-    for name, p in params.items():
-        g = grads[name]
-        m[name] = state["m"][name] * 0.9 + (1.0 - 0.9) * g
-        v[name] = state["v"][name] * 0.999 + (1.0 - 0.999) * (g * g)
-        out[name] = p - lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + 1e-8)
-    return {"m": m, "v": v, "t": t}, out
+    m = state["m"] * 0.9 + (1.0 - 0.9) * grads
+    v = state["v"] * 0.999 + (1.0 - 0.999) * (grads * grads)
+    return {"m": m, "v": v, "t": t}, params - lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
 
 def ref_teacher_update(teacher, current, beta):
-    """Blockwise (1 - beta) * current + beta * teacher into new arrays."""
-    return {name: (1.0 - beta) * block + beta * teacher[name] for name, block in current.items()}
+    """(1 - beta) * current + beta * teacher into a new array."""
+    return (1.0 - beta) * current + beta * teacher
 
 
 def attention_chain(q, k, v, heads):

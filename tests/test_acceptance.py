@@ -17,13 +17,13 @@ from smoothtune.evaluate import accuracy, local_smoothness_probe
 from smoothtune.losses import smooth_loss_rows
 from smoothtune.model import (
     ModelConfig,
+    flatten_params,
     forward,
     forward_from_embedding,
     init_params,
 )
 from smoothtune.optimizer import (
     ProxConfig,
-    TeacherState,
     adam_step,
     beta_at,
     clip_gradients,
@@ -251,26 +251,27 @@ def test_criterion_5_smoothness_analog():
     start = time.time()
     mlp = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2,
                       hidden=(16, 16), dropout=0.0)
-    probes_s, probes_v, accs_s, accs_v = [], [], [], []
-    for seed in range(10):
-        train = gen_two_moons(40, 0.25, seed=1000 + seed)
-        test = gen_two_moons(1000, 0.25, seed=2000 + seed)
-        init = init_params(mlp, Rng(seed))
-        base = dict(outer_steps=800, batch_size=20, peak_lr=0.03, seed=seed)
-        scfg = TrainConfig(reg_weight=3.0,
-                           adv=AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02,
-                                         steps=1),
-                           prox=ProxConfig(prox_weight=1.0, mode="mbpp"), **base)
-        vcfg = TrainConfig(reg_weight=0.0, adv=scfg.adv,
-                           prox=ProxConfig(prox_weight=0.0, mode="mbpp"), **base)
-        s = smooth_finetune(mlp, scfg, train, init)
-        v = vanilla_finetune(mlp, vcfg, train, init)
-        probes_s.append(local_smoothness_probe(mlp, s.params, train, 0.1, 64, seed=9))
-        probes_v.append(local_smoothness_probe(mlp, v.params, train, 0.1, 64, seed=9))
-        accs_s.append(accuracy(mlp, s.params, test))
-        accs_v.append(accuracy(mlp, v.params, test))
-    ps, pv = float(np.median(probes_s)), float(np.median(probes_v))
-    as_, av = float(np.median(accs_s)), float(np.median(accs_v))
+    seeds = range(10)
+    trains = [gen_two_moons(40, 0.25, seed=1000 + seed) for seed in seeds]
+    tests = [gen_two_moons(1000, 0.25, seed=2000 + seed) for seed in seeds]
+    inits = [init_params(mlp, Rng(seed)) for seed in seeds]
+    base = dict(outer_steps=800, batch_size=20, peak_lr=0.03)
+    scfg = TrainConfig(reg_weight=3.0,
+                       adv=AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02, steps=1),
+                       prox=ProxConfig(prox_weight=1.0, mode="mbpp"), **base)
+    vcfg = TrainConfig(reg_weight=0.0, adv=scfg.adv,
+                       prox=ProxConfig(prox_weight=0.0, mode="mbpp"), **base)
+    # every run takes batches of 20, so each method trains its 10 seeds as one stack
+    arms = {"s": smooth_finetune(mlp, [dataclasses.replace(scfg, seed=seed) for seed in seeds],
+                                 trains, inits),
+            "v": vanilla_finetune(mlp, [dataclasses.replace(vcfg, seed=seed) for seed in seeds],
+                                  trains, inits)}
+    probes = {arm: [local_smoothness_probe(mlp, r.params, ds, 0.1, 64, seed=9)
+                    for r, ds in zip(results, trains)] for arm, results in arms.items()}
+    accs = {arm: [accuracy(mlp, r.params, ds) for r, ds in zip(results, tests)]
+            for arm, results in arms.items()}
+    ps, pv = float(np.median(probes["s"])), float(np.median(probes["v"]))
+    as_, av = float(np.median(accs["s"])), float(np.median(accs["v"]))
     elapsed = time.time() - start
     ok = ps <= 0.5 * pv and as_ >= av and elapsed < 600
     _report(5, "smoothness analog", ok,
@@ -332,22 +333,23 @@ def test_criterion_6_low_resource_trend():
 def test_criterion_7_trust_region_effect():
     mlp = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2,
                       hidden=(16, 16), dropout=0.0)
-    values = {mu: [] for mu in (0.0, 1.0, 100.0)}
-    for seed in range(10):
-        train = gen_two_moons(200, 0.2, seed=100 + seed)
-        held = gen_two_moons(400, 0.2, seed=900 + seed)
-        init = init_params(mlp, Rng(seed))
-        for mu in values:
-            cfg = TrainConfig(reg_weight=0.0,
-                              adv=AdvConfig(eps=0.1, noise_std=0.01,
-                                            step_size=0.02, steps=1),
-                              prox=ProxConfig(prox_weight=mu, mode="mbpp"),
-                              outer_steps=250, batch_size=32, peak_lr=0.02, seed=seed)
-            res = smooth_finetune(mlp, cfg, train, init)
-            # mean symmetrized KL between the final and the starting outputs
-            values[mu].append(float(np.mean(smooth_loss_rows(
-                "symmetrized_kl", forward(mlp, res.params, held.inputs),
-                forward(mlp, init, held.inputs)))))
+    seeds = range(10)
+    trains = [gen_two_moons(200, 0.2, seed=100 + seed) for seed in seeds]
+    helds = [gen_two_moons(400, 0.2, seed=900 + seed) for seed in seeds]
+    inits = [init_params(mlp, Rng(seed)) for seed in seeds]
+    values = {}
+    for mu in (0.0, 1.0, 100.0):
+        # every run takes batches of 32, so each mu trains its 10 seeds as one stack
+        cfgs = [TrainConfig(reg_weight=0.0,
+                            adv=AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02, steps=1),
+                            prox=ProxConfig(prox_weight=mu, mode="mbpp"),
+                            outer_steps=250, batch_size=32, peak_lr=0.02, seed=seed)
+                for seed in seeds]
+        results = smooth_finetune(mlp, cfgs, trains, inits)
+        # mean symmetrized KL between the final and the starting outputs
+        values[mu] = [float(np.mean(smooth_loss_rows(
+            "symmetrized_kl", forward(mlp, res.params, held.inputs),
+            forward(mlp, init, held.inputs)))) for res, held, init in zip(results, helds, inits)]
     med = {mu: float(np.median(v)) for mu, v in values.items()}
     ok = med[0.0] > med[1.0] > med[100.0]
     _report(7, "trust-region effect", ok,
@@ -362,22 +364,20 @@ def test_criterion_7_trust_region_effect():
 
 def test_criterion_8_unit_exactness():
     # first ADAM step closed form
-    params = {"w": np.array([0.0])}
+    params = np.array([0.0])
     state = init_adam(params)
-    out = adam_step(state, params, {"w": np.array([0.5])}, 0.01)
-    adam_err = abs(out["w"][0] - (-0.01 * 0.5 / (0.5 + 1e-8)))
+    adam_step(state, params, np.array([0.5]), 0.01)
+    adam_err = abs(params[0] - (-0.01 * 0.5 / (0.5 + 1e-8)))
     assert adam_err < 1e-12
 
-    # teacher EMA geometric contraction
+    # teacher EMA geometric contraction, on the trainer's flat layout
     mlp = ModelConfig(arch="mlp", input_dim=2, hidden=(4,), dropout=0.0)
-    current = init_params(mlp, Rng(1))
-    teacher = TeacherState(init_params(mlp, Rng(2)))
-    gap0 = max(np.max(np.abs(teacher.params[n] - current[n])) for n in current)
+    current, teacher = (flatten_params(init_params(mlp, Rng(seed)))[0] for seed in (1, 2))
+    gap0 = np.max(np.abs(teacher - current))
     ema_err = 0.0
-    stt = teacher
     for k in range(1, 10):
-        stt = teacher_update(stt, current, 0.99)
-        gap = max(np.max(np.abs(stt.params[n] - current[n])) for n in current)
+        teacher_update(teacher, current, 0.99)
+        gap = np.max(np.abs(teacher - current))
         ema_err = max(ema_err, abs(gap - 0.99 ** k * gap0))
     assert ema_err < 1e-10
 

@@ -369,12 +369,22 @@ def test_a_sweep_removes_a_stale_sweep_csv(workspace, capsys):
     assert sorted(os.listdir(out)) == ["FAILED", "config.ini"]
 
 
+def _count_forward_rows(monkeypatch):
+    """The row count of every eager forward from now on."""
+    rows = []
+    for name in ("forward", "forward_from_embedding"):
+        def counted(*args, _inner=getattr(mdl, name), **kwargs):
+            rows.append(len(args[2]))
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(mdl, name, counted)
+    return rows
+
+
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_score_runs_one_clean_forward_of_the_train_split(workspace, monkeypatch, task):
     """The train metric is read off the probe's clean forward: the train split
-    runs 1 + probe_samples forwards, and the metrics equal accuracy's / mse's.
-    A run with eval rows takes its test metric from the last row, which is at
-    the final step, and gets that row's train metric filled in."""
+    runs 1 + probe_samples forwards and the test split one, and the metrics
+    equal accuracy's / mse's."""
     tmp, cfg_path, train_path, test_path = workspace
     cfg = parse_config(cfg_path, ["run.probe_samples=3"])
     train_ds, test_ds = read_dataset(train_path), read_dataset(test_path)
@@ -385,24 +395,31 @@ def test_score_runs_one_clean_forward_of_the_train_split(workspace, monkeypatch,
                              for ds in (train_ds, test_ds))
         metric = mean_squared_error
     params = init_params(cfg.model, Rng(3))
-    test_value = metric(cfg.model, params, test_ds)
-    for evals in ([], [(5, 0.5, 0.5), (10, None, test_value)]):
-        rows = []
-        for name in ("forward", "forward_from_embedding"):
-            def counted(*args, _inner=getattr(mdl, name), **kwargs):
-                rows.append(len(args[2]))
-                return _inner(*args, **kwargs)
-            monkeypatch.setattr(mdl, name, counted)
-        train_metric, test_metric, probe = cli._score(cfg, params, train_ds, test_ds, 0.1, 4,
-                                                      evals)
-        assert rows.count(len(train_ds)) == 1 + 3
-        assert rows.count(len(test_ds)) == (0 if evals else 1)
-        monkeypatch.undo()
-        assert train_metric == metric(cfg.model, params, train_ds)
-        assert test_metric == test_value
-        assert probe == local_smoothness_probe(cfg.model, params, train_ds, 0.1, 3, 4)
-        if evals:
-            assert evals == [(5, 0.5, 0.5), (10, train_metric, test_value)]
+    rows = _count_forward_rows(monkeypatch)
+    train_metric, test_metric, probe = cli._score(cfg, params, train_ds, test_ds, 0.1, 4)
+    assert rows.count(len(train_ds)) == 1 + 3
+    assert rows.count(len(test_ds)) == 1
+    monkeypatch.undo()
+    assert train_metric == metric(cfg.model, params, train_ds)
+    assert test_metric == metric(cfg.model, params, test_ds)
+    assert probe == local_smoothness_probe(cfg.model, params, train_ds, 0.1, 3, 4)
+
+
+def test_the_last_eval_row_is_the_final_score(workspace, monkeypatch):
+    """`train` with eval rows (12 steps: rows at 5, 10 and 12) runs one forward
+    of each split per row before the last, and the last row is the final
+    score's, so the test split runs one forward per row in all."""
+    tmp, cfg, train, test = workspace
+    train_n, test_n = len(read_dataset(train)), len(read_dataset(test))
+    rows = _count_forward_rows(monkeypatch)
+    assert main(["train", "--config", cfg, "--out", str(tmp / "out"),
+                 "--set", "run.eval_every=5", "--set", "run.probe_samples=3"]) == 0
+    assert rows.count(test_n) == 3
+    assert rows.count(train_n) == 2 + 1 + 3
+    lines = (tmp / "out" / "eval_history.csv").read_text().strip().split("\n")
+    assert [line.split(",")[0] for line in lines[1:]] == ["5", "10", "12"]
+    metrics = json.loads((tmp / "out" / "metrics.json").read_text())
+    assert lines[-1] == f"12,{metrics['final_train_metric']!r},{metrics['final_test_metric']!r}"
 
 
 def test_train_refuses_a_non_finite_update(tmp_path, capsys):

@@ -7,7 +7,6 @@ from smoothtune.errors import ContractViolation
 from smoothtune.model import ModelConfig, flatten_params, init_params, stack_params
 from smoothtune.optimizer import (
     ProxConfig,
-    TeacherState,
     adam_step,
     beta_at,
     clip_gradients,
@@ -64,81 +63,80 @@ def test_lr_schedule():
         lr_at(5, 100, 1e-3, 1.0)
 
 
-def _single_block_params(value):
-    return {"w": np.array([value])}
-
-
 def test_adam_zero_gradient_from_zero_state():
-    params = _single_block_params(1.5)
+    params = np.array([1.5])
     state = init_adam(params)
-    out = adam_step(state, params, {"w": np.zeros(1)}, 0.01)
-    assert np.array_equal(out["w"], params["w"])
-    assert np.array_equal(state.m["w"], np.zeros(1))
-    assert np.array_equal(state.v["w"], np.zeros(1))
+    adam_step(state, params, np.zeros(1), 0.01)
+    assert np.array_equal(params, [1.5])
+    assert np.array_equal(state.m, np.zeros(1))
+    assert np.array_equal(state.v, np.zeros(1))
 
 
 def test_adam_first_step_closed_form():
-    params = _single_block_params(0.0)
+    params = np.zeros(1)
     state = init_adam(params)
     g = 0.5
-    out = adam_step(state, params, {"w": np.array([g])}, 0.01)
+    adam_step(state, params, np.array([g]), 0.01)
     expected_delta = -0.01 * g / (abs(g) + 1e-8)
-    assert abs(out["w"][0] - expected_delta) < 1e-12
+    assert abs(params[0] - expected_delta) < 1e-12
 
 
 def test_adam_determinism_bitwise():
-    params = {"w": Rng(2).gaussian((3, 3), 1.0)}
-    grads = {"w": Rng(3).gaussian((3, 3), 1.0)}
-    s1, s2 = init_adam(params), init_adam(params)
-    o1 = adam_step(s1, params, grads, 1e-3)
-    o2 = adam_step(s2, params, grads, 1e-3)
-    assert np.array_equal(o1["w"], o2["w"])
-    assert np.array_equal(s1.m["w"], s2.m["w"])
+    p1 = Rng(2).gaussian((9,), 1.0)
+    p2 = p1.copy()
+    grads = Rng(3).gaussian((9,), 1.0)
+    s1, s2 = init_adam(p1), init_adam(p2)
+    adam_step(s1, p1, grads, 1e-3)
+    adam_step(s2, p2, grads, 1e-3)
+    assert np.array_equal(p1, p2)
+    assert np.array_equal(s1.m, s2.m)
 
 
 def test_adam_lr_zero_updates_moments_only():
-    params = _single_block_params(2.0)
+    params = np.array([2.0])
     state = init_adam(params)
-    out = adam_step(state, params, {"w": np.array([0.7])}, 0.0)
-    assert np.array_equal(out["w"], params["w"])
+    adam_step(state, params, np.array([0.7]), 0.0)
+    assert np.array_equal(params, [2.0])
     assert state.t == 1
-    assert state.m["w"][0] != 0.0
+    assert state.m[0] != 0.0
 
 
-def test_adam_structure_mismatch():
-    params = _single_block_params(0.0)
+def test_adam_shape_mismatch():
+    params = np.zeros(3)
     state = init_adam(params)
+    with pytest.raises(ContractViolation, match="shape|grads"):
+        adam_step(state, params, np.zeros(2), 1e-3)
     with pytest.raises(ContractViolation):
-        adam_step(state, params, {"other": np.zeros(1)}, 1e-3)
+        adam_step(state, np.zeros(2), np.zeros(2), 1e-3)
+    assert state.t == 0
+
+
+def _flat_mlp(seed):
+    cfg = ModelConfig(arch="mlp", input_dim=2, hidden=(4,), dropout=0.0)
+    return flatten_params(init_params(cfg, Rng(seed)))[0]
 
 
 def test_teacher_update_rules():
-    cfg = ModelConfig(arch="mlp", input_dim=2, hidden=(4,), dropout=0.0)
-    current = init_params(cfg, Rng(4))
-    teacher = TeacherState(init_params(cfg, Rng(5)))
-    moved = teacher_update(teacher, current, 0.0)
-    for name in current:
-        assert np.array_equal(moved.params[name], current[name])
-    fixed = teacher_update(TeacherState(copy.deepcopy(current)), current, 0.37)
-    for name in current:
-        assert np.allclose(fixed.params[name], current[name], rtol=1e-15, atol=1e-18)
-    ones = {name: np.ones_like(b) for name, b in current.items()}
-    zeros = {name: np.zeros_like(b) for name, b in current.items()}
-    blended = teacher_update(TeacherState(ones), zeros, 0.99)
-    for name in ones:
-        assert np.allclose(blended.params[name], 0.99, atol=1e-18)
+    current = _flat_mlp(4)
+    teacher = _flat_mlp(5)
+    teacher_update(teacher, current, 0.0)
+    assert np.array_equal(teacher, current)
+    fixed = current.copy()
+    teacher_update(fixed, current, 0.37)
+    assert np.allclose(fixed, current, rtol=1e-15, atol=1e-18)
+    ones = np.ones_like(current)
+    teacher_update(ones, np.zeros_like(current), 0.99)
+    assert np.allclose(ones, 0.99, atol=1e-18)
 
 
 def test_teacher_geometric_contraction():
-    cfg = ModelConfig(arch="mlp", input_dim=2, hidden=(4,), dropout=0.0)
-    current = init_params(cfg, Rng(6))
-    teacher = TeacherState(init_params(cfg, Rng(7)))
+    current = _flat_mlp(6)
+    teacher = _flat_mlp(7)
     beta = 0.9
-    start_gap = max(np.max(np.abs(teacher.params[n] - current[n])) for n in current)
-    state = teacher
+    start_gap = np.max(np.abs(teacher - current))
     for k in range(1, 8):
-        state = teacher_update(state, current, beta)
-        gap = max(np.max(np.abs(state.params[n] - current[n])) for n in current)
+        teacher_update(teacher, current, beta)
+        gap = np.max(np.abs(teacher - current))
         assert abs(gap - beta ** k * start_gap) < 1e-10
 
 
@@ -203,61 +201,49 @@ def _stacked_mlp(seed, runs=9):
     return stack_params(cfg, [init_params(cfg, Rng(seed + i)) for i in range(runs)])
 
 
-@pytest.mark.parametrize("into_params", [False, True])
-def test_adam_in_place_equals_the_out_of_place_formula_over_400_steps(into_params):
-    params = _stacked_mlp(20)
+def test_adam_in_place_equals_the_out_of_place_formula_over_400_steps():
+    params = flatten_params(_stacked_mlp(20))[0]
     state = init_adam(params)
-    ref = {"m": copy.deepcopy(state.m), "v": copy.deepcopy(state.v), "t": 0}
-    ref_params = copy.deepcopy(params)
+    ref = {"m": state.m.copy(), "v": state.v.copy(), "t": 0}
+    ref_params = params.copy()
     rng = Rng(21)
     for step in range(400):
-        grads = {name: rng.gaussian(p.shape, 0.5) for name, p in params.items()}
-        kept = copy.deepcopy(grads)
+        grads = rng.gaussian(params.shape, 0.5)
+        kept = grads.copy()
         lr = 1e-3 * (1 + step % 7)
-        before = copy.deepcopy(params)
-        out = adam_step(state, params, grads, lr, out=params if into_params else None)
+        adam_step(state, params, grads, lr)
         ref, ref_params = ref_adam_step(ref, ref_params, grads, lr)
-        for name in params:
-            assert _bits_equal(out[name], ref_params[name])
-            assert _bits_equal(state.m[name], ref["m"][name])
-            assert _bits_equal(state.v[name], ref["v"][name])
-            assert _bits_equal(grads[name], kept[name])  # gradients are never written
-        if into_params:
-            assert out is params
-        else:
-            for name in params:  # nor are the params without out=
-                assert _bits_equal(params[name], before[name])
-            params = out
+        assert _bits_equal(params, ref_params)
+        assert _bits_equal(state.m, ref["m"])
+        assert _bits_equal(state.v, ref["v"])
+        assert _bits_equal(grads, kept)  # gradients are never written
     assert state.t == ref["t"] == 400
 
 
 def test_teacher_update_in_place_equals_the_out_of_place_formula_over_400_steps():
-    teacher = TeacherState(_stacked_mlp(30))
-    held = teacher.params
-    ref = copy.deepcopy(teacher.params)
+    teacher = flatten_params(_stacked_mlp(30))[0]
+    ref = teacher.copy()
     rng = Rng(31)
     for step in range(400):
-        current = {name: rng.gaussian(p.shape, 1.0) for name, p in ref.items()}
-        kept = copy.deepcopy(current)
+        current = rng.gaussian(ref.shape, 1.0)
+        kept = current.copy()
         beta = (0.0, 0.37, 0.99, 0.999)[step % 4]
-        assert teacher_update(teacher, current, beta) is teacher
+        teacher_update(teacher, current, beta)
         ref = ref_teacher_update(ref, current, beta)
-        for name in ref:
-            assert teacher.params[name] is held[name]  # written into the teacher's own arrays
-            assert _bits_equal(teacher.params[name], ref[name])
-            assert _bits_equal(current[name], kept[name])
+        assert _bits_equal(teacher, ref)
+        assert _bits_equal(current, kept)
 
 
 def test_flat_buffers_update_like_per_block_state_over_400_steps():
     """ADAM and the EMA once over flat buffers (the trainer's layout), with
-    clipping per run before the gradients are gathered, equal the same steps
-    taken block by block."""
+    clipping per run before the gradients are gathered, equal the out-of-place
+    formulas taken block by block."""
     blocks = _stacked_mlp(40)
-    teacher = TeacherState(copy.deepcopy(blocks))
-    adam = init_adam(blocks)
+    ref = {name: ({"m": np.zeros_like(p), "v": np.zeros_like(p), "t": 0}, p.copy(), p.copy())
+           for name, p in blocks.items()}
     flat_params, views = flatten_params(blocks)
-    flat_teacher, teacher_views = flatten_params(teacher.params)
-    flat_adam = init_adam({"flat": flat_params})
+    flat_teacher, teacher_views = flatten_params(blocks)
+    adam = init_adam(flat_params)
     flat_grads = np.empty_like(flat_params)
     rng = Rng(41)
     for step in range(400):
@@ -265,41 +251,35 @@ def test_flat_buffers_update_like_per_block_state_over_400_steps():
         clipped = clip_gradients(grads, 1.0, 1, global_grad_norm(grads, 1))
         np.concatenate([g.ravel() for g in clipped.values()], out=flat_grads)
         lr, beta = 1e-3 * (1 + step % 7), (0.0, 0.9, 0.99)[step % 3]
-        adam_step(adam, blocks, clipped, lr, out=blocks)
-        adam_step(flat_adam, {"flat": flat_params}, {"flat": flat_grads}, lr,
-                  out={"flat": flat_params})
-        teacher_update(teacher, blocks, beta)
-        teacher_update(TeacherState({"flat": flat_teacher}), {"flat": flat_params}, beta)
-        for name in blocks:
-            assert _bits_equal(views[name], blocks[name])
-            assert _bits_equal(teacher_views[name], teacher.params[name])
-    m, v = (flatten_params(moments)[0] for moments in (adam.m, adam.v))
-    assert _bits_equal(flat_adam.m["flat"], m) and _bits_equal(flat_adam.v["flat"], v)
-    assert flat_adam.t == adam.t == 400
+        adam_step(adam, flat_params, flat_grads, lr)
+        teacher_update(flat_teacher, flat_params, beta)
+        for name, (moments, params, teacher) in ref.items():
+            moments, params = ref_adam_step(moments, params, clipped[name], lr)
+            ref[name] = moments, params, ref_teacher_update(teacher, params, beta)
+            assert _bits_equal(views[name], params)
+            assert _bits_equal(teacher_views[name], ref[name][2])
+    m, v = (flatten_params({name: r[0][key] for name, r in ref.items()})[0] for key in "mv")
+    assert _bits_equal(adam.m, m) and _bits_equal(adam.v, v)
+    assert adam.t == 400
 
 
-def test_teacher_update_blends_blockwise():
-    x = init_params(ModelConfig(arch="mlp", input_dim=2, hidden=(8, 8)), Rng(18))
-    zeros = {name: np.zeros_like(block) for name, block in x.items()}
-    copied = teacher_update(TeacherState(copy.deepcopy(zeros)), x, 0.0)
-    for name in x:
-        assert np.array_equal(copied.params[name], x[name])
-    # a teacher holding the current arrays themselves still blends to them
-    original = copy.deepcopy(x)
-    halves = teacher_update(TeacherState(x), x, 0.5)
-    for name in x:
-        assert np.allclose(halves.params[name], original[name], atol=1e-15)
-    ones = {name: np.ones_like(block) for name, block in x.items()}
-    blend = teacher_update(TeacherState(copy.deepcopy(zeros)), ones, 0.99)
-    for name in x:
-        assert np.allclose(blend.params[name], 0.01, atol=1e-18)
-    bad = dict(zeros)
-    bad.pop("layer0.bias")
-    with pytest.raises(ContractViolation, match="structure"):
-        teacher_update(TeacherState(bad), ones, 0.5)
-    wrong = dict(zeros, **{"layer0.bias": np.zeros(3)})
-    with pytest.raises(ContractViolation, match="layer0.bias shape"):
-        teacher_update(TeacherState(wrong), ones, 0.5)
+def test_teacher_update_blends_into_the_flat_teacher():
+    x = flatten_params(init_params(ModelConfig(arch="mlp", input_dim=2, hidden=(8, 8)),
+                                   Rng(18)))[0]
+    copied = np.zeros_like(x)
+    teacher_update(copied, x, 0.0)
+    assert np.array_equal(copied, x)
+    # a teacher that is the current array itself still blends to it
+    original = x.copy()
+    teacher_update(x, x, 0.5)
+    assert np.allclose(x, original, atol=1e-15)
+    blend = np.zeros_like(x)
+    teacher_update(blend, np.ones_like(x), 0.99)
+    assert np.allclose(blend, 0.01, atol=1e-18)
+    with pytest.raises(ContractViolation, match="shape"):
+        teacher_update(np.zeros(len(x) - 1), x, 0.5)
+    with pytest.raises(ContractViolation, match="beta"):
+        teacher_update(blend, x, 1.0)
 
 
 def test_clip_with_the_norm_already_known_is_the_same_clip():

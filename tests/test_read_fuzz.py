@@ -1,9 +1,11 @@
 """Seeded fuzz tests of the dataset reader, driven by the package's own Rng.
 
 Each case corrupts one or two lines of a valid file (truncation, a flipped
-bit, a bool label, a changed schema, a non-finite value). The reader must
+bit, a bool label, a changed schema, a non-finite value, a soft-label row of
+another length or of text, a class label beyond 64 bits). The reader must
 refuse it with an InputError naming the first corrupted line, and `train`
-on it must exit nonzero leaving only FAILED and its archived config.
+on it must exit 1 with one error line, leaving only FAILED and its archived
+config.
 """
 
 import json
@@ -80,24 +82,40 @@ def _non_finite(rng, rec, case):
     rec[field][_pick(rng, 2)] = (float("nan"), float("inf"), -float("inf"))[_pick(rng, 3)]
 
 
+def _ragged_soft(rng, rec, case):
+    rec["p"] = rec["p"][:1] if case % 2 else rec["p"] + [0.0]
+
+
+def _text_soft(rng, rec, case):
+    rec["p"] = ["a", "b"]
+
+
+def _huge_label(rng, rec, case):
+    rec["y"] = (1 - 2 * _pick(rng, 2)) * 99999999999999999999
+
+
 KINDS = {
     "truncated": (_truncated, "malformed record"),
     "flipped": (_flipped, "malformed record"),
     "bool_label": (_edited(_bool_label), "labels must be JSON numbers, not true/false"),
     "mixed_schema": (_edited(_other_schema), "mixed record schemas"),
     "non_finite": (_edited(_non_finite), r"non-finite value in '[xp]'"),
+    "ragged_soft": (_edited(_ragged_soft), "soft labels must be equal-length lists of numbers"),
+    "text_soft": (_edited(_text_soft), "soft labels must be equal-length lists of numbers"),
+    "huge_label": (_edited(_huge_label), "class labels must fit in 64 bits"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
-def test_corrupted_files_are_refused_at_their_first_bad_line(tmp_path, kind):
+def test_corrupted_files_are_refused_at_their_first_bad_line(tmp_path, capsys, kind):
     corrupt, message = KINDS[kind]
     clean = _lines(tmp_path)
     rng = Rng(1000 + sorted(KINDS).index(kind))
     for case in range(CASES):
         lines = list(clean)  # one or two bad lines
-        # the schema is read off line 1, so a schema change starts at line 2
-        low = 1 if kind == "mixed_schema" else 0
+        # the schema and the soft-label width are read off line 1, so their
+        # changes start at line 2
+        low = 1 if kind in ("mixed_schema", "ragged_soft") else 0
         bad = sorted({low + _pick(rng, LINES - low) for _ in range(1 + case % 2)})
         for index in bad:
             lines[index] = corrupt(rng, lines[index], case)
@@ -108,9 +126,12 @@ def test_corrupted_files_are_refused_at_their_first_bad_line(tmp_path, kind):
             read_dataset(path)
 
         out = tmp_path / f"out{case}"
+        capsys.readouterr()
         code = main(["train", "--config", PRESET, "--out", str(out),
                      "--set", f"data.train={path}", "--set", f"data.test={path}"])
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("smoothtune: error:") and err.count("\n") == 1, err
         assert sorted(os.listdir(out)) == ["FAILED", "config.ini"]
         assert (out / "FAILED").read_text().startswith("InputError:")
 

@@ -52,7 +52,7 @@ def _datasets(model):
 def _first_moments(model, state):
     """Each run's ADAM first moments, per block, out of the state's flat buffer."""
     shapes = {name: block.shape for name, block in state.params.items()}
-    return unstack_params(model, flat_views(state.adam.m["flat"], shapes))
+    return unstack_params(model, flat_views(state.adam.m, shapes))
 
 
 def _assert_runs_equal(stacked, solo):

@@ -93,6 +93,18 @@ def test_row_folds_equal_numpy_reductions(width):
     assert np.array_equal(got_sum.view(np.uint64), want_sum.view(np.uint64))
 
 
+@pytest.mark.parametrize("width", range(1, 18))
+def test_softmax_row_is_numpys_softmax_on_rows_mixing_signed_zeros(width):
+    """From 9 entries row_max may keep the other zero than np.max on such rows;
+    the softmax bits are numpy's all the same."""
+    rng = Rng(200 + width)
+    x = np.where(rng.uniform((300, width)) < 0.5, -0.0, 0.0)
+    x = np.where(rng.uniform((300, width)) < 0.3, -rng.uniform((300, width)), x)
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    want = e / np.sum(e, axis=-1, keepdims=True)
+    assert np.array_equal(softmax_row(x).view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("width", [9, 12, 15, 16, 17])
 def test_row_sum_keeps_numpy_pairwise_order(width):
     """From 8 entries numpy sums a row pairwise; row_sum's tree of column
