@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smoothtune.errors import ContractViolation
-from smoothtune.model import ModelConfig, flatten_params, init_params, stack_params
+from smoothtune.model import ModelConfig, flat_views, flatten_params, init_params, stack_params
 from smoothtune.optimizer import (
     ProxConfig,
     adam_step,
@@ -201,8 +201,13 @@ def _stacked_mlp(seed, runs=9):
     return stack_params(cfg, [init_params(cfg, Rng(seed + i)) for i in range(runs)])
 
 
-def test_adam_in_place_equals_the_out_of_place_formula_over_400_steps():
-    params = flatten_params(_stacked_mlp(20))[0]
+@pytest.mark.parametrize("into_params", [False, True])
+def test_adam_in_place_equals_the_out_of_place_formula_over_400_steps(into_params):
+    """into_params: the update goes into the stack's flat buffer, whose block
+    views see every step; otherwise into a free-standing copy of it."""
+    flat, views = flatten_params(_stacked_mlp(20))
+    start = flat.copy()
+    params = flat if into_params else flat.copy()
     state = init_adam(params)
     ref = {"m": state.m.copy(), "v": state.v.copy(), "t": 0}
     ref_params = params.copy()
@@ -217,6 +222,12 @@ def test_adam_in_place_equals_the_out_of_place_formula_over_400_steps():
         assert _bits_equal(state.m, ref["m"])
         assert _bits_equal(state.v, ref["v"])
         assert _bits_equal(grads, kept)  # gradients are never written
+        if into_params:
+            ref_views = flat_views(ref_params, {name: v.shape for name, v in views.items()})
+            for name, view in views.items():
+                assert _bits_equal(view, ref_views[name])
+        else:  # the stack's buffer is not written through a copy
+            assert _bits_equal(flat, start)
     assert state.t == ref["t"] == 400
 
 
