@@ -15,7 +15,7 @@ import typing
 import numpy as np
 
 from .errors import CheckpointError
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, param_shapes
 
 CHECKPOINT_VERSION = 1
 
@@ -74,7 +74,7 @@ def read_json(path: str, sections: tuple[str, ...] = ()) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot load {path}: {exc}") from exc
     if not isinstance(document, dict):
         raise CheckpointError(f"cannot load {path}: top level is not an object")
@@ -91,5 +91,10 @@ def read_json(path: str, sections: tuple[str, ...] = ()) -> dict:
 
 
 def load_params(path: str) -> tuple[ModelConfig, ModelParams]:
+    """The model config and params of a checkpoint whose blocks are the config's."""
     document = read_json(path, ("config", "tensors"))
-    return config_from_obj(ModelConfig, document["config"]), tensors_from_obj(document["tensors"])
+    config = config_from_obj(ModelConfig, document["config"])
+    params = tensors_from_obj(document["tensors"])
+    if {name: block.shape for name, block in params.items()} != param_shapes(config):
+        raise CheckpointError(f"cannot load {path}: its tensors are not the config's blocks")
+    return config, params

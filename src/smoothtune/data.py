@@ -271,16 +271,23 @@ def read_dataset(path: str) -> Dataset:
         raise _refusal(path, lambda k, rec: (not rec["tokens"] or any(
             type(t) is not int or not -2**63 <= t < 2**63 for t in rec["tokens"]))
             and "token ids must be JSON integers")
+    soft = [rec["p"] for rec in records] if "p" in schema else ()
+    soft_arr = _array(soft) if "p" in schema else None
+    if "p" in schema and (soft_arr is None or soft_arr.ndim != 2):
+        raise _refusal(path, lambda k, rec: ((p := _array(rec["p"])) is None or p.ndim != 1
+                                             or len(p) != len(records[0]["p"]))
+                       and "soft labels must be equal-length lists of numbers")
+    # numpy reads text and true/false as numbers, so each float column's values
+    # are checked by type
+    for name, column in (("x", inputs if input_kind == "vector" else ()), ("p", soft)):
+        if not set(map(type, itertools.chain.from_iterable(column))) <= {int, float}:
+            raise _refusal(path, lambda k, rec: any(type(v) not in (int, float) for v in rec[name])
+                           and f"{name!r} values must be JSON numbers, not text or true/false")
     # the label types are checked, so only a class label beyond int64 is refused here
     labels_arr = _array(labels, np.int64 if task == "classification" else np.float64)
     if labels_arr is None:
         raise _refusal(path, lambda k, rec: not -2**63 <= rec["y"] < 2**63
                        and "class labels must fit in 64 bits")
-    soft_arr = _array([rec["p"] for rec in records]) if "p" in schema else None
-    if "p" in schema and (soft_arr is None or soft_arr.ndim != 2):
-        raise _refusal(path, lambda k, rec: ((p := _array(rec["p"])) is None or p.ndim != 1
-                                             or len(p) != len(records[0]["p"]))
-                       and "soft labels must be equal-length lists of numbers")
     for name, arr in (("x", inputs_arr), ("y", labels_arr), ("p", soft_arr)):
         if arr is not None and arr.dtype == np.float64 and not np.isfinite(arr).all():
             row = np.flatnonzero(~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1))[0]

@@ -53,7 +53,7 @@ class ModelConfig:
             raise ContractViolation("classification needs at least 2 classes")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractViolation("dropout must lie in [0, 1)")
-        if self.arch == "transformer" and self.embed_dim % self.heads != 0:
+        if self.arch == "transformer" and not (self.heads > 0 and self.embed_dim % self.heads == 0):
             raise ContractViolation(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
             )
@@ -255,6 +255,17 @@ def build_head(
     """Forward from an embedded batch to probabilities [n, k] or predictions [n],
     with a leading stack axis on everything when the params are stacked.
     `features`, a list, receives the output layer's input before its dropout."""
+    h = _build_body(config, pvars, emb, masks)
+    if features is not None:
+        features.append(h)
+    if masks:  # the last dropout site, right before the output layer
+        h = ad.mul_const(h, masks[-1])
+    return _output_layer(config, pvars, h)
+
+
+def _build_body(config: ModelConfig, pvars: dict[str, Var], emb: Var,
+                masks: list[np.ndarray] | None = None) -> Var:
+    """Everything before the output layer: its input, before the last dropout."""
     act = config.activation
     if config.arch == "mlp":
         h = emb
@@ -263,28 +274,23 @@ def build_head(
             h = ad.affine(h, pvars[f"layer{i}.weight"], pvars[f"layer{i}.bias"], act)
             if masks is not None and i < n_hidden - 1:
                 h = ad.mul_const(h, masks[i])
-    else:
-        pos = sinusoidal_positions(config.max_len, config.embed_dim)[:emb.value.shape[-2]]
-        h = ad.add_broadcast(emb, emb.tape.const(pos))
-        for i in range(config.layers):
-            p = f"block{i}"
-            # pre-LN self-attention with residual
-            x = ad.layer_norm(h, pvars[f"{p}.ln1.gain"], pvars[f"{p}.ln1.bias"])
-            ctx = ad.attention(*(ad.affine(x, pvars[f"{p}.attn.w{n}"], pvars[f"{p}.attn.b{n}"])
-                                 for n in "qkv"), config.heads)
-            attn = ad.affine(ctx, pvars[f"{p}.attn.wo"], pvars[f"{p}.attn.bo"])
-            h = ad.add(h, attn)
-            # pre-LN feedforward with residual
-            x = ad.layer_norm(h, pvars[f"{p}.ln2.gain"], pvars[f"{p}.ln2.bias"])
-            x = ad.affine(x, pvars[f"{p}.ff.w1"], pvars[f"{p}.ff.b1"], act)
-            x = ad.affine(x, pvars[f"{p}.ff.w2"], pvars[f"{p}.ff.b2"])
-            h = ad.add(h, x)
-        h = ad.mean_axis(ad.layer_norm(h, pvars["out_ln.gain"], pvars["out_ln.bias"]), -2)
-    if features is not None:
-        features.append(h)
-    if masks:  # the last dropout site, right before the output layer
-        h = ad.mul_const(h, masks[-1])
-    return _output_layer(config, pvars, h)
+        return h
+    pos = sinusoidal_positions(config.max_len, config.embed_dim)[:emb.value.shape[-2]]
+    h = ad.add_broadcast(emb, emb.tape.const(pos))
+    for i in range(config.layers):
+        p = f"block{i}"
+        # pre-LN self-attention with residual
+        x = ad.layer_norm(h, pvars[f"{p}.ln1.gain"], pvars[f"{p}.ln1.bias"])
+        ctx = ad.attention(*(ad.affine(x, pvars[f"{p}.attn.w{n}"], pvars[f"{p}.attn.b{n}"])
+                             for n in "qkv"), config.heads)
+        attn = ad.affine(ctx, pvars[f"{p}.attn.wo"], pvars[f"{p}.attn.bo"])
+        h = ad.add(h, attn)
+        # pre-LN feedforward with residual
+        x = ad.layer_norm(h, pvars[f"{p}.ln2.gain"], pvars[f"{p}.ln2.bias"])
+        x = ad.affine(x, pvars[f"{p}.ff.w1"], pvars[f"{p}.ff.b1"], act)
+        x = ad.affine(x, pvars[f"{p}.ff.w2"], pvars[f"{p}.ff.b2"])
+        h = ad.add(h, x)
+    return ad.mean_axis(ad.layer_norm(h, pvars["out_ln.gain"], pvars["out_ln.bias"]), -2)
 
 
 def _output_layer(config: ModelConfig, pvars: dict[str, Var], h: Var) -> Var:
@@ -305,7 +311,14 @@ def leaf_params(tape: Tape, params: ModelParams, requires_grad: bool = True) -> 
 # Eager (numpy-level) forwards: the tape builders run on a ForwardTape, so the
 # recorded and eager paths are the same code, bit for bit, while the eager
 # path keeps no intermediate beyond its last use. Eager forwards apply no dropout.
+# A transformer batch of more than _EAGER_BLOCK examples runs its body in
+# near-equal blocks of at most that many, which bounds its intermediates, and
+# its output layer once at full height: the body's rows come out bit-identical
+# from any block, but the output product's bits depend on its height.
 # ---------------------------------------------------------------------------
+
+_EAGER_BLOCK = 128
+
 
 def embed(config: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
     """Embedding of a batch: identity for raw vectors, table lookup for tokens.
@@ -315,6 +328,20 @@ def embed(config: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
     tape = ForwardTape()
     pvars = leaf_params(tape, params, requires_grad=False)
     return build_embed(tape, config, pvars, inputs).value
+
+
+def _eager_head(tape: ForwardTape, config: ModelConfig, pvars: dict[str, Var], n: int,
+                rows) -> np.ndarray:
+    """build_head without dropout on `tape` for a batch of n whose embedded
+    rows lo:hi are `rows(lo, hi)`, the body blocked as described above."""
+    if config.arch == "mlp" or stack_axes(config, pvars) or n <= _EAGER_BLOCK:
+        return build_head(tape, config, pvars, rows(0, n)).value
+    blocks = -(-n // _EAGER_BLOCK)
+    edges = [n * i // blocks for i in range(blocks + 1)]
+    features = np.empty((n, config.embed_dim))
+    for lo, hi in zip(edges, edges[1:]):
+        features[lo:hi] = _build_body(config, pvars, rows(lo, hi)).value
+    return _output_layer(config, pvars, tape.const(features)).value
 
 
 def forward_from_embedding(
@@ -327,17 +354,22 @@ def forward_from_embedding(
     lets them recycle each other's dead output buffers (see ForwardTape)."""
     tape = ForwardTape() if tape is None else tape
     pvars = leaf_params(tape, params, requires_grad=False)
-    return build_head(tape, config, pvars, tape.const(embedded)).value
+    return _eager_head(tape, config, pvars, len(embedded),
+                       lambda lo, hi: tape.const(embedded[lo:hi]))
 
 
 def forward(config: ModelConfig, params: ModelParams, inputs,
             features: np.ndarray | None = None) -> np.ndarray:
     """Fused embed + head; identical to calling the two stages separately.
     Given `features`, what these params feed the output layer for these inputs
-    (see build_head), only the output layer runs."""
+    (see build_head), only the output layer runs. Token blocks are embedded
+    one at a time."""
     tape = ForwardTape()
     pvars = leaf_params(tape, params, requires_grad=False)
     if features is not None:
         return _output_layer(config, pvars, tape.const(features)).value
-    emb = build_embed(tape, config, pvars, inputs)
-    return build_head(tape, config, pvars, emb).value
+    if config.arch == "mlp" or stack_axes(config, pvars):
+        return build_head(tape, config, pvars, build_embed(tape, config, pvars, inputs)).value
+    ids = _check_token_inputs(config, inputs, 0)
+    return _eager_head(tape, config, pvars, len(ids),
+                       lambda lo, hi: ad.gather_rows(pvars["embed.table"], ids[lo:hi]))

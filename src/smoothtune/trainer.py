@@ -362,8 +362,14 @@ def continue_training(
     datasets = _as_list(dataset, Dataset)
     if len(datasets) != len(runs):
         raise ContractViolation(f"{len(datasets)} datasets for a stack of {len(runs)} runs")
-    for ds in datasets:
+    for i, (run, ds) in enumerate(zip(runs, datasets)):
         _check_dataset(model_cfg, ds)
+        perm, n = run.sampler_perm, len(ds)
+        if perm is not None and not (0 <= run.sampler_cursor <= len(perm)
+                                     and np.array_equal(np.sort(perm), np.arange(n))):
+            raise CheckpointError(f"run {i} (seed {run.cfg.seed}): its sampler state, cursor "
+                                  f"{run.sampler_cursor} in a perm of {len(perm)}, does not "
+                                  f"fit a dataset of n={n}")
     if len({stack_batch_size(cfg, ds) for ds in datasets}) > 1:
         raise ContractViolation("the runs of one stack need equal batch sizes")
     records: list[list[TrainRecord]] = [[] for _ in runs]

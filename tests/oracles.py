@@ -5,6 +5,7 @@ against the package code paths they check."""
 import numpy as np
 
 from smoothtune import autodiff as ad
+from smoothtune import model as mdl
 
 
 def ref_softmax(z):
@@ -174,3 +175,12 @@ def ref_sinusoidal_positions(max_len, dim):
     i = np.arange(dim)[None, :].astype(np.float64)
     angle = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / dim)
     return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+
+
+def one_block_forward(config, params, inputs, embedded=False):
+    """The eager forward with no blocks: build_head over the whole batch on a
+    plain ForwardTape, from raw inputs or token ids, or from embeddings."""
+    tape = ad.ForwardTape()
+    pvars = mdl.leaf_params(tape, params, requires_grad=False)
+    emb = tape.const(inputs) if embedded else mdl.build_embed(tape, config, pvars, inputs)
+    return mdl.build_head(tape, config, pvars, emb).value

@@ -1,0 +1,113 @@
+"""Seeded fuzz tests of checkpoint reading, driven by the package's own Rng.
+
+A real mid-epoch checkpoint is truncated or has one bit flipped, then goes
+through `train --resume` and `eval --checkpoint` in-process. Each command
+either succeeds (a flip can keep the JSON valid: a digit for a digit) or exits
+nonzero with exactly one error line; a refused resume leaves only FAILED and
+its archived config. A sampler state that does not fit the data is refused
+before the first update.
+"""
+
+import json
+import os
+
+import pytest
+
+from smoothtune.cli import main
+from smoothtune.tensor import Rng
+
+PRESET = os.path.join(os.path.dirname(__file__), "..", "configs", "two_moons_smooth.ini")
+CASES = 30  # corrupted checkpoints per kind
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """(work dir, train args, mid-epoch checkpoint bytes): 40 points in
+    batches of 20, checkpointed after step 7 of 12, so its cursor is 20 of 40."""
+    tmp = tmp_path_factory.mktemp("ckpt")
+    for name, n, seed in (("train", 40, 7), ("test", 30, 8)):
+        assert main(["gen-data", "--generator", "two-moons", "--n", str(n), "--noise", "0.25",
+                     "--seed", str(seed), "--out", str(tmp / f"{name}.jsonl")]) == 0
+    args = ["train", "--config", PRESET, "--set", f"data.train={tmp / 'train.jsonl'}",
+            "--set", f"data.test={tmp / 'test.jsonl'}",
+            "--set", "smart.outer_steps=12", "--set", "run.probe_samples=4"]
+    assert main([*args, "--out", str(tmp / "full"), "--set", "run.checkpoint_every=7"]) == 0
+    data = (tmp / "full" / "checkpoint.json").read_bytes()
+    sampler = json.loads(data)["train_state"]["sampler"]
+    assert sampler["cursor"] == 20 and len(sampler["perm"]) == 40
+    return tmp, args, data
+
+
+def _pick(rng, n):
+    return int(rng.uniform() * n)
+
+
+def _truncated(rng, data):
+    return data[:_pick(rng, len(data) - 1)]  # never just the final line break
+
+
+def _flipped(rng, data):
+    pos, bit = _pick(rng, len(data)), 1 << _pick(rng, 8)
+    return data[:pos] + bytes([data[pos] ^ bit]) + data[pos + 1:]
+
+
+def _refused_once(capsys, code):
+    """Whether a command refused its input: False for exit 0, True for a
+    nonzero exit, which must have printed exactly one error line."""
+    err = capsys.readouterr().err
+    if code == 0:
+        return False
+    assert err.startswith("smoothtune: error:") and err.count("\n") == 1, err
+    return True
+
+
+@pytest.mark.parametrize("corrupt", [_truncated, _flipped], ids=["truncated", "flipped"])
+def test_corrupt_checkpoints_fail_with_one_line(run, capsys, corrupt):
+    tmp, args, data = run
+    rng = Rng(1200 + (corrupt is _flipped))
+    outcomes = set()
+    for case in range(CASES):
+        path = tmp / f"{corrupt.__name__}{case}.json"
+        path.write_bytes(corrupt(rng, data))
+        out = tmp / f"out_{corrupt.__name__}{case}"
+        capsys.readouterr()
+        refused = _refused_once(capsys, main([*args, "--out", str(out), "--resume", str(path)]))
+        if refused:
+            assert sorted(os.listdir(out)) == ["FAILED", "config.ini"]
+        outcomes.add(("resume", refused))
+        code = main(["eval", "--checkpoint", str(path), "--data", str(tmp / "test.jsonl"),
+                     "--out", str(tmp / "eval.json")])
+        outcomes.add(("eval", _refused_once(capsys, code)))
+    expected = {("resume", True), ("eval", True)}
+    assert outcomes >= expected if corrupt is _flipped else outcomes == expected
+
+
+def _perm(edit):
+    def apply(sampler):
+        edit(sampler["perm"])
+    return apply
+
+
+SAMPLER_EDITS = {
+    "perm_entry_out_of_range": _perm(lambda perm: perm.__setitem__(3, 99999)),
+    "perm_entry_duplicated": _perm(lambda perm: perm.__setitem__(3, perm[4])),
+    "perm_cut": _perm(lambda perm: perm.__delitem__(slice(10, None))),
+    "cursor_negative": lambda sampler: sampler.__setitem__("cursor", -5),
+    "cursor_past_the_perm": lambda sampler: sampler.__setitem__("cursor", 10**6),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(SAMPLER_EDITS))
+def test_resume_refuses_a_sampler_state_that_does_not_fit_the_data(run, capsys, edit):
+    tmp, args, data = run
+    document = json.loads(data)
+    SAMPLER_EDITS[edit](document["train_state"]["sampler"])
+    path = tmp / f"{edit}.json"
+    path.write_text(json.dumps(document))
+    out = tmp / f"out_{edit}"
+    capsys.readouterr()
+    assert main([*args, "--out", str(out), "--resume", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("smoothtune: error: input: run 0 (seed 0): its sampler state")
+    assert err.count("\n") == 1 and "n=40" in err
+    assert sorted(os.listdir(out)) == ["FAILED", "config.ini"]

@@ -40,6 +40,9 @@ def test_config_invariants():
         ModelConfig(task="classification", classes=1)
     with pytest.raises(ContractViolation):
         ModelConfig(arch="transformer", embed_dim=7, heads=2)
+    for heads in (0, -4):  # a one-bit flip of a checkpoint's "heads": 2 gives 0
+        with pytest.raises(ContractViolation):
+            ModelConfig(arch="transformer", embed_dim=8, heads=heads)
     with pytest.raises(ContractViolation):
         ModelConfig(dropout=1.0)
 
@@ -200,6 +203,15 @@ def test_checkpoint_rejects_unknown_version_and_truncation(tmp_path):
         fh.write(text[: len(text) // 2])
     with pytest.raises(CheckpointError):
         load_params(trunc)
+    renamed = str(tmp_path / "renamed.json")
+    with open(renamed, "w") as fh:
+        fh.write(text.replace('"layer2.bias"', '"layer2.bia3"', 1))
+    with pytest.raises(CheckpointError, match="not the config's blocks"):
+        load_params(renamed)
+    with open(bad, "wb") as fh:  # a byte that is not UTF-8
+        fh.write(text.encode().replace(b"layer", b"l\xe1yer", 1))
+    with pytest.raises(CheckpointError, match="utf-8"):
+        load_params(bad)
 
 
 def test_position_table_is_built_once_read_only_and_equal_to_the_formula():

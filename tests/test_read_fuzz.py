@@ -2,7 +2,8 @@
 
 Each case corrupts one or two lines of a valid file (truncation, a flipped
 bit, a bool label, a changed schema, a non-finite value, a soft-label row of
-another length or of text, a class label beyond 64 bits). The reader must
+another length or of text, a class label beyond 64 bits, a number written as
+text or true/false among the inputs or soft labels). The reader must
 refuse it with an InputError naming the first corrupted line, and `train`
 on it must exit 1 with one error line, leaving only FAILED and its archived
 config.
@@ -90,6 +91,18 @@ def _text_soft(rng, rec, case):
     rec["p"] = ["a", "b"]
 
 
+def _text_x(rng, rec, case):
+    rec["x"][_pick(rng, 2)] = repr(rec["x"][0])  # text numpy would read as a number
+
+
+def _bool_x(rng, rec, case):
+    rec["x"][_pick(rng, 2)] = bool(_pick(rng, 2))
+
+
+def _bool_soft(rng, rec, case):
+    rec["p"] = [True, False] if _pick(rng, 2) else [False, True]  # sums to 1 as numbers
+
+
 def _huge_label(rng, rec, case):
     rec["y"] = (1 - 2 * _pick(rng, 2)) * 99999999999999999999
 
@@ -103,6 +116,9 @@ KINDS = {
     "ragged_soft": (_edited(_ragged_soft), "soft labels must be equal-length lists of numbers"),
     "text_soft": (_edited(_text_soft), "soft labels must be equal-length lists of numbers"),
     "huge_label": (_edited(_huge_label), "class labels must fit in 64 bits"),
+    "text_x": (_edited(_text_x), "'x' values must be JSON numbers, not text or true/false"),
+    "bool_x": (_edited(_bool_x), "'x' values must be JSON numbers, not text or true/false"),
+    "bool_soft": (_edited(_bool_soft), "'p' values must be JSON numbers, not text or true/false"),
 }
 
 
