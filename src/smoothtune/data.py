@@ -277,8 +277,7 @@ def read_dataset(path: str) -> Dataset:
         raise _refusal(path, lambda k, rec: ((p := _array(rec["p"])) is None or p.ndim != 1
                                              or len(p) != len(records[0]["p"]))
                        and "soft labels must be equal-length lists of numbers")
-    # numpy reads text and true/false as numbers, so each float column's values
-    # are checked by type
+    # numpy reads text and true/false as numbers, so float columns are type-checked
     for name, column in (("x", inputs if input_kind == "vector" else ()), ("p", soft)):
         if not set(map(type, itertools.chain.from_iterable(column))) <= {int, float}:
             raise _refusal(path, lambda k, rec: any(type(v) not in (int, float) for v in rec[name])

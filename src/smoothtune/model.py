@@ -8,6 +8,9 @@ outputs are probability rows; regression outputs are one scalar per example.
 The builders are rank-generic. Parameters from `stack_params` carry a leading
 axis of S same-shape runs, and batches then carry the same leading axis, so one
 pass computes all S runs; each slice is bit-identical to its run computed alone.
+
+Eager forwards of many token sequences hold a bounded set of intermediates
+and give the bits of one pass (see the eager section below).
 """
 
 from __future__ import annotations
@@ -311,10 +314,9 @@ def leaf_params(tape: Tape, params: ModelParams, requires_grad: bool = True) -> 
 # Eager (numpy-level) forwards: the tape builders run on a ForwardTape, so the
 # recorded and eager paths are the same code, bit for bit, while the eager
 # path keeps no intermediate beyond its last use. Eager forwards apply no dropout.
-# A transformer batch of more than _EAGER_BLOCK examples runs its body in
-# near-equal blocks of at most that many, which bounds its intermediates, and
-# its output layer once at full height: the body's rows come out bit-identical
-# from any block, but the output product's bits depend on its height.
+# An unstacked transformer batch of more than _EAGER_BLOCK examples runs the
+# layers before the output layer in near-equal blocks, whose rows have the bits
+# of one pass, and the output layer, whose bits depend on its height, at once.
 # ---------------------------------------------------------------------------
 
 _EAGER_BLOCK = 128
