@@ -8,9 +8,7 @@ gradients. Forward values needed by adjoint rules are captured by the adjoint
 closures rather than recomputed.
 
 Nothing a tape holds points back at a Var, so a tape and its intermediates are
-freed by reference counting as soon as the last Var or tape reference goes. A
-ForwardTape runs the same ops but records nothing, so forward-only passes keep
-an intermediate only while the next op still needs it.
+freed by reference counting as soon as the last Var or tape reference goes.
 
 A dense layer is one node: `affine` forms x @ w, then adds the bias and
 applies the activation in place in the product's buffer. As three ops
@@ -26,16 +24,19 @@ contiguous copies (k^T made in one copy, not two), so each product is the same
 BLAS call, and its adjoint runs the chain's expressions in the chain's order
 on the same views: values and adjoints are the chain's, bit for bit.
 
-A ForwardTape made with recycle=True and reused for many same-shape passes
-hands dense layers the dead output buffers of earlier passes. glibc maps each
-large fresh array from the kernel and unmaps it on free, so over the probe's
-10k points page faults, not FLOPs, were what fresh buffers cost.
+A tape made with recycle=True and reused for many same-shape passes hands
+dense layers the dead output buffers of earlier passes. glibc maps each large
+fresh array from the kernel and unmaps it on free, so over the probe's 10k
+points page faults, not FLOPs, were what fresh buffers cost. A tape for one
+pass does not pool: holding its dead buffers to the end would raise its peak.
 
 Adjoints flow only toward gradient leaves: a node is live when it is a
 requires_grad leaf or has a live parent. A dead node (a constant, an ascent
 step's weights) keeps no closure, and `affine`, `attention`, `layer_norm` and
 `add_broadcast` compute no part for a dead parent; a part that reaches no leaf
 changes none that does, so gradients are those of a full sweep, bit for bit.
+A forward-only pass is a tape whose leaves want no gradient: every node is
+dead, so each intermediate lives only while the next op still needs it.
 
 Ops are rank-generic: a leading stack axis on both operands (S runs trained as
 one) gives every slice the values and adjoints of its own unstacked run, bit
@@ -79,11 +80,10 @@ class Tape:
     keeps a Var alive and the Var -> tape edge forms no cycle.
     """
 
-    _pool: list[np.ndarray] | None = None  # adjoint closures keep outputs alive: no recycling
-
-    def __init__(self):
+    def __init__(self, recycle: bool = False):
         self._nodes: list[tuple | None] = []  # (parent indices, adjoint rule), None if dead
         self._grad_leaves: list[weakref.ref] = []
+        self._pool: list[np.ndarray] | None = [] if recycle else None
 
     def __len__(self):
         return len(self._nodes)
@@ -110,8 +110,18 @@ class Tape:
         return self._nodes[v.index] is not None
 
     def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A float64 array for an op to write its output into."""
-        return np.empty(shape)
+        """A float64 array of `shape` for an op's output: a fresh one without a
+        pool; else a pooled one that nothing outside the pool holds (never an
+        output the caller keeps, the base of a live view or a value an adjoint
+        reads), or a fresh one that joins the pool."""
+        if self._pool is None:
+            return np.empty(shape)
+        for buf in self._pool:
+            if buf.shape == shape and sys.getrefcount(buf) == _POOL_ONLY_REFS:
+                return buf
+        buf = np.empty(shape)
+        self._pool.append(buf)
+        return buf
 
     def backward(self, output: Var) -> dict[Var, np.ndarray]:
         """Reverse sweep from a scalar output.
@@ -153,51 +163,9 @@ class Tape:
         return grads
 
 
-class ForwardTape(Tape):
-    """Record-nothing tape for forward-only passes: the ops compute the same
-    values, but no node, adjoint closure or value is kept, so each intermediate
-    is freed once the next op has consumed it.
-
-    With recycle=True, an op gets a pooled buffer of its shape once nothing
-    outside the pool references it, so an output the caller holds (or the base
-    of a live view) is never written again. A tape for one pass does not pool:
-    keeping its dead buffers to the end would only raise its peak memory.
-    """
-
-    def __init__(self, recycle: bool = False):
-        self._pool: list[np.ndarray] | None = [] if recycle else None
-
-    def __len__(self):
-        return 0
-
-    def leaf(self, value, requires_grad: bool = False) -> Var:
-        return Var(self, -1, tc.as_tensor(value))
-
-    def _record(self, value: np.ndarray, parents: tuple[int, ...], vjp) -> Var:
-        return Var(self, -1, value)
-
-    def needs(self, v: Var) -> bool:
-        return False
-
-    def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A pooled float64 array of `shape` that nothing outside the pool holds,
-        or a fresh one that joins the pool; a fresh one without a pool."""
-        if self._pool is None:
-            return np.empty(shape)
-        for buf in self._pool:
-            if buf.shape == shape and sys.getrefcount(buf) == _POOL_ONLY_REFS:
-                return buf
-        buf = np.empty(shape)
-        self._pool.append(buf)
-        return buf
-
-    def backward(self, output: Var) -> dict[Var, np.ndarray]:
-        raise ContractViolation("backward: a forward-only tape records nothing to differentiate")
-
-
 def _pool_only_refs() -> int:
     """sys.getrefcount of an array held only by a pool list, read the way
-    ForwardTape._buffer reads it (list, loop name, argument)."""
+    Tape._buffer reads it (list, loop name, argument)."""
     pool = [np.empty(0)]
     for buf in pool:
         return sys.getrefcount(buf)
@@ -353,8 +321,6 @@ def attention(q: Var, k: Var, v: Var, heads: int) -> Var:
     vh = np.ascontiguousarray(v.value.reshape(split).swapaxes(-3, -2))
     ctx = np.matmul(p, vh)
     out = np.ascontiguousarray(ctx.swapaxes(-3, -2)).reshape(shape)
-    if not (need_q or need_k or need_v):
-        return tape._record(out, (q.index, k.index, v.index), None)
     vh = vh if need_q or need_k else None
 
     def vjp(g):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import model as mdl
-from .autodiff import ForwardTape
+from .autodiff import Tape
 from .data import Dataset
 from .errors import InputError
 from .losses import PROB_CLAMP, smooth_kind_for, smooth_loss_rows
@@ -69,7 +69,7 @@ def local_smoothness_probe(
 
     Sample offsets are unit-cube draws scaled by eps, so growing eps with the
     same seed pushes the same sample directions outward. The clean forward and
-    every sample forward run on one recycling ForwardTape, so from the second
+    every sample forward run on one `Tape(recycle=True)`, so from the second
     sample on the dense layers write into the previous sample's dead
     activations instead of freshly faulted pages.
     """
@@ -77,7 +77,7 @@ def local_smoothness_probe(
         raise InputError(f"need a finite eps >= 0 and samples_per_point >= 1, "
                          f"got eps={eps}, samples_per_point={samples_per_point}")
     emb = mdl.embed(model_cfg, params, dataset.inputs)
-    tape = ForwardTape(recycle=True)
+    tape = Tape(recycle=True)
     clean = mdl.forward_from_embedding(model_cfg, params, emb, tape=tape)
     kind = smooth_kind_for(model_cfg.task)
     rng = Rng(seed)

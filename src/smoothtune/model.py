@@ -8,9 +8,6 @@ outputs are probability rows; regression outputs are one scalar per example.
 The builders are rank-generic. Parameters from `stack_params` carry a leading
 axis of S same-shape runs, and batches then carry the same leading axis, so one
 pass computes all S runs; each slice is bit-identical to its run computed alone.
-
-Eager forwards of many token sequences hold a bounded set of intermediates
-and give the bits of one pass (see the eager section below).
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ForwardTape, Tape, Var
+from .autodiff import Tape, Var
 from .errors import ContractViolation, InputError
 from .tensor import Rng, as_tensor, uniform_stack
 
@@ -56,6 +53,12 @@ class ModelConfig:
             raise ContractViolation("classification needs at least 2 classes")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractViolation("dropout must lie in [0, 1)")
+        for name in ("input_dim", "embed_dim", "max_len", "vocab_size"):
+            if getattr(self, name) < 1:
+                raise ContractViolation(f"{name} must be >= 1, got {getattr(self, name)}")
+        if min(self.hidden, default=1) < 1 or self.layers < 0:
+            raise ContractViolation(f"hidden sizes must be >= 1 and layers >= 0, "
+                                    f"got hidden={self.hidden}, layers={self.layers}")
         if self.arch == "transformer" and not (self.heads > 0 and self.embed_dim % self.heads == 0):
             raise ContractViolation(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
@@ -311,12 +314,12 @@ def leaf_params(tape: Tape, params: ModelParams, requires_grad: bool = True) -> 
 
 
 # ---------------------------------------------------------------------------
-# Eager (numpy-level) forwards: the tape builders run on a ForwardTape, so the
-# recorded and eager paths are the same code, bit for bit, while the eager
-# path keeps no intermediate beyond its last use. Eager forwards apply no dropout.
-# An unstacked transformer batch of more than _EAGER_BLOCK examples runs the
-# layers before the output layer in near-equal blocks, whose rows have the bits
-# of one pass, and the output layer, whose bits depend on its height, at once.
+# Eager (numpy-level) forwards run the tape builders, without dropout, on a Tape
+# whose leaves want no gradient: the same code as the recorded path, bit for bit,
+# and no dead node keeps an intermediate past its last use. An unstacked
+# transformer batch of more than _EAGER_BLOCK examples runs the layers before the
+# output layer in near-equal blocks, whose rows have the bits of one pass, and the
+# output layer, whose bits depend on its height, at once over all rows.
 # ---------------------------------------------------------------------------
 
 _EAGER_BLOCK = 128
@@ -327,12 +330,12 @@ def embed(config: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
 
     Position encodings are not included; build_head adds them.
     """
-    tape = ForwardTape()
+    tape = Tape()
     pvars = leaf_params(tape, params, requires_grad=False)
     return build_embed(tape, config, pvars, inputs).value
 
 
-def _eager_head(tape: ForwardTape, config: ModelConfig, pvars: dict[str, Var], n: int,
+def _eager_head(tape: Tape, config: ModelConfig, pvars: dict[str, Var], n: int,
                 rows) -> np.ndarray:
     """build_head without dropout on `tape` for a batch of n whose embedded
     rows lo:hi are `rows(lo, hi)`, the body blocked as described above."""
@@ -350,11 +353,11 @@ def forward_from_embedding(
     config: ModelConfig,
     params: ModelParams,
     embedded: np.ndarray,
-    tape: ForwardTape | None = None,
+    tape: Tape | None = None,
 ) -> np.ndarray:
-    """Head forward from an embedded batch. Passing one `tape` to many calls
-    lets them recycle each other's dead output buffers (see ForwardTape)."""
-    tape = ForwardTape() if tape is None else tape
+    """Head forward from an embedded batch. Passing one `Tape(recycle=True)` to
+    many calls lets them recycle each other's dead output buffers."""
+    tape = Tape() if tape is None else tape
     pvars = leaf_params(tape, params, requires_grad=False)
     return _eager_head(tape, config, pvars, len(embedded),
                        lambda lo, hi: tape.const(embedded[lo:hi]))
@@ -366,7 +369,7 @@ def forward(config: ModelConfig, params: ModelParams, inputs,
     Given `features`, what these params feed the output layer for these inputs
     (see build_head), only the output layer runs. Token blocks are embedded
     one at a time."""
-    tape = ForwardTape()
+    tape = Tape()
     pvars = leaf_params(tape, params, requires_grad=False)
     if features is not None:
         return _output_layer(config, pvars, tape.const(features)).value

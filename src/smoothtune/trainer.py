@@ -542,6 +542,15 @@ def resume_from_checkpoint(path: str) -> TrainState:
         state.runs[0].sampler_cursor = int(sampler["cursor"])
         state.outer_t, state.global_step = int(ts["outer_t"]), int(ts["global_step"])
         state.counters = PassCounters(int(ts["counters"][0]), int(ts["counters"][1]))
+        step, (f, b) = state.global_step, expected_pass_counts(cfg, state.smart)
+        if not (step == state.outer_t * cfg.inner_steps == state.adam.t
+                and 0 <= state.outer_t <= cfg.outer_steps
+                and state.counters == PassCounters(step * f, step * b)):
+            raise CheckpointError(
+                f"cannot load {path}: counters disagree: global_step {step}, outer_t "
+                f"{state.outer_t} of {cfg.outer_steps} with inner_steps {cfg.inner_steps}, "
+                f"adam.t {state.adam.t}, passes {state.counters.forwards}/"
+                f"{state.counters.backwards} against {f}/{b} per update")
         return state
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CheckpointError):

@@ -179,8 +179,9 @@ def ref_sinusoidal_positions(max_len, dim):
 
 def one_block_forward(config, params, inputs, embedded=False):
     """The eager forward with no blocks: build_head over the whole batch on a
-    plain ForwardTape, from raw inputs or token ids, or from embeddings."""
-    tape = ad.ForwardTape()
+    Tape whose leaves want no gradient, from raw inputs or token ids, or from
+    embeddings."""
+    tape = ad.Tape()
     pvars = mdl.leaf_params(tape, params, requires_grad=False)
     emb = tape.const(inputs) if embedded else mdl.build_embed(tape, config, pvars, inputs)
     return mdl.build_head(tape, config, pvars, emb).value

@@ -7,6 +7,7 @@ alive only by its tests; this guard keeps such twins from growing back.
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -117,6 +118,25 @@ def test_every_traced_name_resolves_in_the_package():
         if not callable(found):
             missing.append(f"{module}.{attribute}")
     assert missing == [], f"traced names missing from src/: {missing}"
+
+
+def test_the_span_tracer_installs_every_target():
+    """bench/spans.py's Tracer finds each target where it patches it, and
+    uninstalling puts every original back."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    from smoothtune import autodiff, model
+
+    originals = (autodiff.Tape.backward, model.forward)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        assert autodiff.Tape.backward is not originals[0] and model.forward is not originals[1]
+    finally:
+        tracer.uninstall()
+    assert (autodiff.Tape.backward, model.forward) == originals
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -97,17 +97,51 @@ SAMPLER_EDITS = {
 }
 
 
-@pytest.mark.parametrize("edit", sorted(SAMPLER_EDITS))
-def test_resume_refuses_a_sampler_state_that_does_not_fit_the_data(run, capsys, edit):
+def _refused_resume(run, capsys, name, edit) -> str:
+    """The one error line of a resume from the checkpoint with `edit` applied
+    to its train state; the refusal leaves only FAILED and the config."""
     tmp, args, data = run
     document = json.loads(data)
-    SAMPLER_EDITS[edit](document["train_state"]["sampler"])
-    path = tmp / f"{edit}.json"
+    edit(document["train_state"])
+    path = tmp / f"{name}.json"
     path.write_text(json.dumps(document))
-    out = tmp / f"out_{edit}"
+    out = tmp / f"out_{name}"
     capsys.readouterr()
     assert main([*args, "--out", str(out), "--resume", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("smoothtune: error: input: run 0 (seed 0): its sampler state")
-    assert err.count("\n") == 1 and "n=40" in err
+    assert err.startswith("smoothtune: error: input: ") and err.count("\n") == 1, err
     assert sorted(os.listdir(out)) == ["FAILED", "config.ini"]
+    return err
+
+
+@pytest.mark.parametrize("edit", sorted(SAMPLER_EDITS))
+def test_resume_refuses_a_sampler_state_that_does_not_fit_the_data(run, capsys, edit):
+    err = _refused_resume(run, capsys, edit, lambda ts: SAMPLER_EDITS[edit](ts["sampler"]))
+    assert err.startswith("smoothtune: error: input: run 0 (seed 0): its sampler state")
+    assert "n=40" in err
+
+
+def _scaled(ts, k):
+    """Every counter of a checkpoint taken k / global_step times as far in."""
+    step = ts["global_step"]
+    ts["global_step"], ts["outer_t"], ts["adam"]["t"] = k, k, k
+    ts["counters"] = [c * k // step for c in ts["counters"]]
+
+
+# the checkpoint is taken after 7 of 12 outer steps of one update each
+COUNTER_EDITS = {
+    "global_step": lambda ts: ts.__setitem__("global_step", 5),
+    "outer_t": lambda ts: ts.__setitem__("outer_t", 6),
+    "adam_t": lambda ts: ts["adam"].__setitem__("t", 8),
+    "forward_passes": lambda ts: ts["counters"].__setitem__(0, ts["counters"][0] + 1),
+    "backward_passes": lambda ts: ts["counters"].__setitem__(1, ts["counters"][1] - 1),
+    "negative_step": lambda ts: _scaled(ts, -7),
+    "past_the_last_step": lambda ts: _scaled(ts, 14),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(COUNTER_EDITS))
+def test_resume_refuses_counters_that_disagree(run, capsys, edit):
+    err = _refused_resume(run, capsys, edit, COUNTER_EDITS[edit])
+    assert err.startswith("smoothtune: error: input: cannot load ")
+    assert "counters disagree" in err

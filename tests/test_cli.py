@@ -216,12 +216,15 @@ def test_gen_data_refuses_bad_scales(tmp_path, capsys, argv):
     "smart.eps=inf", "smart.ema_early=1.0", "smart.ema_late=-0.5",
     "run.probe_eps=nan", "run.probe_eps=inf", "run.probe_eps=-1", "run.probe_samples=0",
     "run.checkpoint_every=-1", "run.eval_every=-2",
+    "model.hidden=-3", "model.hidden=8,0", "model.layers=-1", "model.embed_dim=0",
+    "model.input_dim=0", "model.max_len=0", "model.vocab_size=0",
 ])
 def test_train_refuses_non_finite_and_out_of_range_hyperparameters(workspace, capsys, setting):
     tmp, cfg, _, _ = workspace
     out = tmp / "refused"
     assert main(["train", "--config", cfg, "--out", str(out), "--set", setting]) == 2
-    assert "smoothtune: error: config:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("smoothtune: error: config:") and err.count("\n") == 1, err
     assert not out.exists()
 
 

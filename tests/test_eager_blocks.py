@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from smoothtune import model as mdl
-from smoothtune.autodiff import ForwardTape
+from smoothtune.autodiff import Tape
 from smoothtune.data import Dataset
 from smoothtune.evaluate import accuracy, local_smoothness_probe
 from smoothtune.model import ModelConfig
@@ -41,7 +41,7 @@ def test_blocked_forwards_equal_one_block(seed):
         assert _same(mdl.forward(TRANSFORMER, params, ids), want), n
         emb = mdl.embed(TRANSFORMER, params, ids)
         assert _same(mdl.forward_from_embedding(TRANSFORMER, params, emb), want), n
-        tape = ForwardTape(recycle=True)
+        tape = Tape(recycle=True)
         for _ in range(2):  # the second pass runs on the first one's buffers
             got = mdl.forward_from_embedding(TRANSFORMER, params, emb, tape=tape)
             assert _same(got, want), n

@@ -1,4 +1,4 @@
-"""A ForwardTape made with recycle=True hands its dense layers pooled output
+"""A Tape made with recycle=True hands its dense layers pooled output
 buffers: forwards through one such tape equal fresh forwards bit for bit, never
 overwrite an output the caller holds, and keep the pool at the live set."""
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from smoothtune import model as mdl
-from smoothtune.autodiff import ForwardTape, Tape
+from smoothtune.autodiff import Tape
 from smoothtune.model import ModelConfig
 from smoothtune.tensor import Rng
 
@@ -39,7 +39,7 @@ def _sample(emb, i):
 ], ids=["mlp-tanh", "mlp-relu", "regression", "transformer"])
 def test_recycled_forwards_equal_fresh_forwards(config, n):
     params, emb = _embedded(config, n, seed=2)
-    tape = ForwardTape(recycle=True)
+    tape = Tape(recycle=True)
     clean = mdl.forward_from_embedding(config, params, emb, tape=tape)
     assert np.array_equal(clean, mdl.forward_from_embedding(config, params, emb))
     for i in range(FORWARDS):
@@ -54,7 +54,7 @@ def test_recycled_forwards_equal_fresh_forwards(config, n):
 def test_held_outputs_are_never_overwritten(config):
     # regression outputs are reshape views whose base is a pooled logits buffer
     params, emb = _embedded(config, 200, seed=3)
-    tape = ForwardTape(recycle=True)
+    tape = Tape(recycle=True)
     held = []
     for i in range(FORWARDS):
         out = mdl.forward_from_embedding(config, params, _sample(emb, i), tape=tape)
@@ -65,19 +65,19 @@ def test_held_outputs_are_never_overwritten(config):
 
 def test_pool_stays_at_the_live_set():
     params, emb = _embedded(MLP_TANH, 500, seed=4)
-    tape = ForwardTape(recycle=True)
+    tape = Tape(recycle=True)
     for i in range(FORWARDS):
         mdl.forward_from_embedding(MLP_TANH, params, _sample(emb, i), tape=tape)
         assert len(tape._pool) == 3  # one buffer per dense layer, none grown
     # each held regression output keeps one logits buffer; the rest recycle
     params, emb = _embedded(REGRESSION, 500, seed=4)
-    tape = ForwardTape(recycle=True)
+    tape = Tape(recycle=True)
     held = [mdl.forward_from_embedding(REGRESSION, params, _sample(emb, i), tape=tape)
             for i in range(FORWARDS)]
     assert len(tape._pool) == 2 + len(held)
 
 
-@pytest.mark.parametrize("tape", [Tape(), ForwardTape()], ids=["recording", "one-shot"])
+@pytest.mark.parametrize("tape", [Tape()], ids=["recording"])
 def test_other_tapes_hand_out_no_pooled_array(tape):
     first = tape._buffer((4, 3))
     gone = weakref.ref(first)
@@ -87,7 +87,7 @@ def test_other_tapes_hand_out_no_pooled_array(tape):
 
 
 def test_a_recycling_tape_hands_a_dropped_buffer_out_again():
-    tape = ForwardTape(recycle=True)
+    tape = Tape(recycle=True)
     first = tape._buffer((4, 3))
     gone = weakref.ref(first)
     del first

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smoothtune import autodiff as ad
-from smoothtune.autodiff import ForwardTape, Tape
+from smoothtune.autodiff import Tape
 from smoothtune.errors import InputError
 from smoothtune.losses import smooth_loss_mean_node, smooth_loss_rows, task_loss_mean_node
 from smoothtune.tensor import Rng, softmax_row
@@ -24,7 +24,7 @@ def _sym_kl(p, q):
 
 
 def _task_loss(kind, outputs, labels):
-    tape = ForwardTape()
+    tape = Tape()
     return float(task_loss_mean_node(kind, tape.const(np.array(outputs, dtype=float)),
                                      np.array(labels)).value)
 

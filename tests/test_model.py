@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smoothtune.autodiff import ForwardTape
+from smoothtune.autodiff import Tape
 from smoothtune.checkpoint import load_params
 from smoothtune.errors import CheckpointError, ContractViolation, InputError
 from smoothtune.model import (
@@ -29,8 +29,9 @@ TF = ModelConfig(task="classification", classes=2, arch="transformer", embed_dim
 
 
 def _train_forward(config, params, x, masks):
-    """The training forward, dropout masks included, on a record-nothing tape."""
-    tape = ForwardTape()
+    """The training forward, dropout masks included, on a tape whose leaves
+    want no gradient."""
+    tape = Tape()
     pvars = leaf_params(tape, params, requires_grad=False)
     return build_head(tape, config, pvars, build_embed(tape, config, pvars, x), masks).value
 
@@ -45,6 +46,12 @@ def test_config_invariants():
             ModelConfig(arch="transformer", embed_dim=8, heads=heads)
     with pytest.raises(ContractViolation):
         ModelConfig(dropout=1.0)
+    for sizes in ({"input_dim": 0}, {"embed_dim": 0}, {"max_len": 0}, {"vocab_size": -1},
+                  {"hidden": (-3,)}, {"hidden": (8, 0)}, {"layers": -1}):
+        for arch in ("mlp", "transformer"):
+            with pytest.raises(ContractViolation, match=next(iter(sizes))):
+                ModelConfig(arch=arch, **sizes)
+    assert ModelConfig(hidden=()).hidden == () and ModelConfig(layers=0).layers == 0
 
 
 def test_init_biases_zero_and_deterministic():

@@ -1,5 +1,5 @@
-"""Tapes are freed by reference counting alone, and forward-only passes record
-nothing: each test that checks freeing runs with the cyclic collector off."""
+"""Tapes are freed by reference counting alone, and forward-only passes keep
+only dead nodes: each test that checks freeing runs with the cyclic collector off."""
 
 import dataclasses
 import gc
@@ -12,9 +12,8 @@ from smoothtune import adversarial
 from smoothtune import autodiff as ad
 from smoothtune import model as mdl
 from smoothtune.adversarial import AdvConfig, find_adversarial
-from smoothtune.autodiff import ForwardTape, Tape
+from smoothtune.autodiff import Tape
 from smoothtune.data import gen_token_sequences, gen_two_moons
-from smoothtune.errors import ContractViolation
 from smoothtune.losses import smooth_loss_mean_node
 from smoothtune.model import ModelConfig
 from smoothtune.optimizer import ProxConfig
@@ -33,8 +32,9 @@ CFG = TrainConfig(reg_weight=2.0,
 
 
 def _eager_head(config, params, emb, masks):
-    """build_head from an embedded batch on a record-nothing tape, dropout masks included."""
-    tape = ForwardTape()
+    """build_head from an embedded batch on a tape whose leaves want no
+    gradient, dropout masks included."""
+    tape = Tape()
     pvars = mdl.leaf_params(tape, params, requires_grad=False)
     return mdl.build_head(tape, config, pvars, tape.const(emb), masks).value
 
@@ -102,7 +102,7 @@ def test_ascent_tapes_freed_on_return(config, no_cyclic_gc, monkeypatch):
 
 
 def test_transformer_forward_keeps_no_tape(no_cyclic_gc, monkeypatch):
-    made = _spy_tapes(monkeypatch, mdl, "ForwardTape")
+    made = _spy_tapes(monkeypatch, mdl, "Tape")
     params = mdl.init_params(TF, Rng(1))
     xs, _ = _batch(TF)
     out = mdl.forward(TF, params, xs)
@@ -110,14 +110,30 @@ def test_transformer_forward_keeps_no_tape(no_cyclic_gc, monkeypatch):
     assert len(made) == 1 and made[0]() is None
 
 
-def test_forward_tape_records_nothing_and_refuses_backward():
-    tape = ForwardTape()
-    x = tape.leaf(np.array([[1.0, -2.0]]), requires_grad=True)
-    y = ad.sum_all(ad.affine(x, tape.const(np.eye(2)), tape.const(np.zeros(2)), "relu"))
-    assert y.value == 1.0
-    assert len(tape) == 0
-    with pytest.raises(ContractViolation, match="forward-only"):
-        tape.backward(y)
+@pytest.mark.parametrize("config", [MLP, TF], ids=["mlp", "transformer"])
+def test_an_eager_forward_keeps_dead_nodes_and_frees_its_intermediates(
+        config, no_cyclic_gc, monkeypatch):
+    tapes, layers = [], []
+
+    class Kept(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)  # held, so only the nodes could keep an intermediate
+
+    def affine(*args, **kwargs):
+        y = real_affine(*args, **kwargs)
+        layers.append(weakref.ref(y.value))
+        return y
+
+    real_affine = ad.affine
+    monkeypatch.setattr(mdl, "Tape", Kept)
+    monkeypatch.setattr(ad, "affine", affine)
+    params = mdl.init_params(config, Rng(1))
+    xs, _ = _batch(config)
+    assert mdl.forward(config, params, xs).shape == (len(xs), config.classes)
+    (tape,) = tapes
+    assert len(tape) > len(params) and all(node is None for node in tape._nodes)
+    assert layers and all(ref() is None for ref in layers)
 
 
 def test_backward_skips_dropped_leaves():
@@ -218,7 +234,7 @@ def test_a_node_with_no_gradient_path_keeps_no_closure(requires_grad):
     # only a node on a gradient path keeps its closure, and with it the array
     assert (tape._nodes[y.index] is None) == (not requires_grad)
     assert (ref() is None) == (not requires_grad)
-    assert not ForwardTape().needs(ForwardTape().const(np.ones(2)))
+    assert not tape.needs(tape.const(np.ones(2)))
     # stop_gradient starts a constant branch
     z = ad.stop_gradient(tape.leaf(np.ones(2), requires_grad=True))
     assert not tape.needs(z)

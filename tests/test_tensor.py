@@ -3,7 +3,7 @@ import pytest
 
 from smoothtune import autodiff as ad
 from smoothtune.adversarial import rows_norm
-from smoothtune.autodiff import ForwardTape
+from smoothtune.autodiff import Tape
 from smoothtune.errors import ContractViolation
 from smoothtune.tensor import Rng, gaussian_stack, row_max, row_sum, softmax_row, uniform_stack
 
@@ -11,7 +11,7 @@ from oracles import ref_gaussian, ref_permutation, ref_uniform
 
 
 def on_tape(op, a, b):
-    tape = ForwardTape()
+    tape = Tape()
     return op(tape.const(a), tape.const(b)).value
 
 
