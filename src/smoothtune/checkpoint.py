@@ -27,7 +27,8 @@ def tensors_to_obj(params: ModelParams) -> dict:
     }
 
 
-def tensors_from_obj(obj: dict) -> ModelParams:
+def tensors_from_obj(obj: dict, config: ModelConfig) -> ModelParams:
+    """The blocks of a tensors section, refused unless they are the config's."""
     params: ModelParams = {}
     for name, entry in obj.items():
         try:
@@ -39,6 +40,8 @@ def tensors_from_obj(obj: dict) -> ModelParams:
         if data.size != expected:
             raise CheckpointError(f"tensor {name!r}: data length does not match shape {shape}")
         params[name] = data.reshape(shape)
+    if {name: block.shape for name, block in params.items()} != param_shapes(config):
+        raise CheckpointError("its tensors are not the config's blocks")
     return params
 
 
@@ -93,8 +96,8 @@ def read_json(path: str, sections: tuple[str, ...] = ()) -> dict:
 def load_params(path: str) -> tuple[ModelConfig, ModelParams]:
     """The model config and params of a checkpoint whose blocks are the config's."""
     document = read_json(path, ("config", "tensors"))
-    config = config_from_obj(ModelConfig, document["config"])
-    params = tensors_from_obj(document["tensors"])
-    if {name: block.shape for name, block in params.items()} != param_shapes(config):
-        raise CheckpointError(f"cannot load {path}: its tensors are not the config's blocks")
-    return config, params
+    try:
+        config = config_from_obj(ModelConfig, document["config"])
+        return config, tensors_from_obj(document["tensors"], config)
+    except CheckpointError as exc:
+        raise CheckpointError(f"cannot load {path}: {exc}") from exc

@@ -98,6 +98,17 @@ def _output_dir(cfg: RunConfig, outputs: tuple[str, ...], keep: str | None = Non
         raise
 
 
+def _read_splits(cfg: RunConfig) -> tuple[dat.Dataset, dat.Dataset | None]:
+    """The train split and the test split (None without one), each refused
+    before any update unless the model can take every one of its rows."""
+    splits = (dat.read_dataset(cfg.train_path),
+              dat.read_dataset(cfg.test_path) if cfg.test_path else None)
+    for ds in splits:
+        if ds is not None:
+            tr.check_dataset(cfg.model, ds)
+    return splits
+
+
 def _train_stack(state: tr.TrainState, datasets: list[dat.Dataset], test_ds, eval_every: int,
                  checkpoint_every: int = 0, ckpt_path: str | None = None) -> list[tuple]:
     """Advance a stack to its last outer step and return each run's (final
@@ -142,8 +153,7 @@ def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
     metrics object. A fresh run is evaluated every eval_every steps, a resumed
     one only at its end."""
     with _output_dir(cfg, _TRAIN_OUTPUTS, keep=resume):
-        train_ds = dat.read_dataset(cfg.train_path)
-        test_ds = dat.read_dataset(cfg.test_path) if cfg.test_path else None
+        train_ds, test_ds = _read_splits(cfg)
         if resume is not None:
             state = tr.resume_from_checkpoint(resume)
             _check_resume_config(cfg, state, resume)
@@ -280,8 +290,7 @@ def _sweep_rows(cfg: RunConfig) -> list[str]:
     fractions = cfg.sweep.get("fractions", [1.0])
     seeds = cfg.sweep.get("seeds", list(range(10)))
 
-    base_train = dat.read_dataset(cfg.train_path)
-    test_ds = dat.read_dataset(cfg.test_path) if cfg.test_path else None
+    base_train, test_ds = _read_splits(cfg)
     # the splits of one seed come from one shuffle, so every cell shares them
     splits = {seed: dat.subsample_splits(base_train, fractions, seed=seed) for seed in seeds}
 

@@ -296,7 +296,13 @@ def read_dataset(path: str) -> Dataset:
     provenance = {}
     meta_path = path + ".meta.json"
     if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            provenance = json.load(fh).get("provenance", {})
+        try:
+            with open(meta_path, "r", encoding="utf-8") as fh:
+                meta = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InputError(f"{meta_path}: malformed sidecar: {exc}") from exc
+        provenance = meta.get("provenance", {}) if isinstance(meta, dict) else None
+        if not isinstance(provenance, dict):
+            raise InputError(f"{meta_path}: malformed sidecar: its provenance is not an object")
     return Dataset(task=task, input_kind=input_kind, inputs=inputs_arr,
                    labels=labels_arr, soft_labels=soft_arr, provenance=provenance)

@@ -215,8 +215,18 @@ def draw_dropout_masks(config: ModelConfig, n: int,
 # Tape-level forward builders
 # ---------------------------------------------------------------------------
 
-def _check_token_inputs(config: ModelConfig, ids: np.ndarray, lead: int) -> np.ndarray:
-    ids = np.asarray(ids)
+def check_inputs(config: ModelConfig, inputs, lead: int = 0) -> np.ndarray:
+    """Raw vectors [batch, input_dim] as float64, or token ids [batch, seq]
+    within the vocabulary and max_len, behind `lead` stack axes; an InputError
+    otherwise."""
+    if config.arch == "mlp":
+        x = as_tensor(inputs)
+        if x.ndim != 2 + lead or x.shape[-1] != config.input_dim:
+            raise InputError(
+                f"raw inputs must be [batch, {config.input_dim}], got {x.shape}"
+            )
+        return x
+    ids = np.asarray(inputs)
     if not np.issubdtype(ids.dtype, np.integer):
         raise InputError("token inputs must be integers")
     if ids.ndim != 2 + lead:
@@ -238,16 +248,10 @@ def build_embed(tape: Tape, config: ModelConfig, pvars: dict[str, Var], inputs) 
     Position encodings are added inside the head, so perturbing the lookup is
     the same as perturbing the encoder input up to a constant shift.
     """
-    lead = stack_axes(config, pvars)
+    inputs = check_inputs(config, inputs, stack_axes(config, pvars))
     if config.arch == "mlp":
-        x = as_tensor(inputs)
-        if x.ndim != 2 + lead or x.shape[-1] != config.input_dim:
-            raise InputError(
-                f"raw inputs must be [batch, {config.input_dim}], got {x.shape}"
-            )
-        return tape.const(x)
-    ids = _check_token_inputs(config, inputs, lead)
-    return ad.gather_rows(pvars["embed.table"], ids)
+        return tape.const(inputs)
+    return ad.gather_rows(pvars["embed.table"], inputs)
 
 
 def build_head(
@@ -375,6 +379,6 @@ def forward(config: ModelConfig, params: ModelParams, inputs,
         return _output_layer(config, pvars, tape.const(features)).value
     if config.arch == "mlp" or stack_axes(config, pvars):
         return build_head(tape, config, pvars, build_embed(tape, config, pvars, inputs)).value
-    ids = _check_token_inputs(config, inputs, 0)
+    ids = check_inputs(config, inputs)
     return _eager_head(tape, config, pvars, len(ids),
                        lambda lo, hi: ad.gather_rows(pvars["embed.table"], ids[lo:hi]))

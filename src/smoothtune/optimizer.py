@@ -1,22 +1,22 @@
 """ADAM with global-norm gradient clipping, the warmup/linear-decay schedule,
 the trust-region settings, and the EMA teacher.
 
-Norms and clipping take the per-block gradients and a `lead` count of stack
-axes: stacked runs are normed and clipped each on its own, with the block sums
-added in block order. ADAM and the EMA are elementwise, so they work on one
-flat array per stack (`model.flatten_params`), in place, with the float ops of
-the out-of-place formulas in the same order; every run of a stack is updated
-exactly as it would be alone."""
+Norms and clipping take the block views of a stack's flat gradients, each
+with a leading run axis: every run is normed and clipped on its own, with the
+block sums added in block order, and a run over the bound is scaled in place.
+ADAM and the EMA are elementwise, so they work on one flat array per stack
+(`model.flatten_params`), in place, with the float ops of the out-of-place
+formulas in the same order; every run of a stack is updated exactly as it
+would be alone."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, check_finite_fields
-
-GradientMap = dict[str, np.ndarray]
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -35,31 +35,24 @@ def init_adam(params: np.ndarray) -> AdamState:
     return AdamState(np.zeros_like(params), np.zeros_like(params))
 
 
-def global_grad_norm(grads: GradientMap, lead: int = 0):
-    """L2 norm over the concatenation of all blocks: a float, or with `lead`
-    stack axes an array of one norm per run (block sums added in block order)."""
+def global_grad_norm(blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """One L2 norm per run over all blocks, whose leading axis is the run
+    (block sums added in block order)."""
     total = 0.0
-    for g in grads.values():
-        total = total + (g * g).reshape(g.shape[:lead] + (-1,)).sum(axis=-1)
-    norm = np.sqrt(total)
-    return float(norm) if lead == 0 else norm
+    for g in blocks:
+        total = total + (g * g).reshape(len(g), -1).sum(axis=-1)
+    return np.sqrt(total)
 
 
-def clip_gradients(grads: GradientMap, max_norm: float, lead: int = 0,
-                   norm=None) -> GradientMap:
-    """Scale all blocks together so the global L2 norm is at most max_norm;
-    with `lead` stack axes, each run on its own. `norm` is global_grad_norm's
-    value when the caller has it already."""
+def clip_gradients(blocks: Sequence[np.ndarray], max_norm: float, norms: np.ndarray) -> None:
+    """Scale in place the blocks of each run whose norm (global_grad_norm's)
+    is over max_norm, so that it is max_norm; runs inside are not written."""
     if max_norm <= 0:
         raise ContractViolation("max_norm must be > 0")
-    norm = np.asarray(global_grad_norm(grads, lead) if norm is None else norm)
-    inside = norm <= max_norm
-    if inside.all():
-        return grads
-    # exactly 1.0 for a run inside the bound, which leaves its gradients as they are
-    scale = np.divide(max_norm, norm, out=np.ones_like(norm), where=~inside)
-    return {name: g * scale.reshape(scale.shape + (1,) * (g.ndim - lead))
-            for name, g in grads.items()}
+    for i in np.flatnonzero(norms > max_norm):
+        scale = max_norm / norms[i]
+        for g in blocks:
+            g[i] *= scale
 
 
 def lr_at(step: int, total_steps: int, peak: float, warmup_fraction: float) -> float:

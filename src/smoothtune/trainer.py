@@ -14,9 +14,10 @@ bits it would get alone. A solo run is a stack of one, through the same loop.
 
 Parameters, gradients, ADAM moments and teacher each live in one flat array
 per stack laid out by `model.flatten_params`. The tape reads the params through
-their block views, the gradients are gathered into the flat array after the
-per-run clip, and ADAM and the EMA run once over the flat arrays, with the bits
-a per-block update would give.
+their block views, the backward's gradients are gathered once into the flat
+array and normed and clipped per run in place through its block views, and ADAM
+and the EMA run once over the flat arrays, with the bits a per-block update
+would give.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ class TrainState:
     smart: bool                       # regularized method vs baseline
     flat: np.ndarray                  # every run's params in one array (model.flatten_params)
     params: mdl.ModelParams           # stacked block views of flat, one slice per run
-    grads: np.ndarray                 # the clipped gradients, laid out as flat
+    grads: np.ndarray                 # the gradients, laid out as flat; clipped in place
+    grad_blocks: tuple[np.ndarray, ...]  # stacked block views of grads
     adam: AdamState                   # the moments, laid out as flat
     teacher: np.ndarray | None        # laid out as flat
     teacher_params: mdl.ModelParams | None  # stacked block views of teacher
@@ -190,9 +192,10 @@ def _new_state(model_cfg, cfgs, params, teacher, moments, smart, streams) -> Tra
     adam = init_adam(flat) if moments is None else AdamState(
         mdl.flatten_params(moments[0])[0], mdl.flatten_params(moments[1])[0], moments[2])
     teacher, teacher_params = (None, None) if teacher is None else mdl.flatten_params(teacher)
+    grads, grad_views = mdl.flatten_params(params)  # each update overwrites all of grads
     return TrainState(model_cfg=model_cfg, runs=runs, smart=smart, flat=flat, params=params,
-                      grads=np.empty_like(flat), adam=adam, teacher=teacher,
-                      teacher_params=teacher_params)
+                      grads=grads, grad_blocks=tuple(grad_views.values()), adam=adam,
+                      teacher=teacher, teacher_params=teacher_params)
 
 
 def init_train_state(
@@ -326,7 +329,8 @@ def _audit_perturbation(
                                    adversarial=adv, eps=cfg.adv.eps, norm=cfg.adv.norm))
 
 
-def _check_dataset(model_cfg: mdl.ModelConfig, dataset: Dataset) -> None:
+def check_dataset(model_cfg: mdl.ModelConfig, dataset: Dataset) -> None:
+    """Refuse a dataset the model cannot take, looking at every input row."""
     if len(dataset) == 0:
         raise ContractViolation("dataset is empty")
     if dataset.task != model_cfg.task:
@@ -339,6 +343,7 @@ def _check_dataset(model_cfg: mdl.ModelConfig, dataset: Dataset) -> None:
             f"model arch {model_cfg.arch!r} needs {expected_kind!r} inputs, "
             f"dataset has {dataset.input_kind!r}"
         )
+    mdl.check_inputs(model_cfg, dataset.inputs)
 
 
 def stack_batch_size(cfg: TrainConfig, dataset: Dataset) -> int:
@@ -363,7 +368,7 @@ def continue_training(
     if len(datasets) != len(runs):
         raise ContractViolation(f"{len(datasets)} datasets for a stack of {len(runs)} runs")
     for i, (run, ds) in enumerate(zip(runs, datasets)):
-        _check_dataset(model_cfg, ds)
+        check_dataset(model_cfg, ds)
         perm, n = run.sampler_perm, len(ds)
         if perm is not None and not (0 <= run.sampler_cursor <= len(perm)
                                      and np.array_equal(np.sort(perm), np.arange(n))):
@@ -396,20 +401,18 @@ def continue_training(
                 # runs are independent, so the gradient of their sum is each run's own
                 grad_map = obj.tape.backward(ad.sum_all(obj.total))
                 state.counters.backwards += 1
-                grads = {name: grad_map[var] for name, var in obj.pvars.items()}
+                np.concatenate([grad_map[v].ravel() for v in obj.pvars.values()], out=state.grads)
                 task, reg, breg, total = (None if term is None else term.value.tolist()
                                           for term in (obj.task, obj.reg, obj.breg, obj.total))
                 del obj, grad_map  # free the tape before the optimizer's temporaries exist
-                norms = global_grad_norm(grads, 1)
+                norms = global_grad_norm(state.grad_blocks)
             grad_norms = norms.tolist()
             for i, (loss, norm) in enumerate(zip(total, grad_norms)):
                 if not (math.isfinite(loss) and math.isfinite(norm)):
                     what = "gradient" if math.isfinite(loss) else "loss"
                     raise ContractViolation(f"non-finite {what} at step {state.global_step + 1} "
                                             f"in run {i} (seed {runs[i].cfg.seed})")
-            grads = clip_gradients(grads, cfg.clip_norm, 1, norms)
-            np.concatenate([grads[name].ravel() for name in state.params], out=state.grads)
-            del grads  # likewise free before the next update's tape is built
+            clip_gradients(state.grad_blocks, cfg.clip_norm, norms)
             state.global_step += 1
             lr = lr_at(state.global_step, cfg.total_updates, cfg.peak_lr, cfg.warmup_frac)
             adam_step(state.adam, state.flat, state.grads, lr)
@@ -493,10 +496,10 @@ def save_train_checkpoint(path: str, state: TrainState) -> None:
     if len(state.runs) != 1:
         raise ContractViolation(f"a checkpoint holds one run, not a stack of {len(state.runs)}")
     (run,) = state.runs
-    shapes = {name: block.shape for name, block in state.params.items()}
+    shapes = mdl.param_shapes(state.model_cfg)
 
-    def tensors(flat):
-        return tensors_to_obj(mdl.unstack_params(state.model_cfg, mdl.flat_views(flat, shapes))[0])
+    def tensors(flat):  # a stack of one lays out its run's blocks one after another
+        return tensors_to_obj(mdl.flat_views(flat, shapes))
 
     write_json(path, {
         "version": CHECKPOINT_VERSION,
@@ -527,13 +530,13 @@ def resume_from_checkpoint(path: str) -> TrainState:
         cfg = config_from_obj(TrainConfig, ts["train_config"])
 
         def tensors(obj):
-            return mdl.stack_params(model_cfg, [tensors_from_obj(obj)])
+            return mdl.stack_params(model_cfg, [tensors_from_obj(obj, model_cfg)])
 
         moments = (tensors(ts["adam"]["m"]), tensors(ts["adam"]["v"]), int(ts["adam"]["t"]))
         teacher = None if ts["teacher"] is None else tensors(ts["teacher"])
         streams = {name: Rng.from_state(st) for name, st in ts["streams"].items()}
         if set(streams) != set(_STREAM_TAGS):
-            raise CheckpointError(f"cannot load {path}: unexpected rng streams")
+            raise CheckpointError("unexpected rng streams")
         state = _new_state(model_cfg, [cfg], tensors(document["tensors"]), teacher,
                            moments, bool(ts["smart"]), [streams])
         sampler = ts["sampler"]
@@ -547,14 +550,12 @@ def resume_from_checkpoint(path: str) -> TrainState:
                 and 0 <= state.outer_t <= cfg.outer_steps
                 and state.counters == PassCounters(step * f, step * b)):
             raise CheckpointError(
-                f"cannot load {path}: counters disagree: global_step {step}, outer_t "
+                f"counters disagree: global_step {step}, outer_t "
                 f"{state.outer_t} of {cfg.outer_steps} with inner_steps {cfg.inner_steps}, "
                 f"adam.t {state.adam.t}, passes {state.counters.forwards}/"
                 f"{state.counters.backwards} against {f}/{b} per update")
         return state
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CheckpointError):
-            raise
+    except (KeyError, TypeError, ValueError) as exc:  # CheckpointError is a ValueError
         raise CheckpointError(f"cannot load {path}: {exc}") from exc
 
 

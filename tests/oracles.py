@@ -133,6 +133,19 @@ def ref_adam_step(state, params, grads, lr):
     return {"m": m, "v": v, "t": t}, params - lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
 
+def ref_clip_gradients(grads, max_norm):
+    """The out-of-place global-norm clip of blocks with a leading run axis:
+    new arrays, each run scaled by max_norm / its norm when that is over the
+    bound, else by exactly 1.0."""
+    total = 0.0
+    for g in grads.values():
+        total = total + (g * g).reshape(g.shape[:1] + (-1,)).sum(axis=-1)
+    norm = np.sqrt(total)
+    scale = np.divide(max_norm, norm, out=np.ones_like(norm), where=norm > max_norm)
+    return {name: g * scale.reshape(scale.shape + (1,) * (g.ndim - 1))
+            for name, g in grads.items()}
+
+
 def ref_teacher_update(teacher, current, beta):
     """(1 - beta) * current + beta * teacher into a new array."""
     return (1.0 - beta) * current + beta * teacher

@@ -382,11 +382,13 @@ def test_criterion_8_unit_exactness():
     assert ema_err < 1e-10
 
     # clipping preserves direction with a single scalar
-    grads = {"a": Rng(3).gaussian((5,), 3.0), "b": Rng(4).gaussian((4,), 3.0)}
-    clipped = clip_gradients(grads, 1.0)
-    scale = 1.0 / global_grad_norm(grads)
+    grads = {"a": Rng(3).gaussian((5,), 3.0)[None], "b": Rng(4).gaussian((4,), 3.0)[None]}
+    clipped = {n: g.copy() for n, g in grads.items()}
+    norm = global_grad_norm(grads.values())
+    clip_gradients(list(clipped.values()), 1.0, norm)
+    scale = 1.0 / norm[0]
     dir_err = max(np.max(np.abs(clipped[n] - grads[n] * scale)) for n in grads)
-    assert global_grad_norm(clipped) <= 1.0 + 1e-12
+    assert global_grad_norm(clipped.values())[0] <= 1.0 + 1e-12
     assert dir_err < 1e-15
 
     # symmetrized-KL fixtures against 40-digit oracle evaluations

@@ -120,12 +120,17 @@ def test_every_traced_name_resolves_in_the_package():
     assert missing == [], f"traced names missing from src/: {missing}"
 
 
-def test_the_span_tracer_installs_every_target():
-    """bench/spans.py's Tracer finds each target where it patches it, and
-    uninstalling puts every original back."""
+def _spans_module():
     spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_the_span_tracer_installs_every_target():
+    """bench/spans.py's Tracer finds each target where it patches it, and
+    uninstalling puts every original back."""
+    spans = _spans_module()
     from smoothtune import autodiff, model
 
     originals = (autodiff.Tape.backward, model.forward)
@@ -137,6 +142,48 @@ def test_the_span_tracer_installs_every_target():
     finally:
         tracer.uninstall()
     assert (autodiff.Tape.backward, model.forward) == originals
+
+
+def test_every_traced_span_fires(tmp_path):
+    """Short runs of every command the benchmark times call each span target
+    at least once, so a refactor that stops calling one (say clip_gradients)
+    fails here rather than reading zero in a benchmark."""
+    spans = _spans_module()
+    from smoothtune.cli import main
+
+    moons, cluster = str(tmp_path / "moons.jsonl"), str(tmp_path / "cluster.jsonl")
+    assert main(["gen-data", "--generator", "two-moons", "--n", "30", "--seed", "1",
+                 "--out", moons]) == 0
+    assert main(["gen-data", "--generator", "cluster", "--n", "60", "--seed", "2",
+                 "--out", cluster]) == 0
+    train = ["train", "--config", str(ROOT / "configs" / "two_moons_smooth.ini"),
+             "--set", f"data.train={moons}", "--set", f"data.test={moons}",
+             "--set", "smart.outer_steps=4", "--set", "run.probe_samples=2"]
+
+    def commands():
+        a = tmp_path / "a"
+        assert main([*train, "--out", str(a), "--set", "run.eval_every=2",
+                     "--set", "run.checkpoint_every=3"]) == 0
+        assert main([*train, "--out", str(tmp_path / "b"),
+                     "--resume", str(a / "checkpoint.json")]) == 0
+        assert main(["eval", "--checkpoint", str(a / "checkpoint_final.json"),
+                     "--data", moons, "--out", str(tmp_path / "eval.json")]) == 0
+        assert main(["sweep", "--config", str(ROOT / "configs" / "cluster_sweep.ini"),
+                     "--out", str(tmp_path / "sweep"), "--set", f"data.train={cluster}",
+                     "--set", f"data.test={cluster}", "--set", "sweep.seeds=0",
+                     "--set", "sweep.fractions=0.5", "--set", "sweep.reg_weights=3",
+                     "--set", "smart.outer_steps=2", "--set", "run.probe_samples=2"]) == 0
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.run_root(commands)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    silent = sorted({name for _, _, name, _ in spans.TARGETS
+                     if name is not None and tracer.spans[name].calls == 0})
+    assert silent == []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -4,8 +4,9 @@ A real mid-epoch checkpoint is truncated or has one bit flipped, then goes
 through `train --resume` and `eval --checkpoint` in-process. Each command
 either succeeds (a flip can keep the JSON valid: a digit for a digit) or exits
 nonzero with exactly one error line; a refused resume leaves only FAILED and
-its archived config. A sampler state that does not fit the data is refused
-before the first update.
+its archived config. A sampler state that does not fit the data, counters
+that disagree and tensors that are not the config's blocks are refused before
+the first update.
 """
 
 import json
@@ -99,10 +100,10 @@ SAMPLER_EDITS = {
 
 def _refused_resume(run, capsys, name, edit) -> str:
     """The one error line of a resume from the checkpoint with `edit` applied
-    to its train state; the refusal leaves only FAILED and the config."""
+    to its document; the refusal leaves only FAILED and the config."""
     tmp, args, data = run
     document = json.loads(data)
-    edit(document["train_state"])
+    edit(document)
     path = tmp / f"{name}.json"
     path.write_text(json.dumps(document))
     out = tmp / f"out_{name}"
@@ -116,7 +117,8 @@ def _refused_resume(run, capsys, name, edit) -> str:
 
 @pytest.mark.parametrize("edit", sorted(SAMPLER_EDITS))
 def test_resume_refuses_a_sampler_state_that_does_not_fit_the_data(run, capsys, edit):
-    err = _refused_resume(run, capsys, edit, lambda ts: SAMPLER_EDITS[edit](ts["sampler"]))
+    err = _refused_resume(run, capsys, edit,
+                          lambda doc: SAMPLER_EDITS[edit](doc["train_state"]["sampler"]))
     assert err.startswith("smoothtune: error: input: run 0 (seed 0): its sampler state")
     assert "n=40" in err
 
@@ -142,6 +144,32 @@ COUNTER_EDITS = {
 
 @pytest.mark.parametrize("edit", sorted(COUNTER_EDITS))
 def test_resume_refuses_counters_that_disagree(run, capsys, edit):
-    err = _refused_resume(run, capsys, edit, COUNTER_EDITS[edit])
+    err = _refused_resume(run, capsys, edit, lambda doc: COUNTER_EDITS[edit](doc["train_state"]))
     assert err.startswith("smoothtune: error: input: cannot load ")
     assert "counters disagree" in err
+
+
+def _set_shape(shape, *keys):
+    """An edit that sets the shape of the tensor entry at document[keys...]."""
+    def apply(doc):
+        for key in keys:
+            doc = doc[key]
+        doc["shape"] = shape
+    return apply
+
+
+# each keeps the data length, so only the block check can refuse it
+TENSOR_EDITS = {
+    "params_reshaped": _set_shape([16, 2], "tensors", "layer0.weight"),
+    "params_extra_tensor": lambda doc: doc["tensors"].__setitem__(
+        "extra", {"shape": [1], "data": [0.0]}),
+    "moment_reshaped": _set_shape([16, 2], "train_state", "adam", "m", "layer0.weight"),
+    "teacher_reshaped": _set_shape([4, 4], "train_state", "teacher", "layer1.bias"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(TENSOR_EDITS))
+def test_resume_refuses_tensors_that_are_not_the_config_blocks(run, capsys, edit):
+    err = _refused_resume(run, capsys, edit, TENSOR_EDITS[edit])
+    assert err.startswith("smoothtune: error: input: cannot load ")
+    assert "its tensors are not the config's blocks" in err

@@ -573,3 +573,52 @@ seeds = 0,1,2
     med = next(ln.split(",") for ln in lines if ln.split(",")[4] == "median")
     tests = sorted(float(c[6]) for c in cells)
     assert float(med[6]) == tests[1]
+
+
+def _token_file(path, seed, vocab_past_in_row=None):
+    """A 40-line token file of vocabulary 8, with the id 8 (one past the
+    vocabulary) at the start of row `vocab_past_in_row` when given."""
+    assert main(["gen-data", "--generator", "tokens", "--n", "40", "--seed", str(seed),
+                 "--out", str(path)]) == 0
+    if vocab_past_in_row is not None:
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[vocab_past_in_row])
+        rec["tokens"][0] = 8
+        lines[vocab_past_in_row] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("split", ["test_of_vectors", "test_past_the_vocabulary",
+                                   "train_past_the_vocabulary_in_its_last_row"])
+def test_every_split_is_checked_against_the_model_before_the_first_update(
+        tmp_path, capsys, monkeypatch, command, split):
+    """A bad test split used to be refused only after training (every cell of
+    a sweep), and a bad last train row only once it was batched, after
+    checkpoint.json was written."""
+    moons = tmp_path / "moons.jsonl"
+    assert main(["gen-data", "--generator", "two-moons", "--n", "40", "--seed", "1",
+                 "--out", str(moons)]) == 0
+    train = _token_file(tmp_path / "train.jsonl", 2, 39 if split.startswith("train") else None)
+    test = {"test_of_vectors": str(moons), "train_past_the_vocabulary_in_its_last_row": train,
+            "test_past_the_vocabulary": _token_file(tmp_path / "test.jsonl", 3, 5)}[split]
+    out = tmp_path / "out"
+    preset = os.path.join(os.path.dirname(__file__), "..", "bench", "tokens_transformer.ini")
+    capsys.readouterr()
+
+    def no_update(*args, **kwargs):
+        raise AssertionError("a stack trained before its splits were checked")
+
+    monkeypatch.setattr(tr, "continue_training", no_update)
+    code = main([command, "--config", preset, "--out", str(out),
+                 "--set", f"data.train={train}", "--set", f"data.test={test}",
+                 "--set", "smart.outer_steps=8", "--set", "smart.batch_size=4",
+                 "--set", "run.checkpoint_every=1", "--set", "run.probe_samples=2",
+                 *(["--set", "sweep.seeds=0,1"] if command == "sweep" else [])])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("smoothtune: error:") and err.count("\n") == 1, err
+    reason = "needs 'tokens' inputs" if split == "test_of_vectors" else "token id out of range"
+    assert reason in err
+    assert sorted(os.listdir(out)) == ["FAILED", "config.ini"]

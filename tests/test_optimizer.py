@@ -18,36 +18,43 @@ from smoothtune.optimizer import (
 from smoothtune.tensor import Rng
 from smoothtune.trainer import TrainConfig, build_iteration_objective
 
-from oracles import ref_adam_step, ref_teacher_update
+from oracles import ref_adam_step, ref_clip_gradients, ref_teacher_update
 
 SYM_KL_HALF_91 = 0.8788898309344878
 
 
+def _clipped(blocks, max_norm):
+    """Copies of stacked blocks, clipped in place by the trainer's two calls."""
+    out = [g.copy() for g in blocks]
+    clip_gradients(out, max_norm, global_grad_norm(out))
+    return out
+
+
 def test_clip_inside_bound_unchanged():
-    grads = {"w": np.array([0.3, 0.4])}  # norm 0.5
-    out = clip_gradients(grads, 1.0)
-    assert np.array_equal(out["w"], grads["w"])
+    w = np.array([[0.3, 0.4]])  # one run, norm 0.5
+    (out,) = _clipped([w], 1.0)
+    assert np.array_equal(out, w)
 
 
 def test_clip_hand_computation():
-    out = clip_gradients({"w": np.array([3.0, 4.0])}, 1.0)
-    assert np.allclose(out["w"], [0.6, 0.8], atol=1e-15)
+    (out,) = _clipped([np.array([[3.0, 4.0]])], 1.0)
+    assert np.allclose(out[0], [0.6, 0.8], atol=1e-15)
 
 
 def test_clip_zero_gradients():
-    out = clip_gradients({"w": np.zeros(3), "b": np.zeros(2)}, 1.0)
-    assert np.array_equal(out["w"], np.zeros(3))
+    out, _ = _clipped([np.zeros((1, 3)), np.zeros((1, 2))], 1.0)
+    assert np.array_equal(out[0], np.zeros(3))
 
 
 def test_clip_preserves_direction_and_respects_bound():
     rng = Rng(1)
-    grads = {"a": rng.gaussian((4, 3), 2.0), "b": rng.gaussian((5,), 2.0)}
-    norm = global_grad_norm(grads)
-    clipped = clip_gradients(grads, 1.0)
-    assert global_grad_norm(clipped) <= 1.0 + 1e-12
+    grads = [rng.gaussian((4, 3), 2.0)[None], rng.gaussian((5,), 2.0)[None]]
+    (norm,) = global_grad_norm(grads)
+    clipped = _clipped(grads, 1.0)
+    assert global_grad_norm(clipped)[0] <= 1.0 + 1e-12
     scale = 1.0 / norm
-    for name in grads:
-        assert np.allclose(clipped[name], grads[name] * scale, rtol=1e-14)
+    for c, g in zip(clipped, grads):
+        assert np.allclose(c, g * scale, rtol=1e-14)
 
 
 def test_lr_schedule():
@@ -247,20 +254,22 @@ def test_teacher_update_in_place_equals_the_out_of_place_formula_over_400_steps(
 
 def test_flat_buffers_update_like_per_block_state_over_400_steps():
     """ADAM and the EMA once over flat buffers (the trainer's layout), with
-    clipping per run before the gradients are gathered, equal the out-of-place
-    formulas taken block by block."""
+    the gradients gathered into their flat buffer and clipped per run in place,
+    equal the out-of-place formulas taken block by block."""
     blocks = _stacked_mlp(40)
     ref = {name: ({"m": np.zeros_like(p), "v": np.zeros_like(p), "t": 0}, p.copy(), p.copy())
            for name, p in blocks.items()}
     flat_params, views = flatten_params(blocks)
     flat_teacher, teacher_views = flatten_params(blocks)
     adam = init_adam(flat_params)
-    flat_grads = np.empty_like(flat_params)
+    flat_grads, grad_views = flatten_params(blocks)
+    grad_blocks = list(grad_views.values())
     rng = Rng(41)
     for step in range(400):
         grads = {name: rng.gaussian(p.shape, 0.05 * (1 + step % 5)) for name, p in blocks.items()}
-        clipped = clip_gradients(grads, 1.0, 1, global_grad_norm(grads, 1))
-        np.concatenate([g.ravel() for g in clipped.values()], out=flat_grads)
+        np.concatenate([g.ravel() for g in grads.values()], out=flat_grads)
+        clip_gradients(grad_blocks, 1.0, global_grad_norm(grad_blocks))
+        clipped = ref_clip_gradients(grads, 1.0)
         lr, beta = 1e-3 * (1 + step % 7), (0.0, 0.9, 0.99)[step % 3]
         adam_step(adam, flat_params, flat_grads, lr)
         teacher_update(flat_teacher, flat_params, beta)
@@ -295,10 +304,39 @@ def test_teacher_update_blends_into_the_flat_teacher():
 
 def test_clip_with_the_norm_already_known_is_the_same_clip():
     grads = {"w": Rng(40).gaussian((3, 4, 5), 2.0), "b": Rng(41).gaussian((3, 1, 5), 0.1)}
-    norms = global_grad_norm(grads, 1)
+    norms = global_grad_norm(grads.values())
     assert norms.min() < 8.5 < norms.max()
     for bound in (1.0, 8.5, 100.0):  # every run clipped, some of them, none
-        fresh = clip_gradients(grads, bound, 1)
-        given = clip_gradients(grads, bound, 1, norms)
+        fresh = ref_clip_gradients(grads, bound)
+        given = {name: g.copy() for name, g in grads.items()}
+        clip_gradients(list(given.values()), bound, norms)
         for name in grads:
             assert _bits_equal(fresh[name], given[name])
+
+
+def test_in_place_clip_of_the_flat_buffer_gives_the_out_of_place_bits():
+    """A stack of three runs, one over the bound, one under it and one all
+    zero, clipped through the block views of its flat buffer."""
+    blocks = {"w": Rng(42).gaussian((3, 4, 5), 1.0), "b": Rng(43).gaussian((3, 1, 5), 0.1)}
+    for g in blocks.values():
+        g[1] *= 0.05
+        g[2] = 0.0
+    flat, views = flatten_params(blocks)
+    norms = global_grad_norm(views.values())
+    assert norms[0] > 1.0 > norms[1] > norms[2] == 0.0
+    clip_gradients(list(views.values()), 1.0, norms)
+    ref = ref_clip_gradients(blocks, 1.0)
+    assert _bits_equal(flat, np.concatenate([g.ravel() for g in ref.values()]))
+    assert _bits_equal(views["w"][1:], blocks["w"][1:])
+
+
+def test_a_stack_inside_the_bound_leaves_the_buffer_unwritten():
+    flat, views = flatten_params({"w": Rng(44).gaussian((4, 3, 2), 0.1),
+                                  "b": Rng(45).gaussian((4, 1, 2), 0.1)})
+    kept = flat.copy()
+    for g in views.values():
+        g.flags.writeable = False  # a write into a block would raise
+    norms = global_grad_norm(views.values())
+    assert norms.max() < 1.0
+    clip_gradients(list(views.values()), 1.0, norms)
+    assert _bits_equal(flat, kept)

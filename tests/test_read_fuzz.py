@@ -6,7 +6,7 @@ another length or of text, a class label beyond 64 bits, a number written as
 text or true/false among the inputs or soft labels). The reader must
 refuse it with an InputError naming the first corrupted line, and `train`
 on it must exit 1 with one error line, leaving only FAILED and its archived
-config.
+config. A malformed `.meta.json` sidecar is refused the same way.
 """
 
 import json
@@ -171,3 +171,29 @@ def test_random_bit_flips_give_a_dataset_or_an_input_error(tmp_path):
         except InputError:
             outcomes.add("refused")
     assert outcomes == {"read", "refused"}
+
+
+SIDECARS = {
+    "truncated": b'{"task": "classification", "provenance": {"generator": "clu',
+    "list": b'[{"provenance": {}}]\n',
+    "not_utf8": b'{"provenance": {"generator": "cl\xe1ster"}}\n',
+    "provenance_not_an_object": b'{"provenance": [1, 2]}\n',
+}
+
+
+@pytest.mark.parametrize("sidecar", sorted(SIDECARS))
+def test_a_malformed_sidecar_is_refused_with_one_line(tmp_path, capsys, sidecar):
+    path = str(tmp_path / "data.jsonl")
+    write_dataset(path, gen_cluster_classification(LINES, 2, 2, 1.5, 0.8, seed=5))
+    with open(path + ".meta.json", "wb") as fh:
+        fh.write(SIDECARS[sidecar])
+    with pytest.raises(InputError, match=r"data\.jsonl\.meta\.json: malformed sidecar"):
+        read_dataset(path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["train", "--config", PRESET, "--out", str(out),
+                 "--set", f"data.train={path}", "--set", f"data.test={path}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("smoothtune: error: input: ") and err.count("\n") == 1, err
+    assert sorted(os.listdir(out)) == ["FAILED", "config.ini"]
