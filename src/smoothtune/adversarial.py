@@ -3,9 +3,10 @@ on the output divergence, confined to an eps-ball around each embedding.
 
 The inner search treats parameters as constants; the outer objective treats the
 returned points as constants (no differentiation through the search), so no
-second-order machinery is ever needed. Stacked params and embeddings search
-for S runs at once; each run draws its noise from its own stream, all of them
-in one grid draw.
+second-order machinery is ever needed. The search and the smoothness term
+take a stack of S runs (unstacked params are a stack of one) and count every
+pass they make; each run draws its noise from its own stream, all of them in
+one grid draw.
 """
 
 from __future__ import annotations
@@ -90,22 +91,20 @@ def find_adversarial(
     batch_embeddings: np.ndarray,
     clean_outputs: np.ndarray,
     cfg: AdvConfig,
-    rng: Rng | Sequence[Rng],
-    masks: list[np.ndarray] | None = None,
-    counters: PassCounters | None = None,
+    rngs: Sequence[Rng],
+    masks: list[np.ndarray] | None,
+    counters: PassCounters,
 ) -> np.ndarray:
     """Per-example worst-case points within the eps-ball around each embedding.
 
     Starts from x + noise, then takes `cfg.steps` normalized gradient-ascent
     steps on the divergence from the (cached) clean outputs, projecting back
     onto the ball after every step. Gradients are per example: each point
-    climbs toward its own worst case. Stacked params take one rng per run.
+    climbs toward its own worst case. `rngs` holds one rng per run.
     """
     x = batch_embeddings
     kind = smooth_kind_for(model_cfg.task)
     examples = 1 + mdl.stack_axes(model_cfg, params)
-    # a lone rng draws for unstacked params, as a stack of one
-    rngs = [rng] if isinstance(rng, Rng) else rng
     noise = gaussian_stack(rngs, x.shape[examples - 1:], cfg.noise_std).reshape(x.shape)
     x_adv = _project_rows(x + noise, x, cfg.eps, cfg.norm, examples)
     for _ in range(cfg.steps):
@@ -114,9 +113,8 @@ def find_adversarial(
         x_var = tape.leaf(x_adv, requires_grad=True)
         out = mdl.build_head(tape, model_cfg, pvars, x_var, masks)
         loss = smooth_loss_mean_node(kind, out, tape.const(clean_outputs))
-        if counters is not None:
-            counters.forwards += 1
-            counters.backwards += 1
+        counters.forwards += 1
+        counters.backwards += 1
         # runs are independent, so the gradient of their sum is each run's own
         grad = tape.backward(ad.sum_all(loss))[x_var]
         x_adv = _project_rows(x_adv + cfg.step_size * _normalize_rows(grad, cfg.norm, examples),
@@ -131,13 +129,12 @@ def build_smoothness_term(
     clean_outputs_var,
     adversarial_points: np.ndarray,
     masks: list[np.ndarray] | None,
-    counters: PassCounters | None = None,
+    counters: PassCounters,
 ):
     """Batch-mean divergence between outputs at fixed adversarial points and the
     clean outputs, on an existing tape. Parameter gradients flow through both
     branches; the points themselves enter as constants."""
-    if counters is not None:
-        counters.forwards += 1
+    counters.forwards += 1
     perturbed = mdl.build_head(
         tape, model_cfg, pvars, tape.const(adversarial_points), masks
     )

@@ -117,14 +117,16 @@ def _mixture_posteriors(x, y, centroids, counts, noise, n) -> np.ndarray:
 def gen_token_sequences(n: int, vocab: int, length: int, rule: str, seed: int) -> Dataset:
     """Rule-labeled integer sequences; "majority" labels each sequence with its
     most frequent token id (ties to the lowest id)."""
-    if n < 1 or vocab < 2 or length < 1:
+    if n < 1 or not 2 <= vocab < 2**63 or length < 1:  # token ids are int64
         raise InputError(f"invalid sizes n={n}, vocab={vocab}, length={length}")
     if rule != "majority":
         raise InputError(f"unknown labeling rule {rule!r}")
     rng = Rng(seed)
     ids = np.floor(rng.uniform((n, length)) * vocab).astype(np.int64)
     ids = np.minimum(ids, vocab - 1)
-    y = np.array([np.bincount(row, minlength=vocab).argmax() for row in ids], dtype=np.int64)
+    # counts over each row's own tokens, sorted by id, so ties go to the lowest id
+    tallies = [np.unique(row, return_counts=True) for row in ids]
+    y = np.array([values[counts.argmax()] for values, counts in tallies], dtype=np.int64)
     return Dataset(
         task="classification", input_kind="tokens", inputs=ids, labels=y,
         provenance={"generator": "tokens", "n": n, "vocab": vocab, "length": length,

@@ -193,22 +193,20 @@ def dropout_site_shapes(config: ModelConfig, n: int) -> list[tuple[int, ...]]:
 
 
 def draw_dropout_masks(config: ModelConfig, n: int,
-                       rng: Rng | Sequence[Rng]) -> list[np.ndarray] | None:
-    """Pre-scaled inverted-dropout masks (entries 0 or 1/keep), or None when rate is 0.
+                       rngs: Sequence[Rng]) -> list[np.ndarray] | None:
+    """Pre-scaled inverted-dropout masks (entries 0 or 1/keep) for a stack of
+    runs, or None when rate is 0.
 
     Sharing one mask set between two forwards on equal-sized batches makes the
-    two passes differ only through their inputs. A sequence of rngs gives
-    stacked masks, each run's slice drawn from its own stream as if alone.
+    two passes differ only through their inputs. Each mask has a leading stack
+    axis with one slice per rng, each drawn from its own stream as if alone.
     """
     rate = config.dropout
     if rate == 0.0:
         return None
     keep = 1.0 - rate
-    masks = []
-    for shape in dropout_site_shapes(config, n):
-        u = rng.uniform(shape) if isinstance(rng, Rng) else uniform_stack(rng, shape)
-        masks.append(np.where(u < rate, 0.0, 1.0 / keep))
-    return masks
+    return [np.where(uniform_stack(rngs, shape) < rate, 0.0, 1.0 / keep)
+            for shape in dropout_site_shapes(config, n)]
 
 
 # ---------------------------------------------------------------------------

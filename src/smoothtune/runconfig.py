@@ -98,7 +98,7 @@ def parse_config(path: str | None, overrides: list[str] | None = None,
                  require_sweep: bool = False) -> RunConfig:
     """Read [model]/[smart]/[data]/[run] (and [sweep]) sections, apply
     section.key=value overrides, validate everything at once."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(default_section="")  # no header is empty: none is special
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -111,12 +111,16 @@ def parse_config(path: str | None, overrides: list[str] | None = None,
             errors.append(f"override {ov!r} is not section.key=value")
             continue
         target, value = ov.split("=", 1)
-        section, key = target.split(".", 1)
+        section, key = (part.strip() for part in target.split(".", 1))
+        if not section:  # configparser would give the key to every section
+            errors.append("[]: unknown section")
+            continue
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section.strip(), key.strip(), value.strip())
+        parser.set(section, key, value.strip())
 
     values: dict[tuple[str, str], object] = {}
+    given: set[tuple[str, str]] = set()  # known keys, parsed or not
     unparsed: list[str] = []            # reported after every unknown key
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -126,13 +130,14 @@ def parse_config(path: str | None, overrides: list[str] | None = None,
             if (section, key) not in _TYPES:
                 errors.append(f"[{section}].{key}: unknown key")
                 continue
+            given.add((section, key))
             try:
                 values[section, key] = _parse_value(_TYPES[section, key], text)
             except ValueError:
                 unparsed.append(f"[{section}].{key}: cannot parse {text!r}")
     errors += unparsed
     errors += [f"[{section}].{key}: missing required key"
-               for section, key in sorted(_REQUIRED) if (section, key) not in values]
+               for section, key in sorted(_REQUIRED) if (section, key) not in given]
     sweep = {key: value for (section, key), value in values.items() if section == "sweep"}
     if require_sweep and not sweep:
         errors.append("[sweep]: section required for sweep runs")

@@ -1,16 +1,18 @@
 """Training loops: smoothness-regularized proximal fine-tuning and the plain baseline.
 
 Each update builds one objective tape: task loss, plus (when active) the
-smoothness penalty at fixed adversarial points and the trust-region divergence
-from the teacher. Terms with zero coefficient contribute no tape nodes at all,
-so the regularized loop with both weights at zero is bit-for-bit the baseline
-loop: same batches, same dropout masks, same updates, same records.
+smoothness penalty at the points the inner ascent finds and the trust-region
+divergence from the teacher. Terms with zero coefficient contribute no tape
+nodes at all, so the regularized loop with both weights at zero is bit-for-bit
+the baseline loop: same batches, same dropout masks, same updates, same records.
 
 A TrainState is a stack of S runs that differ only in seed and data, with
 parameters, moments and teacher stacked on a leading axis (`model.stack_params`).
 Each run keeps its own rng streams and batch order, losses are per-run means,
 and norms and clipping are per run, so one stacked update gives every run the
-bits it would get alone. A solo run is a stack of one, through the same loop.
+bits it would get alone. A solo run is a stack of one, through the same loop:
+the per-update functions take a stack only, with one rng per run and the
+stack's pass counters, while the entry points also take a single run.
 
 Parameters, gradients, ADAM moments and teacher each live in one flat array
 per stack laid out by `model.flatten_params`. The tape reads the params through
@@ -26,7 +28,6 @@ import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -115,16 +116,6 @@ class TrainRecord:
     breg_loss: float | None
     total: float
     grad_norm: float
-
-
-@dataclass(frozen=True)
-class PerturbationEvent:
-    outer_step: int
-    inner_step: int
-    embedding: np.ndarray
-    adversarial: np.ndarray
-    eps: float
-    norm: str
 
 
 @dataclass
@@ -229,9 +220,8 @@ def build_iteration_objective(
     *,
     smart: bool,
     masks: list[np.ndarray] | None = None,
-    noise_rng: Rng | Sequence[Rng] | None = None,
-    counters: PassCounters | None = None,
-    adversarial_points: np.ndarray | None = None,
+    noise_rng: Sequence[Rng],
+    counters: PassCounters,
 ) -> Objective:
     """One update's objective on a single tape.
 
@@ -241,8 +231,8 @@ def build_iteration_objective(
     stay constant under differentiation. A teacher passed as `params` itself
     is the current iterate (a vbpp teacher after an update): its forward takes
     the clean forward's output-layer input when no earlier dropout site shaped
-    it. With stacked params and batches the loss terms hold one value per run,
-    and `noise_rng` one rng per run.
+    it. `noise_rng` holds one rng per run; with stacked params and batches
+    the loss terms hold one value per run.
     """
     reg_on = smart and cfg.reg_weight > 0
     breg_on = smart and cfg.prox.effective_weight > 0 and teacher_params is not None
@@ -251,22 +241,13 @@ def build_iteration_objective(
     emb = mdl.build_embed(tape, model_cfg, pvars, xs)
     features: list[Var] = []
     outputs = mdl.build_head(tape, model_cfg, pvars, emb, masks, features)
-    if counters is not None:
-        counters.forwards += 1
+    counters.forwards += 1
     task = task_loss_mean_node(task_kind_for(model_cfg.task), outputs, ys)
     total = task
-    reg = breg = None
-    x_adv = None
+    reg = breg = x_adv = None
     if reg_on:
-        if adversarial_points is not None:
-            x_adv = adversarial_points
-        else:
-            if noise_rng is None:
-                raise ContractViolation("active smoothness term needs a noise rng")
-            x_adv = find_adversarial(
-                model_cfg, params, emb.value, outputs.value, cfg.adv,
-                noise_rng, masks, counters,
-            )
+        x_adv = find_adversarial(model_cfg, params, emb.value, outputs.value, cfg.adv,
+                                 noise_rng, masks, counters)
         clean_branch = ad.stop_gradient(outputs) if cfg.reg_detach_clean else outputs
         reg = build_smoothness_term(tape, model_cfg, pvars, clean_branch, x_adv,
                                     masks, counters)
@@ -275,8 +256,7 @@ def build_iteration_objective(
         current = teacher_params is params and (masks is None or len(masks) <= 1)
         teacher_out = mdl.forward(model_cfg, teacher_params, xs,
                                   features[0].value if current else None)
-        if counters is not None:
-            counters.forwards += 1
+        counters.forwards += 1
         breg = smooth_loss_mean_node(
             smooth_kind_for(model_cfg.task), outputs, tape.const(teacher_out)
         )
@@ -307,15 +287,8 @@ def _next_batch(run: RunState, n: int) -> np.ndarray:
     return idx
 
 
-def _audit_perturbation(
-    obj: Objective,
-    cfg: TrainConfig,
-    t: int,
-    s: int,
-    hook: Callable[[PerturbationEvent], None] | None,
-) -> None:
-    """Check every point of every run against the ball; report each run's
-    points to the hook."""
+def _audit_perturbation(obj: Objective, cfg: TrainConfig, t: int, s: int) -> None:
+    """Check every point of every run against the ball."""
     per_ex = rows_norm(obj.adversarial - obj.embedding, cfg.adv.norm, 2)
     worst = float(per_ex.max()) if per_ex.size else 0.0
     if worst > cfg.adv.eps + _BALL_SLACK:
@@ -323,10 +296,6 @@ def _audit_perturbation(
             f"perturbation left the ball at iteration {t}.{s}: "
             f"{worst} > {cfg.adv.eps} + {_BALL_SLACK}"
         )
-    if hook is not None:
-        for emb, adv in zip(obj.embedding, obj.adversarial):
-            hook(PerturbationEvent(outer_step=t, inner_step=s, embedding=emb,
-                                   adversarial=adv, eps=cfg.adv.eps, norm=cfg.adv.norm))
 
 
 def check_dataset(model_cfg: mdl.ModelConfig, dataset: Dataset) -> None:
@@ -356,7 +325,6 @@ def continue_training(
     state: TrainState,
     dataset: Dataset | Sequence[Dataset],
     *,
-    perturbation_hook: Callable[[PerturbationEvent], None] | None = None,
     stop_after: int | None = None,
 ) -> TrainResult | list[TrainResult]:
     """Advance a state, optionally pausing after a given outer step; segmented
@@ -397,7 +365,7 @@ def continue_training(
                     noise_rng=noise, counters=state.counters,
                 )
                 if obj.adversarial is not None:
-                    _audit_perturbation(obj, cfg, t, s, perturbation_hook)
+                    _audit_perturbation(obj, cfg, t, s)
                 # runs are independent, so the gradient of their sum is each run's own
                 grad_map = obj.tape.backward(ad.sum_all(obj.total))
                 state.counters.backwards += 1
@@ -436,14 +404,11 @@ def smooth_finetune(
     cfg: TrainConfig | Sequence[TrainConfig],
     dataset: Dataset | Sequence[Dataset],
     initial: mdl.ModelParams | Sequence[mdl.ModelParams],
-    *,
-    perturbation_hook: Callable[[PerturbationEvent], None] | None = None,
 ) -> TrainResult | list[TrainResult]:
     """Run the full regularized proximal loop; deterministic in (config, seed, data).
 
     Sequences of configs, datasets and initial params train a stack of runs."""
-    return continue_training(init_train_state(model_cfg, cfg, initial, smart=True), dataset,
-                             perturbation_hook=perturbation_hook)
+    return continue_training(init_train_state(model_cfg, cfg, initial, smart=True), dataset)
 
 
 def vanilla_finetune(
@@ -559,13 +524,7 @@ def resume_from_checkpoint(path: str) -> TrainState:
         raise CheckpointError(f"cannot load {path}: {exc}") from exc
 
 
-def resume_training(
-    path: str,
-    dataset: Dataset,
-    *,
-    perturbation_hook: Callable[[PerturbationEvent], None] | None = None,
-) -> TrainResult:
+def resume_training(path: str, dataset: Dataset) -> TrainResult:
     """Continue a checkpointed run; the completed trajectory matches an
     uninterrupted one bit for bit."""
-    return continue_training(resume_from_checkpoint(path), dataset,
-                             perturbation_hook=perturbation_hook)
+    return continue_training(resume_from_checkpoint(path), dataset)

@@ -10,7 +10,8 @@ import time
 
 import numpy as np
 
-from smoothtune.adversarial import AdvConfig, find_adversarial
+from smoothtune import trainer
+from smoothtune.adversarial import AdvConfig, PassCounters, find_adversarial
 from smoothtune.cli import main as cli_main
 from smoothtune.data import gen_cluster_classification, gen_two_moons, subsample_splits
 from smoothtune.evaluate import accuracy, local_smoothness_probe
@@ -86,7 +87,12 @@ def _fidelity_fixture(i):
     return model, params, teacher, xs, ys
 
 
-def test_criterion_1_gradient_fidelity():
+def _objective(model, cfg, params, teacher, xs, ys, rng):
+    return build_iteration_objective(model, cfg, params, teacher, xs, ys, smart=True,
+                                     noise_rng=[rng], counters=PassCounters())
+
+
+def test_criterion_1_gradient_fidelity(monkeypatch):
     start = time.time()
     cfg = TrainConfig(reg_weight=3.0,
                       adv=AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02, steps=1),
@@ -97,20 +103,17 @@ def test_criterion_1_gradient_fidelity():
         model, params, teacher, xs, ys = _fidelity_fixture(i)
         n_params = sum(b.size for b in params.values())
         assert n_params <= 1000, f"fixture {i} has {n_params} parameters"
-        warm = build_iteration_objective(model, cfg, params, teacher, xs, ys,
-                                         smart=True, noise_rng=Rng(7400 + i))
-        x_adv = warm.adversarial
-
-        obj = build_iteration_objective(model, cfg, params, teacher, xs, ys,
-                                        smart=True, adversarial_points=x_adv)
-        grads = obj.tape.backward(obj.total)
+        x_adv = _objective(model, cfg, params, teacher, xs, ys, Rng(7400 + i)).adversarial
 
         def value():
-            rebuilt = build_iteration_objective(model, cfg, params, teacher, xs, ys,
-                                                smart=True, adversarial_points=x_adv)
+            rebuilt = _objective(model, cfg, params, teacher, xs, ys, Rng(7400 + i))
             return float(rebuilt.total.value)
 
-        fd = central_diff(value, list(params.values()))
+        with monkeypatch.context() as patch:  # every objective below is taken at x_adv
+            patch.setattr(trainer, "find_adversarial", lambda *args: x_adv)
+            obj = _objective(model, cfg, params, teacher, xs, ys, Rng(7400 + i))
+            grads = obj.tape.backward(obj.total)
+            fd = central_diff(value, list(params.values()))
         for (name, leaf), g_fd in zip(obj.pvars.items(), fd):
             err = np.abs(grads[leaf] - g_fd)
             bound = 1e-8 + 1e-4 * np.abs(g_fd)
@@ -172,7 +175,7 @@ def test_criterion_2_exact_reduction():
 # 3. Constraint audit over a full run
 # -------------------------------------------------------------------------
 
-def test_criterion_3_constraint_audit():
+def test_criterion_3_constraint_audit(monkeypatch):
     moons = gen_two_moons(60, 0.25, seed=42)
     mlp = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2,
                       hidden=(16, 16), dropout=0.1)
@@ -181,19 +184,21 @@ def test_criterion_3_constraint_audit():
                       prox=ProxConfig(prox_weight=1.0, mode="mbpp"),
                       outer_steps=500, batch_size=20, peak_lr=0.01, seed=5)
     violations = []
-    events = []
+    searches = []  # the farthest point of each search from its embedding
+    search = trainer.find_adversarial
 
-    def hook(ev):
-        events.append(ev)
-        worst = float(np.abs(ev.adversarial - ev.embedding).max())
-        if worst > ev.eps + 1e-12:
-            violations.append((ev.outer_step, worst))
+    def watched(model_cfg, params, emb, clean, adv, *rest):
+        found = search(model_cfg, params, emb, clean, adv, *rest)
+        searches.append(float(np.abs(found - emb).max()))
+        if searches[-1] > adv.eps + 1e-12:
+            violations.append((len(searches), searches[-1]))
+        return found
 
-    smooth_finetune(mlp, cfg, moons, init_params(mlp, Rng(6)),
-                    perturbation_hook=hook)
-    ok = len(events) == 500 and not violations
+    monkeypatch.setattr(trainer, "find_adversarial", watched)
+    smooth_finetune(mlp, cfg, moons, init_params(mlp, Rng(6)))
+    ok = len(searches) == 500 and not violations
     _report(3, "constraint audit", ok,
-            f"{len(events)} perturbation events, {len(violations)} violations")
+            f"{len(searches)} searches, {len(violations)} violations")
     assert ok
 
 
@@ -219,7 +224,7 @@ def test_criterion_4_inner_max_quality():
         oracle = grid_oracle_max(weights, bias, x, eps)
         clean = forward_from_embedding(linear, params, x[None, :])
         found = find_adversarial(linear, params, x[None, :], clean, cfg,
-                                 Rng(100 + draw))
+                                 [Rng(100 + draw)], None, PassCounters())
         attained = float(smooth_loss_rows(
             "symmetrized_kl", forward_from_embedding(linear, params, found), clean)[0])
         ratios.append(attained / oracle if oracle > 0 else 1.0)

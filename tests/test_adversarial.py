@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from smoothtune.adversarial import AdvConfig, _normalize_rows, _project_rows, find_adversarial
+from smoothtune.adversarial import (
+    AdvConfig,
+    PassCounters,
+    _normalize_rows,
+    _project_rows,
+    find_adversarial,
+)
 from smoothtune.errors import ContractViolation
 from smoothtune.losses import smooth_loss_rows
 from smoothtune.model import ModelConfig, forward_from_embedding, init_params
@@ -62,6 +68,10 @@ def test_normalized_direction():
     assert np.allclose(l2, [0.6, 0.8], atol=1e-15)
 
 
+def _find(params, x, clean, cfg, rng):
+    return find_adversarial(LINEAR, params, x, clean, cfg, [rng], None, PassCounters())
+
+
 def _setup(seed=0, n=4):
     params = init_params(LINEAR, Rng(seed))
     x = Rng(100 + seed).gaussian((n, 2), 1.0)
@@ -72,10 +82,10 @@ def _setup(seed=0, n=4):
 def test_degenerate_ball_returns_input_exactly():
     params, x, clean = _setup()
     cfg = AdvConfig(eps=0.0, noise_std=0.0, step_size=0.01, steps=3)
-    out = find_adversarial(LINEAR, params, x, clean, cfg, Rng(5))
+    out = _find(params, x, clean, cfg, Rng(5))
     assert np.array_equal(out, x)
     cfg0 = AdvConfig(eps=0.1, noise_std=0.0, step_size=0.01, steps=0)
-    assert np.array_equal(find_adversarial(LINEAR, params, x, clean, cfg0, Rng(5)), x)
+    assert np.array_equal(_find(params, x, clean, cfg0, Rng(5)), x)
 
 
 @pytest.mark.parametrize("norm", ["inf", "two"])
@@ -83,7 +93,7 @@ def test_ball_feasibility_every_example(norm):
     for seed in range(3):
         params, x, clean = _setup(seed, n=6)
         cfg = AdvConfig(eps=0.05, noise_std=0.05, step_size=0.02, steps=7, norm=norm)
-        out = find_adversarial(LINEAR, params, x, clean, cfg, Rng(40 + seed))
+        out = _find(params, x, clean, cfg, Rng(40 + seed))
         d = out - x
         if norm == "inf":
             per = np.abs(d).max(axis=1)
@@ -97,8 +107,8 @@ def test_one_step_improves_on_noise_only_fixture():
     params, x, clean = _setup(2, n=5)
     base = AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02, steps=0)
     one = AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02, steps=1)
-    x0 = find_adversarial(LINEAR, params, x, clean, base, Rng(7))
-    x1 = find_adversarial(LINEAR, params, x, clean, one, Rng(7))
+    x0 = _find(params, x, clean, base, Rng(7))
+    x1 = _find(params, x, clean, one, Rng(7))
     v0 = smooth_loss_rows("symmetrized_kl",
                           forward_from_embedding(LINEAR, params, x0), clean).mean()
     v1 = smooth_loss_rows("symmetrized_kl",
@@ -119,12 +129,12 @@ def test_search_beats_plain_noise_against_grid_oracle():
         oracle = grid_oracle_max(W, b, x, 0.1)
         clean = forward_from_embedding(LINEAR, params, x[None, :])
         cfg = AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02, steps=10)
-        found = find_adversarial(LINEAR, params, x[None, :], clean, cfg, Rng(77 + draw))
+        found = _find(params, x[None, :], clean, cfg, Rng(77 + draw))
         att = smooth_loss_rows("symmetrized_kl",
                                forward_from_embedding(LINEAR, params, found), clean)[0]
-        plain = find_adversarial(LINEAR, params, x[None, :], clean,
-                                 AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02,
-                                           steps=0), Rng(77 + draw))
+        plain = _find(params, x[None, :], clean,
+                      AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02, steps=0),
+                      Rng(77 + draw))
         natt = smooth_loss_rows("symmetrized_kl",
                                 forward_from_embedding(LINEAR, params, plain), clean)[0]
         ratios.append(att / oracle)
@@ -142,7 +152,8 @@ def _smoothness_objective(seed, n, adv):
     x = Rng(seed + 1).gaussian((n, 2), 1.0)
     cfg = TrainConfig(reg_weight=1.0, adv=adv, prox=ProxConfig(prox_weight=0.0))
     obj = build_iteration_objective(mcfg, cfg, params, None, x, np.zeros(n, dtype=np.int64),
-                                    smart=True, noise_rng=Rng(seed + 2))
+                                    smart=True, noise_rng=[Rng(seed + 2)],
+                                    counters=PassCounters())
     return float(obj.reg.value), obj.adversarial, x
 
 

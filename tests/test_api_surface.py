@@ -102,6 +102,52 @@ def test_a_function_is_not_its_own_caller(tmp_path):
     assert _unreferenced(package, bench) == ["ops.product"]
 
 
+def _passed_keywords(tree: ast.Module) -> set[str]:
+    """Keyword names passed in calls, except a `name=name` that hands on the
+    enclosing function's own parameter `name`."""
+    passed = set()
+
+    def visit(node, params):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        if isinstance(node, ast.Call):
+            passed.update(kw.arg for kw in node.keywords if kw.arg is not None and not (
+                isinstance(kw.value, ast.Name) and kw.value.id == kw.arg and kw.arg in params))
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    visit(tree, set())
+    return passed
+
+
+def _test_only_options(package: Path, bench: Path) -> list[str]:
+    """Keyword-only parameters of public functions of `package` that no call
+    in its modules or in `bench` passes by name."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py"))}
+    passed = set().union(*(_passed_keywords(tree) for tree in trees.values()))
+    return [f"{path.stem}.{qualified}({arg.arg}=)"
+            for path, tree in trees.items() if path.parent == package
+            for qualified, _, node in _public_functions(tree)
+            for arg in node.args.kwonlyargs if arg.arg not in passed]
+
+
+def test_every_keyword_only_option_is_passed_outside_the_tests():
+    options = _test_only_options(PACKAGE, ROOT / "bench")
+    assert options == [], f"keyword-only options only tests pass: {options}"
+
+
+def test_an_option_handed_on_under_its_own_name_is_not_passed(tmp_path):
+    package, bench = tmp_path / "package", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "ops.py").write_text(
+        "def run(a, *, hook=None, scale=1.0):\n    return a\n\n\n"
+        "def wrap(a, *, hook=None):\n    return run(a, hook=hook, scale=2.0)\n")
+    assert _test_only_options(package, bench) == ["ops.run(hook=)", "ops.wrap(hook=)"]
+
+
 def test_every_traced_name_resolves_in_the_package():
     """Each (module, attribute) in bench/spans.py's TARGETS, read with ast,
     names a function that exists in src/."""

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import warnings
@@ -209,6 +210,30 @@ def test_gen_data_refuses_bad_scales(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n, seed, digest", [
+    (400, 1001, "c7b8e18a88be5dc042a4a955a8682db0947b5ed2a74bacf3b6d3a1dbce5b8477"),
+    (1000, 1002, "e9cf1afa3618417bd74e1595f2de16aafe9f3040e0feb0ea6365aaece2761280"),
+])
+def test_gen_data_tokens_keeps_the_benchmark_files_bytes(tmp_path, n, seed, digest):
+    """The benchmark's token files, with labels from each row's own token
+    counts, are the bytes that counts over the whole vocabulary gave."""
+    out = tmp_path / "tokens.jsonl"
+    assert main(["gen-data", "--generator", "tokens", "--n", str(n), "--vocab", "8",
+                 "--length", "8", "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_gen_data_tokens_refuses_a_vocab_past_int64(tmp_path, capsys):
+    big, edge = tmp_path / "big.jsonl", tmp_path / "edge.jsonl"
+    argv = ["gen-data", "--generator", "tokens", "--n", "5", "--seed", "1"]
+    assert main([*argv, "--vocab", str(2**63), "--out", str(big)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("smoothtune: error: input:") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+    assert main([*argv, "--vocab", str(2**63 - 1), "--out", str(edge)]) == 0
+    assert len(read_dataset(str(edge))) == 5
+
+
 @pytest.mark.parametrize("setting", [
     *(f"smart.{key}=nan" for key in (
         "reg_weight", "eps", "noise_std", "step_size", "prox_weight", "ema_early",
@@ -267,6 +292,31 @@ seed = 5
     for fragment in ("[model].classes", "[data].notakey", "[smart].outer_steps",
                      "[data].train", "[run].out"):
         assert fragment in err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("setting, message", [
+    ("DEFAULT.seed=3", "[DEFAULT]: unknown section"),  # a name configparser reserves
+    (".seed=3", "[]: unknown section"),  # configparser would give seed to every section
+    ("run.seed=", "[run].seed: cannot parse ''"),  # and not missing as well
+])
+def test_a_bad_section_or_value_is_refused_once(workspace, capsys, command, setting, message):
+    tmp, cfg, _, _ = workspace
+    out = tmp / "refused"
+    assert main([command, "--config", cfg, "--out", str(out), "--set", "sweep.seeds=0",
+                 "--set", setting]) == 2
+    assert capsys.readouterr().err == f"smoothtune: error: config: {message}\n"
+    assert not out.exists()
+
+
+def test_a_default_section_in_the_file_is_refused_as_unknown(workspace, capsys):
+    tmp, cfg, _, _ = workspace
+    with_default = tmp / "default.ini"
+    with_default.write_text("[DEFAULT]\nseed = 3\n" + (tmp / "run.ini").read_text())
+    out = tmp / "refused"
+    assert main(["train", "--config", str(with_default), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "smoothtune: error: config: [DEFAULT]: unknown section\n"
+    assert not out.exists()
 
 
 def test_failed_run_leaves_sentinel(tmp_path, capsys):

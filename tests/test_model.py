@@ -128,7 +128,7 @@ def test_eval_deterministic_and_dropout_zero_matches_eval():
     nodrop = ModelConfig(task="classification", classes=3, arch="mlp", input_dim=2,
                          hidden=(8, 8), dropout=0.0)
     assert np.array_equal(
-        _train_forward(nodrop, params, x, draw_dropout_masks(nodrop, 4, Rng(1))),
+        _train_forward(nodrop, params, x, draw_dropout_masks(nodrop, 4, [Rng(1)])),
         forward(nodrop, params, x))
 
 
@@ -146,7 +146,7 @@ def test_split_equals_fused_forward_bitwise():
 def test_dropout_zero_fraction_statistics():
     cfg = ModelConfig(arch="mlp", input_dim=2, hidden=(100,), dropout=0.3)
     rng = Rng(12)
-    masks = draw_dropout_masks(cfg, 100, rng)  # 1e4 entries
+    masks = draw_dropout_masks(cfg, 100, [rng])  # 1e4 entries
     frac = float(np.mean(masks[0] == 0.0))
     assert abs(frac - 0.3) < 0.02
     keep = masks[0][masks[0] > 0]
@@ -161,17 +161,17 @@ def test_stacked_dropout_masks_equal_each_runs_own_draws(config):
     solo_streams = [Rng(100 + i, i) for i in range(9)]
     for _ in range(3):  # consecutive updates
         stacked = draw_dropout_masks(config, 7, stacked_streams)
-        solo = [draw_dropout_masks(config, 7, r) for r in solo_streams]
+        solo = [draw_dropout_masks(config, 7, [r]) for r in solo_streams]
         assert len(stacked) == len(solo[0])
         for site, mask in enumerate(stacked):
-            assert np.array_equal(mask, np.stack([masks[site] for masks in solo]))
+            assert np.array_equal(mask, np.concatenate([masks[site] for masks in solo]))
         assert [r.state() for r in stacked_streams] == [r.state() for r in solo_streams]
 
 
 def test_shared_masks_make_train_forward_repeatable():
     params = init_params(MLP, Rng(13))
     x = Rng(14).gaussian((6, 2), 1.0)
-    masks = draw_dropout_masks(MLP, 6, Rng(15))
+    masks = [m[0] for m in draw_dropout_masks(MLP, 6, [Rng(15)])]  # a stack of one's slice
     a = _train_forward(MLP, params, x, masks)
     b = _train_forward(MLP, params, x, masks)
     assert np.array_equal(a, b)

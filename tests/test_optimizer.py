@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from smoothtune.adversarial import PassCounters
 from smoothtune.errors import ContractViolation
 from smoothtune.model import ModelConfig, flat_views, flatten_params, init_params, stack_params
 from smoothtune.optimizer import (
@@ -165,7 +166,8 @@ def _trust_region_term(cfg, live, teacher, x):
     between the live and the teacher params on the same clean inputs."""
     train = TrainConfig(reg_weight=0.0, prox=ProxConfig(prox_weight=1.0))
     obj = build_iteration_objective(cfg, train, live, teacher, x,
-                                    np.zeros(len(x), dtype=np.int64), smart=True)
+                                    np.zeros(len(x), dtype=np.int64), smart=True,
+                                    noise_rng=[Rng(0)], counters=PassCounters())
     return float(obj.breg.value)
 
 

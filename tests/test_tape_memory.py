@@ -11,7 +11,7 @@ import pytest
 from smoothtune import adversarial
 from smoothtune import autodiff as ad
 from smoothtune import model as mdl
-from smoothtune.adversarial import AdvConfig, find_adversarial
+from smoothtune.adversarial import AdvConfig, PassCounters, find_adversarial
 from smoothtune.autodiff import Tape
 from smoothtune.data import gen_token_sequences, gen_two_moons
 from smoothtune.losses import smooth_loss_mean_node
@@ -37,6 +37,11 @@ def _eager_head(config, params, emb, masks):
     tape = Tape()
     pvars = mdl.leaf_params(tape, params, requires_grad=False)
     return mdl.build_head(tape, config, pvars, tape.const(emb), masks).value
+
+
+def _solo_masks(config, n):
+    """One run's dropout masks: the slice of a stack of one."""
+    return [m[0] for m in mdl.draw_dropout_masks(config, n, [Rng(4)])]
 
 
 def _batch(config):
@@ -77,9 +82,9 @@ def test_objective_tape_freed_when_dropped(config, no_cyclic_gc):
     params = mdl.init_params(config, Rng(1))
     teacher = mdl.init_params(config, Rng(2))
     xs, ys = _batch(config)
-    masks = mdl.draw_dropout_masks(config, len(xs), Rng(4))
     obj = build_iteration_objective(config, CFG, params, teacher, xs, ys, smart=True,
-                                    masks=masks, noise_rng=Rng(5))
+                                    masks=_solo_masks(config, len(xs)), noise_rng=[Rng(5)],
+                                    counters=PassCounters())
     grad_map = obj.tape.backward(obj.total)
     grads = {name: grad_map[var] for name, var in obj.pvars.items()}
     assert len(grads) == len(params)
@@ -93,10 +98,10 @@ def test_ascent_tapes_freed_on_return(config, no_cyclic_gc, monkeypatch):
     made = _spy_tapes(monkeypatch, adversarial, "Tape")
     params = mdl.init_params(config, Rng(1))
     xs, _ = _batch(config)
-    masks = mdl.draw_dropout_masks(config, len(xs), Rng(4))
+    masks = _solo_masks(config, len(xs))
     emb = mdl.embed(config, params, xs)
     clean = _eager_head(config, params, emb, masks)
-    find_adversarial(config, params, emb, clean, CFG.adv, Rng(5), masks)
+    find_adversarial(config, params, emb, clean, CFG.adv, [Rng(5)], masks, PassCounters())
     assert len(made) == CFG.adv.steps
     assert all(ref() is None for ref in made)
 
@@ -152,8 +157,7 @@ def test_backward_skips_dropped_leaves():
 def test_eager_forwards_equal_recording_tape(config):
     params = mdl.init_params(config, Rng(1))
     xs, _ = _batch(config)
-    masks = mdl.draw_dropout_masks(config, len(xs), Rng(4))
-    for m in (None, masks):
+    for m in (None, _solo_masks(config, len(xs))):
         tape = Tape()
         pvars = mdl.leaf_params(tape, params)
         emb = mdl.build_embed(tape, config, pvars, xs)

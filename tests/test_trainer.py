@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from smoothtune.adversarial import AdvConfig
+from smoothtune import trainer as tr
+from smoothtune.adversarial import AdvConfig, PassCounters
 from smoothtune.data import Dataset, gen_token_sequences, gen_two_moons
 from smoothtune.errors import CheckpointError, ContractViolation
 from smoothtune.evaluate import accuracy
@@ -46,6 +47,11 @@ def _cfg(**kw):
     return TrainConfig(**base)
 
 
+def _objective(model, cfg, params, teacher, xs, ys, rng, masks=None):
+    return build_iteration_objective(model, cfg, params, teacher, xs, ys, smart=True,
+                                     masks=masks, noise_rng=[rng], counters=PassCounters())
+
+
 def _params_equal(a, b):
     return all(np.array_equal(a[k], b[k]) for k in a)
 
@@ -85,7 +91,7 @@ def test_objective_skip_rule_bitwise():
     init = init_params(MLP, Rng(5))
     cfg = _cfg(reg_weight=0.0, prox=ProxConfig(prox_weight=0.0, mode="mbpp"))
     xs, ys = ds.inputs[:6], ds.labels[:6]
-    obj = build_iteration_objective(MLP, cfg, init, None, xs, ys, smart=True)
+    obj = _objective(MLP, cfg, init, None, xs, ys, Rng(0))
     assert obj.reg is None and obj.breg is None and obj.adversarial is None
     assert obj.total is obj.task
 
@@ -96,8 +102,7 @@ def test_objective_zero_radius_collapse():
     nodrop = dataclasses.replace(MLP, dropout=0.0)
     cfg = _cfg(adv=AdvConfig(eps=0.0, noise_std=0.0, step_size=0.02, steps=1))
     xs, ys = ds.inputs[:6], ds.labels[:6]
-    obj = build_iteration_objective(nodrop, cfg, init, init, xs, ys, smart=True,
-                                    noise_rng=Rng(7))
+    obj = _objective(nodrop, cfg, init, init, xs, ys, Rng(7))
     assert float(obj.reg.value) == 0.0
     # teacher equals live params under deterministic forwards
     assert float(obj.breg.value) == 0.0
@@ -116,30 +121,31 @@ def test_objective_components_nonnegative_training_run():
         assert r.grad_norm >= 0.0
 
 
-def test_perturbation_hook_and_internal_audit():
+def test_search_points_stay_in_ball_and_internal_audit(monkeypatch):
     ds = _moons()
     init = init_params(MLP, Rng(9))
-    events = []
-    res = smooth_finetune(MLP, _cfg(outer_steps=10), ds, init,
-                          perturbation_hook=events.append)
-    assert len(events) == 10
-    for ev in events:
-        assert np.abs(ev.adversarial - ev.embedding).max() <= ev.eps + 1e-12
+    real = tr.find_adversarial
+    searches = []
+
+    def watched(model_cfg, params, emb, clean, cfg, *rest):
+        found = real(model_cfg, params, emb, clean, cfg, *rest)
+        searches.append((emb, found, cfg.eps))
+        return found
+
+    monkeypatch.setattr(tr, "find_adversarial", watched)
+    smooth_finetune(MLP, _cfg(outer_steps=10), ds, init)
+    assert len(searches) == 10
+    for emb, found, eps in searches:
+        assert np.abs(found - emb).max() <= eps + 1e-12
 
     # an out-of-ball perturbation must be rejected by the audit
-    import smoothtune.trainer as tr
-    real = tr.find_adversarial
-
-    def broken(model_cfg, params, emb, clean, cfg, rng, masks=None, counters=None):
-        out = real(model_cfg, params, emb, clean, cfg, rng, masks, counters)
+    def broken(model_cfg, params, emb, clean, cfg, rngs, masks, counters):
+        out = real(model_cfg, params, emb, clean, cfg, rngs, masks, counters)
         return out + 10 * cfg.eps
 
-    tr.find_adversarial = broken
-    try:
-        with pytest.raises(ContractViolation, match="ball"):
-            smooth_finetune(MLP, _cfg(outer_steps=2), ds, init)
-    finally:
-        tr.find_adversarial = real
+    monkeypatch.setattr(tr, "find_adversarial", broken)
+    with pytest.raises(ContractViolation, match="ball"):
+        smooth_finetune(MLP, _cfg(outer_steps=2), ds, init)
 
 
 def test_trivially_separable_data_reaches_full_accuracy():
@@ -176,20 +182,18 @@ def test_pass_counters_match_analytic_counts():
     assert res3.state.counters.backwards == 4 * b3
 
 
-def test_assembled_objective_gradient_matches_finite_differences():
+def test_assembled_objective_gradient_matches_finite_differences(monkeypatch):
     ds = _moons(n=8, seed=12)
     nodrop = dataclasses.replace(MLP, dropout=0.0)
     params = init_params(nodrop, Rng(13))
     teacher = init_params(nodrop, Rng(14))
     cfg = _cfg()
     xs, ys = ds.inputs, ds.labels
-    warm = build_iteration_objective(nodrop, cfg, params, teacher, xs, ys,
-                                     smart=True, noise_rng=Rng(15))
-    x_adv = warm.adversarial
+    x_adv = _objective(nodrop, cfg, params, teacher, xs, ys, Rng(15)).adversarial
+    monkeypatch.setattr(tr, "find_adversarial", lambda *args: x_adv)  # pins the points
 
     def objective(p):
-        return build_iteration_objective(nodrop, cfg, p, teacher, xs, ys, smart=True,
-                                         adversarial_points=x_adv)
+        return _objective(nodrop, cfg, p, teacher, xs, ys, Rng(15))
 
     obj = objective(params)
     grads = obj.tape.backward(obj.total)
@@ -298,17 +302,16 @@ def test_default_hyperparameters():
     assert cfg.reg_weight in (1.0, 3.0, 5.0)
 
 
-def test_detach_clean_ablation_changes_gradient_not_value():
+def test_detach_clean_ablation_changes_gradient_not_value(monkeypatch):
     ds = _moons(n=10, seed=24)
     nodrop = dataclasses.replace(MLP, dropout=0.0)
     params = init_params(nodrop, Rng(25))
     xs, ys = ds.inputs, ds.labels
     base = _cfg(prox=ProxConfig(prox_weight=0.0, mode="mbpp"))
-    both = build_iteration_objective(nodrop, base, params, None, xs, ys,
-                                     smart=True, noise_rng=Rng(26))
+    both = _objective(nodrop, base, params, None, xs, ys, Rng(26))
     detached_cfg = dataclasses.replace(base, reg_detach_clean=True)
-    frozen = build_iteration_objective(nodrop, detached_cfg, params, None, xs, ys,
-                                       smart=True, adversarial_points=both.adversarial)
+    monkeypatch.setattr(tr, "find_adversarial", lambda *args: both.adversarial)
+    frozen = _objective(nodrop, detached_cfg, params, None, xs, ys, Rng(26))
     assert float(frozen.total.value) == float(both.total.value)
     g_both = both.tape.backward(both.total)
     g_frozen = frozen.tape.backward(frozen.total)
@@ -351,7 +354,8 @@ def test_current_teacher_equals_a_teacher_copy_bitwise(case, monkeypatch):
     else:
         ds = gen_token_sequences(12, 6, 5, "majority", 4)
     params = init_params(model, Rng(9))
-    masks = draw_dropout_masks(model, len(ds), Rng(10))
+    masks = draw_dropout_masks(model, len(ds), [Rng(10)])
+    masks = None if masks is None else [m[0] for m in masks]  # a stack of one's slice
     given = []
 
     def forward(*args, _inner=mdl.forward, **kwargs):
@@ -361,8 +365,7 @@ def test_current_teacher_equals_a_teacher_copy_bitwise(case, monkeypatch):
     monkeypatch.setattr(mdl, "forward", forward)
     results = []
     for teacher in (params, {name: block.copy() for name, block in params.items()}):
-        obj = build_iteration_objective(model, _cfg(), params, teacher, ds.inputs, ds.labels,
-                                        smart=True, masks=masks, noise_rng=Rng(11))
+        obj = _objective(model, _cfg(), params, teacher, ds.inputs, ds.labels, Rng(11), masks)
         grads = obj.tape.backward(obj.total)
         results.append((obj.breg.value, obj.total.value,
                         [grads[var] for var in obj.pvars.values()]))
