@@ -20,31 +20,21 @@ import numpy as np
 from . import autodiff as ad
 from . import model as mdl
 from .autodiff import Tape
-from .errors import ContractViolation, check_finite_fields
+from .errors import check_fields, checked
 from .losses import smooth_kind_for, smooth_loss_mean_node
 from .tensor import Rng, gaussian_stack
 
 
 @dataclass(frozen=True)
 class AdvConfig:
-    eps: float = 1e-5        # ball radius
-    noise_std: float = 1e-5  # std of the random start offset
-    step_size: float = 1e-3  # ascent step per iteration
-    steps: int = 1           # ascent iterations
-    norm: str = "inf"        # "inf" | "two"
+    eps: float = checked(">= 0", 1e-5)        # ball radius
+    noise_std: float = checked(">= 0", 1e-5)  # std of the random start offset
+    step_size: float = checked("> 0", 1e-3)   # ascent step per iteration
+    steps: int = checked(">= 0", 1)           # ascent iterations
+    norm: str = checked(("inf", "two"), "inf")
 
     def __post_init__(self):
-        check_finite_fields(self)
-        if self.eps < 0:
-            raise ContractViolation("eps must be >= 0")
-        if self.noise_std < 0:
-            raise ContractViolation("noise_std must be >= 0")
-        if self.step_size <= 0:
-            raise ContractViolation("step_size must be > 0")
-        if self.steps < 0:
-            raise ContractViolation("steps must be >= 0")
-        if self.norm not in ("inf", "two"):
-            raise ContractViolation(f"norm must be 'inf' or 'two', got {self.norm!r}")
+        check_fields(self)
         if self.noise_std > self.eps:
             warnings.warn(
                 f"noise_std {self.noise_std} exceeds eps {self.eps}; "

@@ -226,6 +226,7 @@ def _collect_overrides(args) -> list[str]:
 def cmd_eval(args) -> int:
     model_cfg, params = ckpt.load_params(args.checkpoint)
     ds = dat.read_dataset(args.data)
+    tr.check_dataset(model_cfg, ds)
     metrics: dict = {"n": len(ds)}
     if model_cfg.task == "classification":
         metrics["accuracy"] = ev.accuracy(model_cfg, params, ds)

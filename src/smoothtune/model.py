@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .errors import ContractViolation, InputError
+from .errors import ContractViolation, InputError, check_fields, checked
 from .tensor import Rng, as_tensor, uniform_stack
 
 ModelParams = dict[str, np.ndarray]
@@ -31,40 +31,27 @@ _FF_MULT = 2  # feedforward width = _FF_MULT * embed_dim
 
 @dataclass(frozen=True)
 class ModelConfig:
-    task: str = "classification"        # "classification" | "regression"
+    task: str = checked(("classification", "regression"), "classification")
     classes: int = 2                    # classification only
-    arch: str = "mlp"                   # "mlp" | "transformer"
-    input_dim: int = 2                  # mlp: raw input width
-    hidden: tuple[int, ...] = (16, 16)  # mlp hidden sizes; () = linear model
-    embed_dim: int = 8                  # transformer fields
+    arch: str = checked(("mlp", "transformer"), "mlp")
+    input_dim: int = checked(">= 1", 2)  # mlp: raw input width
+    hidden: tuple[int, ...] = checked([">= 1"], (16, 16))  # mlp hidden sizes; () = linear model
+    embed_dim: int = checked(">= 1", 8)  # transformer fields
     heads: int = 2
-    layers: int = 1
-    max_len: int = 8
-    vocab_size: int = 16
-    dropout: float = 0.1
-    activation: str = "tanh"            # hidden nonlinearity: "tanh" | "relu"
+    layers: int = checked(">= 0", 1)
+    max_len: int = checked(">= 1", 8)
+    vocab_size: int = checked(">= 1", 16)
+    dropout: float = checked("[0, 1)", 0.1)
+    activation: str = checked(("tanh", "relu"), "tanh")  # hidden nonlinearity
 
     def __post_init__(self):
-        if self.task not in ("classification", "regression"):
-            raise ContractViolation(f"unknown task {self.task!r}")
-        if self.arch not in ("mlp", "transformer"):
-            raise ContractViolation(f"unknown arch {self.arch!r}")
+        check_fields(self)
         if self.task == "classification" and self.classes < 2:
             raise ContractViolation("classification needs at least 2 classes")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ContractViolation("dropout must lie in [0, 1)")
-        for name in ("input_dim", "embed_dim", "max_len", "vocab_size"):
-            if getattr(self, name) < 1:
-                raise ContractViolation(f"{name} must be >= 1, got {getattr(self, name)}")
-        if min(self.hidden, default=1) < 1 or self.layers < 0:
-            raise ContractViolation(f"hidden sizes must be >= 1 and layers >= 0, "
-                                    f"got hidden={self.hidden}, layers={self.layers}")
         if self.arch == "transformer" and not (self.heads > 0 and self.embed_dim % self.heads == 0):
             raise ContractViolation(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
             )
-        if self.activation not in ("tanh", "relu"):
-            raise ContractViolation(f"unknown activation {self.activation!r}")
 
     @property
     def out_dim(self) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, check_finite_fields
+from .errors import ContractViolation, check_fields, checked
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -94,20 +94,14 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
 
 @dataclass(frozen=True)
 class ProxConfig:
-    prox_weight: float = 1.0   # trust-region strength; ignored when mode is "off"
-    mode: str = "mbpp"         # "mbpp" (EMA teacher) | "vbpp" (previous iterate) | "off"
-    ema_early: float = 0.99
-    ema_late: float = 0.999
+    prox_weight: float = checked(">= 0", 1.0)  # trust-region strength; ignored when mode is "off"
+    # "mbpp" (EMA teacher) | "vbpp" (previous iterate) | "off"
+    mode: str = checked(("mbpp", "vbpp", "off"), "mbpp")
+    ema_early: float = checked("[0, 1)", 0.99)
+    ema_late: float = checked("[0, 1)", 0.999)
     ema_switch: float = 0.1    # fraction of outer steps run at ema_early
 
-    def __post_init__(self):
-        check_finite_fields(self)
-        if self.mode not in ("mbpp", "vbpp", "off"):
-            raise ContractViolation(f"mode must be mbpp/vbpp/off, got {self.mode!r}")
-        if self.prox_weight < 0:
-            raise ContractViolation("prox_weight must be >= 0")
-        if not (0 <= self.ema_early < 1 and 0 <= self.ema_late < 1):
-            raise ContractViolation("ema_early and ema_late must lie in [0, 1)")
+    __post_init__ = check_fields
 
     @property
     def effective_weight(self) -> float:

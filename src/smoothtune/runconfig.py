@@ -2,8 +2,10 @@
 
 A run's effective (merged) config is archived into its output directory before
 any work starts, so every output file is reproducible from what was recorded.
-Validation collects every offending key before failing. Each value's type and
-default live on its dataclass field; `CONFIG_KEYS` says which key sets which field.
+Each value's type, default and rule (`errors.checked`) live on its dataclass
+field, and `CONFIG_KEYS` says which key sets which field; each [sweep] list
+takes its entries' type and rule from the key it sweeps. Validation names
+every bad `[section].key` before any config dataclass is built.
 """
 
 from __future__ import annotations
@@ -11,12 +13,11 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
-import math
 import typing
 from dataclasses import dataclass, field
 
 from .adversarial import AdvConfig
-from .errors import ConfigError
+from .errors import ConfigError, checked, rule_error
 from .model import ModelConfig
 from .optimizer import ProxConfig
 from .trainer import TrainConfig
@@ -26,14 +27,14 @@ from .trainer import TrainConfig
 class RunConfig:
     model: ModelConfig
     train: TrainConfig
-    method: str                      # "smooth" | "vanilla"
+    method: str = checked(("smooth", "vanilla"))
     train_path: str
     out_dir: str
     test_path: str | None = None
-    eval_every: int = 0
-    checkpoint_every: int = 0
-    probe_eps: float | None = None   # defaults to the adversarial eps
-    probe_samples: int = 64
+    eval_every: int = checked(">= 0", 0)
+    checkpoint_every: int = checked(">= 0", 0)
+    probe_eps: float | None = checked(">= 0", None)  # defaults to the adversarial eps
+    probe_samples: int = checked(">= 1", 64)
     sweep: dict = field(default_factory=dict)
 
 
@@ -51,35 +52,23 @@ CONFIG_KEYS = [(section, token.split("=")[0], cls, token.split("=")[-1]) for sec
     ("run", RunConfig, "out=out_dir eval_every checkpoint_every probe_samples probe_eps"),
 ) for token in keys.split()]
 
-_SWEEP_KEYS = {"methods": list[str], "reg_weights": list[float], "prox_weights": list[float],
-               "fractions": list[float], "seeds": list[int]}
-
-_METHODS = ("smooth", "vanilla")
-_FINITE_NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
-# [sweep] lists whose every entry must pass a range check: (test, what it requires)
-_SWEEP_RANGES = {
-    "methods": (lambda v: v in _METHODS, "'smooth' or 'vanilla'"),
-    "reg_weights": _FINITE_NON_NEGATIVE,
-    "prox_weights": _FINITE_NON_NEGATIVE,
-    "fractions": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-}
-# [run] values checked the same way, so a bad one fails before any output exists
-_RUN_RANGES = {
-    "eval_every": _NON_NEGATIVE,
-    "checkpoint_every": _NON_NEGATIVE,
-    "probe_samples": (lambda v: v >= 1, ">= 1"),
-    "probe_eps": _FINITE_NON_NEGATIVE,
-}
+# each [sweep] list but `fractions` sweeps one key, and its entries take that key's type and rule
+_SWEEP_KEYS = {"methods": ("smart", "method"), "reg_weights": ("smart", "reg_weight"),
+               "prox_weights": ("smart", "prox_weight"), "seeds": ("run", "seed")}
 
 _REQUIRED = {("smart", "method"), ("smart", "outer_steps"), ("data", "train"),
              ("run", "seed"), ("run", "out")}
 
 _HINTS = {cls: typing.get_type_hints(cls)
           for cls in (ModelConfig, AdvConfig, ProxConfig, TrainConfig, RunConfig)}
-_TYPES = {(section, key): _HINTS[cls][name] for section, key, cls, name in CONFIG_KEYS}
-_TYPES.update({("sweep", key): kind for key, kind in _SWEEP_KEYS.items()})
-_SECTIONS = {section for section, _ in _TYPES}
+_RULES = {(cls, f.name): f.metadata.get("rule") for cls in _HINTS for f in dataclasses.fields(cls)}
+# (section, key) -> (type, rule) of its value
+_SCHEMA = {(section, key): (_HINTS[cls][name], _RULES[cls, name])
+           for section, key, cls, name in CONFIG_KEYS}
+_SCHEMA.update({("sweep", key): (list[_SCHEMA[swept][0]], [_SCHEMA[swept][1]])
+                for key, swept in _SWEEP_KEYS.items()})
+_SCHEMA["sweep", "fractions"] = (list[float], ["(0, 1]"])
+_SECTIONS = {section for section, _ in _SCHEMA}
 
 
 def _parse_value(kind, text: str):
@@ -98,13 +87,15 @@ def parse_config(path: str | None, overrides: list[str] | None = None,
                  require_sweep: bool = False) -> RunConfig:
     """Read [model]/[smart]/[data]/[run] (and [sweep]) sections, apply
     section.key=value overrides, validate everything at once."""
-    parser = configparser.ConfigParser(default_section="")  # no header is empty: none is special
+    # no header is empty, so none is special; a `%` is a literal
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
-        except (OSError, configparser.Error) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            reason = " ".join(line.strip() for line in str(exc).splitlines())
+            raise ConfigError(f"cannot read config {path}: {reason}") from exc
     errors: list[str] = []
     for ov in overrides or []:
         if "=" not in ov or "." not in ov.split("=", 1)[0]:
@@ -121,38 +112,31 @@ def parse_config(path: str | None, overrides: list[str] | None = None,
 
     values: dict[tuple[str, str], object] = {}
     given: set[tuple[str, str]] = set()  # known keys, parsed or not
-    unparsed: list[str] = []            # reported after every unknown key
+    bad_values: list[str] = []          # reported after every unknown key
     for section in parser.sections():
         if section not in _SECTIONS:
             errors.append(f"[{section}]: unknown section")
             continue
         for key, text in parser.items(section):
-            if (section, key) not in _TYPES:
+            if (section, key) not in _SCHEMA:
                 errors.append(f"[{section}].{key}: unknown key")
                 continue
             given.add((section, key))
+            kind, rule = _SCHEMA[section, key]
             try:
-                values[section, key] = _parse_value(_TYPES[section, key], text)
+                value = values[section, key] = _parse_value(kind, text)
+                error = ("must list at least one value" if section == "sweep" and not value
+                         else rule_error(rule, value))
             except ValueError:
-                unparsed.append(f"[{section}].{key}: cannot parse {text!r}")
-    errors += unparsed
+                error = f"cannot parse {text!r}"
+            if error:
+                bad_values.append(f"[{section}].{key}: {error}")
+    errors += bad_values
     errors += [f"[{section}].{key}: missing required key"
                for section, key in sorted(_REQUIRED) if (section, key) not in given]
     sweep = {key: value for (section, key), value in values.items() if section == "sweep"}
     if require_sweep and not sweep:
         errors.append("[sweep]: section required for sweep runs")
-    method = values.get(("smart", "method"))
-    if method is not None and method not in _METHODS:
-        errors.append(f"[smart].method: must be 'smooth' or 'vanilla', got {method!r}")
-    errors += [f"[sweep].{key}: must list at least one value"
-               for key, vals in sweep.items() if not vals]
-    for key, (ok, wanted) in _SWEEP_RANGES.items():
-        bad = [v for v in sweep.get(key, ()) if not ok(v)]
-        if bad:
-            errors.append(f"[sweep].{key}: every entry must be {wanted}, got {_format(bad)}")
-    errors += [f"[run].{key}: must be {wanted}, got {_format(values['run', key])}"
-               for key, (ok, wanted) in _RUN_RANGES.items()
-               if ("run", key) in values and not ok(values["run", key])]
     if errors:
         raise ConfigError("; ".join(errors))
 
@@ -190,7 +174,7 @@ def effective_config_text(cfg: RunConfig) -> str:
             items.setdefault(section, {})[key] = _format(value)
     if cfg.sweep:
         items["sweep"] = {key: _format(vals) for key, vals in cfg.sweep.items()}
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(items)
     buf = io.StringIO()
     parser.write(buf)

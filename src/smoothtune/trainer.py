@@ -50,7 +50,7 @@ from .checkpoint import (
     write_json,
 )
 from .data import Dataset
-from .errors import CheckpointError, ContractViolation, check_finite_fields
+from .errors import CheckpointError, ContractViolation, InputError, check_fields, checked
 from .losses import smooth_kind_for, smooth_loss_mean_node, task_kind_for, task_loss_mean_node
 from .optimizer import (
     AdamState,
@@ -74,32 +74,19 @@ _BALL_SLACK = 1e-12
 class TrainConfig:
     """Everything one run needs besides the model config and the data."""
 
-    reg_weight: float = 1.0          # weight on the smoothness penalty
+    reg_weight: float = checked(">= 0", 1.0)  # weight on the smoothness penalty
     adv: AdvConfig = AdvConfig()
     prox: ProxConfig = ProxConfig()
-    inner_steps: int = 1             # updates per outer iteration
-    outer_steps: int = 100           # outer iterations
-    batch_size: int = 32
-    peak_lr: float = 1e-3
-    warmup_frac: float = 0.1
-    clip_norm: float = 1.0
+    inner_steps: int = checked(">= 1", 1)      # updates per outer iteration
+    outer_steps: int = checked(">= 1", 100)    # outer iterations
+    batch_size: int = checked(">= 1", 32)
+    peak_lr: float = checked("> 0", 1e-3)
+    warmup_frac: float = checked("(0, 1)", 0.1)
+    clip_norm: float = checked("> 0", 1.0)
     seed: int = 0
     reg_detach_clean: bool = False   # ablation: freeze the clean branch of the penalty
 
-    def __post_init__(self):
-        check_finite_fields(self)
-        if self.reg_weight < 0:
-            raise ContractViolation("reg_weight must be >= 0")
-        if self.inner_steps < 1 or self.outer_steps < 1:
-            raise ContractViolation("inner_steps and outer_steps must be >= 1")
-        if self.batch_size < 1:
-            raise ContractViolation("batch_size must be >= 1")
-        if self.peak_lr <= 0:
-            raise ContractViolation("peak_lr must be > 0")
-        if not 0 < self.warmup_frac < 1:
-            raise ContractViolation("warmup_frac must lie in (0, 1)")
-        if self.clip_norm <= 0:
-            raise ContractViolation("clip_norm must be > 0")
+    __post_init__ = check_fields
 
     @property
     def total_updates(self) -> int:
@@ -299,7 +286,7 @@ def _audit_perturbation(obj: Objective, cfg: TrainConfig, t: int, s: int) -> Non
 
 
 def check_dataset(model_cfg: mdl.ModelConfig, dataset: Dataset) -> None:
-    """Refuse a dataset the model cannot take, looking at every input row."""
+    """Refuse a dataset the model cannot take, looking at every row."""
     if len(dataset) == 0:
         raise ContractViolation("dataset is empty")
     if dataset.task != model_cfg.task:
@@ -313,6 +300,9 @@ def check_dataset(model_cfg: mdl.ModelConfig, dataset: Dataset) -> None:
             f"dataset has {dataset.input_kind!r}"
         )
     mdl.check_inputs(model_cfg, dataset.inputs)
+    low, high = dataset.labels.min(), dataset.labels.max()
+    if model_cfg.task == "classification" and not 0 <= low <= high < model_cfg.classes:
+        raise InputError(f"class label out of range [0, {model_cfg.classes}): min {low}, max {high}")
 
 
 def stack_batch_size(cfg: TrainConfig, dataset: Dataset) -> int:

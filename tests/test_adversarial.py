@@ -28,6 +28,10 @@ def test_config_validation_and_sigma_warning():
         AdvConfig(norm="one")
     with pytest.warns(UserWarning):
         AdvConfig(eps=0.01, noise_std=0.05)
+    with pytest.raises(ContractViolation) as both:
+        AdvConfig(eps=-1.0, steps=-1)
+    assert str(both.value) == ("eps: must be finite and >= 0, got -1.0; "
+                               "steps: must be >= 0, got -1")
 
 
 def _project(x_tilde, x, eps, norm):

@@ -274,15 +274,22 @@ def test_config_error_lists_every_offending_key(tmp_path, capsys):
     cfg.write_text("""
 [model]
 classes = many
+dropout = 2
 
 [smart]
 method = smooth
+adv_steps = -1
+prox_mode = bogus
 
 [data]
 notakey = 1
 
 [run]
 seed = 5
+eval_every = -1
+
+[sweep]
+fractions = 0
 """)
     code = main(["train", "--config", str(cfg)])
     assert code == 2
@@ -290,7 +297,11 @@ seed = 5
     assert "smoothtune: error: config:" in err
     assert err.count("\n") == 1  # one machine-parsable line
     for fragment in ("[model].classes", "[data].notakey", "[smart].outer_steps",
-                     "[data].train", "[run].out"):
+                     "[data].train", "[run].out", "[model].dropout: must be in [0, 1), got 2.0",
+                     "[smart].adv_steps: must be >= 0, got -1",
+                     "[smart].prox_mode: must be 'mbpp', 'vbpp' or 'off', got 'bogus'",
+                     "[run].eval_every: must be >= 0, got -1",
+                     "[sweep].fractions: every entry must be in (0, 1], got 0.0"):
         assert fragment in err
 
 
@@ -316,6 +327,33 @@ def test_a_default_section_in_the_file_is_refused_as_unknown(workspace, capsys):
     out = tmp / "refused"
     assert main(["train", "--config", str(with_default), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "smoothtune: error: config: [DEFAULT]: unknown section\n"
+    assert not out.exists()
+
+
+def test_a_percent_sign_in_a_value_is_kept_literally(workspace):
+    tmp, cfg, _, _ = workspace
+    out = tmp / "a%b"
+    assert main(["train", "--config", cfg, "--out", str(out), "--set", "smart.outer_steps=1"]) == 0
+    assert f"out = {out}\n" in (out / "config.ini").read_text()
+    in_file = tmp / "percent.ini"
+    in_file.write_text((tmp / "run.ini").read_text().replace(f"out = {tmp / 'out'}", "out = c%(d)s%"))
+    assert parse_config(str(in_file)).out_dir == "c%(d)s%"
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"[model]\ndropout = 0.1\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    (b"[model\nclasses = 2\n", "File contains no section headers."),
+    (b"classes = 2\n[model]\n", "File contains no section headers."),
+    (b"[model]\nclasses\n[run]\nseed = 1\nnot a key\n", "Source contains parsing errors"),
+], ids=["not_utf8", "broken_header", "no_header", "lines_without_a_value"])
+def test_an_unreadable_config_file_is_refused_in_one_line(tmp_path, capsys, content, reason):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"smoothtune: error: config: cannot read config {path}: {reason}")
+    assert err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -641,18 +679,25 @@ def _token_file(path, seed, vocab_past_in_row=None):
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
 @pytest.mark.parametrize("split", ["test_of_vectors", "test_past_the_vocabulary",
-                                   "train_past_the_vocabulary_in_its_last_row"])
+                                   "train_past_the_vocabulary_in_its_last_row",
+                                   "test_past_the_classes", "train_past_the_classes"])
 def test_every_split_is_checked_against_the_model_before_the_first_update(
         tmp_path, capsys, monkeypatch, command, split):
     """A bad test split used to be refused only after training (every cell of
     a sweep), and a bad last train row only once it was batched, after
-    checkpoint.json was written."""
+    checkpoint.json was written. A test label past the classes was scored
+    against, and a train one refused only once its row was batched, or never."""
     moons = tmp_path / "moons.jsonl"
     assert main(["gen-data", "--generator", "two-moons", "--n", "40", "--seed", "1",
                  "--out", str(moons)]) == 0
-    train = _token_file(tmp_path / "train.jsonl", 2, 39 if split.startswith("train") else None)
-    test = {"test_of_vectors": str(moons), "train_past_the_vocabulary_in_its_last_row": train,
-            "test_past_the_vocabulary": _token_file(tmp_path / "test.jsonl", 3, 5)}[split]
+    train = _token_file(tmp_path / "train.jsonl", 2,
+                        39 if split.startswith("train_past_the_vocabulary") else None)
+    test = {"test_of_vectors": str(moons),
+            "test_past_the_vocabulary": _token_file(tmp_path / "test.jsonl", 3, 5),
+            "test_past_the_classes": _relabelled(tmp_path / "test_y8.jsonl", train, 5, 8),
+            }.get(split, train)
+    if split == "train_past_the_classes":
+        train = _relabelled(tmp_path / "train_y8.jsonl", train, 30, 8)
     out = tmp_path / "out"
     preset = os.path.join(os.path.dirname(__file__), "..", "bench", "tokens_transformer.ini")
     capsys.readouterr()
@@ -669,6 +714,34 @@ def test_every_split_is_checked_against_the_model_before_the_first_update(
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("smoothtune: error:") and err.count("\n") == 1, err
-    reason = "needs 'tokens' inputs" if split == "test_of_vectors" else "token id out of range"
+    reason = ("needs 'tokens' inputs" if split == "test_of_vectors"
+              else "input: class label out of range [0, 8)" if split.endswith("classes")
+              else "token id out of range")
     assert reason in err
     assert sorted(os.listdir(out)) == ["FAILED", "config.ini"]
+
+
+def _relabelled(path, source, row, label):
+    """A copy of the dataset file `source` whose row `row` has class label `label`."""
+    lines = open(source).read().splitlines()
+    rec = json.loads(lines[row])
+    rec["y"] = label
+    lines[row] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("label", [5, 2, -1])
+def test_eval_refuses_a_class_label_outside_the_classes(workspace, capsys, label):
+    tmp, cfg, _, test = workspace
+    assert main(["train", "--config", cfg, "--out", str(tmp / "run"),
+                 "--set", "smart.outer_steps=1"]) == 0
+    bad = _relabelled(tmp / "relabelled.jsonl", test, 7, label)
+    out = tmp / "metrics.json"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tmp / "run" / "checkpoint_final.json"),
+                 "--data", bad, "--out", str(out)]) == 1
+    low, high = min(label, 0), max(label, 1)
+    assert capsys.readouterr().err == (
+        f"smoothtune: error: input: class label out of range [0, 2): min {low}, max {high}\n")
+    assert not out.exists()

@@ -6,12 +6,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
+import warnings
 
 import pytest
 
 from smoothtune.adversarial import AdvConfig
 from smoothtune.checkpoint import config_from_obj
-from smoothtune.errors import CheckpointError
+from smoothtune.errors import CheckpointError, ConfigError
 from smoothtune.model import ModelConfig
 from smoothtune.optimizer import ProxConfig
 from smoothtune.runconfig import CONFIG_KEYS, RunConfig, effective_config_text, parse_config
@@ -61,13 +63,60 @@ def test_every_field_is_set_by_exactly_one_key():
     assert len(set(keys)) == len(keys) == 39
 
 
+_MINIMAL = ("[smart]\nmethod = smooth\nouter_steps = 7\n"
+            "[data]\ntrain = t.jsonl\n[run]\nseed = 3\nout = o\n")
+
+
 def test_defaults_come_from_the_dataclasses(tmp_path):
     path = tmp_path / "minimal.ini"
-    path.write_text("[smart]\nmethod = smooth\nouter_steps = 7\n"
-                    "[data]\ntrain = t.jsonl\n[run]\nseed = 3\nout = o\n")
+    path.write_text(_MINIMAL)
     cfg = parse_config(str(path))
     assert cfg == RunConfig(model=ModelConfig(), train=TrainConfig(outer_steps=7, seed=3),
                             method="smooth", train_path="t.jsonl", out_dir="o")
+
+
+_RULED = [(section, key, rule) for section, key, cls, name in CONFIG_KEYS
+          for f in dataclasses.fields(cls) if f.name == name
+          if (rule := f.metadata.get("rule")) is not None]
+
+
+def _edges(rule):
+    """A value just inside `rule` and one just outside it, as config text."""
+    if isinstance(rule, list):  # a rule for every entry
+        return _edges(rule[0])
+    if isinstance(rule, tuple):
+        return rule[-1], "bogus"
+    if rule[0] in "[(":
+        low, high = (float(end) for end in rule[1:-1].split(","))
+        inside = low if rule[0] == "[" else high if rule[-1] == "]" else (low + high) / 2
+        return str(inside), str(high if rule[-1] == ")" else high + 1)
+    op, bound = rule.split()
+    return (bound, str(int(bound) - 1)) if op == ">=" else (bound + ".5", bound)
+
+
+def test_only_free_values_have_no_rule():
+    """`classes` and `heads` are checked against other fields, and the rest
+    take any value of their type (any finite float for ema_switch)."""
+    ruled = {(section, key) for section, key, _ in _RULED}
+    assert {(section, key) for section, key, _, _ in CONFIG_KEYS} - ruled == {
+        ("model", "classes"), ("model", "heads"), ("smart", "ema_switch"),
+        ("smart", "detach_clean"), ("data", "train"), ("data", "test"), ("run", "seed"),
+        ("run", "out")}
+
+
+@pytest.mark.parametrize("section,key,rule", _RULED,
+                         ids=[f"{section}.{key}" for section, key, _ in _RULED])
+def test_each_key_is_refused_by_its_own_name_outside_its_rule(tmp_path, section, key, rule):
+    path = tmp_path / "minimal.ini"
+    path.write_text(_MINIMAL)
+    inside, outside = _edges(rule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # eps = 0 is below the default noise_std
+        parse_config(str(path), [f"{section}.{key}={inside}"])
+    with pytest.raises(ConfigError) as refused:
+        parse_config(str(path), [f"{section}.{key}={outside}"])
+    assert re.fullmatch(re.escape(f"[{section}].{key}: ") + r"(every entry )?must be .*, got .*",
+                        str(refused.value))
 
 
 def test_checkpointed_configs_round_trip_through_json():
@@ -83,6 +132,11 @@ def test_checkpointed_configs_round_trip_through_json():
     {"hidden": None},
     {"unknown": 1},
     {"dropout": 2.0},
+    {"dropout": None},
+    {"hidden": [8, None]},
+    {"input_dim": [4, 4]},  # a rule on a number is not one for each entry of a list
+    {"arch": []},
+    {"vocab_size": float("inf")},
     "not an object",
 ])
 def test_malformed_checkpointed_config_raises(obj):
