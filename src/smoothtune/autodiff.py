@@ -110,12 +110,10 @@ class Tape:
         return self._nodes[v.index] is not None
 
     def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A float64 array of `shape` for an op's output: a fresh one without a
-        pool; else a pooled one that nothing outside the pool holds (never an
-        output the caller keeps, the base of a live view or a value an adjoint
-        reads), or a fresh one that joins the pool."""
-        if self._pool is None:
-            return np.empty(shape)
+        """A float64 array of `shape` for an op's output from the pool: one that
+        nothing outside the pool holds (never an output the caller keeps, the
+        base of a live view or a value an adjoint reads), or a fresh one that
+        joins the pool."""
         for buf in self._pool:
             if buf.shape == shape and sys.getrefcount(buf) == _POOL_ONLY_REFS:
                 return buf

@@ -6,11 +6,11 @@ nonzero with one machine-parsable line on stderr; a run that dies after
 creating its output directory leaves a FAILED sentinel file there.
 
 `train`, `train --resume` and `sweep` share one stack runner: `train` trains
-a stack of one run, and `sweep` trains each cell as one stack per batch size,
-then scores every run the same way. The runner is the one place a run pauses,
-for periodic evaluation and for periodic checkpoints; from the library, a
-periodic checkpoint is `continue_training(..., stop_after=t)` followed by
-`save_train_checkpoint`.
+a stack of one run from lists of one (config, initial params, dataset), and
+`sweep` trains each cell as one stack per batch size; both score every run the
+same way. The runner is the one place a run pauses, for periodic evaluation
+and for periodic checkpoints; from the library, a periodic checkpoint is
+`continue_training(state, datasets, stop_after=t)` then `save_train_checkpoint`.
 """
 
 from __future__ import annotations
@@ -158,8 +158,8 @@ def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
             state = tr.resume_from_checkpoint(resume)
             _check_resume_config(cfg, state, resume)
         else:
-            state = tr.init_train_state(cfg.model, cfg.train,
-                                        mdl.init_params(cfg.model, Rng(cfg.train.seed).child(0)),
+            state = tr.init_train_state(cfg.model, [cfg.train],
+                                        [mdl.init_params(cfg.model, Rng(cfg.train.seed).child(0))],
                                         smart=cfg.method == "smooth")
         eval_every = 0 if resume is not None else cfg.eval_every
         [(params, records, evals)] = _train_stack(

@@ -31,14 +31,14 @@ class Dataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def subset(self, idx: np.ndarray, provenance: dict | None = None) -> "Dataset":
+    def subset(self, idx: np.ndarray, provenance: dict) -> "Dataset":
         return Dataset(
             task=self.task,
             input_kind=self.input_kind,
             inputs=self.inputs[idx],
             labels=self.labels[idx],
             soft_labels=None if self.soft_labels is None else self.soft_labels[idx],
-            provenance=provenance if provenance is not None else dict(self.provenance),
+            provenance=provenance,
         )
 
 

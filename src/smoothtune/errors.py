@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the rules of config values:
 a config dataclass field with a valid range carries it (`checked`), and
-`check_fields` tests every field of a config against its rule."""
+`check_fields` tests every field of a config against its rule and against its
+rule across fields, if it has one."""
 
 import dataclasses
 import math
@@ -65,9 +66,11 @@ def rule_error(rule, value) -> str | None:
 
 
 def check_fields(config) -> None:
-    """Refuse a config dataclass with any field that breaks its rule, naming
-    every bad field."""
+    """Refuse a config dataclass with any field that breaks its rule, or its
+    rule across fields (metadata "across": the config -> what is wrong with
+    this field, or a false value), naming every bad field."""
     bad = [f"{f.name}: {error}" for f in dataclasses.fields(config)
-           if (error := rule_error(f.metadata.get("rule"), getattr(config, f.name)))]
+           if (error := rule_error(f.metadata.get("rule"), getattr(config, f.name))
+               or "across" in f.metadata and f.metadata["across"](config))]
     if bad:
         raise ContractViolation("; ".join(bad))

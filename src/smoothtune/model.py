@@ -15,13 +15,13 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .errors import ContractViolation, InputError, check_fields, checked
+from .errors import InputError, check_fields, checked
 from .tensor import Rng, as_tensor, uniform_stack
 
 ModelParams = dict[str, np.ndarray]
@@ -32,26 +32,23 @@ _FF_MULT = 2  # feedforward width = _FF_MULT * embed_dim
 @dataclass(frozen=True)
 class ModelConfig:
     task: str = checked(("classification", "regression"), "classification")
-    classes: int = 2                    # classification only
+    classes: int = field(default=2, metadata={"across": lambda c: (  # classification only
+        c.task == "classification" and c.classes < 2
+        and f"must be >= 2 for classification, got {c.classes}")})
     arch: str = checked(("mlp", "transformer"), "mlp")
     input_dim: int = checked(">= 1", 2)  # mlp: raw input width
     hidden: tuple[int, ...] = checked([">= 1"], (16, 16))  # mlp hidden sizes; () = linear model
     embed_dim: int = checked(">= 1", 8)  # transformer fields
-    heads: int = 2
+    heads: int = field(default=2, metadata={"across": lambda c: (
+        c.arch == "transformer" and not (c.heads > 0 and c.embed_dim % c.heads == 0)
+        and f"must divide embed_dim {c.embed_dim}, got {c.heads}")})
     layers: int = checked(">= 0", 1)
     max_len: int = checked(">= 1", 8)
     vocab_size: int = checked(">= 1", 16)
     dropout: float = checked("[0, 1)", 0.1)
     activation: str = checked(("tanh", "relu"), "tanh")  # hidden nonlinearity
 
-    def __post_init__(self):
-        check_fields(self)
-        if self.task == "classification" and self.classes < 2:
-            raise ContractViolation("classification needs at least 2 classes")
-        if self.arch == "transformer" and not (self.heads > 0 and self.embed_dim % self.heads == 0):
-            raise ContractViolation(
-                f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
-            )
+    __post_init__ = check_fields
 
     @property
     def out_dim(self) -> int:

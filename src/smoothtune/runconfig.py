@@ -144,12 +144,12 @@ def parse_config(path: str | None, overrides: list[str] | None = None,
     for section, key, cls, name in CONFIG_KEYS:
         if (section, key) in values:
             kwargs[cls][name] = values[section, key]
-    try:
+    try:  # only [model] has rules across fields, and each [model] key is its field's name
         model = ModelConfig(**kwargs[ModelConfig])
-        train = TrainConfig(adv=AdvConfig(**kwargs[AdvConfig]),
-                            prox=ProxConfig(**kwargs[ProxConfig]), **kwargs[TrainConfig])
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError("; ".join(f"[model].{bad}" for bad in str(exc).split("; "))) from exc
+    train = TrainConfig(adv=AdvConfig(**kwargs[AdvConfig]),
+                        prox=ProxConfig(**kwargs[ProxConfig]), **kwargs[TrainConfig])
     return RunConfig(model=model, train=train, sweep=sweep, **kwargs[RunConfig])
 
 

@@ -11,8 +11,9 @@ parameters, moments and teacher stacked on a leading axis (`model.stack_params`)
 Each run keeps its own rng streams and batch order, losses are per-run means,
 and norms and clipping are per run, so one stacked update gives every run the
 bits it would get alone. A solo run is a stack of one, through the same loop:
-the per-update functions take a stack only, with one rng per run and the
-stack's pass counters, while the entry points also take a single run.
+the entry points take one config, one set of initial params and one dataset
+per run, in sequences, and return one result per run; the per-update functions
+take one rng per run and the stack's pass counters.
 
 Parameters, gradients, ADAM moments and teacher each live in one flat array
 per stack laid out by `model.flatten_params`. The tape reads the params through
@@ -156,10 +157,6 @@ class Objective:
     adversarial: np.ndarray | None
 
 
-def _as_list(value, solo_type) -> list:
-    return [value] if isinstance(value, solo_type) else list(value)
-
-
 def _new_state(model_cfg, cfgs, params, teacher, moments, smart, streams) -> TrainState:
     """A state over flat copies of stacked `params`, `teacher` (or None) and
     ADAM `moments` (stacked m, stacked v, t), or fresh moments when None."""
@@ -178,13 +175,12 @@ def _new_state(model_cfg, cfgs, params, teacher, moments, smart, streams) -> Tra
 
 def init_train_state(
     model_cfg: mdl.ModelConfig,
-    cfg: TrainConfig | Sequence[TrainConfig],
-    initial: mdl.ModelParams | Sequence[mdl.ModelParams],
+    cfgs: Sequence[TrainConfig],
+    inits: Sequence[mdl.ModelParams],
     smart: bool,
 ) -> TrainState:
-    """A fresh state for one run, or for a stack of runs given one config and
-    one set of initial params per run."""
-    cfgs, inits = _as_list(cfg, TrainConfig), _as_list(initial, dict)
+    """A fresh state for a stack of runs, given one config and one set of
+    initial params per run."""
     if len(cfgs) != len(inits) or not cfgs:
         raise ContractViolation(f"{len(cfgs)} configs for {len(inits)} initial params")
     streams = []
@@ -313,16 +309,14 @@ def stack_batch_size(cfg: TrainConfig, dataset: Dataset) -> int:
 
 def continue_training(
     state: TrainState,
-    dataset: Dataset | Sequence[Dataset],
+    datasets: Sequence[Dataset],
     *,
     stop_after: int | None = None,
-) -> TrainResult | list[TrainResult]:
+) -> list[TrainResult]:
     """Advance a state, optionally pausing after a given outer step; segmented
-    runs traverse exactly the trajectory of an unpaused one. A stack takes one
-    dataset per run and gives one result per run; a single dataset gives a
-    single result."""
+    runs traverse exactly the trajectory of an unpaused one. Takes one dataset
+    per run and gives one result per run."""
     model_cfg, cfg, runs = state.model_cfg, state.cfg, state.runs
-    datasets = _as_list(dataset, Dataset)
     if len(datasets) != len(runs):
         raise ContractViolation(f"{len(datasets)} datasets for a stack of {len(runs)} runs")
     for i, (run, ds) in enumerate(zip(runs, datasets)):
@@ -385,30 +379,28 @@ def continue_training(
             teacher_update(state.teacher, state.flat, beta)
         state.outer_t = t
     finals = mdl.unstack_params(model_cfg, state.params)
-    results = [TrainResult(params=p, records=r, state=state) for p, r in zip(finals, records)]
-    return results[0] if isinstance(dataset, Dataset) else results
+    return [TrainResult(params=p, records=r, state=state) for p, r in zip(finals, records)]
 
 
 def smooth_finetune(
     model_cfg: mdl.ModelConfig,
-    cfg: TrainConfig | Sequence[TrainConfig],
-    dataset: Dataset | Sequence[Dataset],
-    initial: mdl.ModelParams | Sequence[mdl.ModelParams],
-) -> TrainResult | list[TrainResult]:
-    """Run the full regularized proximal loop; deterministic in (config, seed, data).
-
-    Sequences of configs, datasets and initial params train a stack of runs."""
-    return continue_training(init_train_state(model_cfg, cfg, initial, smart=True), dataset)
+    cfgs: Sequence[TrainConfig],
+    datasets: Sequence[Dataset],
+    inits: Sequence[mdl.ModelParams],
+) -> list[TrainResult]:
+    """Run the full regularized proximal loop over a stack of runs, one config,
+    dataset and set of initial params each; deterministic in (config, seed, data)."""
+    return continue_training(init_train_state(model_cfg, cfgs, inits, smart=True), datasets)
 
 
 def vanilla_finetune(
     model_cfg: mdl.ModelConfig,
-    cfg: TrainConfig | Sequence[TrainConfig],
-    dataset: Dataset | Sequence[Dataset],
-    initial: mdl.ModelParams | Sequence[mdl.ModelParams],
-) -> TrainResult | list[TrainResult]:
+    cfgs: Sequence[TrainConfig],
+    datasets: Sequence[Dataset],
+    inits: Sequence[mdl.ModelParams],
+) -> list[TrainResult]:
     """Same loop with the penalty terms structurally absent: the control arm."""
-    return continue_training(init_train_state(model_cfg, cfg, initial, smart=False), dataset)
+    return continue_training(init_train_state(model_cfg, cfgs, inits, smart=False), datasets)
 
 
 def expected_pass_counts(cfg: TrainConfig, smart: bool) -> tuple[int, int]:
@@ -514,7 +506,7 @@ def resume_from_checkpoint(path: str) -> TrainState:
         raise CheckpointError(f"cannot load {path}: {exc}") from exc
 
 
-def resume_training(path: str, dataset: Dataset) -> TrainResult:
-    """Continue a checkpointed run; the completed trajectory matches an
-    uninterrupted one bit for bit."""
-    return continue_training(resume_from_checkpoint(path), dataset)
+def resume_training(path: str, datasets: Sequence[Dataset]) -> list[TrainResult]:
+    """Continue a checkpointed run on a list of one dataset; the completed
+    trajectory matches an uninterrupted one bit for bit."""
+    return continue_training(resume_from_checkpoint(path), datasets)

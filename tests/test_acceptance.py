@@ -146,8 +146,8 @@ def test_criterion_2_exact_reduction():
         mlp = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2,
                           hidden=(8,), dropout=0.1)
         cfg = dataclasses.replace(zero, seed=seed)
-        a = smooth_finetune(mlp, cfg, moons, init_params(mlp, Rng(seed)))
-        b = vanilla_finetune(mlp, cfg, moons, init_params(mlp, Rng(seed)))
+        [a] = smooth_finetune(mlp, [cfg], [moons], [init_params(mlp, Rng(seed))])
+        [b] = vanilla_finetune(mlp, [cfg], [moons], [init_params(mlp, Rng(seed))])
         assert _params_equal(a.params, b.params)
         assert a.records == b.records
         assert records_csv_lines(a.records) == records_csv_lines(b.records)
@@ -159,8 +159,8 @@ def test_criterion_2_exact_reduction():
         tf = ModelConfig(task="classification", classes=5, arch="transformer",
                          embed_dim=8, heads=2, layers=1, max_len=4, vocab_size=5,
                          dropout=0.1)
-        ta = smooth_finetune(tf, cfg, toks, init_params(tf, Rng(seed)))
-        tb = vanilla_finetune(tf, cfg, toks, init_params(tf, Rng(seed)))
+        [ta] = smooth_finetune(tf, [cfg], [toks], [init_params(tf, Rng(seed))])
+        [tb] = vanilla_finetune(tf, [cfg], [toks], [init_params(tf, Rng(seed))])
         assert _params_equal(ta.params, tb.params)
         assert ta.records == tb.records
         checked += 1
@@ -195,7 +195,7 @@ def test_criterion_3_constraint_audit(monkeypatch):
         return found
 
     monkeypatch.setattr(trainer, "find_adversarial", watched)
-    smooth_finetune(mlp, cfg, moons, init_params(mlp, Rng(6)))
+    smooth_finetune(mlp, [cfg], [moons], [init_params(mlp, Rng(6))])
     ok = len(searches) == 500 and not violations
     _report(3, "constraint audit", ok,
             f"{len(searches)} searches, {len(violations)} violations")
@@ -427,8 +427,8 @@ def test_criterion_9_overhead_accounting():
                       prox=ProxConfig(prox_weight=1.0, mode="mbpp"),
                       outer_steps=30, batch_size=10, peak_lr=0.01, seed=4)
     init = init_params(mlp, Rng(5))
-    smart = smooth_finetune(mlp, cfg, moons, init)
-    plain = vanilla_finetune(mlp, cfg, moons, init)
+    [smart] = smooth_finetune(mlp, [cfg], [moons], [init])
+    [plain] = vanilla_finetune(mlp, [cfg], [moons], [init])
 
     sf, sb = expected_pass_counts(cfg, True)
     vf, vb = expected_pass_counts(cfg, False)
@@ -462,13 +462,13 @@ def test_criterion_10_determinism_and_resume(tmp_path):
                       prox=ProxConfig(prox_weight=1.0, mode="mbpp"),
                       outer_steps=20, batch_size=12, peak_lr=0.01, seed=9)
     init = init_params(mlp, Rng(10))
-    full = smooth_finetune(mlp, cfg, moons, init)
+    [full] = smooth_finetune(mlp, [cfg], [moons], [init])
 
-    state = init_train_state(mlp, cfg, init, smart=True)
-    head = continue_training(state, moons, stop_after=8)
+    state = init_train_state(mlp, [cfg], [init], smart=True)
+    [head] = continue_training(state, [moons], stop_after=8)
     ckpt = str(tmp_path / "mid.json")
     save_train_checkpoint(ckpt, state)
-    tail = resume_training(ckpt, moons)
+    [tail] = resume_training(ckpt, [moons])
     resume_ok = (_params_equal(tail.params, full.params)
                  and head.records + tail.records == full.records)
 

@@ -148,6 +148,44 @@ def test_an_option_handed_on_under_its_own_name_is_not_passed(tmp_path):
     assert _test_only_options(package, bench) == ["ops.run(hook=)", "ops.wrap(hook=)"]
 
 
+def _union_members(node: ast.expr | None) -> list[ast.expr]:
+    """The members of an annotation `A | B | ...`, or the annotation alone."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _union_members(node.left) + _union_members(node.right)
+    return [] if node is None else [node]
+
+
+def _solo_or_many(annotation: ast.expr | None) -> bool:
+    """Whether an annotation is a union of some X with Sequence[X] or list[X]."""
+    members = _union_members(annotation)
+    solos = {ast.dump(member) for member in members}
+    return any(isinstance(member, ast.Subscript)
+               and getattr(member.value, "id", getattr(member.value, "attr", None))
+               in ("Sequence", "list") and ast.dump(member.slice) in solos
+               for member in members)
+
+
+def _solo_or_many_functions(package: Path) -> list[str]:
+    """Public functions of `package` with a parameter or return annotated as
+    one value or a sequence of them."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for qualified, _, node in _public_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            if any(_solo_or_many(annotation) for annotation in
+                   [node.returns] + [arg.annotation for arg in params if arg is not None]):
+                found.append(f"{path.stem}.{qualified}")
+    return found
+
+
+def test_no_public_function_takes_or_returns_one_value_or_many():
+    """A run is always a stack: entry points take and return sequences only,
+    never `X | Sequence[X]` or `X | list[X]` with an isinstance unwrap."""
+    found = _solo_or_many_functions(PACKAGE)
+    assert found == [], f"public functions that take one value or many: {found}"
+
+
 def test_every_traced_name_resolves_in_the_package():
     """Each (module, attribute) in bench/spans.py's TARGETS, read with ast,
     names a function that exists in src/."""

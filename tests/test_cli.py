@@ -187,9 +187,9 @@ def test_resume_accepts_equal_values_written_as_ints(workspace):
     tmp, cfg, train, test = workspace
     run_cfg = parse_config(cfg)
     ckpt = str(tmp / "lib.json")
-    state = tr.init_train_state(run_cfg.model, dataclasses.replace(run_cfg.train, reg_weight=2),
-                                init_params(run_cfg.model, Rng(5).child(0)), smart=True)
-    tr.continue_training(state, read_dataset(str(train)), stop_after=10)
+    state = tr.init_train_state(run_cfg.model, [dataclasses.replace(run_cfg.train, reg_weight=2)],
+                                [init_params(run_cfg.model, Rng(5).child(0))], smart=True)
+    tr.continue_training(state, [read_dataset(str(train))], stop_after=10)
     tr.save_train_checkpoint(ckpt, state)
     assert main(["train", "--config", cfg, "--out", str(tmp / "resumed"),
                  "--resume", ckpt]) == 0
@@ -291,18 +291,28 @@ eval_every = -1
 [sweep]
 fractions = 0
 """)
-    code = main(["train", "--config", str(cfg)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "smoothtune: error: config:" in err
-    assert err.count("\n") == 1  # one machine-parsable line
-    for fragment in ("[model].classes", "[data].notakey", "[smart].outer_steps",
-                     "[data].train", "[run].out", "[model].dropout: must be in [0, 1), got 2.0",
-                     "[smart].adv_steps: must be >= 0, got -1",
-                     "[smart].prox_mode: must be 'mbpp', 'vbpp' or 'off', got 'bogus'",
-                     "[run].eval_every: must be >= 0, got -1",
-                     "[sweep].fractions: every entry must be in (0, 1], got 0.0"):
-        assert fragment in err
+    preset = os.path.join(os.path.dirname(__file__), "..", "configs", "two_moons_smooth.ini")
+    for argv, fragments in (
+        (["--config", str(cfg)],
+         ("[model].classes", "[data].notakey", "[smart].outer_steps",
+          "[data].train", "[run].out", "[model].dropout: must be in [0, 1), got 2.0",
+          "[smart].adv_steps: must be >= 0, got -1",
+          "[smart].prox_mode: must be 'mbpp', 'vbpp' or 'off', got 'bogus'",
+          "[run].eval_every: must be >= 0, got -1",
+          "[sweep].fractions: every entry must be in (0, 1], got 0.0")),
+        # two rules across fields, reported together
+        (["--config", preset, "--set", "model.classes=1", "--set", "model.arch=transformer",
+          "--set", "model.heads=3"],
+         ("[model].classes: must be >= 2 for classification, got 1",
+          "[model].heads: must divide embed_dim 8, got 3")),
+    ):
+        code = main(["train", *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "smoothtune: error: config:" in err
+        assert err.count("\n") == 1  # one machine-parsable line
+        for fragment in fragments:
+            assert fragment in err
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
@@ -584,7 +594,7 @@ seeds = 0,1
                             prox=dc.replace(run_cfg.train.prox, prox_weight=0.0),
                             seed=1)
     init = init_params(run_cfg.model, Rng(1).child(0))
-    result = vanilla_finetune(run_cfg.model, cell_train, split, init)
+    [result] = vanilla_finetune(run_cfg.model, [cell_train], [split], [init])
     test_metric = accuracy(run_cfg.model, result.params, read_dataset(str(test)))
     assert float(target.split(",")[6]) == test_metric
 
@@ -632,8 +642,8 @@ seeds = 0,1
         cell = dataclasses.replace(
             run_cfg.train, reg_weight=float(rw), seed=int(seed),
             prox=dataclasses.replace(run_cfg.train.prox, prox_weight=float(pw)))
-        solo = (smooth_finetune if method == "smooth" else vanilla_finetune)(
-            run_cfg.model, cell, split, init_params(run_cfg.model, Rng(int(seed)).child(0)))
+        [solo] = (smooth_finetune if method == "smooth" else vanilla_finetune)(
+            run_cfg.model, [cell], [split], [init_params(run_cfg.model, Rng(int(seed)).child(0))])
         probe = local_smoothness_probe(run_cfg.model, solo.params, split,
                                        run_cfg.train.adv.eps, 3, int(seed))
         assert row.split(",")[5:] == [repr(accuracy(run_cfg.model, solo.params, split)),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from smoothtune import model as mdl
-from smoothtune.autodiff import Tape
+from smoothtune.autodiff import Tape, affine
 from smoothtune.model import ModelConfig
 from smoothtune.tensor import Rng
 
@@ -79,11 +79,12 @@ def test_pool_stays_at_the_live_set():
 
 @pytest.mark.parametrize("tape", [Tape()], ids=["recording"])
 def test_other_tapes_hand_out_no_pooled_array(tape):
-    first = tape._buffer((4, 3))
-    gone = weakref.ref(first)
-    del first
+    x, w, b = (tape.const(np.ones(shape)) for shape in ((4, 2), (2, 3), (3,)))
+    out = affine(x, w, b, "tanh")
+    gone = weakref.ref(out.value)
+    del out
     assert gone() is None
-    assert getattr(tape, "_pool", None) is None
+    assert tape._pool is None
 
 
 def test_a_recycling_tape_hands_a_dropped_buffer_out_again():

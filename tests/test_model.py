@@ -39,6 +39,10 @@ def _train_forward(config, params, x, masks):
 def test_config_invariants():
     with pytest.raises(ContractViolation):
         ModelConfig(task="classification", classes=1)
+    with pytest.raises(ContractViolation) as both:  # two rules across fields at once
+        ModelConfig(classes=1, arch="transformer", heads=3)
+    assert str(both.value) == ("classes: must be >= 2 for classification, got 1; "
+                               "heads: must divide embed_dim 8, got 3")
     with pytest.raises(ContractViolation):
         ModelConfig(arch="transformer", embed_dim=7, heads=2)
     for heads in (0, -4):  # a one-bit flip of a checkpoint's "heads": 2 gives 0
@@ -188,7 +192,7 @@ def test_regression_output_is_scalar_per_example():
 def test_checkpoint_round_trip_bitwise(tmp_path):
     params = init_params(TF, Rng(19))
     path = str(tmp_path / "model.json")
-    save_train_checkpoint(path, init_train_state(TF, TrainConfig(), params, smart=False))
+    save_train_checkpoint(path, init_train_state(TF, [TrainConfig()], [params], smart=False))
     cfg2, params2 = load_params(path)
     assert cfg2 == TF
     for name in params:
@@ -198,7 +202,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 def test_checkpoint_rejects_unknown_version_and_truncation(tmp_path):
     params = init_params(MLP, Rng(20))
     path = str(tmp_path / "model.json")
-    save_train_checkpoint(path, init_train_state(MLP, TrainConfig(), params, smart=False))
+    save_train_checkpoint(path, init_train_state(MLP, [TrainConfig()], [params], smart=False))
     text = open(path).read()
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:

@@ -76,7 +76,7 @@ def test_stack_equals_solo_runs(case):
     state = stacked[0].state
     moments = _first_moments(model, state)
     for i, (c, ds, init) in enumerate(zip(cfgs, datasets, inits)):
-        solo = train(model, c, ds, init)
+        [solo] = train(model, [c], [ds], [init])
         _assert_runs_equal(stacked[i], solo)
         solo_m = _first_moments(model, solo.state)[0]
         assert all(np.array_equal(moments[i][name], solo_m[name]) for name in solo_m)

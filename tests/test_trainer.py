@@ -60,8 +60,8 @@ def test_reduction_is_bitwise():
     ds = _moons()
     init = init_params(MLP, Rng(1))
     cfg = _cfg(reg_weight=0.0, prox=ProxConfig(prox_weight=0.0, mode="mbpp"))
-    a = smooth_finetune(MLP, cfg, ds, init)
-    b = vanilla_finetune(MLP, cfg, ds, init)
+    [a] = smooth_finetune(MLP, [cfg], [ds], [init])
+    [b] = vanilla_finetune(MLP, [cfg], [ds], [init])
     assert _params_equal(a.params, b.params)
     assert a.records == b.records
     assert records_csv_lines(a.records) == records_csv_lines(b.records)
@@ -71,7 +71,7 @@ def test_single_step_with_zero_lr_leaves_params():
     ds = _moons()
     init = init_params(MLP, Rng(2))
     cfg = _cfg(outer_steps=1)  # T*S = 1 puts the only step at the decay end, lr = 0
-    res = smooth_finetune(MLP, cfg, ds, init)
+    [res] = smooth_finetune(MLP, [cfg], [ds], [init])
     assert res.records[0].lr == 0.0
     assert _params_equal(res.params, init)
 
@@ -80,8 +80,8 @@ def test_full_run_determinism():
     ds = _moons()
     init = init_params(MLP, Rng(4))
     cfg = _cfg()
-    a = smooth_finetune(MLP, cfg, ds, init)
-    b = smooth_finetune(MLP, cfg, ds, init)
+    [a] = smooth_finetune(MLP, [cfg], [ds], [init])
+    [b] = smooth_finetune(MLP, [cfg], [ds], [init])
     assert a.records == b.records
     assert _params_equal(a.params, b.params)
 
@@ -112,7 +112,7 @@ def test_objective_zero_radius_collapse():
 def test_objective_components_nonnegative_training_run():
     ds = _moons()
     init = init_params(MLP, Rng(8))
-    res = smooth_finetune(MLP, _cfg(), ds, init)
+    [res] = smooth_finetune(MLP, [_cfg()], [ds], [init])
     for r in res.records:
         assert r.task_loss >= 0.0
         assert r.reg_loss >= 0.0
@@ -133,7 +133,7 @@ def test_search_points_stay_in_ball_and_internal_audit(monkeypatch):
         return found
 
     monkeypatch.setattr(tr, "find_adversarial", watched)
-    smooth_finetune(MLP, _cfg(outer_steps=10), ds, init)
+    smooth_finetune(MLP, [_cfg(outer_steps=10)], [ds], [init])
     assert len(searches) == 10
     for emb, found, eps in searches:
         assert np.abs(found - emb).max() <= eps + 1e-12
@@ -145,7 +145,7 @@ def test_search_points_stay_in_ball_and_internal_audit(monkeypatch):
 
     monkeypatch.setattr(tr, "find_adversarial", broken)
     with pytest.raises(ContractViolation, match="ball"):
-        smooth_finetune(MLP, _cfg(outer_steps=2), ds, init)
+        smooth_finetune(MLP, [_cfg(outer_steps=2)], [ds], [init])
 
 
 def test_trivially_separable_data_reaches_full_accuracy():
@@ -155,7 +155,8 @@ def test_trivially_separable_data_reaches_full_accuracy():
     cfg = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2,
                       hidden=(4,), dropout=0.0)
     init = init_params(cfg, Rng(10))
-    res = vanilla_finetune(cfg, _cfg(outer_steps=200, batch_size=2, peak_lr=0.05), ds, init)
+    [res] = vanilla_finetune(cfg, [_cfg(outer_steps=200, batch_size=2, peak_lr=0.05)], [ds],
+                             [init])
     assert accuracy(cfg, res.params, ds) == 1.0
 
 
@@ -163,19 +164,19 @@ def test_pass_counters_match_analytic_counts():
     ds = _moons()
     init = init_params(MLP, Rng(11))
     cfg = _cfg(outer_steps=15)
-    smart = smooth_finetune(MLP, cfg, ds, init)
+    [smart] = smooth_finetune(MLP, [cfg], [ds], [init])
     f, b = expected_pass_counts(cfg, True)
     assert (f, b) == (4, 2)
     assert smart.state.counters.forwards == 15 * f
     assert smart.state.counters.backwards == 15 * b
-    plain = vanilla_finetune(MLP, cfg, ds, init)
+    [plain] = vanilla_finetune(MLP, [cfg], [ds], [init])
     fv, bv = expected_pass_counts(cfg, False)
     assert (fv, bv) == (1, 1)
     assert plain.state.counters.forwards == 15
     assert plain.state.counters.backwards == 15
     multi = _cfg(adv=AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02, steps=3),
                  outer_steps=4)
-    res3 = smooth_finetune(MLP, multi, ds, init)
+    [res3] = smooth_finetune(MLP, [multi], [ds], [init])
     f3, b3 = expected_pass_counts(multi, True)
     assert (f3, b3) == (6, 4)
     assert res3.state.counters.forwards == 4 * f3
@@ -211,10 +212,10 @@ def test_assembled_objective_gradient_matches_finite_differences(monkeypatch):
 def test_records_csv_schema():
     ds = _moons()
     init = init_params(MLP, Rng(16))
-    smart = smooth_finetune(MLP, _cfg(outer_steps=3), ds, init)
+    [smart] = smooth_finetune(MLP, [_cfg(outer_steps=3)], [ds], [init])
     lines = records_csv_lines(smart.records)
     assert lines[0] == "step,lr,beta,task_loss,reg_loss,breg_loss,total,grad_norm"
-    plain = vanilla_finetune(MLP, _cfg(outer_steps=3), ds, init)
+    [plain] = vanilla_finetune(MLP, [_cfg(outer_steps=3)], [ds], [init])
     vlines = records_csv_lines(plain.records)
     assert vlines[0] == "step,lr,beta,task_loss,total,grad_norm"
 
@@ -223,13 +224,13 @@ def test_checkpoint_resume_reproduces_trajectory(tmp_path):
     ds = _moons()
     init = init_params(MLP, Rng(17))
     cfg = _cfg(outer_steps=18)
-    full = smooth_finetune(MLP, cfg, ds, init)
+    [full] = smooth_finetune(MLP, [cfg], [ds], [init])
 
-    state = init_train_state(MLP, cfg, init, smart=True)
-    head = continue_training(state, ds, stop_after=7)
+    state = init_train_state(MLP, [cfg], [init], smart=True)
+    [head] = continue_training(state, [ds], stop_after=7)
     path = str(tmp_path / "ckpt.json")
     save_train_checkpoint(path, state)
-    tail = resume_training(path, ds)
+    [tail] = resume_training(path, [ds])
 
     assert _params_equal(tail.params, full.params)
     assert head.records + tail.records == full.records
@@ -240,21 +241,21 @@ def test_checkpoint_round_trip_without_steps(tmp_path):
     ds = _moons()
     init = init_params(MLP, Rng(18))
     cfg = _cfg(outer_steps=9)
-    state = init_train_state(MLP, cfg, init, smart=True)
+    state = init_train_state(MLP, [cfg], [init], smart=True)
     path = str(tmp_path / "fresh.json")
     save_train_checkpoint(path, state)
     loaded = resume_from_checkpoint(path)
     assert loaded.outer_t == 0 and loaded.global_step == 0
     assert _params_equal(loaded.params, state.params)
-    run_a = continue_training(loaded, ds)
-    run_b = smooth_finetune(MLP, cfg, ds, init)
+    [run_a] = continue_training(loaded, [ds])
+    [run_b] = smooth_finetune(MLP, [cfg], [ds], [init])
     assert _params_equal(run_a.params, run_b.params)
 
 
 def test_checkpoint_load_errors(tmp_path):
     ds = _moons()
     init = init_params(MLP, Rng(19))
-    state = init_train_state(MLP, _cfg(), init, smart=True)
+    state = init_train_state(MLP, [_cfg()], [init], smart=True)
     path = str(tmp_path / "ok.json")
     save_train_checkpoint(path, state)
     text = open(path).read()
@@ -277,12 +278,12 @@ def test_transformer_training_and_reduction():
                             dropout=0.1)
     init = init_params(cfg_model, Rng(21))
     cfg = _cfg(outer_steps=6, batch_size=8)
-    res = smooth_finetune(cfg_model, cfg, ds, init)
+    [res] = smooth_finetune(cfg_model, [cfg], [ds], [init])
     assert len(res.records) == 6
     reduced = _cfg(outer_steps=6, batch_size=8, reg_weight=0.0,
                    prox=ProxConfig(prox_weight=0.0, mode="mbpp"))
-    a = smooth_finetune(cfg_model, reduced, ds, init)
-    b = vanilla_finetune(cfg_model, reduced, ds, init)
+    [a] = smooth_finetune(cfg_model, [reduced], [ds], [init])
+    [b] = vanilla_finetune(cfg_model, [reduced], [ds], [init])
     assert _params_equal(a.params, b.params)
     assert a.records == b.records
 
@@ -328,7 +329,7 @@ def test_regression_training_runs():
     cfg_model = ModelConfig(task="regression", arch="mlp", input_dim=2, hidden=(6,),
                             dropout=0.0)
     init = init_params(cfg_model, Rng(23))
-    res = smooth_finetune(cfg_model, _cfg(outer_steps=12, batch_size=8), ds, init)
+    [res] = smooth_finetune(cfg_model, [_cfg(outer_steps=12, batch_size=8)], [ds], [init])
     assert all(np.isfinite(r.total) for r in res.records)
     assert res.records[-1].reg_loss >= 0.0
 
@@ -390,6 +391,6 @@ def test_vbpp_teacher_is_the_current_iterate_at_every_update(monkeypatch):
     monkeypatch.setattr(mdl, "forward", forward)
     for mode, want in (("vbpp", [True] * 6), ("mbpp", [True] + [False] * 5)):
         given.clear()
-        smooth_finetune(model, _cfg(prox=ProxConfig(mode=mode), outer_steps=6), ds,
-                        init_params(model, Rng(12)))
+        smooth_finetune(model, [_cfg(prox=ProxConfig(mode=mode), outer_steps=6)], [ds],
+                        [init_params(model, Rng(12))])
         assert given == want, mode
