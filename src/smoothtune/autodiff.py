@@ -25,9 +25,10 @@ BLAS call, and its adjoint runs the chain's expressions in the chain's order
 on the same views: values and adjoints are the chain's, bit for bit.
 
 A tape made with recycle=True and reused for many same-shape passes hands
-dense layers the dead output buffers of earlier passes. glibc maps each large
-fresh array from the kernel and unmaps it on free, so over the probe's 10k
-points page faults, not FLOPs, were what fresh buffers cost. A tape for one
+dense layers, and the full-height feature array of a blocked eager forward,
+the dead output buffers of earlier passes (`Tape.buffer`). glibc maps each
+large fresh array from the kernel and unmaps it on free, so over the probe's
+10k points page faults, not FLOPs, were what fresh buffers cost. A tape for one
 pass does not pool: holding its dead buffers to the end would raise its peak.
 
 Adjoints flow only toward gradient leaves: a node is live when it is a
@@ -109,11 +110,13 @@ class Tape:
         """Whether v is live: an adjoint of it can reach a requires_grad leaf."""
         return self._nodes[v.index] is not None
 
-    def _buffer(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A float64 array of `shape` for an op's output from the pool: one that
-        nothing outside the pool holds (never an output the caller keeps, the
-        base of a live view or a value an adjoint reads), or a fresh one that
-        joins the pool."""
+    def buffer(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A float64 array of `shape` for an output. A recycling tape hands out
+        one from its pool that nothing outside the pool holds (never an output
+        the caller keeps, the base of a live view or a value an adjoint reads),
+        or a fresh one that joins the pool; any other tape a fresh one."""
+        if self._pool is None:
+            return np.empty(shape)
         for buf in self._pool:
             if buf.shape == shape and sys.getrefcount(buf) == _POOL_ONLY_REFS:
                 return buf
@@ -163,7 +166,7 @@ class Tape:
 
 def _pool_only_refs() -> int:
     """sys.getrefcount of an array held only by a pool list, read the way
-    Tape._buffer reads it (list, loop name, argument)."""
+    Tape.buffer reads it (list, loop name, argument)."""
     pool = [np.empty(0)]
     for buf in pool:
         return sys.getrefcount(buf)
@@ -252,7 +255,7 @@ def _product(av: np.ndarray, bv: np.ndarray, op: str, tape: Tape) -> np.ndarray:
     if tape._pool is None:
         return np.matmul(av, bv)
     lead = np.broadcast_shapes(av.shape[:-2], bv.shape[:-2])
-    return np.matmul(av, bv, out=tape._buffer(lead + (av.shape[-2], bv.shape[-1])))
+    return np.matmul(av, bv, out=tape.buffer(lead + (av.shape[-2], bv.shape[-1])))
 
 
 def _product_vjp(tape: Tape, a: Var, b: Var):

@@ -243,6 +243,7 @@ def cmd_eval(args) -> int:
 def cmd_probe(args) -> int:
     model_cfg, params = ckpt.load_params(args.checkpoint)
     ds = dat.read_dataset(args.data)
+    tr.check_dataset(model_cfg, ds)
     value = ev.local_smoothness_probe(model_cfg, params, ds, args.eps,
                                       args.samples, args.seed)
     report = {"eps": args.eps, "samples_per_point": args.samples,

@@ -70,8 +70,8 @@ def local_smoothness_probe(
     Sample offsets are unit-cube draws scaled by eps, so growing eps with the
     same seed pushes the same sample directions outward. The clean forward and
     every sample forward run on one `Tape(recycle=True)`, so from the second
-    sample on the dense layers write into the previous sample's dead
-    activations instead of freshly faulted pages.
+    sample on the dense layers and the one full-height feature array of a
+    blocked forward reuse the previous sample's dead buffers, not fresh pages.
     """
     if not (0 <= eps < np.inf and samples_per_point >= 1):
         raise InputError(f"need a finite eps >= 0 and samples_per_point >= 1, "
@@ -113,6 +113,6 @@ def decision_boundary_grid(
         raise InputError(f"bounds must be finite with each min below its max, got {bounds}")
     xs = np.linspace(x0_lo, x0_hi, resolution)
     ys = np.linspace(x1_lo, x1_hi, resolution)
-    grid = np.array([[a, b] for a in xs for b in ys])
+    grid = np.column_stack([np.repeat(xs, resolution), np.tile(ys, resolution)])
     probs = mdl.forward(model_cfg, params, grid)
     return np.column_stack([grid, probs[:, 1]])

@@ -301,14 +301,20 @@ def leaf_params(tape: Tape, params: ModelParams, requires_grad: bool = True) -> 
 
 # ---------------------------------------------------------------------------
 # Eager (numpy-level) forwards run the tape builders, without dropout, on a Tape
-# whose leaves want no gradient: the same code as the recorded path, bit for bit,
-# and no dead node keeps an intermediate past its last use. An unstacked
-# transformer batch of more than _EAGER_BLOCK examples runs the layers before the
-# output layer in near-equal blocks, whose rows have the bits of one pass, and the
-# output layer, whose bits depend on its height, at once over all rows.
+# whose leaves want no gradient. An unstacked batch of more than _eager_block
+# examples runs the layers before the output layer in near-equal blocks into one
+# full-height feature array (pooled on a recycling tape), and the output layer,
+# whose bits depend on its height, at once over all rows. The block depends only
+# on the config, so every eager path gives the same bits (see README).
 # ---------------------------------------------------------------------------
 
-_EAGER_BLOCK = 128
+
+def _eager_block(config: ModelConfig) -> int:
+    """Examples per eager block: 2**15 values of the body's widest per-example
+    activation (an MLP hidden layer; a transformer's ff or attention scores)."""
+    widest = (max(config.hidden, default=config.input_dim) if config.arch == "mlp" else
+              config.max_len * max(_FF_MULT * config.embed_dim, config.heads * config.max_len))
+    return max(1, 2**15 // widest)
 
 
 def embed(config: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
@@ -325,11 +331,13 @@ def _eager_head(tape: Tape, config: ModelConfig, pvars: dict[str, Var], n: int,
                 rows) -> np.ndarray:
     """build_head without dropout on `tape` for a batch of n whose embedded
     rows lo:hi are `rows(lo, hi)`, the body blocked as described above."""
-    if config.arch == "mlp" or stack_axes(config, pvars) or n <= _EAGER_BLOCK:
+    block = _eager_block(config)
+    if stack_axes(config, pvars) or n <= block:
         return build_head(tape, config, pvars, rows(0, n)).value
-    blocks = -(-n // _EAGER_BLOCK)
+    blocks = -(-n // block)
     edges = [n * i // blocks for i in range(blocks + 1)]
-    features = np.empty((n, config.embed_dim))
+    width = (config.input_dim, *config.hidden)[-1] if config.arch == "mlp" else config.embed_dim
+    features = tape.buffer((n, width))
     for lo, hi in zip(edges, edges[1:]):
         features[lo:hi] = _build_body(config, pvars, rows(lo, hi)).value
     return _output_layer(config, pvars, tape.const(features)).value
@@ -353,14 +361,12 @@ def forward(config: ModelConfig, params: ModelParams, inputs,
             features: np.ndarray | None = None) -> np.ndarray:
     """Fused embed + head; identical to calling the two stages separately.
     Given `features`, what these params feed the output layer for these inputs
-    (see build_head), only the output layer runs. Token blocks are embedded
-    one at a time."""
+    (see build_head), only the output layer runs. Blocks are embedded one at a
+    time."""
     tape = Tape()
     pvars = leaf_params(tape, params, requires_grad=False)
     if features is not None:
         return _output_layer(config, pvars, tape.const(features)).value
-    if config.arch == "mlp" or stack_axes(config, pvars):
-        return build_head(tape, config, pvars, build_embed(tape, config, pvars, inputs)).value
-    ids = check_inputs(config, inputs)
-    return _eager_head(tape, config, pvars, len(ids),
-                       lambda lo, hi: ad.gather_rows(pvars["embed.table"], ids[lo:hi]))
+    x = check_inputs(config, inputs, stack_axes(config, pvars))
+    return _eager_head(tape, config, pvars, len(x),
+                       lambda lo, hi: build_embed(tape, config, pvars, x[lo:hi]))

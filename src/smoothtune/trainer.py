@@ -173,6 +173,13 @@ def _new_state(model_cfg, cfgs, params, teacher, moments, smart, streams) -> Tra
                       teacher=teacher, teacher_params=teacher_params)
 
 
+def _check_lists(**values) -> None:
+    """Refuse a solo value where an entry point takes one entry per run."""
+    solo = [f"{k} (a {type(v).__name__})" for k, v in values.items() if not isinstance(v, Sequence)]
+    if solo:
+        raise ContractViolation(" and ".join(solo) + ": pass one entry per run, a list of one")
+
+
 def init_train_state(
     model_cfg: mdl.ModelConfig,
     cfgs: Sequence[TrainConfig],
@@ -181,6 +188,7 @@ def init_train_state(
 ) -> TrainState:
     """A fresh state for a stack of runs, given one config and one set of
     initial params per run."""
+    _check_lists(cfgs=cfgs, inits=inits)
     if len(cfgs) != len(inits) or not cfgs:
         raise ContractViolation(f"{len(cfgs)} configs for {len(inits)} initial params")
     streams = []
@@ -317,6 +325,7 @@ def continue_training(
     runs traverse exactly the trajectory of an unpaused one. Takes one dataset
     per run and gives one result per run."""
     model_cfg, cfg, runs = state.model_cfg, state.cfg, state.runs
+    _check_lists(datasets=datasets)
     if len(datasets) != len(runs):
         raise ContractViolation(f"{len(datasets)} datasets for a stack of {len(runs)} runs")
     for i, (run, ds) in enumerate(zip(runs, datasets)):

@@ -755,3 +755,20 @@ def test_eval_refuses_a_class_label_outside_the_classes(workspace, capsys, label
     assert capsys.readouterr().err == (
         f"smoothtune: error: input: class label out of range [0, 2): min {low}, max {high}\n")
     assert not out.exists()
+
+
+def test_probe_refuses_a_dataset_the_model_cannot_take(workspace, capsys):
+    # token ids of length 2 have the shape of the model's raw 2-d vectors
+    tmp, cfg, _, _ = workspace
+    assert main(["train", "--config", cfg, "--out", str(tmp / "run"),
+                 "--set", "smart.outer_steps=1"]) == 0
+    tokens = str(tmp / "tokens.jsonl")
+    assert main(["gen-data", "--generator", "tokens", "--n", "20", "--length", "2",
+                 "--seed", "3", "--out", tokens]) == 0
+    out = tmp / "probe.json"
+    capsys.readouterr()
+    assert main(["probe", "--checkpoint", str(tmp / "run" / "checkpoint_final.json"),
+                 "--data", tokens, "--eps", "0.1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("smoothtune: error: contract: model arch 'mlp' needs "
+                                       "'vector' inputs, dataset has 'tokens'\n")
+    assert not out.exists()

@@ -149,6 +149,17 @@ def test_boundary_grid_lattice_and_probabilities():
     assert np.allclose(cgrid[:, 2], 0.5, atol=1e-15)
 
 
+@pytest.mark.parametrize("resolution", [2, 3, 101])
+def test_boundary_grid_has_the_bits_of_the_pairs_it_lists(resolution):
+    cfg = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2,
+                      hidden=(4,), dropout=0.0)
+    bounds = (-1.5, 2.5, -1.0, 1.5)
+    grid = decision_boundary_grid(cfg, init_params(cfg, Rng(9)), bounds, resolution)
+    xs, ys = np.linspace(-1.5, 2.5, resolution), np.linspace(-1.0, 1.5, resolution)
+    pairs = np.array([[a, b] for a in xs for b in ys])  # x0 slowest, row-major
+    assert np.array_equal(grid[:, :2].view(np.uint64), pairs.view(np.uint64))
+
+
 def test_boundary_requires_2d_classifier():
     bad = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=3,
                       hidden=(), dropout=0.0)

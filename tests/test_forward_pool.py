@@ -64,17 +64,20 @@ def test_held_outputs_are_never_overwritten(config):
 
 
 def test_pool_stays_at_the_live_set():
-    params, emb = _embedded(MLP_TANH, 500, seed=4)
+    # 2 * block + 1 rows run in blocks of two heights, so the pool holds both
+    # hidden layers' outputs at each height, the feature array and the logits
+    n = 2 * mdl._eager_block(MLP_TANH) + 1
+    params, emb = _embedded(MLP_TANH, n, seed=4)
     tape = Tape(recycle=True)
     for i in range(FORWARDS):
         mdl.forward_from_embedding(MLP_TANH, params, _sample(emb, i), tape=tape)
-        assert len(tape._pool) == 3  # one buffer per dense layer, none grown
+        assert len(tape._pool) == 2 * 2 + 2  # none grown
     # each held regression output keeps one logits buffer; the rest recycle
-    params, emb = _embedded(REGRESSION, 500, seed=4)
+    params, emb = _embedded(REGRESSION, n, seed=4)
     tape = Tape(recycle=True)
     held = [mdl.forward_from_embedding(REGRESSION, params, _sample(emb, i), tape=tape)
             for i in range(FORWARDS)]
-    assert len(tape._pool) == 2 + len(held)
+    assert len(tape._pool) == 2 * 2 + 1 + len(held)
 
 
 @pytest.mark.parametrize("tape", [Tape()], ids=["recording"])
@@ -85,15 +88,16 @@ def test_other_tapes_hand_out_no_pooled_array(tape):
     del out
     assert gone() is None
     assert tape._pool is None
+    assert tape.buffer((4, 3)) is not tape.buffer((4, 3))
 
 
 def test_a_recycling_tape_hands_a_dropped_buffer_out_again():
     tape = Tape(recycle=True)
-    first = tape._buffer((4, 3))
+    first = tape.buffer((4, 3))
     gone = weakref.ref(first)
     del first
     assert gone() is not None
-    assert tape._buffer((3, 4)) is not gone()
-    held = tape._buffer((4, 3))
+    assert tape.buffer((3, 4)) is not gone()
+    held = tape.buffer((4, 3))
     assert held is gone()
-    assert tape._buffer((4, 3)) is not held
+    assert tape.buffer((4, 3)) is not held

@@ -114,3 +114,13 @@ def test_stack_refuses_runs_it_cannot_train_together(tmp_path):
         continue_training(state, [gen_two_moons(20, 0.25, 1)])
     with pytest.raises(ContractViolation, match="one run"):
         save_train_checkpoint(str(tmp_path / "stack.json"), state)
+    # a solo value where a list of one per run belongs is named, not unpacked
+    one = dataclasses.replace(cfg, seed=1)
+    with pytest.raises(ContractViolation, match=r"^cfgs \(a TrainConfig\) and inits \(a dict\): "
+                                                "pass one entry per run, a list of one$"):
+        smooth_finetune(model, one, gen_two_moons(20, 0.25, 1), inits[0])
+    solo = init_train_state(model, [one], inits[:1], smart=False)
+    moons = gen_two_moons(200, 0.25, 1)
+    for data in (moons, moons.subset(np.arange(1), {})):  # 200 rows, and one
+        with pytest.raises(ContractViolation, match=r"^datasets \(a Dataset\): pass one entry"):
+            continue_training(solo, data)
