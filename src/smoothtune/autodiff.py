@@ -24,13 +24,6 @@ contiguous copies (k^T made in one copy, not two), so each product is the same
 BLAS call, and its adjoint runs the chain's expressions in the chain's order
 on the same views: values and adjoints are the chain's, bit for bit.
 
-A tape made with recycle=True and reused for many same-shape passes hands
-dense layers, and the full-height feature array of a blocked eager forward,
-the dead output buffers of earlier passes (`Tape.buffer`). glibc maps each
-large fresh array from the kernel and unmaps it on free, so over the probe's
-10k points page faults, not FLOPs, were what fresh buffers cost. A tape for one
-pass does not pool: holding its dead buffers to the end would raise its peak.
-
 Adjoints flow only toward gradient leaves: a node is live when it is a
 requires_grad leaf or has a live parent. A dead node (a constant, an ascent
 step's weights) keeps no closure, and `affine`, `attention`, `layer_norm` and
@@ -47,7 +40,6 @@ unstacked run reduces them.
 
 from __future__ import annotations
 
-import sys
 import weakref
 
 import numpy as np
@@ -81,10 +73,9 @@ class Tape:
     keeps a Var alive and the Var -> tape edge forms no cycle.
     """
 
-    def __init__(self, recycle: bool = False):
+    def __init__(self):
         self._nodes: list[tuple | None] = []  # (parent indices, adjoint rule), None if dead
         self._grad_leaves: list[weakref.ref] = []
-        self._pool: list[np.ndarray] | None = [] if recycle else None
 
     def __len__(self):
         return len(self._nodes)
@@ -109,20 +100,6 @@ class Tape:
     def needs(self, v: Var) -> bool:
         """Whether v is live: an adjoint of it can reach a requires_grad leaf."""
         return self._nodes[v.index] is not None
-
-    def buffer(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A float64 array of `shape` for an output. A recycling tape hands out
-        one from its pool that nothing outside the pool holds (never an output
-        the caller keeps, the base of a live view or a value an adjoint reads),
-        or a fresh one that joins the pool; any other tape a fresh one."""
-        if self._pool is None:
-            return np.empty(shape)
-        for buf in self._pool:
-            if buf.shape == shape and sys.getrefcount(buf) == _POOL_ONLY_REFS:
-                return buf
-        buf = np.empty(shape)
-        self._pool.append(buf)
-        return buf
 
     def backward(self, output: Var) -> dict[Var, np.ndarray]:
         """Reverse sweep from a scalar output.
@@ -162,17 +139,6 @@ class Tape:
             g = adjoints[leaf.index]
             grads[leaf] = g if g is not None else np.zeros_like(leaf.value)
         return grads
-
-
-def _pool_only_refs() -> int:
-    """sys.getrefcount of an array held only by a pool list, read the way
-    Tape.buffer reads it (list, loop name, argument)."""
-    pool = [np.empty(0)]
-    for buf in pool:
-        return sys.getrefcount(buf)
-
-
-_POOL_ONLY_REFS = _pool_only_refs()
 
 
 def _same_tape(*vars_: Var) -> Tape:
@@ -245,19 +211,6 @@ def mul_const(a: Var, arr: np.ndarray) -> Var:
     return a.tape._record(a.value * arr, (a.index,), lambda g: (g * arr,))
 
 
-def _product(av: np.ndarray, bv: np.ndarray, op: str, tape: Tape) -> np.ndarray:
-    """av @ bv for operands of rank >= 2, leading axes broadcast per numpy rules;
-    written into a buffer from `tape` when the tape pools its buffers."""
-    if av.ndim < 2 or bv.ndim < 2:
-        raise ContractViolation(f"{op}: expected rank >= 2, got {av.shape} and {bv.shape}")
-    if av.shape[-1] != bv.shape[-2]:
-        raise ContractViolation(f"{op}: inner dimensions differ, {av.shape} vs {bv.shape}")
-    if tape._pool is None:
-        return np.matmul(av, bv)
-    lead = np.broadcast_shapes(av.shape[:-2], bv.shape[:-2])
-    return np.matmul(av, bv, out=tape.buffer(lead + (av.shape[-2], bv.shape[-1])))
-
-
 def _product_vjp(tape: Tape, a: Var, b: Var):
     """g -> the adjoints of a.value @ b.value toward a and b, None toward a
     dead operand; it keeps only the values its live parts read."""
@@ -277,7 +230,12 @@ def affine(x: Var, w: Var, b: Var, act: str | None = None) -> Var:
     output: y > 0 exactly where the input is > 0, NaN included.
     """
     tape = _same_tape(x, w, b)
-    y = _product(x.value, w.value, "affine", tape)
+    xv, wv = x.value, w.value
+    if xv.ndim < 2 or wv.ndim < 2:
+        raise ContractViolation(f"affine: expected rank >= 2, got {xv.shape} and {wv.shape}")
+    if xv.shape[-1] != wv.shape[-2]:
+        raise ContractViolation(f"affine: inner dimensions differ, {xv.shape} vs {wv.shape}")
+    y = np.matmul(xv, wv)
     bshape = b.value.shape
     _check_broadcast(bshape, y.shape, "affine")
     y += b.value
@@ -374,7 +332,10 @@ def softmax(a: Var) -> Var:
     return a.tape._record(y, (a.index,), vjp)
 
 
-def layer_norm(a: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
+_LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
+
+
+def layer_norm(a: Var, gain: Var, bias: Var) -> Var:
     """Normalize over the last axis, then scale and shift. a - mean is formed
     once and scaled into xhat in place; a mean is np.add.reduce(...) / n, what
     ndarray.mean runs, and d * d is what ** 2 runs: the textbook formula's bits."""
@@ -382,7 +343,7 @@ def layer_norm(a: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
     av, gv = a.value, gain.value
     n = av.shape[-1]
     xhat = av - np.add.reduce(av, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + _LAYER_NORM_EPS)
     xhat *= inv
     bshape = bias.value.shape
     need_a, need_gain, need_bias = tape.needs(a), tape.needs(gain), tape.needs(bias)

@@ -28,7 +28,8 @@ def tensors_to_obj(params: ModelParams) -> dict:
 
 
 def tensors_from_obj(obj: dict, config: ModelConfig) -> ModelParams:
-    """The blocks of a tensors section, refused unless they are the config's."""
+    """The blocks of a tensors section, refused unless they are the config's
+    and every value is finite."""
     params: ModelParams = {}
     for name, entry in obj.items():
         try:
@@ -39,6 +40,8 @@ def tensors_from_obj(obj: dict, config: ModelConfig) -> ModelParams:
         expected = int(np.prod(shape)) if shape else 1
         if data.size != expected:
             raise CheckpointError(f"tensor {name!r}: data length does not match shape {shape}")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"tensor {name!r} holds a non-finite value")
         params[name] = data.reshape(shape)
     if {name: block.shape for name, block in params.items()} != param_shapes(config):
         raise CheckpointError("its tensors are not the config's blocks")

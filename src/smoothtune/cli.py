@@ -84,7 +84,8 @@ _TRAIN_OUTPUTS = ("records.csv", "metrics.json", "checkpoint.json", "checkpoint_
 def _output_dir(cfg: RunConfig, outputs: tuple[str, ...], keep: str | None = None):
     """Create cfg.out_dir, remove FAILED and the command's `outputs` left by an
     earlier run (never the file `keep`) and archive the effective config; a
-    failure inside the block leaves FAILED holding the exception."""
+    failure inside the block, an interrupt included, leaves FAILED holding
+    the exception."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     sentinel = os.path.join(cfg.out_dir, "FAILED")
     for path in (os.path.join(cfg.out_dir, name) for name in ("FAILED", *outputs)):
@@ -93,7 +94,7 @@ def _output_dir(cfg: RunConfig, outputs: tuple[str, ...], keep: str | None = Non
     _write_text(os.path.join(cfg.out_dir, "config.ini"), effective_config_text(cfg))
     try:
         yield
-    except Exception as exc:
+    except BaseException as exc:
         _write_text(sentinel, f"{type(exc).__name__}: {exc}\n")
         raise
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import model as mdl
-from .autodiff import Tape
 from .data import Dataset
 from .errors import InputError
 from .losses import PROB_CLAMP, smooth_kind_for, smooth_loss_rows
@@ -69,16 +68,15 @@ def local_smoothness_probe(
 
     Sample offsets are unit-cube draws scaled by eps, so growing eps with the
     same seed pushes the same sample directions outward. The clean forward and
-    every sample forward run on one `Tape(recycle=True)`, so from the second
-    sample on the dense layers and the one full-height feature array of a
-    blocked forward reuse the previous sample's dead buffers, not fresh pages.
+    every sample forward write a blocked body into one feature array, so a
+    probe maps one full-height array, not one per forward.
     """
     if not (0 <= eps < np.inf and samples_per_point >= 1):
         raise InputError(f"need a finite eps >= 0 and samples_per_point >= 1, "
                          f"got eps={eps}, samples_per_point={samples_per_point}")
     emb = mdl.embed(model_cfg, params, dataset.inputs)
-    tape = Tape(recycle=True)
-    clean = mdl.forward_from_embedding(model_cfg, params, emb, tape=tape)
+    features = np.empty((len(emb), mdl.feature_width(model_cfg)))
+    clean = mdl.forward_from_embedding(model_cfg, params, emb, features)
     kind = smooth_kind_for(model_cfg.task)
     rng = Rng(seed)
     worst = np.zeros(len(dataset))
@@ -89,7 +87,7 @@ def local_smoothness_probe(
         point -= 1.0
         point *= eps
         point += emb
-        out = mdl.forward_from_embedding(model_cfg, params, point, tape=tape)
+        out = mdl.forward_from_embedding(model_cfg, params, point, features)
         worst = np.maximum(worst, smooth_loss_rows(kind, out, clean))
     probe = float(np.mean(worst))
     return (probe, _task_metric(model_cfg, clean, dataset)) if with_metric else probe

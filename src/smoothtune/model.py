@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .errors import InputError, check_fields, checked
+from .errors import ContractViolation, InputError, check_fields, checked
 from .tensor import Rng, as_tensor, uniform_stack
 
 ModelParams = dict[str, np.ndarray]
@@ -303,7 +303,7 @@ def leaf_params(tape: Tape, params: ModelParams, requires_grad: bool = True) -> 
 # Eager (numpy-level) forwards run the tape builders, without dropout, on a Tape
 # whose leaves want no gradient. An unstacked batch of more than _eager_block
 # examples runs the layers before the output layer in near-equal blocks into one
-# full-height feature array (pooled on a recycling tape), and the output layer,
+# full-height feature array, from the caller or fresh, and the output layer,
 # whose bits depend on its height, at once over all rows. The block depends only
 # on the config, so every eager path gives the same bits (see README).
 # ---------------------------------------------------------------------------
@@ -317,6 +317,12 @@ def _eager_block(config: ModelConfig) -> int:
     return max(1, 2**15 // widest)
 
 
+def feature_width(config: ModelConfig) -> int:
+    """Width of the output layer's input: the last hidden layer of an MLP (its
+    input for a linear model), the embedding of a transformer."""
+    return (config.input_dim, *config.hidden)[-1] if config.arch == "mlp" else config.embed_dim
+
+
 def embed(config: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
     """Embedding of a batch: identity for raw vectors, table lookup for tokens.
 
@@ -327,17 +333,22 @@ def embed(config: ModelConfig, params: ModelParams, inputs) -> np.ndarray:
     return build_embed(tape, config, pvars, inputs).value
 
 
-def _eager_head(tape: Tape, config: ModelConfig, pvars: dict[str, Var], n: int,
-                rows) -> np.ndarray:
+def _eager_head(tape: Tape, config: ModelConfig, pvars: dict[str, Var], n: int, rows,
+                feature_buffer: np.ndarray | None) -> np.ndarray:
     """build_head without dropout on `tape` for a batch of n whose embedded
-    rows lo:hi are `rows(lo, hi)`, the body blocked as described above."""
+    rows lo:hi are `rows(lo, hi)`, the body blocked as described above into
+    `feature_buffer`, a float64 (n, feature_width) array, or a fresh one."""
+    shape = (n, feature_width(config))
+    if feature_buffer is not None and (feature_buffer.shape, feature_buffer.dtype) != (
+            shape, np.float64):
+        raise ContractViolation(f"feature_buffer must be a float64 array of shape {shape}, "
+                                f"got {feature_buffer.dtype} {feature_buffer.shape}")
     block = _eager_block(config)
     if stack_axes(config, pvars) or n <= block:
         return build_head(tape, config, pvars, rows(0, n)).value
     blocks = -(-n // block)
     edges = [n * i // blocks for i in range(blocks + 1)]
-    width = (config.input_dim, *config.hidden)[-1] if config.arch == "mlp" else config.embed_dim
-    features = tape.buffer((n, width))
+    features = np.empty(shape) if feature_buffer is None else feature_buffer
     for lo, hi in zip(edges, edges[1:]):
         features[lo:hi] = _build_body(config, pvars, rows(lo, hi)).value
     return _output_layer(config, pvars, tape.const(features)).value
@@ -347,14 +358,15 @@ def forward_from_embedding(
     config: ModelConfig,
     params: ModelParams,
     embedded: np.ndarray,
-    tape: Tape | None = None,
+    feature_buffer: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Head forward from an embedded batch. Passing one `Tape(recycle=True)` to
-    many calls lets them recycle each other's dead output buffers."""
-    tape = Tape() if tape is None else tape
+    """Head forward from an embedded batch. A blocked forward writes its body
+    into `feature_buffer` when given one, so many calls on batches of one size
+    can share it; no output aliases it."""
+    tape = Tape()
     pvars = leaf_params(tape, params, requires_grad=False)
     return _eager_head(tape, config, pvars, len(embedded),
-                       lambda lo, hi: tape.const(embedded[lo:hi]))
+                       lambda lo, hi: tape.const(embedded[lo:hi]), feature_buffer)
 
 
 def forward(config: ModelConfig, params: ModelParams, inputs,
@@ -369,4 +381,4 @@ def forward(config: ModelConfig, params: ModelParams, inputs,
         return _output_layer(config, pvars, tape.const(features)).value
     x = check_inputs(config, inputs, stack_axes(config, pvars))
     return _eager_head(tape, config, pvars, len(x),
-                       lambda lo, hi: build_embed(tape, config, pvars, x[lo:hi]))
+                       lambda lo, hi: build_embed(tape, config, pvars, x[lo:hi]), None)

@@ -2,7 +2,9 @@
 
 A public function or method that nothing in `src/` (apart from the
 `__init__.py` re-exports) or `bench/` refers to by name is a second API kept
-alive only by its tests; this guard keeps such twins from growing back.
+alive only by its tests; this guard keeps such twins from growing back. The
+same holds for options: a keyword-only option, or a defaulted positional
+parameter of a public function or constructor, that no call there passes.
 """
 
 import ast
@@ -67,12 +69,17 @@ def _referenced_names(tree: ast.Module, skip: ast.AST | None = None) -> set[str]
     return names
 
 
+def _parsed(package: Path, bench: Path) -> dict[Path, ast.Module]:
+    """The syntax tree of every module of `package` and of `bench`."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py"))}
+
+
 def _unreferenced(package: Path, bench: Path) -> list[str]:
     """Public functions of `package` that nothing in its modules (but
     `__init__.py`) or in `bench` names; a function's own body, such as an
     op-name string or a recursive call, does not count as its caller."""
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py"))}
+    trees = _parsed(package, bench)
     names = {path: _referenced_names(tree) for path, tree in trees.items()
              if path.name != "__init__.py"}
     unused = []
@@ -124,8 +131,7 @@ def _passed_keywords(tree: ast.Module) -> set[str]:
 def _test_only_options(package: Path, bench: Path) -> list[str]:
     """Keyword-only parameters of public functions of `package` that no call
     in its modules or in `bench` passes by name."""
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py"))}
+    trees = _parsed(package, bench)
     passed = set().union(*(_passed_keywords(tree) for tree in trees.values()))
     return [f"{path.stem}.{qualified}({arg.arg}=)"
             for path, tree in trees.items() if path.parent == package
@@ -146,6 +152,98 @@ def test_an_option_handed_on_under_its_own_name_is_not_passed(tmp_path):
         "def run(a, *, hook=None, scale=1.0):\n    return a\n\n\n"
         "def wrap(a, *, hook=None):\n    return run(a, hook=hook, scale=2.0)\n")
     assert _test_only_options(package, bench) == ["ops.run(hook=)", "ops.wrap(hook=)"]
+
+
+def _calls_by_callee(tree: ast.Module) -> dict[str, list[ast.Call]]:
+    """Calls keyed by the name they call, `f(...)` or `x.f(...)`; a `cls(...)`
+    inside a class calls that class. An attribute of a module from outside the
+    package (np.clip) calls nothing of ours."""
+    external = _external_modules(tree)
+    calls: dict[str, list[ast.Call]] = {}
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                calls.setdefault(owner if func.id == "cls" and owner else func.id, []).append(node)
+            elif isinstance(func, ast.Attribute) and not (
+                    isinstance(_root(func), ast.Name) and _root(func).id in external):
+                calls.setdefault(func.attr, []).append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return calls
+
+
+def _callables(tree: ast.Module):
+    """(qualified name, called name, definition node, leading parameters a call
+    does not pass) of public functions, methods and constructors."""
+    for qualified, name, node in _public_functions(tree):
+        method = "." in qualified and not any(
+            getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        yield qualified, name, node, int(method)
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    yield f"{cls.name}.__init__", cls.name, item, 1
+
+
+def _passes(call: ast.Call, position: int, name: str) -> bool:
+    """Whether `call` passes the parameter `name` at `position` (counted from
+    the call's first argument), by keyword or by position."""
+    if any(kw.arg == name for kw in call.keywords):
+        return True
+    return any(isinstance(arg, ast.Starred) or i == position
+               for i, arg in enumerate(call.args[:position + 1]))
+
+
+def _unpassed_defaults(package: Path, bench: Path) -> list[str]:
+    """Defaulted positional parameters of public functions and constructors of
+    `package` that no call in its modules or in `bench` passes."""
+    trees = _parsed(package, bench)
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for callee, found in _calls_by_callee(tree).items():
+            calls.setdefault(callee, []).extend(found)
+    unpassed = []
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for qualified, called, node, skip in _callables(tree):
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            unpassed += [f"{path.stem}.{qualified}({arg.arg}=)"
+                         for i, arg in enumerate(positional) if i >= first
+                         and not any(_passes(call, i - skip, arg.arg)
+                                     for call in calls.get(called, []))]
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    unpassed = _unpassed_defaults(PACKAGE, ROOT / "bench")
+    assert unpassed == [], f"defaulted parameters only tests pass: {unpassed}"
+
+
+def test_a_defaulted_parameter_passes_by_keyword_position_or_cls(tmp_path):
+    package, bench = tmp_path / "package", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "ops.py").write_text(
+        "import numpy as np\n\n\n"
+        "def norm(a, eps=1e-5, axis=-1, keep=False):\n    return np.clip(a, eps, axis, keep)\n\n\n"
+        "def pair(a, b=0):\n    return a, b\n\n\n"
+        "class Rng:\n    def __init__(self, seed, counter=0, spare=None):\n        pass\n\n"
+        "    @classmethod\n    def from_state(cls, state):\n"
+        "        return cls(state[0], state[1])\n\n"
+        "    def draw(self, n, scale=1.0):\n        return n\n")
+    (bench / "run.py").write_text(
+        "from ops import Rng, norm, pair\n\nnorm(1, axis=0)\nRng(0).draw(3)\npair(*(1, 2))\n")
+    assert _unpassed_defaults(package, bench) == [
+        "ops.norm(eps=)", "ops.norm(keep=)", "ops.Rng.draw(scale=)", "ops.Rng.__init__(spare=)"]
 
 
 def _union_members(node: ast.expr | None) -> list[ast.expr]:

@@ -5,8 +5,9 @@ through `train --resume` and `eval --checkpoint` in-process. Each command
 either succeeds (a flip can keep the JSON valid: a digit for a digit) or exits
 nonzero with exactly one error line; a refused resume leaves only FAILED and
 its archived config. A sampler state that does not fit the data, counters
-that disagree and tensors that are not the config's blocks are refused before
-the first update.
+that disagree, tensors that are not the config's blocks and non-finite tensor
+values are refused before the first update; `eval`, `probe` and `boundary`
+refuse non-finite parameters before they write anything.
 """
 
 import json
@@ -173,3 +174,56 @@ def test_resume_refuses_tensors_that_are_not_the_config_blocks(run, capsys, edit
     err = _refused_resume(run, capsys, edit, TENSOR_EDITS[edit])
     assert err.startswith("smoothtune: error: input: cannot load ")
     assert "its tensors are not the config's blocks" in err
+
+
+def _set_first_value(value, *keys):
+    """An edit that sets the first value of the tensor entry at document[keys...]."""
+    def apply(doc):
+        for key in keys:
+            doc = doc[key]
+        doc["data"][0] = value
+    return apply
+
+
+# json writes these as the NaN and Infinity tokens, which json also reads
+NON_FINITE_EDITS = {
+    "output_weight_nan": ("layer2.weight", _set_first_value(
+        float("nan"), "tensors", "layer2.weight")),
+    "bias_infinity": ("layer0.bias", _set_first_value(float("inf"), "tensors", "layer0.bias")),
+    "moment_minus_infinity": ("layer1.weight", _set_first_value(
+        float("-inf"), "train_state", "adam", "v", "layer1.weight")),
+    "teacher_nan": ("layer1.bias", _set_first_value(
+        float("nan"), "train_state", "teacher", "layer1.bias")),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(NON_FINITE_EDITS))
+def test_resume_refuses_non_finite_tensors(run, capsys, edit):
+    name, apply = NON_FINITE_EDITS[edit]
+    err = _refused_resume(run, capsys, edit, apply)
+    assert err.startswith("smoothtune: error: input: cannot load ")
+    assert f"tensor {name!r} holds a non-finite value" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "probe", "boundary"])
+@pytest.mark.parametrize("edit", ["output_weight_nan", "bias_infinity"])
+def test_reading_commands_refuse_non_finite_parameters(run, capsys, command, edit):
+    """With a NaN output weight, eval used to report accuracy 0.5, probe to
+    write a NaN token that is not JSON and boundary to write nan rows."""
+    tmp, _, data = run
+    name, apply = NON_FINITE_EDITS[edit]
+    document = json.loads(data)
+    apply(document)
+    path = tmp / f"{command}_{edit}.json"
+    path.write_text(json.dumps(document))
+    out = tmp / f"{command}_{edit}.out"
+    argv = {"eval": ["--data", str(tmp / "test.jsonl")],
+            "probe": ["--data", str(tmp / "test.jsonl"), "--eps", "0.1", "--samples", "2"],
+            "boundary": ["--bounds=-2,3,-1.5,2", "--resolution", "5"]}[command]
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(path), *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"smoothtune: error: input: cannot load {path}: ")
+    assert err.count("\n") == 1, err
+    assert f"tensor {name!r} holds a non-finite value" in err
+    assert not out.exists()

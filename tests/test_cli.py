@@ -376,6 +376,24 @@ def test_failed_run_leaves_sentinel(tmp_path, capsys):
     assert "smoothtune: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_an_interrupted_run_leaves_a_failed_sentinel(workspace, monkeypatch, command):
+    """A KeyboardInterrupt is no Exception: it used to leave only config.ini."""
+    tmp, cfg, _, _ = workspace
+    out = tmp / f"interrupted_{command}"
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(tr, "continue_training", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main([command, "--config", cfg, "--out", str(out),
+              *(["--set", "sweep.methods=vanilla", "--set", "sweep.seeds=0"]
+                if command == "sweep" else [])])
+    assert sorted(os.listdir(out)) == ["FAILED", "config.ini"]
+    assert (out / "FAILED").read_text() == "KeyboardInterrupt: \n"
+
+
 @pytest.mark.parametrize("fraction, code", [("0.01", 1), ("1.0", 0)],
                          ids=["failing", "after-a-failure"])
 def test_sweep_leaves_a_failed_sentinel_and_clears_a_stale_one(workspace, capsys, fraction, code):

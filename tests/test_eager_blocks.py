@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from smoothtune import model as mdl
-from smoothtune.autodiff import Tape
 from smoothtune.data import Dataset
 from smoothtune.evaluate import accuracy, local_smoothness_probe
 from smoothtune.model import ModelConfig
@@ -45,9 +44,9 @@ def test_blocked_forwards_equal_one_block(seed):
         assert _same(mdl.forward(TRANSFORMER, params, ids), want), n
         emb = mdl.embed(TRANSFORMER, params, ids)
         assert _same(mdl.forward_from_embedding(TRANSFORMER, params, emb), want), n
-        tape = Tape(recycle=True)
-        for _ in range(2):  # the second pass runs on the first one's buffers
-            got = mdl.forward_from_embedding(TRANSFORMER, params, emb, tape=tape)
+        features = np.empty((n, mdl.feature_width(TRANSFORMER)))
+        for _ in range(2):  # the second pass writes over the first one's features
+            got = mdl.forward_from_embedding(TRANSFORMER, params, emb, features)
             assert _same(got, want), n
         labels = (np.arange(n) % TRANSFORMER.classes).astype(np.int64)
         ds = Dataset(task="classification", input_kind="tokens", inputs=ids, labels=labels)
@@ -61,7 +60,8 @@ def test_blocked_probe_equals_one_block(monkeypatch, n):
     ds = Dataset(task="classification", input_kind="tokens", inputs=ids,
                  labels=np.zeros(n, dtype=np.int64))
     blocked = local_smoothness_probe(TRANSFORMER, params, ds, 0.1, 3, seed=5, with_metric=True)
-    monkeypatch.setattr(mdl, "forward_from_embedding", lambda config, params, emb, tape=None:
+    monkeypatch.setattr(mdl, "forward_from_embedding",
+                        lambda config, params, emb, feature_buffer=None:
                         one_block_forward(config, params, emb, embedded=True))
     assert blocked == local_smoothness_probe(TRANSFORMER, params, ds, 0.1, 3, seed=5,
                                              with_metric=True)
@@ -131,9 +131,9 @@ def test_blocked_mlp_forwards_equal_one_block(config):
         want = one_block_forward(config, params, x)
         assert _same(mdl.forward(config, params, x), want), n
         assert _same(mdl.forward_from_embedding(config, params, x), want), n
-        tape = Tape(recycle=True)
-        for _ in range(2):  # the second pass runs on the first one's buffers
-            assert _same(mdl.forward_from_embedding(config, params, x, tape=tape), want), n
+        features = np.empty((n, mdl.feature_width(config)))
+        for _ in range(2):  # the second pass writes over the first one's features
+            assert _same(mdl.forward_from_embedding(config, params, x, features), want), n
         labels = (x[:, 0] > 0).astype(np.int64)
         ds = Dataset(task="classification", input_kind="vector", inputs=x, labels=labels)
         assert accuracy(config, params, ds) == np.mean(np.argmax(want, axis=1) == labels)
@@ -147,7 +147,8 @@ def test_blocked_mlp_probe_equals_one_block(monkeypatch, config):
     ds = Dataset(task="classification", input_kind="vector", inputs=x,
                  labels=np.zeros(n, dtype=np.int64))
     blocked = local_smoothness_probe(config, params, ds, 0.3, 3, seed=5, with_metric=True)
-    monkeypatch.setattr(mdl, "forward_from_embedding", lambda config, params, emb, tape=None:
+    monkeypatch.setattr(mdl, "forward_from_embedding",
+                        lambda config, params, emb, feature_buffer=None:
                         one_block_forward(config, params, emb, embedded=True))
     assert blocked == local_smoothness_probe(config, params, ds, 0.3, 3, seed=5,
                                              with_metric=True)

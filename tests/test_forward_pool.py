@@ -1,14 +1,14 @@
-"""A Tape made with recycle=True hands its dense layers pooled output
-buffers: forwards through one such tape equal fresh forwards bit for bit, never
-overwrite an output the caller holds, and keep the pool at the live set."""
-
-import weakref
+"""Blocked eager forwards that share one caller-owned feature buffer equal
+fresh forwards bit for bit, never alias it, and never overwrite an output the
+caller holds; the smoothness probe passes one such buffer to all its forwards."""
 
 import numpy as np
 import pytest
 
+from smoothtune import evaluate as ev
 from smoothtune import model as mdl
-from smoothtune.autodiff import Tape, affine
+from smoothtune.data import Dataset
+from smoothtune.errors import ContractViolation
 from smoothtune.model import ModelConfig
 from smoothtune.tensor import Rng
 
@@ -34,17 +34,22 @@ def _sample(emb, i):
     return emb + (2.0 * Rng(100 + i).uniform(emb.shape) - 1.0) * 0.1
 
 
+def _feature_buffer(config, n):
+    return np.empty((n, mdl.feature_width(config)))
+
+
 @pytest.mark.parametrize("config, n", [
     (MLP_TANH, 10_000), (MLP_RELU, 10_000), (REGRESSION, 10_000), (TRANSFORMER, 300),
 ], ids=["mlp-tanh", "mlp-relu", "regression", "transformer"])
 def test_recycled_forwards_equal_fresh_forwards(config, n):
     params, emb = _embedded(config, n, seed=2)
-    tape = Tape(recycle=True)
-    clean = mdl.forward_from_embedding(config, params, emb, tape=tape)
+    features = _feature_buffer(config, n)
+    clean = mdl.forward_from_embedding(config, params, emb, features)
     assert np.array_equal(clean, mdl.forward_from_embedding(config, params, emb))
     for i in range(FORWARDS):
         point = _sample(emb, i)
-        out = mdl.forward_from_embedding(config, params, point, tape=tape)
+        out = mdl.forward_from_embedding(config, params, point, features)
+        assert not np.shares_memory(out, features)
         assert np.array_equal(out, mdl.forward_from_embedding(config, params, point))
     assert np.array_equal(clean, mdl.forward_from_embedding(config, params, emb))
 
@@ -52,52 +57,41 @@ def test_recycled_forwards_equal_fresh_forwards(config, n):
 @pytest.mark.parametrize("config", [MLP_TANH, REGRESSION, TRANSFORMER],
                          ids=["mlp", "regression", "transformer"])
 def test_held_outputs_are_never_overwritten(config):
-    # regression outputs are reshape views whose base is a pooled logits buffer
-    params, emb = _embedded(config, 200, seed=3)
-    tape = Tape(recycle=True)
+    # regression outputs are reshape views, so none may be one of the buffer
+    n = 2 * mdl._eager_block(config) + 1
+    params, emb = _embedded(config, n, seed=3)
+    features = _feature_buffer(config, n)
     held = []
     for i in range(FORWARDS):
-        out = mdl.forward_from_embedding(config, params, _sample(emb, i), tape=tape)
+        out = mdl.forward_from_embedding(config, params, _sample(emb, i), features)
+        assert not np.shares_memory(out, features)
         held.append((out, out.copy()))
     for out, copy in held:
         assert np.array_equal(out, copy)
 
 
-def test_pool_stays_at_the_live_set():
-    # 2 * block + 1 rows run in blocks of two heights, so the pool holds both
-    # hidden layers' outputs at each height, the feature array and the logits
-    n = 2 * mdl._eager_block(MLP_TANH) + 1
-    params, emb = _embedded(MLP_TANH, n, seed=4)
-    tape = Tape(recycle=True)
-    for i in range(FORWARDS):
-        mdl.forward_from_embedding(MLP_TANH, params, _sample(emb, i), tape=tape)
-        assert len(tape._pool) == 2 * 2 + 2  # none grown
-    # each held regression output keeps one logits buffer; the rest recycle
-    params, emb = _embedded(REGRESSION, n, seed=4)
-    tape = Tape(recycle=True)
-    held = [mdl.forward_from_embedding(REGRESSION, params, _sample(emb, i), tape=tape)
-            for i in range(FORWARDS)]
-    assert len(tape._pool) == 2 * 2 + 1 + len(held)
+@pytest.mark.parametrize("shape, dtype", [((1024, 64), np.float64), ((1025, 16), np.float64),
+                                          ((1025, 64), np.float32)],
+                         ids=["rows", "width", "dtype"])
+def test_a_feature_buffer_that_does_not_fit_is_refused(shape, dtype):
+    params, emb = _embedded(MLP_TANH, 1025, seed=4)
+    with pytest.raises(ContractViolation, match="feature_buffer must be a float64 array"):
+        mdl.forward_from_embedding(MLP_TANH, params, emb, np.empty(shape, dtype=dtype))
 
 
-@pytest.mark.parametrize("tape", [Tape()], ids=["recording"])
-def test_other_tapes_hand_out_no_pooled_array(tape):
-    x, w, b = (tape.const(np.ones(shape)) for shape in ((4, 2), (2, 3), (3,)))
-    out = affine(x, w, b, "tanh")
-    gone = weakref.ref(out.value)
-    del out
-    assert gone() is None
-    assert tape._pool is None
-    assert tape.buffer((4, 3)) is not tape.buffer((4, 3))
+def test_the_probe_passes_one_feature_buffer_to_every_forward(monkeypatch):
+    n, samples = 2 * mdl._eager_block(MLP_TANH) + 1, 3
+    params, x = _embedded(MLP_TANH, n, seed=5)
+    ds = Dataset(task="classification", input_kind="vector", inputs=x,
+                 labels=np.zeros(n, dtype=np.int64))
+    buffers = []
+    forward = mdl.forward_from_embedding
 
+    def recorded(config, params, embedded, feature_buffer=None):
+        buffers.append(feature_buffer)
+        return forward(config, params, embedded, feature_buffer)
 
-def test_a_recycling_tape_hands_a_dropped_buffer_out_again():
-    tape = Tape(recycle=True)
-    first = tape.buffer((4, 3))
-    gone = weakref.ref(first)
-    del first
-    assert gone() is not None
-    assert tape.buffer((3, 4)) is not gone()
-    held = tape.buffer((4, 3))
-    assert held is gone()
-    assert tape.buffer((4, 3)) is not held
+    monkeypatch.setattr(mdl, "forward_from_embedding", recorded)
+    ev.local_smoothness_probe(MLP_TANH, params, ds, 0.1, samples, seed=6)
+    assert len(buffers) == 1 + samples
+    assert buffers[0].shape == (n, 64) and all(b is buffers[0] for b in buffers)
