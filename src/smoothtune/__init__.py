@@ -24,7 +24,7 @@ from .evaluate import (
     agreement_cross_entropy,
     decision_boundary_grid,
     local_smoothness_probe,
-    mean_squared_error,
+    task_metric,
 )
 from .model import (
     ModelConfig,

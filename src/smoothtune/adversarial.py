@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import model as mdl
 from .autodiff import Tape
 from .errors import check_fields, checked
-from .losses import smooth_kind_for, smooth_loss_mean_node
+from .losses import smooth_loss_mean_node
 from .tensor import Rng, gaussian_stack
 
 
@@ -93,7 +93,6 @@ def find_adversarial(
     climbs toward its own worst case. `rngs` holds one rng per run.
     """
     x = batch_embeddings
-    kind = smooth_kind_for(model_cfg.task)
     examples = 1 + mdl.stack_axes(model_cfg, params)
     noise = gaussian_stack(rngs, x.shape[examples - 1:], cfg.noise_std).reshape(x.shape)
     x_adv = _project_rows(x + noise, x, cfg.eps, cfg.norm, examples)
@@ -102,7 +101,7 @@ def find_adversarial(
         pvars = mdl.leaf_params(tape, params, requires_grad=False)
         x_var = tape.leaf(x_adv, requires_grad=True)
         out = mdl.build_head(tape, model_cfg, pvars, x_var, masks)
-        loss = smooth_loss_mean_node(kind, out, tape.const(clean_outputs))
+        loss = smooth_loss_mean_node(model_cfg.task, out, tape.const(clean_outputs))
         counters.forwards += 1
         counters.backwards += 1
         # runs are independent, so the gradient of their sum is each run's own
@@ -128,5 +127,4 @@ def build_smoothness_term(
     perturbed = mdl.build_head(
         tape, model_cfg, pvars, tape.const(adversarial_points), masks
     )
-    kind = smooth_kind_for(model_cfg.task)
-    return smooth_loss_mean_node(kind, perturbed, clean_outputs_var)
+    return smooth_loss_mean_node(model_cfg.task, perturbed, clean_outputs_var)

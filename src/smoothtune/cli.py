@@ -45,11 +45,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _metric(model_cfg: mdl.ModelConfig, params, dataset) -> float | None:
-    """Accuracy or mean squared error of a run on a dataset (None without one)."""
-    if dataset is None:
-        return None
-    metric = ev.accuracy if model_cfg.task == "classification" else ev.mean_squared_error
-    return metric(model_cfg, params, dataset)
+    """The task metric of a run on a dataset (None without one)."""
+    return None if dataset is None else ev.task_metric(model_cfg, params, dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +60,8 @@ def cmd_gen_data(args) -> int:
         ds = dat.gen_cluster_classification(
             args.n, args.classes, args.dim, args.separation, args.noise, args.seed
         )
-    elif args.generator == "tokens":
+    else:  # tokens: argparse refuses any other generator
         ds = dat.gen_token_sequences(args.n, args.vocab, args.length, args.rule, args.seed)
-    else:
-        raise InputError(f"unknown generator {args.generator!r}")
     dat.write_dataset(args.out, ds)
     print(f"wrote {len(ds)} examples to {args.out}")
     return 0
@@ -175,10 +170,8 @@ def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
                                                 cfg.train.seed)
         if eval_every:
             evals.append((state.global_step, final_train, final_test))
-            lines = ["step,train_metric,test_metric"] + [
-                f"{step},{tm!r},{'' if sm is None else repr(sm)}" for step, tm, sm in evals]
-            _write_text(os.path.join(cfg.out_dir, "eval_history.csv"),
-                        "\n".join(lines) + "\n")
+            lines = ["step,train_metric,test_metric"] + [tr.csv_row(row) for row in evals]
+            _write_text(os.path.join(cfg.out_dir, "eval_history.csv"), "\n".join(lines) + "\n")
         metrics = {
             "final_train_metric": final_train,
             "final_test_metric": final_test,
@@ -228,14 +221,10 @@ def cmd_eval(args) -> int:
     model_cfg, params = ckpt.load_params(args.checkpoint)
     ds = dat.read_dataset(args.data)
     tr.check_dataset(model_cfg, ds)
-    metrics: dict = {"n": len(ds)}
-    if model_cfg.task == "classification":
-        metrics["accuracy"] = ev.accuracy(model_cfg, params, ds)
-        if ds.soft_labels is not None:
-            metrics["agreement_cross_entropy"] = ev.agreement_cross_entropy(
-                model_cfg, params, ds)
-    else:
-        metrics["mse"] = ev.mean_squared_error(model_cfg, params, ds)
+    name = "accuracy" if model_cfg.task == "classification" else "mse"
+    metrics = {"n": len(ds), name: ev.task_metric(model_cfg, params, ds)}
+    if name == "accuracy" and ds.soft_labels is not None:
+        metrics["agreement_cross_entropy"] = ev.agreement_cross_entropy(model_cfg, params, ds)
     _write_text(args.out, json.dumps(metrics) + "\n")
     print(f"wrote metrics to {args.out}")
     return 0
@@ -331,16 +320,12 @@ def _sweep_rows(cfg: RunConfig) -> list[str]:
                 [runs[i][2] for i in members], test_ds, 0))})
         for i, (frac, seed, split) in enumerate(runs):
             tm, sm, probe = _score(cfg, finals[i], split, test_ds, probe_eps, seed)
-            rows.append(f"{method},{rw!r},{pw!r},{frac!r},{seed},"
-                        f"{tm!r},{'' if sm is None else repr(sm)},{probe!r}")
+            rows.append(f"{method}," + tr.csv_row((rw, pw, frac, seed, tm, sm, probe)))
             groups.setdefault((method, rw, pw, frac), []).append((tm, sm, probe))
     for (method, rw, pw, frac), vals in groups.items():
-        tms = float(np.median([v[0] for v in vals]))
-        sms = (None if vals[0][1] is None
-               else float(np.median([v[1] for v in vals])))
-        prb = float(np.median([v[2] for v in vals]))
-        rows.append(f"{method},{rw!r},{pw!r},{frac!r},median,"
-                    f"{tms!r},{'' if sms is None else repr(sms)},{prb!r}")
+        # the test column is None in every run or in none
+        medians = (None if col[0] is None else float(np.median(col)) for col in zip(*vals))
+        rows.append(f"{method},{tr.csv_row((rw, pw, frac))},median,{tr.csv_row(medians)}")
     return rows
 
 

@@ -6,9 +6,15 @@ import numpy as np
 
 from . import model as mdl
 from .data import Dataset
-from .errors import InputError
-from .losses import PROB_CLAMP, smooth_kind_for, smooth_loss_rows
+from .errors import ContractViolation, InputError
+from .losses import clamped_log, smooth_loss_rows
 from .tensor import Rng
+
+
+def _finite(value, what: str) -> float:
+    if not np.isfinite(value):
+        raise ContractViolation(f"non-finite {what}: {value}")
+    return float(value)
 
 
 def accuracy(model_cfg: mdl.ModelConfig, params: mdl.ModelParams, dataset: Dataset) -> float:
@@ -18,19 +24,23 @@ def accuracy(model_cfg: mdl.ModelConfig, params: mdl.ModelParams, dataset: Datas
     return _task_metric(model_cfg, mdl.forward(model_cfg, params, dataset.inputs), dataset)
 
 
-def mean_squared_error(model_cfg: mdl.ModelConfig, params: mdl.ModelParams,
-                       dataset: Dataset) -> float:
-    if model_cfg.task != "regression" or dataset.task != "regression":
-        raise InputError("mean_squared_error needs a regression model and dataset")
+def task_metric(model_cfg: mdl.ModelConfig, params: mdl.ModelParams, dataset: Dataset) -> float:
+    """`accuracy` for a classification model, the mean squared error for regression."""
+    if model_cfg.task == "classification":
+        return accuracy(model_cfg, params, dataset)
+    if dataset.task != model_cfg.task:
+        raise InputError(f"a {model_cfg.task} model needs a dataset of its task, got {dataset.task!r}")
     return _task_metric(model_cfg, mdl.forward(model_cfg, params, dataset.inputs), dataset)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _task_metric(model_cfg: mdl.ModelConfig, outputs: np.ndarray, dataset: Dataset) -> float:
     """Accuracy of probability rows (ties break toward the lowest class), or
     the mean squared error of predictions, against the dataset's labels."""
-    if model_cfg.task == "classification":
-        return float(np.mean(np.argmax(outputs, axis=1) == dataset.labels))
-    return float(np.mean((outputs - dataset.labels) ** 2))
+    hits_or_errors = (np.argmax(outputs, axis=1) == dataset.labels
+                      if model_cfg.task == "classification"
+                      else smooth_loss_rows(model_cfg.task, outputs, dataset.labels))
+    return _finite(np.mean(hits_or_errors), "task metric")
 
 
 def agreement_cross_entropy(model_cfg: mdl.ModelConfig, params: mdl.ModelParams,
@@ -49,10 +59,10 @@ def agreement_cross_entropy(model_cfg: mdl.ModelConfig, params: mdl.ModelParams,
             f"model outputs {probs.shape[1]} classes but soft labels have "
             f"{dataset.soft_labels.shape[1]}"
         )
-    logs = np.log(np.clip(probs, PROB_CLAMP, 1.0))
-    return float(-np.mean(np.sum(dataset.soft_labels * logs, axis=1)))
+    return float(-np.mean(np.sum(dataset.soft_labels * clamped_log(probs), axis=1)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def local_smoothness_probe(
     model_cfg: mdl.ModelConfig,
     params: mdl.ModelParams,
@@ -63,8 +73,8 @@ def local_smoothness_probe(
     with_metric: bool = False,
 ) -> float | tuple[float, float]:
     """Mean over examples of the worst divergence seen among uniform samples in
-    the L-inf eps-ball around each embedding; `with_metric` adds the value
-    `accuracy` / `mean_squared_error` gives, read off the clean outputs.
+    the L-inf eps-ball around each embedding, and with `with_metric` the value
+    of `task_metric`, read off the clean outputs; a non-finite one is refused.
 
     Sample offsets are unit-cube draws scaled by eps, so growing eps with the
     same seed pushes the same sample directions outward. The clean forward and
@@ -77,7 +87,6 @@ def local_smoothness_probe(
     emb = mdl.embed(model_cfg, params, dataset.inputs)
     features = np.empty((len(emb), mdl.feature_width(model_cfg)))
     clean = mdl.forward_from_embedding(model_cfg, params, emb, features)
-    kind = smooth_kind_for(model_cfg.task)
     rng = Rng(seed)
     worst = np.zeros(len(dataset))
     for _ in range(samples_per_point):
@@ -88,8 +97,8 @@ def local_smoothness_probe(
         point *= eps
         point += emb
         out = mdl.forward_from_embedding(model_cfg, params, point, features)
-        worst = np.maximum(worst, smooth_loss_rows(kind, out, clean))
-    probe = float(np.mean(worst))
+        worst = np.maximum(worst, smooth_loss_rows(model_cfg.task, out, clean))
+    probe = _finite(np.mean(worst), "smoothness probe")
     return (probe, _task_metric(model_cfg, clean, dataset)) if with_metric else probe
 
 

@@ -51,8 +51,8 @@ from .checkpoint import (
     write_json,
 )
 from .data import Dataset
-from .errors import CheckpointError, ContractViolation, InputError, check_fields, checked
-from .losses import smooth_kind_for, smooth_loss_mean_node, task_kind_for, task_loss_mean_node
+from .errors import CheckpointError, ContractViolation, check_fields, checked
+from .losses import check_labels, smooth_loss_mean_node, task_loss_mean_node
 from .optimizer import (
     AdamState,
     ProxConfig,
@@ -233,7 +233,7 @@ def build_iteration_objective(
     features: list[Var] = []
     outputs = mdl.build_head(tape, model_cfg, pvars, emb, masks, features)
     counters.forwards += 1
-    task = task_loss_mean_node(task_kind_for(model_cfg.task), outputs, ys)
+    task = task_loss_mean_node(model_cfg.task, outputs, ys)
     total = task
     reg = breg = x_adv = None
     if reg_on:
@@ -248,9 +248,7 @@ def build_iteration_objective(
         teacher_out = mdl.forward(model_cfg, teacher_params, xs,
                                   features[0].value if current else None)
         counters.forwards += 1
-        breg = smooth_loss_mean_node(
-            smooth_kind_for(model_cfg.task), outputs, tape.const(teacher_out)
-        )
+        breg = smooth_loss_mean_node(model_cfg.task, outputs, tape.const(teacher_out))
         total = ad.add(total, ad.cmul(breg, cfg.prox.effective_weight))
     return Objective(tape=tape, total=total, task=task, reg=reg, breg=breg,
                      pvars=pvars, embedding=emb.value, adversarial=x_adv)
@@ -304,9 +302,8 @@ def check_dataset(model_cfg: mdl.ModelConfig, dataset: Dataset) -> None:
             f"dataset has {dataset.input_kind!r}"
         )
     mdl.check_inputs(model_cfg, dataset.inputs)
-    low, high = dataset.labels.min(), dataset.labels.max()
-    if model_cfg.task == "classification" and not 0 <= low <= high < model_cfg.classes:
-        raise InputError(f"class label out of range [0, {model_cfg.classes}): min {low}, max {high}")
+    if model_cfg.task == "classification":
+        check_labels(dataset.labels, model_cfg.classes)
 
 
 def stack_batch_size(cfg: TrainConfig, dataset: Dataset) -> int:
@@ -431,16 +428,17 @@ def expected_pass_counts(cfg: TrainConfig, smart: bool) -> tuple[int, int]:
 # Records CSV
 # ---------------------------------------------------------------------------
 
+def csv_row(values) -> str:
+    """One CSV line: the repr of each value, or an empty field for None."""
+    return ",".join("" if v is None else repr(v) for v in values)
+
+
 def records_csv_lines(records: list[TrainRecord]) -> list[str]:
     """CSV rows; the penalty columns appear only when the run produced them."""
     columns = [f.name for f in dataclasses.fields(TrainRecord)]
     if all(r.reg_loss is None and r.breg_loss is None for r in records):
         columns = [c for c in columns if c not in ("reg_loss", "breg_loss")]
-    lines = [",".join(columns)]
-    for r in records:
-        values = (getattr(r, c) for c in columns)
-        lines.append(",".join("" if v is None else repr(v) for v in values))
-    return lines
+    return [",".join(columns)] + [csv_row(getattr(r, c) for c in columns) for r in records]
 
 
 # ---------------------------------------------------------------------------

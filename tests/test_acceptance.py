@@ -226,7 +226,7 @@ def test_criterion_4_inner_max_quality():
         found = find_adversarial(linear, params, x[None, :], clean, cfg,
                                  [Rng(100 + draw)], None, PassCounters())
         attained = float(smooth_loss_rows(
-            "symmetrized_kl", forward_from_embedding(linear, params, found), clean)[0])
+            "classification", forward_from_embedding(linear, params, found), clean)[0])
         ratios.append(attained / oracle if oracle > 0 else 1.0)
     n_ok = sum(r >= 0.9 for r in ratios)
     ok = n_ok == 20
@@ -353,7 +353,7 @@ def test_criterion_7_trust_region_effect():
         results = smooth_finetune(mlp, cfgs, trains, inits)
         # mean symmetrized KL between the final and the starting outputs
         values[mu] = [float(np.mean(smooth_loss_rows(
-            "symmetrized_kl", forward(mlp, res.params, held.inputs),
+            "classification", forward(mlp, res.params, held.inputs),
             forward(mlp, init, held.inputs)))) for res, held, init in zip(results, helds, inits)]
     med = {mu: float(np.median(v)) for mu, v in values.items()}
     ok = med[0.0] > med[1.0] > med[100.0]
@@ -398,7 +398,7 @@ def test_criterion_8_unit_exactness():
 
     # symmetrized-KL fixtures against 40-digit oracle evaluations
     # ([1, 0], [0.5, 0.5]) is 6 ln 10: ln 2 plus the reverse KL with log(0) clamped
-    rows = smooth_loss_rows("symmetrized_kl", np.array([[0.5, 0.5], [1.0, 0.0]]),
+    rows = smooth_loss_rows("classification", np.array([[0.5, 0.5], [1.0, 0.0]]),
                             np.array([[0.9, 0.1], [0.5, 0.5]]))
     sym_err = abs(rows[0] - 0.8788898309344878)
     kl_err = abs(rows[1] - 13.815510557964274)

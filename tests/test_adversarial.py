@@ -113,9 +113,9 @@ def test_one_step_improves_on_noise_only_fixture():
     one = AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02, steps=1)
     x0 = _find(params, x, clean, base, Rng(7))
     x1 = _find(params, x, clean, one, Rng(7))
-    v0 = smooth_loss_rows("symmetrized_kl",
+    v0 = smooth_loss_rows("classification",
                           forward_from_embedding(LINEAR, params, x0), clean).mean()
-    v1 = smooth_loss_rows("symmetrized_kl",
+    v1 = smooth_loss_rows("classification",
                           forward_from_embedding(LINEAR, params, x1), clean).mean()
     assert v1 >= v0
 
@@ -134,12 +134,12 @@ def test_search_beats_plain_noise_against_grid_oracle():
         clean = forward_from_embedding(LINEAR, params, x[None, :])
         cfg = AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02, steps=10)
         found = _find(params, x[None, :], clean, cfg, Rng(77 + draw))
-        att = smooth_loss_rows("symmetrized_kl",
+        att = smooth_loss_rows("classification",
                                forward_from_embedding(LINEAR, params, found), clean)[0]
         plain = _find(params, x[None, :], clean,
                       AdvConfig(eps=0.1, noise_std=0.01, step_size=0.02, steps=0),
                       Rng(77 + draw))
-        natt = smooth_loss_rows("symmetrized_kl",
+        natt = smooth_loss_rows("classification",
                                 forward_from_embedding(LINEAR, params, plain), clean)[0]
         ratios.append(att / oracle)
         noise_ratios.append(natt / oracle)

@@ -13,7 +13,8 @@ from smoothtune import trainer as tr
 from smoothtune.checkpoint import load_params
 from smoothtune.cli import main
 from smoothtune.data import Dataset, read_dataset, subsample_splits
-from smoothtune.evaluate import accuracy, local_smoothness_probe, mean_squared_error
+from smoothtune.evaluate import (accuracy, agreement_cross_entropy, local_smoothness_probe,
+                                 task_metric)
 from smoothtune.model import ModelConfig, init_params
 from smoothtune.runconfig import parse_config
 from smoothtune.tensor import Rng
@@ -512,7 +513,7 @@ def test_score_runs_one_clean_forward_of_the_train_split(workspace, monkeypatch,
         cfg = dataclasses.replace(cfg, model=ModelConfig(task="regression", hidden=(8,)))
         train_ds, test_ds = (Dataset("regression", "vector", ds.inputs, ds.labels * 0.5 - 0.1)
                              for ds in (train_ds, test_ds))
-        metric = mean_squared_error
+        metric = task_metric
     params = init_params(cfg.model, Rng(3))
     rows = _count_forward_rows(monkeypatch)
     train_metric, test_metric, probe = cli._score(cfg, params, train_ds, test_ds, 0.1, 4)
@@ -789,4 +790,124 @@ def test_probe_refuses_a_dataset_the_model_cannot_take(workspace, capsys):
                  "--data", tokens, "--eps", "0.1", "--out", str(out)]) == 1
     assert capsys.readouterr().err == ("smoothtune: error: contract: model arch 'mlp' needs "
                                        "'vector' inputs, dataset has 'tokens'\n")
+    assert not out.exists()
+
+
+def _regression_copy(path, source, inputs=None):
+    """A regression dataset file: the vectors of the dataset file `source`, or
+    `inputs`, each with a float target."""
+    xs = inputs if inputs is not None else [json.loads(line)["x"] for line in open(source)]
+    path.write_text("".join(json.dumps({"x": x, "y": 0.5 * x[0] - x[1]}) + "\n" for x in xs))
+    return str(path)
+
+
+def test_eval_of_soft_labelled_data_adds_the_agreement_cross_entropy(workspace):
+    tmp, cfg, _, _ = workspace
+    data = str(tmp / "cluster.jsonl")
+    assert main(["gen-data", "--generator", "cluster", "--n", "40", "--seed", "3",
+                 "--out", data]) == 0
+    assert main(["train", "--config", cfg, "--out", str(tmp / "run"), "--set", "smart.outer_steps=2",
+                 "--set", f"data.train={data}", "--set", f"data.test={data}"]) == 0
+    ckpt, out = str(tmp / "run" / "checkpoint_final.json"), tmp / "eval.json"
+    assert main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(out)]) == 0
+    model_cfg, params = load_params(ckpt)
+    ds = read_dataset(data)
+    assert ds.soft_labels is not None
+    metrics = json.loads(out.read_text())
+    assert list(metrics) == ["n", "accuracy", "agreement_cross_entropy"]
+    assert metrics == {"n": 40, "accuracy": accuracy(model_cfg, params, ds),
+                       "agreement_cross_entropy": agreement_cross_entropy(model_cfg, params, ds)}
+
+
+def test_eval_of_a_regression_checkpoint_writes_the_mean_squared_error(workspace):
+    tmp, cfg, train, _ = workspace
+    data = _regression_copy(tmp / "regression.jsonl", train)
+    assert main(["train", "--config", cfg, "--out", str(tmp / "run"), "--set", "smart.outer_steps=2",
+                 "--set", "model.task=regression",
+                 "--set", f"data.train={data}", "--set", f"data.test={data}"]) == 0
+    ckpt, out = str(tmp / "run" / "checkpoint_final.json"), tmp / "eval.json"
+    assert main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(out)]) == 0
+    model_cfg, params = load_params(ckpt)
+    ds = read_dataset(data)
+    assert ds.task == "regression"
+    metrics = json.loads(out.read_text())
+    assert list(metrics) == ["n", "mse"]
+    assert metrics == {"n": 40, "mse": float(np.mean(
+        (mdl.forward(model_cfg, params, ds.inputs) - ds.labels) ** 2))}
+
+
+def test_runs_without_a_test_split_leave_its_metric_empty(workspace):
+    tmp, cfg, _, _ = workspace
+    no_test = tmp / "no_test.ini"
+    no_test.write_text("".join(line for line in open(cfg).readlines()
+                               if not line.startswith("test =")))
+    assert main(["train", "--config", str(no_test), "--out", str(tmp / "train"),
+                 "--set", "run.eval_every=5", "--set", "run.probe_samples=2"]) == 0
+    assert json.loads((tmp / "train" / "metrics.json").read_text())["final_test_metric"] is None
+    rows = [line.split(",")
+            for line in (tmp / "train" / "eval_history.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["5", "10", "12"]
+    assert all(float(row[1]) >= 0 and row[2] == "" for row in rows)
+    assert main(["sweep", "--config", str(no_test), "--out", str(tmp / "sweep"),
+                 "--set", "sweep.methods=vanilla", "--set", "sweep.seeds=0,1",
+                 "--set", "sweep.fractions=1.0", "--set", "run.probe_samples=2"]) == 0
+    rows = [line.split(",") for line in (tmp / "sweep" / "sweep.csv").read_text().splitlines()[1:]]
+    assert [row[4] for row in rows] == ["0", "1", "median"]
+    assert all(float(row[5]) >= 0 and row[6] == "" and float(row[7]) >= 0 for row in rows)
+
+
+def _far_regression_run(workspace, command, *extra):
+    """`command`'s argv for a relu regression run on the two-moons vectors;
+    a later `data.test` in `extra` replaces its test split."""
+    tmp, cfg, train, _ = workspace
+    data = _regression_copy(tmp / "regression.jsonl", train)
+    return [command, "--config", cfg, "--out", str(tmp / command), "--set", "smart.outer_steps=5",
+            "--set", "model.task=regression", "--set", "model.activation=relu",
+            "--set", f"data.train={data}", "--set", f"data.test={data}",
+            "--set", "run.probe_samples=2", *extra]
+
+
+def _refused_without_warnings(capsys, argv) -> str:
+    """The stderr of a command that exits 1 without a numpy warning."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_run_refuses_a_non_finite_test_metric(workspace, capsys, command):
+    """A test split at x = [1e200, -1e200] overflows a regression model's mean
+    squared error; train used to write it to metrics.json as Infinity."""
+    tmp = workspace[0]
+    far = _regression_copy(tmp / "far.jsonl", None, [[1e200, -1e200]] * 10)
+    extra = (["--set", "run.eval_every=2"] if command == "train"
+             else ["--set", "sweep.methods=vanilla", "--set", "sweep.seeds=0"])
+    err = _refused_without_warnings(capsys, _far_regression_run(
+        workspace, command, "--set", f"data.test={far}", *extra))
+    assert err == "smoothtune: error: contract: non-finite task metric: inf\n"
+    assert sorted(os.listdir(tmp / command)) == ["FAILED", "config.ini"]
+    assert "non-finite task metric" in (tmp / command / "FAILED").read_text()
+
+
+@pytest.mark.parametrize("command, value", [("eval", "task metric"),
+                                            ("probe", "smoothness probe")])
+def test_reading_commands_refuse_a_non_finite_value(workspace, capsys, command, value):
+    """A finite last weight block of 1e200 overflows a regression model's
+    mean squared error and its probe; both used to be written as Infinity."""
+    tmp = workspace[0]
+    argv = _far_regression_run(workspace, "train", "--set", "smart.outer_steps=1")
+    assert main(argv) == 0
+    document = json.loads((tmp / "train" / "checkpoint_final.json").read_text())
+    block = document["tensors"]["layer1.weight"]
+    block["data"] = [1e200] * len(block["data"])
+    ckpt = tmp / "far.json"
+    ckpt.write_text(json.dumps(document))
+    out = tmp / f"{command}.json"
+    err = _refused_without_warnings(capsys, [
+        command, "--checkpoint", str(ckpt), "--data", str(tmp / "regression.jsonl"),
+        "--out", str(out), *(["--eps", "0.1", "--samples", "2"] if command == "probe" else [])])
+    assert err == f"smoothtune: error: contract: non-finite {value}: inf\n"
     assert not out.exists()
