@@ -53,16 +53,23 @@ def _metric(model_cfg: mdl.ModelConfig, params, dataset) -> float | None:
 # gen-data
 # ---------------------------------------------------------------------------
 
+# each generator, called as generator(n, *its options, seed)
+_GENERATORS = {
+    "two-moons": (dat.gen_two_moons, ("noise",)),
+    "cluster": (dat.gen_cluster_classification, ("classes", "dim", "separation", "noise")),
+    "tokens": (dat.gen_token_sequences, ("vocab", "length", "rule")),
+}
+
+
 def cmd_gen_data(args) -> int:
-    if args.generator == "two-moons":
-        ds = dat.gen_two_moons(args.n, args.noise, args.seed)
-    elif args.generator == "cluster":
-        ds = dat.gen_cluster_classification(
-            args.n, args.classes, args.dim, args.separation, args.noise, args.seed
-        )
-    else:  # tokens: argparse refuses any other generator
-        ds = dat.gen_token_sequences(args.n, args.vocab, args.length, args.rule, args.seed)
+    """Write the dataset file and, beside it in <out>.meta.json, the arguments
+    that regenerate it; nothing reads that sidecar back."""
+    generate, names = _GENERATORS[args.generator]
+    options = {name: getattr(args, name) for name in names}
+    ds = generate(args.n, *options.values(), args.seed)
     dat.write_dataset(args.out, ds)
+    _write_text(args.out + ".meta.json", json.dumps(
+        {"generator": args.generator, "n": args.n, "seed": args.seed, **options}) + "\n")
     print(f"wrote {len(ds)} examples to {args.out}")
     return 0
 
@@ -341,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate a synthetic dataset file")
-    g.add_argument("--generator", required=True,
-                   choices=["two-moons", "cluster", "tokens"])
+    g.add_argument("--generator", required=True, choices=list(_GENERATORS))
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--noise", type=float, default=0.1)
     g.add_argument("--seed", type=int, required=True)

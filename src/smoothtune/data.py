@@ -3,15 +3,15 @@
 Generators are pure functions of their parameters and seed; re-generation is
 bit-identical. Files hold one self-contained JSON record per line with fields
 "x" (reals) or "tokens" (non-negative ints), "y", and optional "p" (soft
-label); a sidecar <path>.meta.json records provenance.
+label). A dataset is its arrays: the dtypes of its labels and inputs are its
+task and input kind.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,25 +21,24 @@ from .tensor import Rng
 
 @dataclass
 class Dataset:
-    task: str                               # "classification" | "regression"
-    input_kind: str                         # "vector" | "tokens"
-    inputs: np.ndarray                      # float [n, d] or int [n, L]
-    labels: np.ndarray                      # int [n] or float [n]
+    inputs: np.ndarray                      # float [n, d] vectors or int [n, L] token ids
+    labels: np.ndarray                      # int [n] classes or float [n] targets
     soft_labels: np.ndarray | None = None   # [n, k], rows on the simplex
-    provenance: dict = field(default_factory=dict)
+
+    @property
+    def task(self) -> str:
+        return "classification" if np.issubdtype(self.labels.dtype, np.integer) else "regression"
+
+    @property
+    def input_kind(self) -> str:
+        return "tokens" if np.issubdtype(self.inputs.dtype, np.integer) else "vector"
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def subset(self, idx: np.ndarray, provenance: dict) -> "Dataset":
-        return Dataset(
-            task=self.task,
-            input_kind=self.input_kind,
-            inputs=self.inputs[idx],
-            labels=self.labels[idx],
-            soft_labels=None if self.soft_labels is None else self.soft_labels[idx],
-            provenance=provenance,
-        )
+    def subset(self, idx: np.ndarray) -> "Dataset":
+        return Dataset(self.inputs[idx], self.labels[idx],
+                       None if self.soft_labels is None else self.soft_labels[idx])
 
 
 def _check_scales(**scales: float) -> None:
@@ -62,10 +61,7 @@ def gen_two_moons(n: int, noise_std: float, seed: int) -> Dataset:
     pts1 = np.stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)], axis=1)
     x = np.concatenate([pts0, pts1], axis=0) + rng.gaussian((n, 2), noise_std)
     y = np.concatenate([np.zeros(half, dtype=np.int64), np.ones(half, dtype=np.int64)])
-    return Dataset(
-        task="classification", input_kind="vector", inputs=x, labels=y,
-        provenance={"generator": "two_moons", "n": n, "noise_std": noise_std, "seed": seed},
-    )
+    return Dataset(x, y)
 
 
 def _cluster_centroids(classes: int, dim: int, separation: float, rng: Rng) -> np.ndarray:
@@ -95,11 +91,7 @@ def gen_cluster_classification(
     y = np.concatenate([np.full(c, j, dtype=np.int64) for j, c in enumerate(counts)])
     x = centroids[y] + rng.gaussian((n, dim), 1.0) * noise
     soft = _mixture_posteriors(x, y, centroids, counts, noise, n)
-    return Dataset(
-        task="classification", input_kind="vector", inputs=x, labels=y, soft_labels=soft,
-        provenance={"generator": "cluster", "n": n, "classes": classes, "dim": dim,
-                    "separation": separation, "noise": noise, "seed": seed},
-    )
+    return Dataset(x, y, soft)
 
 
 def _mixture_posteriors(x, y, centroids, counts, noise, n) -> np.ndarray:
@@ -127,11 +119,7 @@ def gen_token_sequences(n: int, vocab: int, length: int, rule: str, seed: int) -
     # counts over each row's own tokens, sorted by id, so ties go to the lowest id
     tallies = [np.unique(row, return_counts=True) for row in ids]
     y = np.array([values[counts.argmax()] for values, counts in tallies], dtype=np.int64)
-    return Dataset(
-        task="classification", input_kind="tokens", inputs=ids, labels=y,
-        provenance={"generator": "tokens", "n": n, "vocab": vocab, "length": length,
-                    "rule": rule, "seed": seed},
-    )
+    return Dataset(ids, y)
 
 
 def subsample_splits(dataset: Dataset, fractions: list[float], seed: int) -> list[Dataset]:
@@ -161,9 +149,7 @@ def subsample_splits(dataset: Dataset, fractions: list[float], seed: int) -> lis
         if idx.size == 0:
             largest = max(class_orders, key=len)
             idx = np.array([largest[0]])
-        prov = dict(dataset.provenance)
-        prov.update({"split_fraction": f, "split_seed": seed})
-        splits.append(dataset.subset(idx, provenance=prov))
+        splits.append(dataset.subset(idx))
     return splits
 
 
@@ -172,25 +158,13 @@ def subsample_splits(dataset: Dataset, fractions: list[float], seed: int) -> lis
 # ---------------------------------------------------------------------------
 
 def write_dataset(path: str, dataset: Dataset) -> None:
+    """One JSON record per example, its fields in the order x or tokens, y, p."""
+    arrays = {"x" if dataset.input_kind == "vector" else "tokens": dataset.inputs,
+              "y": dataset.labels, "p": dataset.soft_labels}
+    columns = {name: arr.tolist() for name, arr in arrays.items() if arr is not None}
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(dataset)):
-            record: dict = {}
-            if dataset.input_kind == "vector":
-                record["x"] = dataset.inputs[i].tolist()
-            else:
-                record["tokens"] = [int(v) for v in dataset.inputs[i]]
-            if dataset.task == "classification":
-                record["y"] = int(dataset.labels[i])
-            else:
-                record["y"] = float(dataset.labels[i])
-            if dataset.soft_labels is not None:
-                record["p"] = dataset.soft_labels[i].tolist()
-            fh.write(json.dumps(record) + "\n")
-    meta = {"task": dataset.task, "input_kind": dataset.input_kind,
-            "provenance": dataset.provenance}
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh)
-        fh.write("\n")
+        for row in zip(*columns.values()):
+            fh.write(json.dumps(dict(zip(columns, row))) + "\n")
 
 
 _DECODER = json.JSONDecoder()
@@ -295,16 +269,4 @@ def read_dataset(path: str) -> Dataset:
             raise _refusal(path, lambda k, rec: k == row and f"non-finite value in {name!r}")
     if soft_arr is not None and np.any(np.abs(soft_arr.sum(axis=1) - 1.0) > 1e-9):
         raise InputError(f"{path}: soft labels must sum to 1")
-    provenance = {}
-    meta_path = path + ".meta.json"
-    if os.path.exists(meta_path):
-        try:
-            with open(meta_path, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise InputError(f"{meta_path}: malformed sidecar: {exc}") from exc
-        provenance = meta.get("provenance", {}) if isinstance(meta, dict) else None
-        if not isinstance(provenance, dict):
-            raise InputError(f"{meta_path}: malformed sidecar: its provenance is not an object")
-    return Dataset(task=task, input_kind=input_kind, inputs=inputs_arr,
-                   labels=labels_arr, soft_labels=soft_arr, provenance=provenance)
+    return Dataset(inputs_arr, labels_arr, soft_arr)

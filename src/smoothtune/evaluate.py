@@ -17,20 +17,28 @@ def _finite(value, what: str) -> float:
     return float(value)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _outputs(model_cfg: mdl.ModelConfig, params: mdl.ModelParams, inputs) -> np.ndarray:
+    """One `model.forward` of `inputs`, refused where an output is not finite."""
+    if not np.isfinite(outputs := mdl.forward(model_cfg, params, inputs)).all():
+        raise ContractViolation("non-finite model outputs")
+    return outputs
+
+
 def accuracy(model_cfg: mdl.ModelConfig, params: mdl.ModelParams, dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions; ties break toward the lowest class."""
     if model_cfg.task != "classification" or dataset.task != "classification":
         raise InputError("accuracy needs a classification model and dataset")
-    return _task_metric(model_cfg, mdl.forward(model_cfg, params, dataset.inputs), dataset)
+    return _task_metric(model_cfg, _outputs(model_cfg, params, dataset.inputs), dataset)
 
 
 def task_metric(model_cfg: mdl.ModelConfig, params: mdl.ModelParams, dataset: Dataset) -> float:
     """`accuracy` for a classification model, the mean squared error for regression."""
     if model_cfg.task == "classification":
         return accuracy(model_cfg, params, dataset)
-    if dataset.task != model_cfg.task:
-        raise InputError(f"a {model_cfg.task} model needs a dataset of its task, got {dataset.task!r}")
-    return _task_metric(model_cfg, mdl.forward(model_cfg, params, dataset.inputs), dataset)
+    if dataset.task != "regression":
+        raise InputError(f"a regression model needs a dataset of its task, got {dataset.task!r}")
+    return _task_metric(model_cfg, _outputs(model_cfg, params, dataset.inputs), dataset)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -53,7 +61,7 @@ def agreement_cross_entropy(model_cfg: mdl.ModelConfig, params: mdl.ModelParams,
     """
     if dataset.soft_labels is None:
         raise InputError("agreement_cross_entropy needs soft labels")
-    probs = mdl.forward(model_cfg, params, dataset.inputs)
+    probs = _outputs(model_cfg, params, dataset.inputs)
     if probs.shape[1] != dataset.soft_labels.shape[1]:
         raise InputError(
             f"model outputs {probs.shape[1]} classes but soft labels have "
@@ -121,5 +129,5 @@ def decision_boundary_grid(
     xs = np.linspace(x0_lo, x0_hi, resolution)
     ys = np.linspace(x1_lo, x1_hi, resolution)
     grid = np.column_stack([np.repeat(xs, resolution), np.tile(ys, resolution)])
-    probs = mdl.forward(model_cfg, params, grid)
+    probs = _outputs(model_cfg, params, grid)
     return np.column_stack([grid, probs[:, 1]])

@@ -511,7 +511,7 @@ def test_score_runs_one_clean_forward_of_the_train_split(workspace, monkeypatch,
     metric = accuracy
     if task == "regression":
         cfg = dataclasses.replace(cfg, model=ModelConfig(task="regression", hidden=(8,)))
-        train_ds, test_ds = (Dataset("regression", "vector", ds.inputs, ds.labels * 0.5 - 0.1)
+        train_ds, test_ds = (Dataset(ds.inputs, ds.labels * 0.5 - 0.1)
                              for ds in (train_ds, test_ds))
         metric = task_metric
     params = init_params(cfg.model, Rng(3))
@@ -910,4 +910,104 @@ def test_reading_commands_refuse_a_non_finite_value(workspace, capsys, command, 
         command, "--checkpoint", str(ckpt), "--data", str(tmp / "regression.jsonl"),
         "--out", str(out), *(["--eps", "0.1", "--samples", "2"] if command == "probe" else [])])
     assert err == f"smoothtune: error: contract: non-finite {value}: inf\n"
+    assert not out.exists()
+
+
+def _preset_run(workspace, out, *extra):
+    """`train`'s argv for a short run of the two-moons preset on the workspace splits."""
+    tmp, _, train, test = workspace
+    preset = os.path.join(os.path.dirname(__file__), "..", "configs", "two_moons_smooth.ini")
+    return ["train", "--config", preset, "--out", str(tmp / out),
+            "--set", f"data.train={train}", "--set", f"data.test={test}",
+            "--set", "smart.outer_steps=6", "--set", "run.probe_samples=2", *extra]
+
+
+def test_the_seed_flag_is_the_run_seed_setting(workspace):
+    tmp = workspace[0]
+    assert main(_preset_run(workspace, "flag", "--seed", "5")) == 0
+    assert main(_preset_run(workspace, "set", "--set", "run.seed=5")) == 0
+    assert main(_preset_run(workspace, "default")) == 0
+    records = {name: (tmp / name / "records.csv").read_bytes()
+               for name in ("flag", "set", "default")}
+    assert records["flag"] == records["set"] != records["default"]
+    assert "seed = 5\n" in (tmp / "flag" / "config.ini").read_text()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([{"x": [0.0, 1.0], "y": 0.5}, {"x": [1.0, 0.0], "y": -0.5}],
+     "contract: dataset task 'regression' does not match model task 'classification'"),
+    ([{"x": [0.0, 1.0, 2.0], "y": 0}, {"x": [1.0, 0.0, 2.0], "y": 1}],
+     "input: raw inputs must be [batch, 2], got (2, 3)"),
+])
+def test_train_refuses_a_dataset_of_another_task_or_width(workspace, capsys, rows, message):
+    tmp = workspace[0]
+    data = tmp / "other.jsonl"
+    data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    capsys.readouterr()
+    assert main(_preset_run(workspace, "run", "--set", f"data.train={data}",
+                            "--set", f"data.test={data}")) == 1
+    assert capsys.readouterr().err == f"smoothtune: error: {message}\n"
+    assert sorted(os.listdir(tmp / "run")) == ["FAILED", "config.ini"]
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ("a,1,0,1", "bounds must be x0_min,x0_max,x1_min,x1_max, got 'a,1,0,1'"),
+    ("0,1,0", "bounds must have 4 entries, got 3"),
+])
+def test_boundary_refuses_malformed_bounds(workspace, capsys, bounds, message):
+    tmp, cfg, _, _ = workspace
+    assert main(["train", "--config", cfg, "--out", str(tmp / "run"),
+                 "--set", "smart.outer_steps=1"]) == 0
+    grid = tmp / "grid.csv"
+    capsys.readouterr()
+    assert main(["boundary", "--checkpoint", str(tmp / "run" / "checkpoint_final.json"),
+                 f"--bounds={bounds}", "--resolution", "3", "--out", str(grid)]) == 1
+    assert capsys.readouterr().err == f"smoothtune: error: input: {message}\n"
+    assert not grid.exists()
+
+
+def test_sweep_without_a_sweep_section_is_refused_before_its_output_directory(workspace, capsys):
+    tmp, cfg, _, _ = workspace
+    capsys.readouterr()
+    assert main(["sweep", "--config", cfg, "--out", str(tmp / "sweep")]) == 2
+    assert capsys.readouterr().err == (
+        "smoothtune: error: config: [sweep]: section required for sweep runs\n")
+    assert not (tmp / "sweep").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--generator", "two-moons", "--n", "30", "--noise", "0.3", "--seed", "4"],
+    ["--generator", "cluster", "--n", "25", "--classes", "3", "--dim", "4",
+     "--separation", "1.5", "--noise", "0.7", "--seed", "5"],
+    ["--generator", "tokens", "--n", "20", "--vocab", "5", "--length", "3", "--seed", "6"],
+])
+def test_a_gen_data_sidecar_holds_the_arguments_that_regenerate_the_file(tmp_path, argv):
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert main(["gen-data", *argv, "--out", str(first)]) == 0
+    sidecar = json.loads((tmp_path / "first.jsonl.meta.json").read_text())
+    assert sidecar["generator"] == argv[1]
+    regenerate = [arg for name, value in sidecar.items() for arg in (f"--{name}", str(value))]
+    assert main(["gen-data", *regenerate, "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+    assert (tmp_path / "second.jsonl.meta.json").read_bytes() == (
+        tmp_path / "first.jsonl.meta.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["eval", "boundary"])
+def test_reading_commands_refuse_non_finite_model_outputs(workspace, capsys, command):
+    """Output weights of +-1e308 overflow the two-moons logits; eval used to
+    score the NaN probability rows and boundary to write them."""
+    tmp, cfg, _, test = workspace
+    assert main(["train", "--config", cfg, "--out", str(tmp / "run"),
+                 "--set", "smart.outer_steps=5"]) == 0
+    document = json.loads((tmp / "run" / "checkpoint_final.json").read_text())
+    block = document["tensors"]["layer1.weight"]  # the output layer of hidden = 8
+    block["data"] = [1e308 * (-1) ** i for i in range(len(block["data"]))]
+    ckpt = tmp / "far.json"
+    ckpt.write_text(json.dumps(document))
+    out = tmp / f"{command}.out"
+    err = _refused_without_warnings(capsys, [
+        command, "--checkpoint", str(ckpt), "--out", str(out),
+        *(["--data", test] if command == "eval" else ["--bounds=-1,2,-1,1.5", "--resolution", "3"])])
+    assert err == "smoothtune: error: contract: non-finite model outputs\n"
     assert not out.exists()

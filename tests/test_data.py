@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from smoothtune.data import (
+    Dataset,
     gen_cluster_classification,
     gen_token_sequences,
     gen_two_moons,
@@ -109,7 +111,6 @@ def test_dataset_file_round_trip_bitwise(tmp_path):
     assert np.array_equal(back.inputs, ds.inputs)
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.soft_labels, ds.soft_labels)
-    assert back.provenance == ds.provenance
 
 
 def test_dataset_files_byte_identical(tmp_path):
@@ -213,3 +214,54 @@ def test_reader_rejects_rows_that_are_not_equal_length_numbers(tmp_path, rows):
         fh.write("".join(json.dumps(row) + "\n" for row in rows))
     with pytest.raises(InputError, match="equal-length lists of numbers"):
         read_dataset(path)
+
+
+def test_more_classes_than_dimensions_place_centroids_at_random():
+    a = gen_cluster_classification(7, 3, 2, 2.0, 0.5, seed=4)
+    b = gen_cluster_classification(7, 3, 2, 2.0, 0.5, seed=4)
+    assert np.array_equal(a.inputs, b.inputs) and np.array_equal(a.soft_labels, b.soft_labels)
+    assert np.bincount(a.labels).tolist() == [3, 2, 2]
+    assert np.allclose(a.soft_labels.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_noise_free_clusters_have_one_hot_soft_labels():
+    ds = gen_cluster_classification(9, 3, 3, 2.0, 0.0, seed=5)
+    assert np.array_equal(ds.soft_labels, np.eye(3)[ds.labels])
+
+
+def test_a_split_that_rounds_every_class_to_nothing_keeps_one_example():
+    ds = gen_cluster_classification(3, 3, 3, 2.0, 1.0, seed=6)  # one example per class
+    (split,) = subsample_splits(ds, [0.34], seed=7)
+    assert len(split) == 1 and split.labels.tolist() == [0]
+    assert np.array_equal(split.inputs, ds.inputs[ds.labels == 0])
+
+
+def _derived(ds):
+    """(task, input_kind) as the dtypes of the labels and inputs say."""
+    return ("classification" if ds.labels.dtype.kind == "i" else "regression",
+            "tokens" if ds.inputs.dtype.kind == "i" else "vector")
+
+
+def test_a_dataset_is_its_arrays():
+    assert [f.name for f in dataclasses.fields(Dataset)] == ["inputs", "labels", "soft_labels"]
+    for ds, kind in ((gen_two_moons(10, 0.1, seed=1), "vector"),
+                     (gen_cluster_classification(10, 2, 2, 2.0, 1.0, seed=2), "vector"),
+                     (gen_token_sequences(10, 4, 3, "majority", seed=3), "tokens")):
+        assert (ds.task, ds.input_kind) == _derived(ds) == ("classification", kind)
+        part = ds.subset(np.arange(2))
+        assert (part.task, part.input_kind) == _derived(ds)
+
+
+@pytest.mark.parametrize("record, task, kind", [
+    ({"x": [0.5, 1], "y": 1}, "classification", "vector"),
+    ({"x": [0.5, 1], "y": 1.5}, "regression", "vector"),
+    ({"x": [0.5, 1], "y": 0, "p": [0.25, 0.75]}, "classification", "vector"),
+    ({"tokens": [3, 1], "y": 1}, "classification", "tokens"),
+    ({"tokens": [3, 1], "y": -0.5}, "regression", "tokens"),
+    ({"tokens": [3, 1], "y": 0, "p": [1.0, 0.0]}, "classification", "tokens"),
+])
+def test_a_file_read_has_the_task_and_input_kind_of_its_dtypes(tmp_path, record, task, kind):
+    path = tmp_path / "one.jsonl"
+    path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n")
+    ds = read_dataset(str(path))
+    assert (ds.task, ds.input_kind) == _derived(ds) == (task, kind)

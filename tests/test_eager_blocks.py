@@ -49,7 +49,7 @@ def test_blocked_forwards_equal_one_block(seed):
             got = mdl.forward_from_embedding(TRANSFORMER, params, emb, features)
             assert _same(got, want), n
         labels = (np.arange(n) % TRANSFORMER.classes).astype(np.int64)
-        ds = Dataset(task="classification", input_kind="tokens", inputs=ids, labels=labels)
+        ds = Dataset(ids, labels)
         assert accuracy(TRANSFORMER, params, ds) == np.mean(np.argmax(want, axis=1) == labels)
 
 
@@ -57,8 +57,7 @@ def test_blocked_forwards_equal_one_block(seed):
 def test_blocked_probe_equals_one_block(monkeypatch, n):
     params = mdl.init_params(TRANSFORMER, Rng(n))
     ids = _ids(n, n)
-    ds = Dataset(task="classification", input_kind="tokens", inputs=ids,
-                 labels=np.zeros(n, dtype=np.int64))
+    ds = Dataset(ids, np.zeros(n, dtype=np.int64))
     blocked = local_smoothness_probe(TRANSFORMER, params, ds, 0.1, 3, seed=5, with_metric=True)
     monkeypatch.setattr(mdl, "forward_from_embedding",
                         lambda config, params, emb, feature_buffer=None:
@@ -135,7 +134,7 @@ def test_blocked_mlp_forwards_equal_one_block(config):
         for _ in range(2):  # the second pass writes over the first one's features
             assert _same(mdl.forward_from_embedding(config, params, x, features), want), n
         labels = (x[:, 0] > 0).astype(np.int64)
-        ds = Dataset(task="classification", input_kind="vector", inputs=x, labels=labels)
+        ds = Dataset(x, labels)
         assert accuracy(config, params, ds) == np.mean(np.argmax(want, axis=1) == labels)
 
 
@@ -144,8 +143,7 @@ def test_blocked_mlp_probe_equals_one_block(monkeypatch, config):
     n = 2 * mdl._eager_block(config) + 1
     params = mdl.init_params(config, Rng(n))
     x = Rng(n + 1).gaussian((n, config.input_dim), 1.5)
-    ds = Dataset(task="classification", input_kind="vector", inputs=x,
-                 labels=np.zeros(n, dtype=np.int64))
+    ds = Dataset(x, np.zeros(n, dtype=np.int64))
     blocked = local_smoothness_probe(config, params, ds, 0.3, 3, seed=5, with_metric=True)
     monkeypatch.setattr(mdl, "forward_from_embedding",
                         lambda config, params, emb, feature_buffer=None:
@@ -166,8 +164,7 @@ def _probe_peak(params, ds):
 def test_a_10k_point_probe_holds_one_full_height_buffer():
     n = 10_000
     params = mdl.init_params(MLP, Rng(0))
-    ds = Dataset(task="classification", input_kind="vector", inputs=Rng(1).gaussian((n, 2), 1.0),
-                 labels=np.zeros(n, dtype=np.int64))
+    ds = Dataset(Rng(1).gaussian((n, 2), 1.0), np.zeros(n, dtype=np.int64))
     _probe_peak(params, ds)  # first-call allocations are not the probe's
     layer_buffer = n * MLP.hidden[-1] * 8
     assert _probe_peak(params, ds) <= 0.7 * 2 * layer_buffer

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from smoothtune.data import Dataset, gen_two_moons
-from smoothtune.errors import InputError
+from smoothtune import model as mdl
+from smoothtune.errors import ContractViolation, InputError
 from smoothtune.evaluate import (
     accuracy,
     agreement_cross_entropy,
     decision_boundary_grid,
     local_smoothness_probe,
+    task_metric,
 )
 from smoothtune.model import ModelConfig, init_params, param_shapes
 from smoothtune.tensor import Rng
@@ -19,9 +21,7 @@ NEG_LN_07 = 0.35667494393873245
 
 
 def _vector_ds(xs, ys, soft=None):
-    return Dataset(task="classification", input_kind="vector",
-                   inputs=np.asarray(xs, dtype=float),
-                   labels=np.asarray(ys), soft_labels=soft)
+    return Dataset(np.asarray(xs, dtype=float), np.asarray(ys), soft)
 
 
 def _fixed_output_model(probs):
@@ -166,3 +166,24 @@ def test_boundary_requires_2d_classifier():
     params = init_params(bad, Rng(10))
     with pytest.raises(InputError):
         decision_boundary_grid(bad, params, (0, 1, 0, 1), 3)
+
+
+@pytest.mark.parametrize("metric", [
+    accuracy, task_metric, agreement_cross_entropy,
+    lambda cfg, params, ds: decision_boundary_grid(cfg, params, (0.0, 1.0, 0.0, 1.0), 2),
+], ids=["accuracy", "task_metric", "agreement_cross_entropy", "decision_boundary_grid"])
+def test_each_reading_of_the_outputs_refuses_a_non_finite_one_after_one_forward(
+        monkeypatch, metric):
+    cfg = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2,
+                      hidden=(), dropout=0.0)
+    ds = _vector_ds([[0.0, 0.0], [1.0, 1.0]], [0, 1], soft=np.full((2, 2), 0.5))
+    calls = []
+
+    def forward(*args, **kwargs):
+        calls.append(len(args[2]))
+        return np.array([[0.5, 0.5], [np.nan, np.nan]])
+
+    monkeypatch.setattr(mdl, "forward", forward)
+    with pytest.raises(ContractViolation, match="^non-finite model outputs$"):
+        metric(cfg, _fixed_output_model([0.5, 0.5]), ds)
+    assert len(calls) == 1

@@ -82,8 +82,7 @@ def test_a_feature_buffer_that_does_not_fit_is_refused(shape, dtype):
 def test_the_probe_passes_one_feature_buffer_to_every_forward(monkeypatch):
     n, samples = 2 * mdl._eager_block(MLP_TANH) + 1, 3
     params, x = _embedded(MLP_TANH, n, seed=5)
-    ds = Dataset(task="classification", input_kind="vector", inputs=x,
-                 labels=np.zeros(n, dtype=np.int64))
+    ds = Dataset(x, np.zeros(n, dtype=np.int64))
     buffers = []
     forward = mdl.forward_from_embedding
 

@@ -133,7 +133,7 @@ def _rules(task):
     object.__setattr__(cfg, "task", task)  # ModelConfig itself refuses a task it lacks
     params = init_params(cfg, Rng(3))
     x = Rng(2).gaussian((6, 2), 1.0)
-    ds = Dataset(task, "vector", x, np.arange(6) % 2 if task == "classification" else x[:, 0])
+    ds = Dataset(x, np.arange(6) % 2 if task == "classification" else x[:, 0])
     out = forward(cfg, params, x)
     tape = Tape()
     return {

@@ -121,6 +121,6 @@ def test_stack_refuses_runs_it_cannot_train_together(tmp_path):
         smooth_finetune(model, one, gen_two_moons(20, 0.25, 1), inits[0])
     solo = init_train_state(model, [one], inits[:1], smart=False)
     moons = gen_two_moons(200, 0.25, 1)
-    for data in (moons, moons.subset(np.arange(1), {})):  # 200 rows, and one
+    for data in (moons, moons.subset(np.arange(1))):  # 200 rows, and one
         with pytest.raises(ContractViolation, match=r"^datasets \(a Dataset\): pass one entry"):
             continue_training(solo, data)

@@ -151,7 +151,7 @@ def test_search_points_stay_in_ball_and_internal_audit(monkeypatch):
 def test_trivially_separable_data_reaches_full_accuracy():
     xs = np.array([[-1.0, 0.0], [1.0, 0.0]])
     ys = np.array([0, 1])
-    ds = Dataset(task="classification", input_kind="vector", inputs=xs, labels=ys)
+    ds = Dataset(xs, ys)
     cfg = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2,
                       hidden=(4,), dropout=0.0)
     init = init_params(cfg, Rng(10))
@@ -325,7 +325,7 @@ def test_regression_training_runs():
     rng = Rng(22)
     xs = rng.gaussian((16, 2), 1.0)
     ys = xs[:, 0] * 0.5 - xs[:, 1] * 0.25
-    ds = Dataset(task="regression", input_kind="vector", inputs=xs, labels=ys)
+    ds = Dataset(xs, ys)
     cfg_model = ModelConfig(task="regression", arch="mlp", input_dim=2, hidden=(6,),
                             dropout=0.0)
     init = init_params(cfg_model, Rng(23))
