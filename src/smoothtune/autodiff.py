@@ -188,19 +188,6 @@ def add_broadcast(a: Var, b: Var) -> Var:
                         lambda g: (g, _reduce_to(g, bshape) if need_b else None))
 
 
-def sub(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    _require_same_shape(a.value, b.value, "sub")
-    return tape._record(a.value - b.value, (a.index, b.index), lambda g: (g, -g))
-
-
-def mul(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    av, bv = a.value, b.value
-    _require_same_shape(av, bv, "mul")
-    return tape._record(av * bv, (a.index, b.index), lambda g: (g * bv, g * av))
-
-
 def cmul(a: Var, c: float) -> Var:
     return a.tape._record(c * a.value, (a.index,), lambda g: (c * g,))
 
@@ -310,18 +297,6 @@ def reshape(a: Var, shape) -> Var:
 
 # -- nonlinearities ----------------------------------------------------------
 
-def log(a: Var) -> Var:
-    av = a.value
-    return a.tape._record(np.log(av), (a.index,), lambda g: (g / av,))
-
-
-def clip(a: Var, lo: float, hi: float) -> Var:
-    """Clamp to [lo, hi]; gradient passes through where the input lies inside the range."""
-    av = a.value
-    return a.tape._record(np.clip(av, lo, hi), (a.index,),
-                          lambda g: (g * ((av >= lo) & (av <= hi)),))
-
-
 def softmax(a: Var) -> Var:
     """Stable softmax over the last axis."""
     y = tc.softmax_row(a.value)
@@ -367,33 +342,11 @@ def layer_norm(a: Var, gain: Var, bias: Var) -> Var:
 
 # -- reductions and indexing -------------------------------------------------
 
-def _per_run(a: Var, lead: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """a's value with every axis after the first `lead` flattened into one, and
-    the shape an adjoint of the reduced value takes to broadcast back."""
+def sum_all(a: Var) -> Var:
+    """Sum over every axis."""
     shape = a.value.shape
-    return a.value.reshape(shape[:lead] + (-1,)), shape[:lead] + (1,) * (len(shape) - lead)
-
-
-def sum_all(a: Var, lead: int = 0) -> Var:
-    """Sum over every axis after the first `lead`: all of them by default, or
-    each run's own total when `lead` stack axes come first."""
-    shape = a.value.shape
-    flat, kept = _per_run(a, lead)
-    return a.tape._record(
-        flat.sum(axis=-1), (a.index,),
-        lambda g: (np.broadcast_to(g.reshape(kept), shape).copy(),),
-    )
-
-
-def mean_all(a: Var, lead: int = 0) -> Var:
-    """Mean over every axis after the first `lead` (see sum_all)."""
-    shape = a.value.shape
-    flat, kept = _per_run(a, lead)
-    n = flat.shape[-1]
-    return a.tape._record(
-        flat.mean(axis=-1), (a.index,),
-        lambda g: (np.broadcast_to((g / n).reshape(kept), shape).copy(),),
-    )
+    return a.tape._record(a.value.sum(), (a.index,),
+                          lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def mean_axis(a: Var, axis: int) -> Var:
@@ -403,23 +356,6 @@ def mean_axis(a: Var, axis: int) -> Var:
         return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
 
     return a.tape._record(a.value.mean(axis=axis), (a.index,), vjp)
-
-
-def pick(a: Var, idx: np.ndarray) -> Var:
-    """Select a[..., i, idx[..., i]]: per row, the entry of the last axis that
-    cross-entropy uses. `idx` has a's shape without the last axis."""
-    if a.value.ndim < 2 or idx.shape != a.value.shape[:-1]:
-        raise ContractViolation(
-            f"pick: expected rows of shape {idx.shape} + (k,), got {a.value.shape}")
-    where = idx[..., None]
-    shape = a.value.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        np.put_along_axis(out, where, g[..., None], axis=-1)
-        return (out,)
-
-    return a.tape._record(np.take_along_axis(a.value, where, axis=-1)[..., 0], (a.index,), vjp)
 
 
 def gather_rows(table: Var, ids: np.ndarray) -> Var:

@@ -57,7 +57,7 @@ def _metric(model_cfg: mdl.ModelConfig, params, dataset) -> float | None:
 _GENERATORS = {
     "two-moons": (dat.gen_two_moons, ("noise",)),
     "cluster": (dat.gen_cluster_classification, ("classes", "dim", "separation", "noise")),
-    "tokens": (dat.gen_token_sequences, ("vocab", "length", "rule")),
+    "tokens": (dat.gen_token_sequences, ("vocab", "length")),
 }
 
 
@@ -358,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--separation", type=float, default=2.0)
     g.add_argument("--vocab", type=int, default=8)
     g.add_argument("--length", type=int, default=6)
-    g.add_argument("--rule", default="majority")
     g.set_defaults(func=cmd_gen_data)
 
     def common(p):

@@ -106,13 +106,11 @@ def _mixture_posteriors(x, y, centroids, counts, noise, n) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def gen_token_sequences(n: int, vocab: int, length: int, rule: str, seed: int) -> Dataset:
-    """Rule-labeled integer sequences; "majority" labels each sequence with its
-    most frequent token id (ties to the lowest id)."""
+def gen_token_sequences(n: int, vocab: int, length: int, seed: int) -> Dataset:
+    """Integer sequences, each labeled with its most frequent token id (ties
+    to the lowest id)."""
     if n < 1 or not 2 <= vocab < 2**63 or length < 1:  # token ids are int64
         raise InputError(f"invalid sizes n={n}, vocab={vocab}, length={length}")
-    if rule != "majority":
-        raise InputError(f"unknown labeling rule {rule!r}")
     rng = Rng(seed)
     ids = np.floor(rng.uniform((n, length)) * vocab).astype(np.int64)
     ids = np.minimum(ids, vocab - 1)

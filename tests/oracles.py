@@ -91,6 +91,82 @@ def ref_matmul(a, b):
         ad._reduce_to(np.matmul(av.swapaxes(-1, -2), g), bv.shape)))
 
 
+def ref_sub(a, b):
+    """a - b as a tape node of its own."""
+    return a.tape._record(a.value - b.value, (a.index, b.index), lambda g: (g, -g))
+
+
+def ref_mul(a, b):
+    """a * b elementwise as a tape node of its own."""
+    av, bv = a.value, b.value
+    return a.tape._record(av * bv, (a.index, b.index), lambda g: (g * bv, g * av))
+
+
+def ref_log(a):
+    """log as a tape node of its own, with d log = 1 / a."""
+    av = a.value
+    return a.tape._record(np.log(av), (a.index,), lambda g: (g / av,))
+
+
+def ref_clip(a, lo, hi):
+    """A clamp to [lo, hi] as a tape node; the gradient passes where a lies inside."""
+    av = a.value
+    return a.tape._record(np.clip(av, lo, hi), (a.index,),
+                          lambda g: (g * ((av >= lo) & (av <= hi)),))
+
+
+def ref_pick(a, idx):
+    """a[..., i, idx[..., i]] as a tape node; the adjoint scatters into zeros."""
+    where, shape = idx[..., None], a.value.shape
+
+    def vjp(g):
+        out = np.zeros(shape)
+        np.put_along_axis(out, where, g[..., None], axis=-1)
+        return (out,)
+
+    return a.tape._record(np.take_along_axis(a.value, where, axis=-1)[..., 0], (a.index,), vjp)
+
+
+def ref_sum_all(a, lead=0):
+    """Sum over every axis after the first `lead`, flattened into one: each
+    run's own total."""
+    shape = a.value.shape
+    kept = shape[:lead] + (1,) * (len(shape) - lead)
+    return a.tape._record(a.value.reshape(shape[:lead] + (-1,)).sum(axis=-1), (a.index,),
+                          lambda g: (np.broadcast_to(g.reshape(kept), shape).copy(),))
+
+
+def ref_mean_all(a, lead=0):
+    """Mean over every axis after the first `lead` (see ref_sum_all)."""
+    shape = a.value.shape
+    flat = a.value.reshape(shape[:lead] + (-1,))
+    kept, n = shape[:lead] + (1,) * (len(shape) - lead), flat.shape[-1]
+    return a.tape._record(flat.mean(axis=-1), (a.index,),
+                          lambda g: (np.broadcast_to((g / n).reshape(kept), shape).copy(),))
+
+
+def sym_kl_chain(p, q):
+    """The batch mean of the symmetrized KL as the 9-node chain the fused
+    divergence node must reproduce bit for bit: clip and log each side, then
+    (p - q) * (log p - log q), summed per run and scaled by 1 / examples."""
+    lp, lq = ref_log(ref_clip(p, 1e-12, 1.0)), ref_log(ref_clip(q, 1e-12, 1.0))
+    per_entry = ref_mul(ref_sub(p, q), ref_sub(lp, lq))
+    return ad.cmul(ref_sum_all(per_entry, p.value.ndim - 2), 1.0 / p.value.shape[-2])
+
+
+def squared_error_chain(p, q):
+    """The batch mean of (p - q)^2 as the 3-node chain sub, mul(d, d), mean."""
+    d = ref_sub(p, q)
+    return ref_mean_all(ref_mul(d, d), p.value.ndim - 1)
+
+
+def cross_entropy_chain(outputs, labels):
+    """The batch mean of -log p[label] as the 5-node chain pick, clip, log,
+    mean and a scale by -1."""
+    picked = ref_clip(ref_pick(outputs, labels), 1e-12, 1.0)
+    return ad.cmul(ref_mean_all(ref_log(picked), labels.ndim - 1), -1.0)
+
+
 def ref_swapaxes(a, ax1, ax2):
     """A contiguous copy of a with two axes swapped, as a tape node."""
     return a.tape._record(np.ascontiguousarray(a.value.swapaxes(ax1, ax2)), (a.index,),

@@ -154,8 +154,7 @@ def test_criterion_2_exact_reduction():
         checked += 1
 
         from smoothtune.data import gen_token_sequences
-        toks = gen_token_sequences(24, vocab=5, length=4, rule="majority",
-                                   seed=50 + seed)
+        toks = gen_token_sequences(24, vocab=5, length=4, seed=50 + seed)
         tf = ModelConfig(task="classification", classes=5, arch="transformer",
                          embed_dim=8, heads=2, layers=1, max_len=4, vocab_size=5,
                          dropout=0.1)

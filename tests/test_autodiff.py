@@ -4,6 +4,7 @@ import pytest
 from smoothtune import autodiff as ad
 from smoothtune.autodiff import Tape
 from smoothtune.errors import ContractViolation
+from smoothtune.losses import task_loss_mean_node
 from smoothtune.tensor import Rng, softmax_row
 
 from oracles import (
@@ -11,6 +12,9 @@ from oracles import (
     attention_chain,
     central_diff,
     ref_layer_norm,
+    ref_log,
+    ref_mean_all,
+    ref_mul,
     unfused_affine,
 )
 
@@ -29,7 +33,7 @@ def test_recorded_forward_matches_eager_bitwise():
 def test_square_value_and_gradient():
     tape = Tape()
     x = tape.leaf(np.array(3.0), requires_grad=True)
-    y = ad.mul(x, x)
+    y = ref_mul(x, x)
     assert y.value == 9.0
     grads = tape.backward(y)
     assert grads[x] == 6.0
@@ -39,7 +43,7 @@ def test_unreachable_leaf_gets_zero_gradient():
     tape = Tape()
     x = tape.leaf(np.array([1.0, 2.0]), requires_grad=True)
     c = tape.leaf(np.array(5.0), requires_grad=True)
-    out = ad.sum_all(ad.mul(x, x))
+    out = ad.sum_all(ref_mul(x, x))
     grads = tape.backward(out)
     assert np.array_equal(grads[c], np.zeros(()))
     assert np.array_equal(grads[x], [2.0, 4.0])
@@ -52,10 +56,10 @@ def test_softmax_cross_entropy_gradient_closed_form():
     tape = Tape()
     lv = tape.leaf(logits, requires_grad=True)
     probs = ad.softmax(lv)
-    loss = ad.cmul(ad.sum_all(ad.log(ad.clip(ad.pick(probs, labels), 1e-12, 1.0))), -1.0)
-    g = tape.backward(loss)[lv]
+    g = tape.backward(task_loss_mean_node("classification", probs, labels))[lv]
     expected = probs.value.copy()
     expected[np.arange(6), labels] -= 1.0
+    expected /= 6
     assert np.max(np.abs(g - expected)) < 1e-10
 
 
@@ -71,8 +75,7 @@ def test_finite_difference_agreement_params_and_inputs():
     xleaf = tape.leaf(x, requires_grad=True)
     h = ad.affine(xleaf, leaves[0], leaves[1], "tanh")
     logits = ad.affine(h, leaves[2], leaves[3])
-    loss = ad.cmul(ad.mean_all(ad.log(ad.clip(ad.pick(ad.softmax(logits), labels),
-                                              1e-12, 1.0))), -1.0)
+    loss = task_loss_mean_node("classification", ad.softmax(logits), labels)
     grads = tape.backward(loss)
 
     def value():
@@ -81,8 +84,7 @@ def test_finite_difference_agreement_params_and_inputs():
         xl = t.leaf(x)
         hh = ad.affine(xl, ls[0], ls[1], "tanh")
         lg = ad.affine(hh, ls[2], ls[3])
-        out = ad.cmul(ad.mean_all(ad.log(ad.clip(ad.pick(ad.softmax(lg), labels),
-                                                 1e-12, 1.0))), -1.0)
+        out = task_loss_mean_node("classification", ad.softmax(lg), labels)
         return float(out.value)
 
     fd = central_diff(value, arrays + [x])
@@ -101,7 +103,7 @@ def test_stop_gradient():
     # product with one frozen factor: d/dx (x * sg(x)) = x
     t2 = Tape()
     x2 = t2.leaf(np.array(3.0), requires_grad=True)
-    z = ad.mul(x2, ad.stop_gradient(x2))
+    z = ref_mul(x2, ad.stop_gradient(x2))
     assert t2.backward(z)[x2] == 3.0
 
 
@@ -114,7 +116,7 @@ def test_backward_linearity():
     def grad_of(fa, fb):
         tape = Tape()
         leaf = tape.leaf(x, requires_grad=True)
-        f = ad.sum_all(ad.mul(leaf, leaf))
+        f = ad.sum_all(ref_mul(leaf, leaf))
         g = ad.sum_all(ad.affine(ad.reshape(leaf, (2, 3)), tape.const(w), tape.const(bias),
                                  "tanh"))
         out = ad.add(ad.cmul(f, fa), ad.cmul(g, fb))
@@ -132,7 +134,7 @@ def test_backward_determinism_bitwise():
     def run():
         tape = Tape()
         leaf = tape.leaf(x, requires_grad=True)
-        out = ad.mean_all(ad.softmax(ad.affine(leaf, leaf, tape.const(np.zeros(4)), "tanh")))
+        out = ref_mean_all(ad.softmax(ad.affine(leaf, leaf, tape.const(np.zeros(4)), "tanh")))
         return tape.backward(out)[leaf]
 
     assert np.array_equal(run(), run())
@@ -170,8 +172,8 @@ def test_assorted_primitive_gradients_match_finite_differences():
         e = ad.gather_rows(tv, ids)
         pooled = ad.mean_axis(e, 1)
         mixed = ad.softmax(ad.attention(ln, ln, ad.reshape(ln, (3, 4)), 2))
-        return ad.add(ad.mean_all(ad.mul(mixed, ad.log(mixed))),
-                      ad.mean_all(ad.affine(pooled, wv, bb, "relu")))
+        return ad.add(ref_mean_all(ref_mul(mixed, ref_log(mixed))),
+                      ref_mean_all(ad.affine(pooled, wv, bb, "relu")))
 
     tape = Tape()
     leaves = [tape.leaf(arr, requires_grad=True) for arr in arrays]
@@ -205,7 +207,7 @@ def _affine_values_and_grads(layer, arrays, act, shared_weight=False):
     out = layer(x, w, b, act)
     if shared_weight:
         out = layer(out, w, b, act)
-    loss = ad.sum_all(ad.mul(out, tape.const(cv)))
+    loss = ad.sum_all(ad.mul_const(out, cv))
     grads = tape.backward(loss)
     return out.value, [grads[v] for v in (x, w, b)]
 
@@ -249,7 +251,7 @@ def test_affine_gradients_match_finite_differences(act):
     c = rng.gaussian((2, 4, 5), 1.0)
 
     def build(tape, leaves):
-        return ad.sum_all(ad.mul(ad.affine(*leaves, act), tape.const(c)))
+        return ad.sum_all(ad.mul_const(ad.affine(*leaves, act), c))
 
     tape = Tape()
     leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
@@ -285,7 +287,7 @@ def _attention_values_and_grads(attend, arrays, heads, live):
     tape = Tape()
     q, k, v = (tape.leaf(a, requires_grad=name in live) for name, a in zip("qkv", (qv, kv, vv)))
     out = attend(q, k, v, heads)
-    grads = tape.backward(ad.sum_all(ad.mul(out, tape.const(cv))))
+    grads = tape.backward(ad.sum_all(ad.mul_const(out, cv)))
     return out.value, [grads.get(var) for var in (q, k, v)]
 
 
@@ -311,7 +313,7 @@ def test_attention_gradients_match_finite_differences():
     c = rng.gaussian((2, 3, 4), 1.0)
 
     def build(tape, leaves):
-        return ad.sum_all(ad.mul(ad.attention(*leaves, 2), tape.const(c)))
+        return ad.sum_all(ad.mul_const(ad.attention(*leaves, 2), c))
 
     tape = Tape()
     leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
@@ -355,7 +357,7 @@ def test_layer_norm_matches_the_textbook_formula_bitwise(case, eager):
         # leaves that want no gradient run layer_norm's in-place forward-only path
         leaves = [tape.leaf(a, requires_grad=not eager) for a in arrays]
         out = norm(*leaves)
-        grads = {} if eager else tape.backward(ad.sum_all(ad.mul(out, tape.const(c))))
+        grads = {} if eager else tape.backward(ad.sum_all(ad.mul_const(out, c)))
         results.append((out.value, [grads.get(leaf) for leaf in leaves]))
     (fused, fused_grads), (ref, ref_grads) = results
     assert np.array_equal(fused, ref)

@@ -986,6 +986,7 @@ def test_a_gen_data_sidecar_holds_the_arguments_that_regenerate_the_file(tmp_pat
     assert main(["gen-data", *argv, "--out", str(first)]) == 0
     sidecar = json.loads((tmp_path / "first.jsonl.meta.json").read_text())
     assert sidecar["generator"] == argv[1]
+    assert sorted(sidecar) == sorted(flag[2:] for flag in argv[::2])
     regenerate = [arg for name, value in sidecar.items() for arg in (f"--{name}", str(value))]
     assert main(["gen-data", *regenerate, "--out", str(second)]) == 0
     assert second.read_bytes() == first.read_bytes()

@@ -64,13 +64,11 @@ def test_cluster_soft_labels_are_posteriors():
 
 
 def test_token_sequences_majority_rule():
-    ds = gen_token_sequences(150, vocab=4, length=5, rule="majority", seed=7)
+    ds = gen_token_sequences(150, vocab=4, length=5, seed=7)
     for row, label in zip(ds.inputs, ds.labels):
         counts = np.bincount(row, minlength=4)
         assert counts[label] == counts.max()
         assert label == int(np.argmax(counts))  # ties toward the lowest id
-    with pytest.raises(InputError):
-        gen_token_sequences(10, 4, 5, rule="parity", seed=8)
 
 
 def test_splits_full_fraction_is_same_set():
@@ -121,7 +119,7 @@ def test_dataset_files_byte_identical(tmp_path):
 
 
 def test_token_file_round_trip(tmp_path):
-    ds = gen_token_sequences(25, vocab=6, length=4, rule="majority", seed=16)
+    ds = gen_token_sequences(25, vocab=6, length=4, seed=16)
     path = str(tmp_path / "t.jsonl")
     write_dataset(path, ds)
     back = read_dataset(path)
@@ -246,7 +244,7 @@ def test_a_dataset_is_its_arrays():
     assert [f.name for f in dataclasses.fields(Dataset)] == ["inputs", "labels", "soft_labels"]
     for ds, kind in ((gen_two_moons(10, 0.1, seed=1), "vector"),
                      (gen_cluster_classification(10, 2, 2, 2.0, 1.0, seed=2), "vector"),
-                     (gen_token_sequences(10, 4, 3, "majority", seed=3), "tokens")):
+                     (gen_token_sequences(10, 4, 3, seed=3), "tokens")):
         assert (ds.task, ds.input_kind) == _derived(ds) == ("classification", kind)
         part = ds.subset(np.arange(2))
         assert (part.task, part.input_kind) == _derived(ds)

@@ -15,7 +15,14 @@ from smoothtune.losses import smooth_loss_mean_node, smooth_loss_rows, task_loss
 from smoothtune.model import ModelConfig, forward, init_params
 from smoothtune.tensor import Rng, softmax_row
 
-from oracles import assert_grads_close, central_diff, ref_sym_kl_rows
+from oracles import (
+    assert_grads_close,
+    central_diff,
+    cross_entropy_chain,
+    ref_sym_kl_rows,
+    squared_error_chain,
+    sym_kl_chain,
+)
 
 # frozen 40-digit oracle evaluations
 KL_HALF_VS_91 = 0.5108256237659907     # 0.5*ln(5/9) + 0.5*ln(5)
@@ -165,3 +172,123 @@ def test_no_string_constant_in_the_package_is_a_retired_loss_name():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Constant) and node.value in RETIRED_KINDS]
     assert found == []
+
+
+# a batch of 5 rows of 4 classes, alone and in a stack of 3 runs
+BATCH_SHAPES = {"unstacked": (5, 4), "stacked": (3, 5, 4)}
+
+
+def _probability_rows(seed, shape):
+    """Softmax rows whose first rows hold exact 0s and 1s, the clamp's bounds."""
+    p = softmax_row(Rng(seed).gaussian(shape, 2.0))
+    p[..., 0, :] = np.eye(shape[-1])[seed % shape[-1]]
+    p[..., 1, 1] = 0.0
+    return p
+
+
+def _bits(value):
+    return np.asarray(value).view(np.uint64)
+
+
+def _loss_and_grads(build, arrays, live, other_use):
+    """A loss's value and the gradients of sum(w * loss) toward its leaves
+    named in `live` (the others enter as constants). With `other_use`, the
+    first leaf also feeds sum(c * leaf), recorded before or after the loss,
+    so that parts reach it in the order a tape adds them."""
+    tape = Tape()
+    leaves = [tape.leaf(a, requires_grad=name in live) for name, a in zip("pq", arrays)]
+    rng = Rng(5)
+    c = rng.gaussian(arrays[0].shape, 1.0)
+    other = ad.mul_const(leaves[0], c) if other_use == "before" else None
+    loss = build(*leaves)
+    total = ad.sum_all(ad.mul_const(loss, 0.5 + rng.uniform(np.shape(loss.value))))
+    if other_use == "after":
+        other = ad.mul_const(leaves[0], c)
+    if other is not None:
+        total = ad.add(total, ad.sum_all(other))
+    grads = tape.backward(total)
+    return loss.value, [grads.get(leaf) for leaf in leaves]
+
+
+def _assert_same_bits(fused, chain):
+    (value, grads), (chain_value, chain_grads) = fused, chain
+    assert np.array_equal(_bits(value), _bits(chain_value))
+    for g, g_chain in zip(grads, chain_grads):
+        assert (g is None) == (g_chain is None)
+        assert g is None or np.array_equal(_bits(g), _bits(g_chain))
+
+
+@pytest.mark.parametrize("other_use", [None, "before", "after"])
+@pytest.mark.parametrize("live", ["pq", "p", "q"])
+@pytest.mark.parametrize("case", sorted(BATCH_SHAPES))
+def test_divergence_node_matches_the_chain_bitwise(case, live, other_use):
+    """q live as on the smoothness tape, or a dead constant as on the ascent
+    and teacher tapes; the node's parts reach p and q as the chain's did."""
+    shape = BATCH_SHAPES[case]
+    arrays = [_probability_rows(1, shape), _probability_rows(2, shape)]
+    fused = _loss_and_grads(lambda p, q: smooth_loss_mean_node("classification", p, q),
+                            arrays, live, other_use)
+    _assert_same_bits(fused, _loss_and_grads(sym_kl_chain, arrays, live, other_use))
+    assert np.all(fused[0] > 0) and any(g is not None and g.any() for g in fused[1])
+
+
+@pytest.mark.parametrize("other_use", [None, "before", "after"])
+@pytest.mark.parametrize("case", sorted(BATCH_SHAPES))
+def test_cross_entropy_node_matches_the_chain_bitwise(case, other_use):
+    shape = BATCH_SHAPES[case]
+    outputs = _probability_rows(3, shape)
+    labels = (np.arange(int(np.prod(shape[:-1]))) % shape[-1]).reshape(shape[:-1])
+    labels[..., :2] = [3, 1]  # the first row picks an exact 1, the second an exact 0
+    fused = _loss_and_grads(lambda o: task_loss_mean_node("classification", o, labels),
+                            [outputs], "p", other_use)
+    _assert_same_bits(fused, _loss_and_grads(lambda o: cross_entropy_chain(o, labels),
+                                             [outputs], "p", other_use))
+    assert fused[1][0].any()
+
+
+@pytest.mark.parametrize("other_use", [None, "before", "after"])
+@pytest.mark.parametrize("live", ["pq", "p", "q"])
+@pytest.mark.parametrize("case", sorted(BATCH_SHAPES))
+def test_squared_error_node_matches_the_chain_bitwise(case, live, other_use):
+    """Regression's divergence and task loss, for which no golden run exists."""
+    shape = BATCH_SHAPES[case][:-1]
+    rng = Rng(4)
+    arrays = [rng.gaussian(shape, 1.0), rng.gaussian(shape, 1.0)]
+    fused = _loss_and_grads(lambda p, q: smooth_loss_mean_node("regression", p, q),
+                            arrays, live, other_use)
+    _assert_same_bits(fused, _loss_and_grads(squared_error_chain, arrays, live, other_use))
+    if live == "p":  # the task loss: labels enter as a constant
+        task = _loss_and_grads(lambda p: task_loss_mean_node("regression", p, arrays[1]),
+                               arrays[:1], live, other_use)
+        _assert_same_bits(task, (fused[0], fused[1][:1]))
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_each_loss_builder_records_one_node(task):
+    shape = (3, 5, 4) if task == "classification" else (3, 5)
+    tape = Tape()
+    p = tape.leaf(np.full(shape, 0.25), requires_grad=True)
+    q = tape.leaf(np.full(shape, 0.5), requires_grad=True)
+    labels = np.zeros(shape[:2], dtype=np.int64) if task == "classification" else np.ones(shape)
+    before = len(tape)
+    smooth_loss_mean_node(task, p, q)
+    assert len(tape) == before + 1
+    task_loss_mean_node(task, p, labels)
+    # a regression task loss also enters its labels as a constant leaf
+    assert len(tape) == before + (2 if task == "classification" else 3)
+
+
+def test_loss_nodes_keep_the_chain_refusals():
+    tape = Tape()
+    p = tape.leaf(np.full((4, 3), 1.0 / 3.0), requires_grad=True)
+    for task in TASKS:
+        with pytest.raises(ContractViolation, match=r"shape mismatch \(4, 3\) vs \(3, 3\)"):
+            smooth_loss_mean_node(task, p, tape.const(np.full((3, 3), 1.0 / 3.0)))
+    with pytest.raises(ContractViolation, match="different tapes"):
+        smooth_loss_mean_node("classification", p, Tape().const(p.value))
+    with pytest.raises(ContractViolation, match=r"rows of shape \(3,\)"):
+        task_loss_mean_node("classification", p, np.zeros(3, dtype=np.int64))
+    with pytest.raises(InputError, match="out of range"):
+        task_loss_mean_node("classification", p, np.full(4, 3))
+    with pytest.raises(InputError, match="must be integers"):
+        task_loss_mean_node("classification", p, np.zeros(4))

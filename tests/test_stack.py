@@ -46,7 +46,7 @@ def _datasets(model):
     # sizes differ, so the runs reshuffle at different steps
     if model.arch == "mlp":
         return [gen_two_moons(n, 0.25, 7 + n) for n in (20, 34, 50)]
-    return [gen_token_sequences(n, 4, 6, "majority", 7 + n) for n in (20, 34, 50)]
+    return [gen_token_sequences(n, 4, 6, 7 + n) for n in (20, 34, 50)]
 
 
 def _first_moments(model, state):

@@ -41,7 +41,7 @@ def test_shape_mismatch_names_both_shapes():
     with pytest.raises(ContractViolation, match=r"\(2, 3\).*\(2, 3\)"):
         matmul(np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(ContractViolation):
-        on_tape(ad.sub, np.zeros((1, 2)), np.zeros((2, 1)))
+        on_tape(ad.add, np.zeros((1, 2)), np.zeros((2, 1)))
 
 
 def test_softmax_symmetry_and_known_value():

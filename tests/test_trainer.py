@@ -1,16 +1,19 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smoothtune import trainer as tr
 from smoothtune.adversarial import AdvConfig, PassCounters
+from smoothtune.autodiff import Tape
 from smoothtune.data import Dataset, gen_token_sequences, gen_two_moons
 from smoothtune.errors import CheckpointError, ContractViolation
 from smoothtune.evaluate import accuracy
 from smoothtune import model as mdl
 from smoothtune.model import ModelConfig, draw_dropout_masks, init_params
 from smoothtune.optimizer import ProxConfig
+from smoothtune.runconfig import parse_config
 from smoothtune.tensor import Rng
 from smoothtune.trainer import (
     TrainConfig,
@@ -272,7 +275,7 @@ def test_checkpoint_load_errors(tmp_path):
 
 
 def test_transformer_training_and_reduction():
-    ds = gen_token_sequences(24, vocab=5, length=4, rule="majority", seed=20)
+    ds = gen_token_sequences(24, vocab=5, length=4, seed=20)
     cfg_model = ModelConfig(task="classification", classes=5, arch="transformer",
                             embed_dim=8, heads=2, layers=1, max_len=4, vocab_size=5,
                             dropout=0.1)
@@ -353,7 +356,7 @@ def test_current_teacher_equals_a_teacher_copy_bitwise(case, monkeypatch):
     if model.arch == "mlp":
         ds = _moons(12, seed=4)
     else:
-        ds = gen_token_sequences(12, 6, 5, "majority", 4)
+        ds = gen_token_sequences(12, 6, 5, 4)
     params = init_params(model, Rng(9))
     masks = draw_dropout_masks(model, len(ds), [Rng(10)])
     masks = None if masks is None else [m[0] for m in masks]  # a stack of one's slice
@@ -381,7 +384,7 @@ def test_vbpp_teacher_is_the_current_iterate_at_every_update(monkeypatch):
     step is the params each update starts from, bit for bit; mbpp's teacher
     is the params only before the first update."""
     model = TEACHER_CASES["transformer_dropout"][0]
-    ds = gen_token_sequences(20, 6, 5, "majority", 5)
+    ds = gen_token_sequences(20, 6, 5, 5)
     given = []
 
     def forward(*args, _inner=mdl.forward, **kwargs):
@@ -394,3 +397,26 @@ def test_vbpp_teacher_is_the_current_iterate_at_every_update(monkeypatch):
         smooth_finetune(model, [_cfg(prox=ProxConfig(mode=mode), outer_steps=6)], [ds],
                         [init_params(model, Rng(12))])
         assert given == want, mode
+
+
+# tape nodes recorded by an update after the first, eager forwards included;
+# each loss term is one node (a 5- or 9-node chain gave 78, 17 and 400)
+UPDATE_NODES = {"configs/two_moons_smooth.ini": 50, "configs/two_moons_vanilla.ini": 13,
+                "bench/tokens_transformer.ini": 356}
+
+
+@pytest.mark.parametrize("preset", sorted(UPDATE_NODES))
+def test_an_update_records_the_pinned_number_of_tape_nodes(preset, monkeypatch):
+    cfg = parse_config(str(Path(__file__).resolve().parent.parent / preset))
+    model = cfg.model
+    ds = (gen_token_sequences(80, model.vocab_size, model.max_len, 1)
+          if model.arch == "transformer" else _moons(80))
+    state = init_train_state(model, [cfg.train], [init_params(model, Rng(0))],
+                             smart=cfg.method == "smooth")
+    # the first update's teacher is the iterate itself, whose forward a
+    # dropout-free MLP takes from the clean forward's features
+    continue_training(state, [ds], stop_after=1)
+    record, nodes = Tape._record, []
+    monkeypatch.setattr(Tape, "_record", lambda tape, *args: nodes.append(1) or record(tape, *args))
+    continue_training(state, [ds], stop_after=2)
+    assert len(nodes) == UPDATE_NODES[preset]
