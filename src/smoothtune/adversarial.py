@@ -100,7 +100,7 @@ def find_adversarial(
         tape = Tape()
         pvars = mdl.leaf_params(tape, params, requires_grad=False)
         x_var = tape.leaf(x_adv, requires_grad=True)
-        out = mdl.build_head(tape, model_cfg, pvars, x_var, masks)
+        out = mdl.build_head(model_cfg, pvars, x_var, masks)
         loss = smooth_loss_mean_node(model_cfg.task, out, tape.const(clean_outputs))
         counters.forwards += 1
         counters.backwards += 1
@@ -124,7 +124,5 @@ def build_smoothness_term(
     clean outputs, on an existing tape. Parameter gradients flow through both
     branches; the points themselves enter as constants."""
     counters.forwards += 1
-    perturbed = mdl.build_head(
-        tape, model_cfg, pvars, tape.const(adversarial_points), masks
-    )
+    perturbed = mdl.build_head(model_cfg, pvars, tape.const(adversarial_points), masks)
     return smooth_loss_mean_node(model_cfg.task, perturbed, clean_outputs_var)

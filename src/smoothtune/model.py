@@ -236,14 +236,8 @@ def build_embed(tape: Tape, config: ModelConfig, pvars: dict[str, Var], inputs) 
     return ad.gather_rows(pvars["embed.table"], inputs)
 
 
-def build_head(
-    tape: Tape,
-    config: ModelConfig,
-    pvars: dict[str, Var],
-    emb: Var,
-    masks: list[np.ndarray] | None = None,
-    features: list[Var] | None = None,
-) -> Var:
+def build_head(config: ModelConfig, pvars: dict[str, Var], emb: Var,
+               masks: list[np.ndarray] | None = None, features: list[Var] | None = None) -> Var:
     """Forward from an embedded batch to probabilities [n, k] or predictions [n],
     with a leading stack axis on everything when the params are stacked.
     `features`, a list, receives the output layer's input before its dropout."""
@@ -345,7 +339,7 @@ def _eager_head(tape: Tape, config: ModelConfig, pvars: dict[str, Var], n: int, 
                                 f"got {feature_buffer.dtype} {feature_buffer.shape}")
     block = _eager_block(config)
     if stack_axes(config, pvars) or n <= block:
-        return build_head(tape, config, pvars, rows(0, n)).value
+        return build_head(config, pvars, rows(0, n)).value
     blocks = -(-n // block)
     edges = [n * i // blocks for i in range(blocks + 1)]
     features = np.empty(shape) if feature_buffer is None else feature_buffer

@@ -94,18 +94,14 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
 
 @dataclass(frozen=True)
 class ProxConfig:
-    prox_weight: float = checked(">= 0", 1.0)  # trust-region strength; ignored when mode is "off"
-    # "mbpp" (EMA teacher) | "vbpp" (previous iterate) | "off"
-    mode: str = checked(("mbpp", "vbpp", "off"), "mbpp")
+    prox_weight: float = checked(">= 0", 1.0)  # trust-region strength; 0 turns it off
+    # "mbpp" (EMA teacher) | "vbpp" (previous iterate)
+    mode: str = checked(("mbpp", "vbpp"), "mbpp")
     ema_early: float = checked("[0, 1)", 0.99)
     ema_late: float = checked("[0, 1)", 0.999)
     ema_switch: float = 0.1    # fraction of outer steps run at ema_early
 
     __post_init__ = check_fields
-
-    @property
-    def effective_weight(self) -> float:
-        return 0.0 if self.mode == "off" else self.prox_weight
 
 
 def teacher_update(teacher: np.ndarray, current: np.ndarray, beta: float) -> None:

@@ -182,8 +182,3 @@ class Rng:
 
     def state(self) -> tuple[int, int]:
         return (self.seed, self.counter)
-
-    @classmethod
-    def from_state(cls, state) -> "Rng":
-        seed, counter = state
-        return cls(seed, counter)

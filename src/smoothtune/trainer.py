@@ -8,6 +8,8 @@ the baseline loop: same batches, same dropout masks, same updates, same records.
 
 A TrainState is a stack of S runs that differ only in seed and data, with
 parameters, moments and teacher stacked on a leading axis (`model.stack_params`).
+It has one constructor, `_new_state`, which derives from the configs what they
+fix, and a resume is a fresh state with the checkpoint's progress loaded in.
 Each run keeps its own rng streams and batch order, losses are per-run means,
 and norms and clipping are per run, so one stacked update gives every run the
 bits it would get alone. A solo run is a stack of one, through the same loop:
@@ -157,19 +159,19 @@ class Objective:
     adversarial: np.ndarray | None
 
 
-def _new_state(model_cfg, cfgs, params, teacher, moments, smart, streams) -> TrainState:
-    """A state over flat copies of stacked `params`, `teacher` (or None) and
-    ADAM `moments` (stacked m, stacked v, t), or fresh moments when None."""
+def _new_state(model_cfg, cfgs, params, smart) -> TrainState:
+    """A fresh state over a copy of stacked `params`: rng streams from each seed, zero
+    ADAM moments, and a teacher equal to the params exactly when the trust region is on."""
     if any(dataclasses.replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
         raise ContractViolation("the runs of one stack may differ only in seed")
-    runs = [RunState(cfg=c, streams=st) for c, st in zip(cfgs, streams)]
+    runs = [RunState(cfg=c, streams={name: Rng(c.seed).child(tag)
+                                     for name, tag in _STREAM_TAGS.items()}) for c in cfgs]
     flat, params = mdl.flatten_params(params)
-    adam = init_adam(flat) if moments is None else AdamState(
-        mdl.flatten_params(moments[0])[0], mdl.flatten_params(moments[1])[0], moments[2])
-    teacher, teacher_params = (None, None) if teacher is None else mdl.flatten_params(teacher)
+    teacher, teacher_params = (mdl.flatten_params(params) if smart and cfgs[0].prox.prox_weight > 0
+                               else (None, None))
     grads, grad_views = mdl.flatten_params(params)  # each update overwrites all of grads
     return TrainState(model_cfg=model_cfg, runs=runs, smart=smart, flat=flat, params=params,
-                      grads=grads, grad_blocks=tuple(grad_views.values()), adam=adam,
+                      grads=grads, grad_blocks=tuple(grad_views.values()), adam=init_adam(flat),
                       teacher=teacher, teacher_params=teacher_params)
 
 
@@ -186,19 +188,11 @@ def init_train_state(
     inits: Sequence[mdl.ModelParams],
     smart: bool,
 ) -> TrainState:
-    """A fresh state for a stack of runs, given one config and one set of
-    initial params per run."""
+    """A fresh state for a stack of runs, given one config and one set of initial params each."""
     _check_lists(cfgs=cfgs, inits=inits)
     if len(cfgs) != len(inits) or not cfgs:
         raise ContractViolation(f"{len(cfgs)} configs for {len(inits)} initial params")
-    streams = []
-    for c in cfgs:
-        master = Rng(c.seed)
-        streams.append({name: master.child(tag) for name, tag in _STREAM_TAGS.items()})
-    params = mdl.stack_params(model_cfg, inits)
-    use_teacher = smart and cfgs[0].prox.effective_weight > 0
-    return _new_state(model_cfg, cfgs, params, params if use_teacher else None, None,
-                      smart, streams)
+    return _new_state(model_cfg, cfgs, mdl.stack_params(model_cfg, inits), smart)
 
 
 def build_iteration_objective(
@@ -226,12 +220,12 @@ def build_iteration_objective(
     the loss terms hold one value per run.
     """
     reg_on = smart and cfg.reg_weight > 0
-    breg_on = smart and cfg.prox.effective_weight > 0 and teacher_params is not None
+    breg_on = smart and cfg.prox.prox_weight > 0 and teacher_params is not None
     tape = Tape()
     pvars = mdl.leaf_params(tape, params, requires_grad=True)
     emb = mdl.build_embed(tape, model_cfg, pvars, xs)
     features: list[Var] = []
-    outputs = mdl.build_head(tape, model_cfg, pvars, emb, masks, features)
+    outputs = mdl.build_head(model_cfg, pvars, emb, masks, features)
     counters.forwards += 1
     task = task_loss_mean_node(model_cfg.task, outputs, ys)
     total = task
@@ -249,7 +243,7 @@ def build_iteration_objective(
                                   features[0].value if current else None)
         counters.forwards += 1
         breg = smooth_loss_mean_node(model_cfg.task, outputs, tape.const(teacher_out))
-        total = ad.add(total, ad.cmul(breg, cfg.prox.effective_weight))
+        total = ad.add(total, ad.cmul(breg, cfg.prox.prox_weight))
     return Objective(tape=tape, total=total, task=task, reg=reg, breg=breg,
                      pvars=pvars, embedding=emb.value, adversarial=x_adv)
 
@@ -419,7 +413,7 @@ def expected_pass_counts(cfg: TrainConfig, smart: bool) -> tuple[int, int]:
     if smart and cfg.reg_weight > 0:
         forwards += cfg.adv.steps + 1
         backwards += cfg.adv.steps
-    if smart and cfg.prox.effective_weight > 0:
+    if smart and cfg.prox.prox_weight > 0:
         forwards += 1
     return forwards, backwards
 
@@ -476,38 +470,60 @@ def save_train_checkpoint(path: str, state: TrainState) -> None:
     })
 
 
+def _json_int(value, what: str, low: int = -2**63, high: int = 2**63) -> int:
+    """A checkpoint's JSON integer in [low, high), an int64 by default (true and false are not)."""
+    if type(value) is not int or not low <= value < high:
+        raise CheckpointError(f"{what} is {value!r}, not an integer in [{low}, {high})")
+    return value
+
+
 def resume_from_checkpoint(path: str) -> TrainState:
+    """The fresh state of the checkpoint's config, params and method, with the
+    saved progress loaded into it. The file's copy of what the config fixes,
+    whether a teacher is kept and each stream's seed, must agree with it."""
     document = read_json(path, ("config", "tensors", "train_state"))
     ts = document["train_state"]
     try:
         model_cfg = config_from_obj(mdl.ModelConfig, document["config"])
         cfg = config_from_obj(TrainConfig, ts["train_config"])
+        if type(ts["smart"]) is not bool:
+            raise CheckpointError(f"smart is {ts['smart']!r}, not true or false")
 
-        def tensors(obj):
+        def blocks(obj):
             return mdl.stack_params(model_cfg, [tensors_from_obj(obj, model_cfg)])
 
-        moments = (tensors(ts["adam"]["m"]), tensors(ts["adam"]["v"]), int(ts["adam"]["t"]))
-        teacher = None if ts["teacher"] is None else tensors(ts["teacher"])
-        streams = {name: Rng.from_state(st) for name, st in ts["streams"].items()}
-        if set(streams) != set(_STREAM_TAGS):
+        state = _new_state(model_cfg, [cfg], blocks(document["tensors"]), ts["smart"])
+        (run,), kept = state.runs, state.teacher is not None
+        if (ts["teacher"] is not None) != kept:
+            raise CheckpointError(f"a run with smart {state.smart} and prox_weight "
+                                  f"{cfg.prox.prox_weight} keeps {'a' if kept else 'no'} teacher")
+        if kept:
+            state.teacher[:] = mdl.flatten_params(blocks(ts["teacher"]))[0]
+        m, v = (mdl.flatten_params(blocks(ts["adam"][k]))[0] for k in "mv")
+        state.adam = AdamState(m, v, _json_int(ts["adam"]["t"], "adam.t"))
+        if set(ts["streams"]) != set(run.streams):
             raise CheckpointError("unexpected rng streams")
-        state = _new_state(model_cfg, [cfg], tensors(document["tensors"]), teacher,
-                           moments, bool(ts["smart"]), [streams])
-        sampler = ts["sampler"]
-        state.runs[0].sampler_perm = None if sampler["perm"] is None \
-            else np.asarray(sampler["perm"], dtype=np.int64)
-        state.runs[0].sampler_cursor = int(sampler["cursor"])
-        state.outer_t, state.global_step = int(ts["outer_t"]), int(ts["global_step"])
-        state.counters = PassCounters(int(ts["counters"][0]), int(ts["counters"][1]))
+        for name, rng in list(run.streams.items()):
+            seed, counter = ts["streams"][name]
+            if _json_int(seed, f"the seed of rng stream {name!r}", 0, 2**64) != rng.seed:
+                raise CheckpointError(f"rng stream {name!r} has seed {seed}, not {rng.seed}")
+            counter = _json_int(counter, f"the counter of rng stream {name!r}", 0, 2**64)
+            run.streams[name] = Rng(seed, counter)
+        if ts["sampler"]["perm"] is not None:
+            run.sampler_perm = np.array([_json_int(i, "a sampler perm entry")
+                                         for i in ts["sampler"]["perm"]], dtype=np.int64)
+        run.sampler_cursor = _json_int(ts["sampler"]["cursor"], "the sampler cursor")
+        state.outer_t, state.global_step = (_json_int(ts[k], k) for k in ("outer_t", "global_step"))
+        forwards, backwards = (_json_int(c, "a pass count") for c in ts["counters"])
+        state.counters = PassCounters(forwards, backwards)
         step, (f, b) = state.global_step, expected_pass_counts(cfg, state.smart)
         if not (step == state.outer_t * cfg.inner_steps == state.adam.t
                 and 0 <= state.outer_t <= cfg.outer_steps
                 and state.counters == PassCounters(step * f, step * b)):
-            raise CheckpointError(
-                f"counters disagree: global_step {step}, outer_t "
-                f"{state.outer_t} of {cfg.outer_steps} with inner_steps {cfg.inner_steps}, "
-                f"adam.t {state.adam.t}, passes {state.counters.forwards}/"
-                f"{state.counters.backwards} against {f}/{b} per update")
+            raise CheckpointError(f"counters disagree: global_step {step}, outer_t "
+                                  f"{state.outer_t} of {cfg.outer_steps} with inner_steps "
+                                  f"{cfg.inner_steps}, adam.t {state.adam.t}, passes "
+                                  f"{forwards}/{backwards} against {f}/{b} per update")
         return state
     except (KeyError, TypeError, ValueError) as exc:  # CheckpointError is a ValueError
         raise CheckpointError(f"cannot load {path}: {exc}") from exc

@@ -273,4 +273,4 @@ def one_block_forward(config, params, inputs, embedded=False):
     tape = ad.Tape()
     pvars = mdl.leaf_params(tape, params, requires_grad=False)
     emb = tape.const(inputs) if embedded else mdl.build_embed(tape, config, pvars, inputs)
-    return mdl.build_head(tape, config, pvars, emb).value
+    return mdl.build_head(config, pvars, emb).value

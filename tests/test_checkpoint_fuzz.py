@@ -5,8 +5,10 @@ through `train --resume` and `eval --checkpoint` in-process. Each command
 either succeeds (a flip can keep the JSON valid: a digit for a digit) or exits
 nonzero with exactly one error line; a refused resume leaves only FAILED and
 its archived config. A sampler state that does not fit the data, counters
-that disagree, tensors that are not the config's blocks and non-finite tensor
-values are refused before the first update; `eval`, `probe` and `boundary`
+that disagree, tensors that are not the config's blocks, non-finite tensor
+values, a teacher, a method flag or stream seeds other than the config
+derives, and integers that are not JSON integers (or stream counters outside
+64 bits) are refused before the first update; `eval`, `probe` and `boundary`
 refuse non-finite parameters before they write anything.
 """
 
@@ -22,15 +24,14 @@ PRESET = os.path.join(os.path.dirname(__file__), "..", "configs", "two_moons_smo
 CASES = 30  # corrupted checkpoints per kind
 
 
-@pytest.fixture(scope="module")
-def run(tmp_path_factory):
-    """(work dir, train args, mid-epoch checkpoint bytes): 40 points in
-    batches of 20, checkpointed after step 7 of 12, so its cursor is 20 of 40."""
-    tmp = tmp_path_factory.mktemp("ckpt")
+def _checkpointed(tmp, preset):
+    """(work dir, train args, mid-epoch checkpoint bytes) of a preset: 40
+    points in batches of 20, checkpointed after step 7 of 12, so its cursor is
+    20 of 40."""
     for name, n, seed in (("train", 40, 7), ("test", 30, 8)):
         assert main(["gen-data", "--generator", "two-moons", "--n", str(n), "--noise", "0.25",
                      "--seed", str(seed), "--out", str(tmp / f"{name}.jsonl")]) == 0
-    args = ["train", "--config", PRESET, "--set", f"data.train={tmp / 'train.jsonl'}",
+    args = ["train", "--config", preset, "--set", f"data.train={tmp / 'train.jsonl'}",
             "--set", f"data.test={tmp / 'test.jsonl'}",
             "--set", "smart.outer_steps=12", "--set", "run.probe_samples=4"]
     assert main([*args, "--out", str(tmp / "full"), "--set", "run.checkpoint_every=7"]) == 0
@@ -38,6 +39,17 @@ def run(tmp_path_factory):
     sampler = json.loads(data)["train_state"]["sampler"]
     assert sampler["cursor"] == 20 and len(sampler["perm"]) == 40
     return tmp, args, data
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    return _checkpointed(tmp_path_factory.mktemp("ckpt"), PRESET)
+
+
+@pytest.fixture(scope="module")
+def vanilla_run(tmp_path_factory):
+    return _checkpointed(tmp_path_factory.mktemp("vanilla_ckpt"),
+                         PRESET.replace("smooth", "vanilla"))
 
 
 def _pick(rng, n):
@@ -148,6 +160,58 @@ def test_resume_refuses_counters_that_disagree(run, capsys, edit):
     err = _refused_resume(run, capsys, edit, lambda doc: COUNTER_EDITS[edit](doc["train_state"]))
     assert err.startswith("smoothtune: error: input: cannot load ")
     assert "counters disagree" in err
+
+
+def _in_train_state(edit):
+    return lambda doc: edit(doc["train_state"])
+
+
+def _set_stream(name, index, value):
+    return _in_train_state(lambda ts: ts["streams"][name].__setitem__(index, value))
+
+
+def _teacher_added(doc):
+    doc["train_state"]["teacher"] = doc["tensors"]
+
+
+# A resume derives what the config fixes and reads only the progress from the
+# file, so each edit below, which would resume another run than the saved one
+# (or crash on a stream counter outside 64 bits), disagrees with the config or
+# is not a JSON integer or boolean. name: (fixture, edit, what the line says)
+DERIVED_EDITS = {
+    "teacher_dropped": ("run", _in_train_state(lambda ts: ts.__setitem__("teacher", None)),
+                        "a run with smart True and prox_weight 1.0 keeps a teacher"),
+    "teacher_added": ("vanilla_run", _teacher_added,
+                      "a run with smart False and prox_weight 0.0 keeps no teacher"),
+    "smart_as_text": ("run", _in_train_state(lambda ts: ts.__setitem__("smart", "no")),
+                      "smart is 'no', not true or false"),
+    "noise_stream_not_integers": ("run", _in_train_state(
+        lambda ts: ts["streams"].__setitem__("noise", [1.5, 3])),
+        "the seed of rng stream 'noise' is 1.5, not an integer"),
+    "noise_seed_of_another_stream": ("run", _in_train_state(
+        lambda ts: ts["streams"]["noise"].__setitem__(0, ts["streams"]["batch"][0])),
+        "rng stream 'noise' has seed "),
+    "stream_counter_negative": ("run", _set_stream("noise", 1, -1),
+                                "the counter of rng stream 'noise' is -1, not an integer in "
+                                f"[0, {2**64})"),
+    "stream_counter_past_64_bits": ("run", _set_stream("batch", 1, 2**70),
+                                    f"the counter of rng stream 'batch' is {2**70}, "
+                                    f"not an integer in [0, {2**64})"),
+    "cursor_not_an_integer": ("run", _in_train_state(
+        lambda ts: ts["sampler"].__setitem__("cursor", 19.5)),
+        "the sampler cursor is 19.5, not an integer"),
+    "stream_missing": ("run", _in_train_state(lambda ts: ts["streams"].__delitem__("dropout")),
+                       "unexpected rng streams"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(DERIVED_EDITS))
+def test_resume_refuses_a_file_that_disagrees_with_what_its_config_derives(
+        request, capsys, edit):
+    fixture, apply, says = DERIVED_EDITS[edit]
+    err = _refused_resume(request.getfixturevalue(fixture), capsys, edit, apply)
+    assert err.startswith("smoothtune: error: input: cannot load ")
+    assert says in err, err
 
 
 def _set_shape(shape, *keys):

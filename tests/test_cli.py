@@ -298,7 +298,7 @@ fractions = 0
          ("[model].classes", "[data].notakey", "[smart].outer_steps",
           "[data].train", "[run].out", "[model].dropout: must be in [0, 1), got 2.0",
           "[smart].adv_steps: must be >= 0, got -1",
-          "[smart].prox_mode: must be 'mbpp', 'vbpp' or 'off', got 'bogus'",
+          "[smart].prox_mode: must be 'mbpp' or 'vbpp', got 'bogus'",
           "[run].eval_every: must be >= 0, got -1",
           "[sweep].fractions: every entry must be in (0, 1], got 0.0")),
         # two rules across fields, reported together

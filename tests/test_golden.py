@@ -3,13 +3,17 @@ CLI runs and one sweep. `records.csv` and `checkpoint_final.json` pin training;
 `metrics.json` pins the forward-only passes (accuracy and the smoothness probe);
 `sweep.csv` pins stacked sweep training. A change to any digest means the
 numbers changed; such a change must be explained in CHANGES.md together with
-the new digests."""
+the new digests. The digests hold for numpy's and OpenBLAS's code paths on the
+CPU they were made on, so a mismatch prints the numerical environment."""
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from smoothtune.cli import main
+
+from numeric_env import OVERRIDES, numerical_environment
 
 _MLP_MODEL = """
 [model]
@@ -124,7 +128,7 @@ def test_golden_fingerprints(run, datasets, tmp_path):
                    + f"\n[data]\ntrain = {train}\ntest = {test}\n"
                    + f"\n[run]\nseed = 3\nout = {tmp_path / 'out'}\nprobe_samples = 4\n")
     assert main(["train", "--config", str(cfg)]) == 0
-    assert _digests(tmp_path / "out") == GOLDEN[run]
+    assert _digests(tmp_path / "out") == GOLDEN[run], numerical_environment()
 
 
 _SWEEP = """
@@ -148,4 +152,17 @@ def test_golden_sweep_fingerprint(datasets, tmp_path):
                    + f"\n[run]\nseed = 3\nout = {tmp_path / 'out'}\nprobe_samples = 4\n")
     assert main(["sweep", "--config", str(cfg)]) == 0
     digest = hashlib.sha256((tmp_path / "out" / "sweep.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN_SWEEP
+    assert digest == GOLDEN_SWEEP, numerical_environment()
+
+
+def test_the_numerical_environment_names_its_code_paths_and_overrides(monkeypatch):
+    for name in OVERRIDES:
+        monkeypatch.delenv(name, raising=False)
+    quiet = numerical_environment()
+    assert quiet.startswith(f"numerical environment: numpy {np.__version__}, SIMD baseline ")
+    assert "OpenBLAS core " in quiet and quiet.endswith(f"none of {', '.join(OVERRIDES)} set")
+    # set after numpy loaded, these change no code path, only the report
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Prescott")
+    monkeypatch.setenv("NPY_ENABLE_CPU_FEATURES", "X86_V2")
+    assert numerical_environment().endswith(
+        "; NPY_ENABLE_CPU_FEATURES=X86_V2, OPENBLAS_CORETYPE=Prescott")

@@ -33,7 +33,7 @@ def _train_forward(config, params, x, masks):
     want no gradient."""
     tape = Tape()
     pvars = leaf_params(tape, params, requires_grad=False)
-    return build_head(tape, config, pvars, build_embed(tape, config, pvars, x), masks).value
+    return build_head(config, pvars, build_embed(tape, config, pvars, x), masks).value
 
 
 def test_config_invariants():

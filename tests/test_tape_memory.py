@@ -38,7 +38,7 @@ def _eager_head(config, params, emb, masks):
     gradient, dropout masks included."""
     tape = Tape()
     pvars = mdl.leaf_params(tape, params, requires_grad=False)
-    return mdl.build_head(tape, config, pvars, tape.const(emb), masks).value
+    return mdl.build_head(config, pvars, tape.const(emb), masks).value
 
 
 def _solo_masks(config, n):
@@ -163,7 +163,7 @@ def test_eager_forwards_equal_recording_tape(config):
         tape = Tape()
         pvars = mdl.leaf_params(tape, params)
         emb = mdl.build_embed(tape, config, pvars, xs)
-        recorded = mdl.build_head(tape, config, pvars, emb, m).value
+        recorded = mdl.build_head(config, pvars, emb, m).value
         assert np.array_equal(mdl.embed(config, params, xs), emb.value)
         assert np.array_equal(_eager_head(config, params, emb.value, m), recorded)
         if m is None:
@@ -198,7 +198,7 @@ def test_eager_forward_equals_recording_tape_for_a_stack_at_probe_scale(activati
     xs = Rng(7).gaussian((3, 4096, 2), 1.5)
     tape = Tape()
     pvars = mdl.leaf_params(tape, params)
-    recorded = mdl.build_head(tape, config, pvars, mdl.build_embed(tape, config, pvars, xs))
+    recorded = mdl.build_head(config, pvars, mdl.build_embed(tape, config, pvars, xs))
     assert len(tape) == len(params) + 1 + 3 + 1  # leaves, input, one node per layer, softmax
     assert np.array_equal(mdl.forward(config, params, xs), recorded.value)
 
@@ -219,7 +219,7 @@ def test_input_adjoint_is_the_same_whether_params_need_gradients(config):
         tape = Tape()
         pvars = mdl.leaf_params(tape, stacked, requires_grad=requires_grad)
         x_var = tape.leaf(point, requires_grad=True)
-        out = mdl.build_head(tape, config, pvars, x_var, masks)
+        out = mdl.build_head(config, pvars, x_var, masks)
         loss = smooth_loss_mean_node("classification", out, tape.const(clean))
         assert all(tape.needs(v) == requires_grad for v in pvars.values())
         grads.append(tape.backward(ad.sum_all(loss))[x_var])

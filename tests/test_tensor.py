@@ -169,7 +169,7 @@ def test_rng_stream_determinism_and_state_round_trip():
     r.uniform((10,))
     state = r.state()
     a = r.uniform((5,))
-    b = Rng.from_state(state).uniform((5,))
+    b = Rng(*state).uniform((5,))
     assert np.array_equal(a, b)
     assert np.array_equal(Rng(7).uniform((100,)), Rng(7).uniform((100,)))
 
