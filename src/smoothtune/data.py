@@ -199,72 +199,112 @@ def _array(obj, dtype=np.float64) -> np.ndarray | None:
         return None
 
 
-def read_dataset(path: str) -> Dataset:
-    """Load a dataset file, refusing a malformed one with an InputError that
-    names its first bad line where there is one. Each check runs over a whole
-    column; only a refused file is read again line by line to find the line."""
+_CHUNK = 1024  # records parsed, checked and converted at a time
+
+
+def _chunks(path: str):
+    """The file's records in lists of at most _CHUNK, one list alive at a time;
+    the first line that is not UTF-8 or not JSON is refused with its number."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            # raw_decode accepts what json.loads accepts when it ends where the
-            # (stripped) line does
-            parsed = [(_DECODER.raw_decode(line), len(line)) for line in map(str.strip, fh)
-                      if line]
+            lines = filter(None, map(str.strip, fh))
+            while chunk := list(itertools.islice(lines, _CHUNK)):
+                records = []
+                for line in chunk:
+                    rec, end = _DECODER.raw_decode(line)
+                    if end != len(line):  # as json.loads refuses the rest of the line
+                        raise json.JSONDecodeError("Extra data", line, end)
+                    records.append(rec)
+                del chunk
+                yield records
+                del records
     except (UnicodeDecodeError, json.JSONDecodeError):
-        parsed = None
-    if parsed is None or any(end != n for (_, end), n in parsed):
         list(_numbered_records(path))  # raises at the first line that is not JSON
-    records = [rec for (rec, _), _ in parsed]
-    del parsed  # before the columns are built
-    if not records:
-        raise InputError(f"{path}: empty dataset")
-    if set(map(type, records)) != {dict}:
-        raise _refusal(path, lambda k, rec: type(rec) is not dict
-                       and "malformed record: not a JSON object")
-    schema = frozenset(records[0])
-    if set(schema) not in _SCHEMAS:
-        raise InputError(f"{path}: unsupported record fields {sorted(schema)}")
-    if len(set(map(frozenset, records))) > 1:
-        raise _refusal(path, lambda k, rec: frozenset(rec) != schema and "mixed record schemas")
-    input_kind = "vector" if "x" in schema else "tokens"
+
+
+def _faults(records: list, first: dict, offset: int, parts: list):
+    """For each check, in the order in which the kinds of fault take
+    precedence, yield None where this chunk passes it, else the refusal: a
+    message about the whole file or a `bad(k, record)` rule for `_refusal`.
+    The file's first record fixes the schema, the task and the row widths for
+    every chunk; `offset` counts the records before this one. A chunk that
+    passes every check appends its arrays to `parts`."""
+    yield set(map(type, records)) != {dict} and (
+        lambda k, rec: type(rec) is not dict and "malformed record: not a JSON object")
+    schema = frozenset(first)
+    yield set(schema) not in _SCHEMAS and f"unsupported record fields {sorted(schema)}"
+    yield set(map(frozenset, records)) != {schema} and (
+        lambda k, rec: frozenset(rec) != schema and "mixed record schemas")
     labels = [rec["y"] for rec in records]
-    task = "classification" if isinstance(labels[0], int) else "regression"
-    if set(map(type, labels)) != {int if task == "classification" else float}:
-        # bool is a subclass of int, so it is looked for first
-        raise _refusal(path, lambda k, rec: (
-            "labels must be JSON numbers, not true/false" if type(rec["y"]) is bool
-            else "mixed label types" if isinstance(rec["y"], int) != (task == "classification")
-            else None if type(rec["y"]) in (int, float) else "labels must be JSON numbers"))
-    inputs = [rec["x" if input_kind == "vector" else "tokens"] for rec in records]
-    inputs_arr = _array(inputs, np.float64 if input_kind == "vector" else None)
-    if inputs_arr is None or inputs_arr.ndim != 2:
-        raise InputError(f"{path}: input rows must be equal-length lists of numbers")
+    task = "classification" if isinstance(first["y"], int) else "regression"
+    # bool is a subclass of int, so it is looked for first
+    yield set(map(type, labels)) != {int if task == "classification" else float} and (
+        lambda k, rec: "labels must be JSON numbers, not true/false" if type(rec["y"]) is bool
+        else "mixed label types" if isinstance(rec["y"], int) != (task == "classification")
+        else None if type(rec["y"]) in (int, float) else "labels must be JSON numbers")
+    key = "x" if "x" in schema else "tokens"
+    inputs = [rec[key] for rec in records]
+    inputs_arr = _array(inputs, np.float64 if key == "x" else None)
+    yield (inputs_arr is None or inputs_arr.ndim != 2
+           or inputs_arr.shape[1] != len(first[key])) and (
+        "input rows must be equal-length lists of numbers")
     # numpy folds true/false into integer arrays, so bools are looked for by type
-    if input_kind == "tokens" and (
-            inputs_arr.dtype.kind != "i"
-            or bool in set(map(type, itertools.chain.from_iterable(inputs)))):
-        raise _refusal(path, lambda k, rec: (not rec["tokens"] or any(
+    yield key == "tokens" and (
+        inputs_arr.dtype.kind != "i"
+        or bool in set(map(type, itertools.chain.from_iterable(inputs)))) and (
+        lambda k, rec: (not rec["tokens"] or any(
             type(t) is not int or not -2**63 <= t < 2**63 for t in rec["tokens"]))
-            and "token ids must be JSON integers")
+        and "token ids must be JSON integers")
     soft = [rec["p"] for rec in records] if "p" in schema else ()
     soft_arr = _array(soft) if "p" in schema else None
-    if "p" in schema and (soft_arr is None or soft_arr.ndim != 2):
-        raise _refusal(path, lambda k, rec: ((p := _array(rec["p"])) is None or p.ndim != 1
-                                             or len(p) != len(records[0]["p"]))
-                       and "soft labels must be equal-length lists of numbers")
+    yield "p" in schema and (soft_arr is None or soft_arr.ndim != 2
+                             or soft_arr.shape[1] != len(first["p"])) and (
+        lambda k, rec: ((p := _array(rec["p"])) is None or p.ndim != 1
+                        or len(p) != len(first["p"]))
+        and "soft labels must be equal-length lists of numbers")
     # numpy reads text and true/false as numbers, so float columns are type-checked
-    for name, column in (("x", inputs if input_kind == "vector" else ()), ("p", soft)):
-        if not set(map(type, itertools.chain.from_iterable(column))) <= {int, float}:
-            raise _refusal(path, lambda k, rec: any(type(v) not in (int, float) for v in rec[name])
-                           and f"{name!r} values must be JSON numbers, not text or true/false")
+    for name, column in (("x", inputs if key == "x" else ()), ("p", soft)):
+        yield not set(map(type, itertools.chain.from_iterable(column))) <= {int, float} and (
+            lambda k, rec, name=name: any(type(v) not in (int, float) for v in rec[name])
+            and f"{name!r} values must be JSON numbers, not text or true/false")
     # the label types are checked, so only a class label beyond int64 is refused here
     labels_arr = _array(labels, np.int64 if task == "classification" else np.float64)
-    if labels_arr is None:
-        raise _refusal(path, lambda k, rec: not -2**63 <= rec["y"] < 2**63
-                       and "class labels must fit in 64 bits")
+    yield labels_arr is None and (
+        lambda k, rec: not -2**63 <= rec["y"] < 2**63 and "class labels must fit in 64 bits")
     for name, arr in (("x", inputs_arr), ("y", labels_arr), ("p", soft_arr)):
         if arr is not None and arr.dtype == np.float64 and not np.isfinite(arr).all():
-            row = np.flatnonzero(~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1))[0]
-            raise _refusal(path, lambda k, rec: k == row and f"non-finite value in {name!r}")
-    if soft_arr is not None and np.any(np.abs(soft_arr.sum(axis=1) - 1.0) > 1e-9):
-        raise InputError(f"{path}: soft labels must sum to 1")
-    return Dataset(inputs_arr, labels_arr, soft_arr)
+            row = offset + np.flatnonzero(~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1))[0]
+            yield lambda k, rec, name=name, row=row: k == row and f"non-finite value in {name!r}"
+        else:
+            yield None
+    yield soft_arr is not None and np.any(np.abs(soft_arr.sum(axis=1) - 1.0) > 1e-9) and (
+        "soft labels must sum to 1")
+    parts.append((inputs_arr, labels_arr, soft_arr))
+
+
+def read_dataset(path: str) -> Dataset:
+    """Load a dataset file, refusing a malformed one with an InputError that
+    names its first bad line where there is one. The reader holds one chunk
+    of parsed records at a time: it checks each chunk column by column and
+    converts it to arrays, which it joins once at the end. A line that is not
+    JSON is refused first; otherwise the kind of fault checked first in any
+    chunk is refused, and only then is the file read again line by line to
+    find its first line."""
+    first, parts, offset, fault, fault_rank = None, [], 0, None, None
+    for records in _chunks(path):
+        first = first if offset else records[0]
+        # after a fault, a chunk runs only the checks that come before its kind
+        for rank, found in enumerate(itertools.islice(
+                _faults(records, first, offset, parts), fault_rank)):
+            if found:
+                fault, fault_rank = found, rank
+                break
+        offset += len(records)
+        del records  # before the next chunk is parsed
+    if not offset:
+        raise InputError(f"{path}: empty dataset")
+    if fault:
+        raise _refusal(path, fault) if callable(fault) else InputError(f"{path}: {fault}")
+    inputs, labels, soft = (column[0] if len(parts) == 1 or column[0] is None
+                            else np.concatenate(column) for column in zip(*parts))
+    return Dataset(inputs, labels, soft)

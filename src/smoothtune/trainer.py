@@ -524,6 +524,10 @@ def resume_from_checkpoint(path: str) -> TrainState:
                                   f"{state.outer_t} of {cfg.outer_steps} with inner_steps "
                                   f"{cfg.inner_steps}, adam.t {state.adam.t}, passes "
                                   f"{forwards}/{backwards} against {f}/{b} per update")
+        # the first update draws the permutation, so a run keeps one once it has stepped
+        if (run.sampler_perm is None) != (step == 0):
+            raise CheckpointError(f"a run at global_step {step} keeps "
+                                  f"{'a' if step else 'no'} sampler perm")
         return state
     except (KeyError, TypeError, ValueError) as exc:  # CheckpointError is a ValueError
         raise CheckpointError(f"cannot load {path}: {exc}") from exc

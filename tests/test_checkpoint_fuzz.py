@@ -7,9 +7,10 @@ nonzero with exactly one error line; a refused resume leaves only FAILED and
 its archived config. A sampler state that does not fit the data, counters
 that disagree, tensors that are not the config's blocks, non-finite tensor
 values, a teacher, a method flag or stream seeds other than the config
-derives, and integers that are not JSON integers (or stream counters outside
-64 bits) are refused before the first update; `eval`, `probe` and `boundary`
-refuse non-finite parameters before they write anything.
+derives, a sampler perm kept or missing against the step count, and integers
+that are not JSON integers (or stream counters outside 64 bits) are refused
+before the first update; `eval`, `probe` and `boundary` refuse non-finite
+parameters before they write anything.
 """
 
 import json
@@ -177,7 +178,8 @@ def _teacher_added(doc):
 # A resume derives what the config fixes and reads only the progress from the
 # file, so each edit below, which would resume another run than the saved one
 # (or crash on a stream counter outside 64 bits), disagrees with the config or
-# is not a JSON integer or boolean. name: (fixture, edit, what the line says)
+# the step count or is not a JSON integer or boolean. name: (fixture, edit,
+# what the line says)
 DERIVED_EDITS = {
     "teacher_dropped": ("run", _in_train_state(lambda ts: ts.__setitem__("teacher", None)),
                         "a run with smart True and prox_weight 1.0 keeps a teacher"),
@@ -202,6 +204,12 @@ DERIVED_EDITS = {
         "the sampler cursor is 19.5, not an integer"),
     "stream_missing": ("run", _in_train_state(lambda ts: ts["streams"].__delitem__("dropout")),
                        "unexpected rng streams"),
+    # the first update draws the sampler's perm, so a perm is kept exactly after step 0
+    "perm_dropped_mid_run": ("run", _in_train_state(
+        lambda ts: ts["sampler"].__setitem__("perm", None)),
+        "a run at global_step 7 keeps a sampler perm"),
+    "perm_kept_at_step_0": ("run", _in_train_state(lambda ts: _scaled(ts, 0)),
+                            "a run at global_step 0 keeps no sampler perm"),
 }
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_splits_validation():
         subsample_splits(ds, [0.001], seed=1)  # selects no examples
 
 
-def test_dataset_file_round_trip_bitwise(tmp_path):
+def test_dataset_file_round_trip_bitwise(tmp_path, read_chunk):
     ds = gen_cluster_classification(40, 2, 3, 2.0, 1.0, seed=14)
     path = str(tmp_path / "c.jsonl")
     write_dataset(path, ds)
@@ -118,7 +119,7 @@ def test_dataset_files_byte_identical(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_token_file_round_trip(tmp_path):
+def test_token_file_round_trip(tmp_path, read_chunk):
     ds = gen_token_sequences(25, vocab=6, length=4, seed=16)
     path = str(tmp_path / "t.jsonl")
     write_dataset(path, ds)
@@ -263,3 +264,26 @@ def test_a_file_read_has_the_task_and_input_kind_of_its_dtypes(tmp_path, record,
     path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n")
     ds = read_dataset(str(path))
     assert (ds.task, ds.input_kind) == _derived(ds) == (task, kind)
+
+
+def _read_peak_bytes(path):
+    """The tracemalloc peak of one `read_dataset(path)`, its arrays included."""
+    tracemalloc.start()
+    try:
+        read_dataset(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dataset, limit", [
+    # the cluster_sweep training file, 10,000 records over many chunks
+    (lambda: gen_cluster_classification(10000, 2, 2, 1.6, 0.8, seed=1001), 2 * 2**20),
+    # a transformer test file, 1,000 records in one chunk
+    (lambda: gen_token_sequences(1000, vocab=8, length=8, seed=2), 512 * 2**10),
+], ids=["cluster_10000", "tokens_1000"])
+def test_reading_holds_one_chunk_of_parsed_records(tmp_path, dataset, limit):
+    path = str(tmp_path / "big.jsonl")
+    write_dataset(path, dataset())
+    peak = _read_peak_bytes(path)
+    assert peak < limit, f"read_dataset peaked at {peak / 1024:.0f} KB"

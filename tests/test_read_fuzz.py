@@ -7,7 +7,9 @@ text or true/false among the inputs or soft labels). The reader must
 refuse it with an InputError naming the first corrupted line, and `train`
 on it must exit 1 with one error line, leaving only FAILED and its archived
 config. A `.meta.json` sidecar beside the file, malformed or not, is never
-read.
+read. The reader checks a file in chunks, so these tests also run with
+chunks of 1 and 7 records, and files with faults of two kinds, or of a kind
+first found beyond chunk one, pin which fault and line is refused.
 """
 
 import json
@@ -17,7 +19,12 @@ import numpy as np
 import pytest
 
 from smoothtune.cli import main
-from smoothtune.data import gen_cluster_classification, read_dataset, write_dataset
+from smoothtune.data import (
+    gen_cluster_classification,
+    gen_token_sequences,
+    read_dataset,
+    write_dataset,
+)
 from smoothtune.errors import InputError
 from smoothtune.tensor import Rng
 
@@ -125,7 +132,7 @@ KINDS = {
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
-def test_corrupted_files_are_refused_at_their_first_bad_line(tmp_path, capsys, kind):
+def test_corrupted_files_are_refused_at_their_first_bad_line(tmp_path, read_chunk, capsys, kind):
     corrupt, message = KINDS[kind]
     clean = _lines(tmp_path)
     rng = Rng(1000 + sorted(KINDS).index(kind))
@@ -154,7 +161,7 @@ def test_corrupted_files_are_refused_at_their_first_bad_line(tmp_path, capsys, k
         assert (out / "FAILED").read_text().startswith("InputError:")
 
 
-def test_random_bit_flips_give_a_dataset_or_an_input_error(tmp_path):
+def test_random_bit_flips_give_a_dataset_or_an_input_error(tmp_path, read_chunk):
     """A flip may leave a file valid (a digit for a digit); it must never
     raise anything but InputError."""
     clean = _lines(tmp_path)
@@ -173,6 +180,98 @@ def test_random_bit_flips_give_a_dataset_or_an_input_error(tmp_path):
         except InputError:
             outcomes.add("refused")
     assert outcomes == {"read", "refused"}
+
+
+def _set(line, **fields):
+    rec = json.loads(line)
+    rec.update(fields)
+    return json.dumps(rec).encode()
+
+
+def _token_lines(tmp_path):
+    path = str(tmp_path / "tokens.jsonl")
+    write_dataset(path, gen_token_sequences(LINES, 6, 4, seed=6))
+    with open(path, "rb") as fh:
+        return fh.read().split(b"\n")[:LINES]
+
+
+def _bool_label_and_truncated_end(lines):
+    lines[1] = _set(lines[1], y=True)
+    lines[-1] = lines[-1][:10]
+    return lines, ":40: malformed record"
+
+
+def _non_finite_p_then_x(lines):
+    lines[1] = _set(lines[1], p=[float("nan"), 1.0])
+    lines[38] = _set(lines[38], x=[float("inf"), 0.0])
+    return lines, ":39: non-finite value in 'x'"
+
+
+def _wide_soft_rows_later(lines):
+    # lines 15-21 are one whole chunk of 7, in which every row is 3 wide
+    for i in range(14, 21):
+        lines[i] = _set(lines[i], p=json.loads(lines[i])["p"] + [0.0])
+    return lines, ":15: soft labels must be equal-length lists of numbers"
+
+
+def _wide_input_rows_later(lines):
+    for i in range(14, 21):
+        lines[i] = _set(lines[i], x=json.loads(lines[i])["x"] + [0.0])
+    return lines, ": input rows must be equal-length lists of numbers"
+
+
+def _integer_labels_later(lines):
+    # the first record's label makes the task: real labels up to line 14
+    for i in range(14):
+        lines[i] = _set(lines[i], y=float(json.loads(lines[i])["y"]))
+    return lines, ":15: mixed label types"
+
+
+def _not_an_object_after_unknown_fields(lines):
+    lines[0] = _set(lines[0], w=1.0)
+    lines[29] = b"[1, 2]"
+    return lines, ":30: malformed record: not a JSON object"
+
+
+def _null_first_record(lines):
+    lines[0] = b"null"
+    return lines, ":1: malformed record: not a JSON object"
+
+
+def _float_token_later(lines):
+    lines[29] = _set(lines[29], tokens=[1, 2.0, 3, 4])
+    return lines, ":30: token ids must be JSON integers"
+
+
+def _all_blank(lines):
+    return [b"", b"  ", b"\t"], ": empty dataset"
+
+
+# name: (the clean lines, their edit)
+PRECEDENCE = {
+    "bool_label_and_truncated_end": (_lines, _bool_label_and_truncated_end),
+    "non_finite_p_then_x": (_lines, _non_finite_p_then_x),
+    "wide_soft_rows_later": (_lines, _wide_soft_rows_later),
+    "wide_input_rows_later": (_lines, _wide_input_rows_later),
+    "integer_labels_later": (_lines, _integer_labels_later),
+    "not_an_object_after_unknown_fields": (_lines, _not_an_object_after_unknown_fields),
+    "null_first_record": (_lines, _null_first_record),
+    "float_token_later": (_token_lines, _float_token_later),
+    "all_blank": (_lines, _all_blank),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECEDENCE))
+def test_the_first_kind_of_fault_in_check_order_is_refused(tmp_path, read_chunk, case):
+    """A file with faults of two kinds, or one beyond the first chunk, is refused
+    for the kind checked first, at its first line in the file."""
+    clean, edit = PRECEDENCE[case]
+    lines, says = edit(clean(tmp_path))
+    path = str(tmp_path / f"{case}.jsonl")
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines) + b"\n")
+    with pytest.raises(InputError, match=rf"{case}\.jsonl{says}"):
+        read_dataset(path)
 
 
 SIDECARS = {
