@@ -29,21 +29,28 @@ def tensors_to_obj(params: ModelParams) -> dict:
 
 def tensors_from_obj(obj: dict, config: ModelConfig) -> ModelParams:
     """The blocks of a tensors section, refused unless they are the config's
-    and every value is finite."""
-    params: ModelParams = {}
+    blocks and hold finite JSON numbers under shapes of JSON integers."""
+    blocks, params = param_shapes(config), {}
     for name, entry in obj.items():
         try:
-            shape = tuple(int(d) for d in entry["shape"])
-            data = np.asarray(entry["data"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+            shape, values = tuple(entry["shape"]), entry["data"]
+            data = np.asarray(values, dtype=np.float64)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"malformed tensor entry {name!r}: {exc}") from exc
-        expected = int(np.prod(shape)) if shape else 1
-        if data.size != expected:
+        # numpy reads fractions, text and true/false as numbers, so JSON types are checked
+        if not set(map(type, shape)) <= {int}:
+            raise CheckpointError(f"tensor {name!r}: shape entries must be JSON integers")
+        if data.ndim != 1 or not set(map(type, values)) <= {int, float}:
+            raise CheckpointError(f"tensor {name!r}: data must be a list of JSON numbers, "
+                                  "not text or true/false")
+        if shape != blocks.get(name):
+            raise CheckpointError("its tensors are not the config's blocks")
+        if data.size != int(np.prod(shape)):
             raise CheckpointError(f"tensor {name!r}: data length does not match shape {shape}")
         if not np.isfinite(data).all():
             raise CheckpointError(f"tensor {name!r} holds a non-finite value")
         params[name] = data.reshape(shape)
-    if {name: block.shape for name, block in params.items()} != param_shapes(config):
+    if params.keys() != blocks.keys():
         raise CheckpointError("its tensors are not the config's blocks")
     return params
 
@@ -80,7 +87,7 @@ def read_json(path: str, sections: tuple[str, ...] = ()) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"cannot load {path}: {exc}") from exc
     if not isinstance(document, dict):
         raise CheckpointError(f"cannot load {path}: top level is not an object")

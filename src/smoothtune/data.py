@@ -1,10 +1,10 @@
 """Synthetic dataset generators, low-resource splitting, and dataset file IO.
 
 Generators are pure functions of their parameters and seed; re-generation is
-bit-identical. Files hold one self-contained JSON record per line with fields
-"x" (reals) or "tokens" (non-negative ints), "y", and optional "p" (soft
-label). A dataset is its arrays: the dtypes of its labels and inputs are its
-task and input kind.
+bit-identical. Files hold one self-contained JSON record per line, parsed
+once, a chunk of lines at a time, with fields "x" (reals) or "tokens"
+(non-negative ints), "y", and optional "p" (soft label). A dataset is its
+arrays: the dtypes of its labels and inputs are its task and input kind.
 """
 
 from __future__ import annotations
@@ -169,28 +169,6 @@ _DECODER = json.JSONDecoder()
 _SCHEMAS = ({"x", "y"}, {"x", "y", "p"}, {"tokens", "y"}, {"tokens", "y", "p"})
 
 
-def _numbered_records(path: str):
-    """(line number, record) of each non-blank line, as a line-by-line reader
-    sees them; the first line that is not UTF-8 or not JSON is refused with
-    its number. Only a file that the column checks refuse is read this way."""
-    with open(path, "rb") as fh:
-        lines = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
-    for lineno, line in enumerate(lines, start=1):
-        try:  # no byte of a multi-byte UTF-8 character is a line break
-            if line := line.decode("utf-8").strip():
-                yield lineno, json.loads(line)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise InputError(f"{path}:{lineno}: malformed record: {exc}") from exc
-
-
-def _refusal(path: str, bad) -> InputError:
-    """An InputError naming the first line for whose record `bad(k, record)`
-    (k counting records) returns a message."""
-    lineno, message = next((lineno, message) for k, (lineno, rec)
-                           in enumerate(_numbered_records(path)) if (message := bad(k, rec)))
-    return InputError(f"{path}:{lineno}: {message}")
-
-
 def _array(obj, dtype=np.float64) -> np.ndarray | None:
     """np.asarray(obj, dtype), or None where numpy refuses obj."""
     try:
@@ -199,36 +177,46 @@ def _array(obj, dtype=np.float64) -> np.ndarray | None:
         return None
 
 
-_CHUNK = 1024  # records parsed, checked and converted at a time
+_CHUNK = 1024  # lines parsed, checked and converted at a time
 
 
 def _chunks(path: str):
-    """The file's records in lists of at most _CHUNK, one list alive at a time;
-    the first line that is not UTF-8 or not JSON is refused with its number."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = filter(None, map(str.strip, fh))
-            while chunk := list(itertools.islice(lines, _CHUNK)):
-                records = []
-                for line in chunk:
-                    rec, end = _DECODER.raw_decode(line)
-                    if end != len(line):  # as json.loads refuses the rest of the line
-                        raise json.JSONDecodeError("Extra data", line, end)
-                    records.append(rec)
-                del chunk
-                yield records
-                del records
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        list(_numbered_records(path))  # raises at the first line that is not JSON
+    """(line numbers, records) of the non-blank lines among each _CHUNK lines
+    of the file, one chunk alive at a time. The first line that is not UTF-8
+    or not JSON is refused, with its number and its own error, when it is read."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        lineno = 0  # the number of the last line read
+        while chunk := list(itertools.islice(fh, _CHUNK)):
+            linenos, records = [], []
+            for lineno, text in enumerate(chunk, lineno + 1):
+                if not (line := text.strip()):
+                    continue
+                try:
+                    if not text.isascii():  # the line's own bytes, for its UTF-8 error
+                        text.rstrip("\n").encode("utf-8", "surrogateescape").decode("utf-8")
+                    try:
+                        rec, end = _DECODER.raw_decode(line)
+                    except json.JSONDecodeError:
+                        end = None
+                    if end != len(line):  # json.loads refuses the line, in its own words
+                        rec = json.loads(line)
+                except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+                    raise InputError(f"{path}:{lineno}: malformed record: {exc}") from exc
+                linenos.append(lineno)
+                records.append(rec)
+            del chunk
+            if records:
+                yield linenos, records
+            del records
 
 
-def _faults(records: list, first: dict, offset: int, parts: list):
+def _faults(records: list, first: dict, parts: list):
     """For each check, in the order in which the kinds of fault take
     precedence, yield None where this chunk passes it, else the refusal: a
-    message about the whole file or a `bad(k, record)` rule for `_refusal`.
-    The file's first record fixes the schema, the task and the row widths for
-    every chunk; `offset` counts the records before this one. A chunk that
-    passes every check appends its arrays to `parts`."""
+    message about the whole file or a rule `bad(k, record)` (k counting the
+    chunk's records) that words the fault of each bad record. The file's
+    first record fixes the schema, the task and the row widths for every
+    chunk. A chunk that passes every check appends its arrays to `parts`."""
     yield set(map(type, records)) != {dict} and (
         lambda k, rec: type(rec) is not dict and "malformed record: not a JSON object")
     schema = frozenset(first)
@@ -272,11 +260,9 @@ def _faults(records: list, first: dict, offset: int, parts: list):
     yield labels_arr is None and (
         lambda k, rec: not -2**63 <= rec["y"] < 2**63 and "class labels must fit in 64 bits")
     for name, arr in (("x", inputs_arr), ("y", labels_arr), ("p", soft_arr)):
-        if arr is not None and arr.dtype == np.float64 and not np.isfinite(arr).all():
-            row = offset + np.flatnonzero(~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1))[0]
-            yield lambda k, rec, name=name, row=row: k == row and f"non-finite value in {name!r}"
-        else:
-            yield None
+        yield (arr is not None and arr.dtype == np.float64 and not np.isfinite(arr).all()) and (
+            lambda k, rec, name=name, arr=arr: not np.isfinite(arr[k]).all()
+            and f"non-finite value in {name!r}")
     yield soft_arr is not None and np.any(np.abs(soft_arr.sum(axis=1) - 1.0) > 1e-9) and (
         "soft labels must sum to 1")
     parts.append((inputs_arr, labels_arr, soft_arr))
@@ -284,27 +270,27 @@ def _faults(records: list, first: dict, offset: int, parts: list):
 
 def read_dataset(path: str) -> Dataset:
     """Load a dataset file, refusing a malformed one with an InputError that
-    names its first bad line where there is one. The reader holds one chunk
-    of parsed records at a time: it checks each chunk column by column and
-    converts it to arrays, which it joins once at the end. A line that is not
-    JSON is refused first; otherwise the kind of fault checked first in any
-    chunk is refused, and only then is the file read again line by line to
-    find its first line."""
-    first, parts, offset, fault, fault_rank = None, [], 0, None, None
-    for records in _chunks(path):
-        first = first if offset else records[0]
+    names its first bad line where there is one. The file is parsed once, one
+    chunk at a time: each chunk is checked column by column and converted to
+    arrays, which are joined once at the end. A line that is not UTF-8 or not
+    JSON is refused when it is read; otherwise the kind of fault checked first
+    in any chunk is, at its first line in the first chunk that has it."""
+    first, parts, refusal, rank = None, [], None, None
+    for linenos, records in _chunks(path):
+        first = first if parts or refusal else records[0]
         # after a fault, a chunk runs only the checks that come before its kind
-        for rank, found in enumerate(itertools.islice(
-                _faults(records, first, offset, parts), fault_rank)):
-            if found:
-                fault, fault_rank = found, rank
+        for kind, found in enumerate(itertools.islice(_faults(records, first, parts), rank)):
+            if found:  # every earlier chunk passed this check
+                rank = kind
+                refusal = f"{path}: {found}" if isinstance(found, str) else next(
+                    f"{path}:{lineno}: {message}" for k, (lineno, rec)
+                    in enumerate(zip(linenos, records)) if (message := found(k, rec)))
                 break
-        offset += len(records)
-        del records  # before the next chunk is parsed
-    if not offset:
+        del linenos, records  # before the next chunk is parsed
+    if not (parts or refusal):
         raise InputError(f"{path}: empty dataset")
-    if fault:
-        raise _refusal(path, fault) if callable(fault) else InputError(f"{path}: {fault}")
+    if refusal:
+        raise InputError(refusal)
     inputs, labels, soft = (column[0] if len(parts) == 1 or column[0] is None
                             else np.concatenate(column) for column in zip(*parts))
     return Dataset(inputs, labels, soft)

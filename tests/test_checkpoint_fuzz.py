@@ -1,16 +1,18 @@
 """Seeded fuzz tests of checkpoint reading, driven by the package's own Rng.
 
-A real mid-epoch checkpoint is truncated or has one bit flipped, then goes
-through `train --resume` and `eval --checkpoint` in-process. Each command
-either succeeds (a flip can keep the JSON valid: a digit for a digit) or exits
-nonzero with exactly one error line; a refused resume leaves only FAILED and
-its archived config. A sampler state that does not fit the data, counters
-that disagree, tensors that are not the config's blocks, non-finite tensor
-values, a teacher, a method flag or stream seeds other than the config
-derives, a sampler perm kept or missing against the step count, and integers
-that are not JSON integers (or stream counters outside 64 bits) are refused
-before the first update; `eval`, `probe` and `boundary` refuse non-finite
-parameters before they write anything.
+A real mid-epoch checkpoint is truncated, has one bit flipped or has its
+config nested past the recursion limit, then goes through `train --resume`
+and `eval --checkpoint` in-process. Each command either succeeds (a flip can
+keep the JSON valid: a digit for a digit) or exits nonzero with exactly one
+error line; a refused resume leaves only FAILED and its archived config. A
+sampler state that does not fit the data, counters that disagree, tensors
+that are not the config's blocks, non-finite tensor values, tensor shapes and
+values that are not JSON integers and numbers, a teacher, a method flag or
+stream seeds other than the config derives, a sampler perm kept or missing
+against the step count, and integers that are not JSON integers (or stream
+counters outside 64 bits) are refused before the first update; `eval`,
+`probe` and `boundary` refuse non-finite parameters, and any that are not
+JSON numbers, before they write anything.
 """
 
 import json
@@ -66,6 +68,14 @@ def _flipped(rng, data):
     return data[:pos] + bytes([data[pos] ^ bit]) + data[pos + 1:]
 
 
+def _nested_config(rng, data):
+    """The checkpoint with its config replaced by an array nested far past the
+    interpreter's recursion limit."""
+    depth = 100000 + _pick(rng, 1000)
+    return data.replace(b'"config": ', b'"config": ' + b"[" * depth + b"]" * depth
+                        + b', "unread": ', 1)
+
+
 def _refused_once(capsys, code):
     """Whether a command refused its input: False for exit 0, True for a
     nonzero exit, which must have printed exactly one error line."""
@@ -76,7 +86,8 @@ def _refused_once(capsys, code):
     return True
 
 
-@pytest.mark.parametrize("corrupt", [_truncated, _flipped], ids=["truncated", "flipped"])
+@pytest.mark.parametrize("corrupt", [_truncated, _flipped, _nested_config],
+                         ids=["truncated", "flipped", "nested_config"])
 def test_corrupt_checkpoints_fail_with_one_line(run, capsys, corrupt):
     tmp, args, data = run
     rng = Rng(1200 + (corrupt is _flipped))
@@ -238,6 +249,7 @@ TENSOR_EDITS = {
         "extra", {"shape": [1], "data": [0.0]}),
     "moment_reshaped": _set_shape([16, 2], "train_state", "adam", "m", "layer0.weight"),
     "teacher_reshaped": _set_shape([4, 4], "train_state", "teacher", "layer1.bias"),
+    "params_negative_shape": _set_shape([-2, -16], "tensors", "layer0.weight"),
 }
 
 
@@ -277,13 +289,47 @@ def test_resume_refuses_non_finite_tensors(run, capsys, edit):
     assert f"tensor {name!r} holds a non-finite value" in err
 
 
+# numpy reads the shapes and values below as numbers, except the integer
+# beyond float64, on which it raises; name: (the tensor refused, edit, what
+# its refusal says after the tensor's name)
+ENTRY_EDITS = {
+    "weight_shape_fractional": ("layer0.weight", _set_shape([2.9, 16], "tensors", "layer0.weight"),
+                                ": shape entries must be JSON integers"),
+    "weight_shape_text": ("layer0.weight", _set_shape(["2", "16"], "tensors", "layer0.weight"),
+                          ": shape entries must be JSON integers"),
+    "bias_shape_float": ("layer0.bias", _set_shape([16.0], "tensors", "layer0.bias"),
+                         ": shape entries must be JSON integers"),
+    "bias_value_text": ("layer0.bias", _set_first_value("0.5", "tensors", "layer0.bias"),
+                        ": data must be a list of JSON numbers, not text or true/false"),
+    "bias_value_true": ("layer0.bias", _set_first_value(True, "tensors", "layer0.bias"),
+                        ": data must be a list of JSON numbers, not text or true/false"),
+    "moment_value_text": ("layer1.weight", _set_first_value(
+        "1", "train_state", "adam", "m", "layer1.weight"),
+        ": data must be a list of JSON numbers, not text or true/false"),
+    "bias_value_past_float64": ("layer0.bias", _set_first_value(
+        10**400, "tensors", "layer0.bias"), ": int too large to convert to float"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(ENTRY_EDITS))
+def test_resume_refuses_malformed_tensor_entries(run, capsys, edit):
+    name, apply, says = ENTRY_EDITS[edit]
+    err = _refused_resume(run, capsys, edit, apply)
+    assert err.startswith("smoothtune: error: input: cannot load ")
+    assert f"{name!r}{says}" in err, err
+
+
 @pytest.mark.parametrize("command", ["eval", "probe", "boundary"])
-@pytest.mark.parametrize("edit", ["output_weight_nan", "bias_infinity"])
+@pytest.mark.parametrize("edit", ["output_weight_nan", "bias_infinity", "weight_shape_fractional",
+                                  "weight_shape_text", "bias_shape_float", "bias_value_text",
+                                  "bias_value_true"])
 def test_reading_commands_refuse_non_finite_parameters(run, capsys, command, edit):
     """With a NaN output weight, eval used to report accuracy 0.5, probe to
-    write a NaN token that is not JSON and boundary to write nan rows."""
+    write a NaN token that is not JSON and boundary to write nan rows; with a
+    shape or value that is not a JSON integer or number, each ran."""
     tmp, _, data = run
-    name, apply = NON_FINITE_EDITS[edit]
+    name, apply, says = ENTRY_EDITS.get(edit) or (
+        *NON_FINITE_EDITS[edit], " holds a non-finite value")
     document = json.loads(data)
     apply(document)
     path = tmp / f"{command}_{edit}.json"
@@ -297,5 +343,5 @@ def test_reading_commands_refuse_non_finite_parameters(run, capsys, command, edi
     err = capsys.readouterr().err
     assert err.startswith(f"smoothtune: error: input: cannot load {path}: ")
     assert err.count("\n") == 1, err
-    assert f"tensor {name!r} holds a non-finite value" in err
+    assert f"tensor {name!r}{says}" in err
     assert not out.exists()

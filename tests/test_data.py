@@ -267,23 +267,52 @@ def test_a_file_read_has_the_task_and_input_kind_of_its_dtypes(tmp_path, record,
 
 
 def _read_peak_bytes(path):
-    """The tracemalloc peak of one `read_dataset(path)`, its arrays included."""
+    """The tracemalloc peak of one `read_dataset(path)`, its arrays included,
+    and its refusal, or None where it reads the file."""
     tracemalloc.start()
     try:
         read_dataset(path)
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1], None
+    except InputError as exc:
+        return tracemalloc.get_traced_memory()[1], str(exc)
     finally:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("dataset, limit", [
-    # the cluster_sweep training file, 10,000 records over many chunks
-    (lambda: gen_cluster_classification(10000, 2, 2, 1.6, 0.8, seed=1001), 2 * 2**20),
+def _cluster_10000():
+    """The cluster_sweep training file, 10,000 records over many chunks."""
+    return gen_cluster_classification(10000, 2, 2, 1.6, 0.8, seed=1001)
+
+
+def _bool_label(line):
+    return json.dumps({**json.loads(line), "y": True}).encode()
+
+
+@pytest.mark.parametrize("dataset, last_line, limit, refusal", [
+    (_cluster_10000, None, 2 * 2**20, None),
     # a transformer test file, 1,000 records in one chunk
-    (lambda: gen_token_sequences(1000, vocab=8, length=8, seed=2), 512 * 2**10),
-], ids=["cluster_10000", "tokens_1000"])
-def test_reading_holds_one_chunk_of_parsed_records(tmp_path, dataset, limit):
+    (lambda: gen_token_sequences(1000, vocab=8, length=8, seed=2), None, 512 * 2**10, None),
+    # a refused file is read once, one chunk at a time, too
+    (_cluster_10000, lambda line: line[:10], 2 * 2**20,
+     "10000: malformed record: Expecting ',' delimiter: line 1 column 11 (char 10)"),
+    (_cluster_10000, _bool_label, 2 * 2**20,
+     "10000: labels must be JSON numbers, not true/false"),
+], ids=["cluster_10000", "tokens_1000", "cluster_10000_truncated_end",
+        "cluster_10000_bool_label_at_end"])
+def test_reading_holds_one_chunk_of_parsed_records(
+        tmp_path, monkeypatch, dataset, last_line, limit, refusal):
     path = str(tmp_path / "big.jsonl")
     write_dataset(path, dataset())
-    peak = _read_peak_bytes(path)
+    if last_line:
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[-2] = last_line(lines[-2])
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+    opened = []
+    monkeypatch.setattr("builtins.open", lambda *args, _open=open, **kwargs: (
+        opened.append(args[0]) or _open(*args, **kwargs)))
+    peak, refused = _read_peak_bytes(path)
     assert peak < limit, f"read_dataset peaked at {peak / 1024:.0f} KB"
+    assert refused == (refusal and f"{path}:{refusal}")
+    assert opened == [path]

@@ -3,15 +3,19 @@
 Each case corrupts one or two lines of a valid file (truncation, a flipped
 bit, a bool label, a changed schema, a non-finite value, a soft-label row of
 another length or of text, a class label beyond 64 bits, a number written as
-text or true/false among the inputs or soft labels). The reader must
-refuse it with an InputError naming the first corrupted line, and `train`
+text or true/false among the inputs or soft labels, an array nested far past
+the recursion limit). The reader must refuse it with an InputError naming
+the first corrupted line, whether lines end at \\n, \\r\\n or \\r, and `train`
 on it must exit 1 with one error line, leaving only FAILED and its archived
-config. A `.meta.json` sidecar beside the file, malformed or not, is never
-read. The reader checks a file in chunks, so these tests also run with
-chunks of 1 and 7 records, and files with faults of two kinds, or of a kind
-first found beyond chunk one, pin which fault and line is refused.
+config. Mixed line breaks, blank lines, byte order marks, bytes that are not
+UTF-8 and trailing text pin the line and message of each refusal. A
+`.meta.json` sidecar beside the file, malformed or not, is never read. The
+reader checks a file in chunks, so these tests also run with chunks of 1 and
+7 lines, and files with faults of two kinds, or of a kind first found beyond
+chunk one, pin which fault and line is refused.
 """
 
+import itertools
 import json
 import os
 
@@ -116,6 +120,11 @@ def _huge_label(rng, rec, case):
     rec["y"] = (1 - 2 * _pick(rng, 2)) * 99999999999999999999
 
 
+def _nested(rng, line, case):
+    depth = 100000 + _pick(rng, 1000)  # far past the interpreter's recursion limit
+    return b"[" * depth + b"]" * depth
+
+
 KINDS = {
     "truncated": (_truncated, "malformed record"),
     "flipped": (_flipped, "malformed record"),
@@ -128,11 +137,14 @@ KINDS = {
     "text_x": (_edited(_text_x), "'x' values must be JSON numbers, not text or true/false"),
     "bool_x": (_edited(_bool_x), "'x' values must be JSON numbers, not text or true/false"),
     "bool_soft": (_edited(_bool_soft), "'p' values must be JSON numbers, not text or true/false"),
+    "nested": (_nested, "malformed record: maximum recursion depth exceeded"),
 }
 
 
+@pytest.mark.parametrize("join", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("kind", sorted(KINDS))
-def test_corrupted_files_are_refused_at_their_first_bad_line(tmp_path, read_chunk, capsys, kind):
+def test_corrupted_files_are_refused_at_their_first_bad_line(
+        tmp_path, read_chunk, capsys, kind, join):
     corrupt, message = KINDS[kind]
     clean = _lines(tmp_path)
     rng = Rng(1000 + sorted(KINDS).index(kind))
@@ -146,9 +158,11 @@ def test_corrupted_files_are_refused_at_their_first_bad_line(tmp_path, read_chun
             lines[index] = corrupt(rng, lines[index], case)
         path = str(tmp_path / f"{kind}{case}.jsonl")
         with open(path, "wb") as fh:
-            fh.write(b"\n".join(lines) + b"\n")
+            fh.write(join.join(lines) + join)
         with pytest.raises(InputError, match=rf"{kind}{case}\.jsonl:{bad[0] + 1}: {message}"):
             read_dataset(path)
+        if join != b"\n":  # the command reads the file through the same reader
+            continue
 
         out = tmp_path / f"out{case}"
         capsys.readouterr()
@@ -272,6 +286,84 @@ def test_the_first_kind_of_fault_in_check_order_is_refused(tmp_path, read_chunk,
         fh.write(b"\n".join(lines) + b"\n")
     with pytest.raises(InputError, match=rf"{case}\.jsonl{says}"):
         read_dataset(path)
+
+
+BOOL_LABEL = b'{"x": [1.0, 2.0], "y": true, "p": [0.5, 0.5]}'
+BOOL_SAYS = "labels must be JSON numbers, not true/false"
+HEAD = b'{"x": [1.0, 2.0], "y": 0'  # a record without its closing brace
+
+
+def _ended(lines, *breaks):
+    """The lines, each ended by the next of `breaks` in turn."""
+    return b"".join(line + end for line, end in zip(lines, itertools.cycle(breaks)))
+
+
+def _line_21_in(*breaks):
+    def edit(lines):
+        lines[20] = BOOL_LABEL
+        return _ended(lines, *breaks), 21, BOOL_SAYS
+    return edit
+
+
+def _cr_at_end(lines):
+    lines[-1] = HEAD[:21]
+    return b"\n".join(lines) + b"\r", 40, (
+        "malformed record: Expecting ':' delimiter: line 1 column 22 (char 21)")
+
+
+def _blank_lines(lines):
+    # 15 blank lines from line 3 on, so that lines 8-14 are a chunk of 7
+    lines[2:2] = [b"", b"   ", b"\t \t"] * 5
+    lines[30] = BOOL_LABEL
+    return _ended(lines, b"\n"), 31, BOOL_SAYS
+
+
+def _replaced(index, line, says):
+    def edit(lines):
+        lines[index] = line
+        return _ended(lines, b"\n"), index + 1, says
+    return edit
+
+
+BOM = b"\xef\xbb\xbf"
+BOM_SAYS = ("malformed record: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)")
+
+# name: the edit of the clean lines, giving the file, the line it is refused
+# at and what the refusal says
+ENCODINGS = {
+    "crlf": _line_21_in(b"\r\n"),
+    "lone_cr": _line_21_in(b"\r"),
+    "mixed_breaks": _line_21_in(b"\n", b"\r\n", b"\r", b"\r\n"),
+    "cr_at_end": _cr_at_end,
+    "blank_lines": _blank_lines,
+    "bom_on_line_1": _replaced(0, BOM + HEAD + b"}", BOM_SAYS),
+    "bom_on_a_later_line": _replaced(25, BOM + HEAD + b"}", BOM_SAYS),
+    "invalid_byte_after_indent": _replaced(11, b" \t \xff" + HEAD + b"}", (
+        "malformed record: 'utf-8' codec can't decode byte 0xff in position 3: "
+        "invalid start byte")),
+    "character_cut_at_line_end": _replaced(11, HEAD + b', "\xe2\x82', (
+        "malformed record: 'utf-8' codec can't decode bytes in position 27-28: "
+        "unexpected end of data")),
+    "encoded_surrogate": _replaced(11, HEAD + b', "\xed\xa0\x80": 1}', (
+        "malformed record: 'utf-8' codec can't decode byte 0xed in position 27: "
+        "invalid continuation byte")),
+    "extra_data_after_spaces": _replaced(11, HEAD + b"}   5", (
+        "malformed record: Extra data: line 1 column 29 (char 28)")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENCODINGS))
+def test_line_breaks_and_encodings_are_refused_at_their_line(tmp_path, read_chunk, case):
+    """Lines end at \\n, \\r\\n or a lone \\r; blank lines count; a line that is not
+    UTF-8 or not JSON is refused with the error of decoding and parsing that
+    line alone."""
+    data, line, says = ENCODINGS[case](_lines(tmp_path))
+    path = tmp_path / f"{case}.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(InputError) as refused:
+        read_dataset(str(path))
+    assert str(refused.value) == f"{path}:{line}: {says}"
 
 
 SIDECARS = {
