@@ -2,7 +2,10 @@
 
 Floats round-trip exactly through Python's shortest-repr JSON encoding, so a
 saved/loaded state is bit-identical to the live one. Readers reject unknown
-versions and refuse truncated or malformed files without partial effects.
+versions and refuse truncated or malformed files without partial effects,
+among them a config missing a field, holding an unknown one, or holding a
+value whose JSON type is not its field's annotation (an integer for an int,
+any number for a float; true/false is neither).
 """
 
 from __future__ import annotations
@@ -55,21 +58,38 @@ def tensors_from_obj(obj: dict, config: ModelConfig) -> ModelParams:
     return params
 
 
+# field annotation -> (the types of the JSON values it takes, what they are)
+_JSON_TYPES = {int: ({int}, "an integer"), float: ({int, float}, "a number"),
+               bool: ({bool}, "true or false"), str: ({str}, "a string")}
+
+
+def _field_value(name: str, hint, value):
+    """The value of a config field annotated `hint`, refused unless it is a
+    JSON value of that type (true/false is no number); a nested config is
+    rebuilt and a JSON array becomes a tuple, each entry of its entry type."""
+    if dataclasses.is_dataclass(hint):
+        return config_from_obj(hint, value)
+    if typing.get_origin(hint) is tuple:
+        if type(value) is not list:
+            raise TypeError(f"{name} is {value!r}, not a list")
+        return tuple(_field_value(f"{name} entry", typing.get_args(hint)[0], v) for v in value)
+    types, what = _JSON_TYPES[hint]
+    if type(value) not in types:
+        raise TypeError(f"{name} is {value!r}, not {what}")
+    return value
+
+
 def config_from_obj(cls, obj: dict):
-    """Rebuild a config dataclass from its `dataclasses.asdict` form: nested
-    configs are rebuilt and JSON arrays become tuples for tuple fields."""
+    """Rebuild a config dataclass from its `dataclasses.asdict` form, refused
+    unless it holds every field and no other, each of its annotation's type."""
     try:
         hints = typing.get_type_hints(cls)
-        kwargs = {}
-        for name, value in obj.items():
-            hint = hints.get(name)
-            if dataclasses.is_dataclass(hint):
-                value = config_from_obj(hint, value)
-            elif typing.get_origin(hint) is tuple:
-                value = tuple(value)
-            kwargs[name] = value
-        return cls(**kwargs)
-    except (AttributeError, TypeError, ValueError) as exc:
+        if type(obj) is not dict:
+            raise TypeError(f"{obj!r} is not a JSON object")
+        if odd := sorted(obj.keys() ^ hints.keys()):
+            raise TypeError(f"{'unknown' if odd[0] in obj else 'missing'} field {odd[0]!r}")
+        return cls(**{name: _field_value(name, hint, obj[name]) for name, hint in hints.items()})
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed {cls.__name__}: {exc}") from exc
 
 

@@ -212,15 +212,17 @@ def _chunks(path: str):
 
 def _faults(records: list, first: dict, parts: list):
     """For each check, in the order in which the kinds of fault take
-    precedence, yield None where this chunk passes it, else the refusal: a
-    message about the whole file or a rule `bad(k, record)` (k counting the
-    chunk's records) that words the fault of each bad record. The file's
-    first record fixes the schema, the task and the row widths for every
-    chunk. A chunk that passes every check appends its arrays to `parts`."""
+    precedence, yield None where this chunk passes it, else a rule
+    `bad(k, record)` (k counting the chunk's records) that words the fault of
+    each record the check fails on, and of no other. The file's first record
+    fixes the schema, the task and the row widths for every chunk. A chunk
+    that passes every check appends its arrays to `parts`."""
     yield set(map(type, records)) != {dict} and (
         lambda k, rec: type(rec) is not dict and "malformed record: not a JSON object")
     schema = frozenset(first)
-    yield set(schema) not in _SCHEMAS and f"unsupported record fields {sorted(schema)}"
+    # only the first chunk can fail this check, at its first record
+    yield set(schema) not in _SCHEMAS and (
+        lambda k, rec: k == 0 and f"unsupported record fields {sorted(schema)}")
     yield set(map(frozenset, records)) != {schema} and (
         lambda k, rec: frozenset(rec) != schema and "mixed record schemas")
     labels = [rec["y"] for rec in records]
@@ -230,12 +232,16 @@ def _faults(records: list, first: dict, parts: list):
         lambda k, rec: "labels must be JSON numbers, not true/false" if type(rec["y"]) is bool
         else "mixed label types" if isinstance(rec["y"], int) != (task == "classification")
         else None if type(rec["y"]) in (int, float) else "labels must be JSON numbers")
-    key = "x" if "x" in schema else "tokens"
+    key, dtype = ("x", np.float64) if "x" in schema else ("tokens", None)
     inputs = [rec[key] for rec in records]
-    inputs_arr = _array(inputs, np.float64 if key == "x" else None)
+    inputs_arr = _array(inputs, dtype)
+    # rows that each convert to one row of the first record's width stack into
+    # a 2-D array, so a row that does not is the first bad one
     yield (inputs_arr is None or inputs_arr.ndim != 2
            or inputs_arr.shape[1] != len(first[key])) and (
-        "input rows must be equal-length lists of numbers")
+        lambda k, rec: ((row := _array(rec[key], dtype)) is None or row.ndim != 1
+                        or len(row) != len(first[key]))
+        and "input rows must be equal-length lists of numbers")
     # numpy folds true/false into integer arrays, so bools are looked for by type
     yield key == "tokens" and (
         inputs_arr.dtype.kind != "i"
@@ -263,14 +269,15 @@ def _faults(records: list, first: dict, parts: list):
         yield (arr is not None and arr.dtype == np.float64 and not np.isfinite(arr).all()) and (
             lambda k, rec, name=name, arr=arr: not np.isfinite(arr[k]).all()
             and f"non-finite value in {name!r}")
-    yield soft_arr is not None and np.any(np.abs(soft_arr.sum(axis=1) - 1.0) > 1e-9) and (
-        "soft labels must sum to 1")
+    off_simplex = soft_arr is not None and np.abs(soft_arr.sum(axis=1) - 1.0) > 1e-9
+    yield np.any(off_simplex) and (
+        lambda k, rec: off_simplex[k] and "soft labels must sum to 1")
     parts.append((inputs_arr, labels_arr, soft_arr))
 
 
 def read_dataset(path: str) -> Dataset:
     """Load a dataset file, refusing a malformed one with an InputError that
-    names its first bad line where there is one. The file is parsed once, one
+    names its first bad line, or an empty one. The file is parsed once, one
     chunk at a time: each chunk is checked column by column and converted to
     arrays, which are joined once at the end. A line that is not UTF-8 or not
     JSON is refused when it is read; otherwise the kind of fault checked first
@@ -282,9 +289,8 @@ def read_dataset(path: str) -> Dataset:
         for kind, found in enumerate(itertools.islice(_faults(records, first, parts), rank)):
             if found:  # every earlier chunk passed this check
                 rank = kind
-                refusal = f"{path}: {found}" if isinstance(found, str) else next(
-                    f"{path}:{lineno}: {message}" for k, (lineno, rec)
-                    in enumerate(zip(linenos, records)) if (message := found(k, rec)))
+                refusal = next(f"{path}:{lineno}: {message}" for k, (lineno, rec)
+                               in enumerate(zip(linenos, records)) if (message := found(k, rec)))
                 break
         del linenos, records  # before the next chunk is parsed
     if not (parts or refusal):

@@ -5,11 +5,13 @@ A public function or method that nothing in `src/` (apart from the
 alive only by its tests; this guard keeps such twins from growing back. The
 same holds for options: a keyword-only option, or a defaulted positional
 parameter of a public function or constructor, that no call there passes.
+The package's top level re-exports only what README's Library section names.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,6 +109,21 @@ def test_a_function_is_not_its_own_caller(tmp_path):
         "def used(a):\n    return a\n\n\n"
         "def _check(a, op):\n    return used(a)\n")
     assert _unreferenced(package, bench) == ["ops.product"]
+
+
+def test_the_top_level_imports_only_the_readme_library_api():
+    """Every name `smoothtune/__init__.py` imports is named in the code of
+    README's Library section, other than as `smoothtune.module.name` (the path
+    of a function kept in its module), so the top level is no second import
+    path."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.sub(r"smoothtune\.\w+\.\w+", "", " ".join(library.split("`")[1::2]))
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported
+    assert sorted(imported - set(re.findall(r"\w+", code))) == []
 
 
 def _passed_keywords(tree: ast.Module) -> set[str]:

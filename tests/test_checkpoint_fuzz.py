@@ -9,8 +9,9 @@ sampler state that does not fit the data, counters that disagree, tensors
 that are not the config's blocks, non-finite tensor values, tensor shapes and
 values that are not JSON integers and numbers, a teacher, a method flag or
 stream seeds other than the config derives, a sampler perm kept or missing
-against the step count, and integers that are not JSON integers (or stream
-counters outside 64 bits) are refused before the first update; `eval`,
+against the step count, integers that are not JSON integers (or stream
+counters outside 64 bits) and config fields of another JSON type than their
+annotation's are refused before the first update; `eval`,
 `probe` and `boundary` refuse non-finite parameters, and any that are not
 JSON numbers, before they write anything.
 """
@@ -210,6 +211,10 @@ DERIVED_EDITS = {
     "stream_counter_past_64_bits": ("run", _set_stream("batch", 1, 2**70),
                                     f"the counter of rng stream 'batch' is {2**70}, "
                                     f"not an integer in [0, {2**64})"),
+    # 20.0 equals the config's 20, so only its JSON type can refuse it
+    "batch_size_not_an_integer": ("run", _in_train_state(
+        lambda ts: ts["train_config"].__setitem__("batch_size", 20.0)),
+        "malformed TrainConfig: batch_size is 20.0, not an integer"),
     "cursor_not_an_integer": ("run", _in_train_state(
         lambda ts: ts["sampler"].__setitem__("cursor", 19.5)),
         "the sampler cursor is 19.5, not an integer"),

@@ -202,16 +202,17 @@ def test_reader_rejects_token_ids_that_are_not_json_integers(tmp_path, tokens):
         read_dataset(path)
 
 
-@pytest.mark.parametrize("rows", [
-    ({"x": [1.0, 2.0], "y": 0}, {"x": [1.0], "y": 1}),
-    ({"tokens": [1, 2], "y": 0}, {"tokens": [], "y": 1}),
-    ({"x": [1.0, 2.0], "y": 0}, {"x": [1.0, "a"], "y": 1}),
+@pytest.mark.parametrize("rows, line", [
+    (({"x": [1.0, 2.0], "y": 0}, {"x": [1.0], "y": 1}), 2),
+    (({"tokens": [1, 2], "y": 0}, {"tokens": [], "y": 1}), 2),
+    (({"x": [1.0, 2.0], "y": 0}, {"x": [1.0, "a"], "y": 1}), 2),
+    ([{"x": [1, 2], "y": 0}] * 3 + [{"x": [1, 2, 3], "y": 1}, {"x": [1, 2], "y": 1}], 4),
 ])
-def test_reader_rejects_rows_that_are_not_equal_length_numbers(tmp_path, rows):
+def test_reader_rejects_rows_that_are_not_equal_length_numbers(tmp_path, read_chunk, rows, line):
     path = str(tmp_path / "ragged.jsonl")
     with open(path, "w") as fh:
         fh.write("".join(json.dumps(row) + "\n" for row in rows))
-    with pytest.raises(InputError, match="equal-length lists of numbers"):
+    with pytest.raises(InputError, match=rf"ragged\.jsonl:{line}: .*equal-length lists of numbers"):
         read_dataset(path)
 
 

@@ -1,5 +1,7 @@
 """Golden fingerprints: sha256 of the byte-reproducible outputs of three short
-CLI runs and one sweep. `records.csv` and `checkpoint_final.json` pin training;
+CLI runs and one sweep; each run resumed from a mid-run checkpoint must give
+the same final checkpoint and metrics. `records.csv` and
+`checkpoint_final.json` pin training;
 `metrics.json` pins the forward-only passes (accuracy and the smoothness probe);
 `sweep.csv` pins stacked sweep training. A change to any digest means the
 numbers changed; such a change must be explained in CHANGES.md together with
@@ -114,21 +116,36 @@ def datasets(tmp_path_factory):
     }
 
 
-def _digests(out_dir):
-    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-            for name in ("records.csv", "checkpoint_final.json", "metrics.json")}
+def _digests(out_dir, names):
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
 
 
-@pytest.mark.parametrize("run", sorted(_RUNS))
-def test_golden_fingerprints(run, datasets, tmp_path):
+_CASES = [(run, resumed) for resumed in (False, True) for run in sorted(_RUNS)]
+
+
+@pytest.mark.parametrize("run, resumed", _CASES,
+                         ids=[run + "-resumed" * resumed for run, resumed in _CASES])
+def test_golden_fingerprints(run, resumed, datasets, tmp_path):
+    """A resumed case trains with a checkpoint after step 9 of 16 (mid-epoch:
+    4 batches of 10 per epoch) and resumes from it; its final checkpoint and
+    metrics are the straight run's (its records.csv logs only the steps after
+    the checkpoint)."""
     model, smart, data = _RUNS[run]
     train, test = datasets[data]
     cfg = tmp_path / "run.ini"
     cfg.write_text(model + _SMART.format(**smart)
                    + f"\n[data]\ntrain = {train}\ntest = {test}\n"
                    + f"\n[run]\nseed = 3\nout = {tmp_path / 'out'}\nprobe_samples = 4\n")
-    assert main(["train", "--config", str(cfg)]) == 0
-    assert _digests(tmp_path / "out") == GOLDEN[run], numerical_environment()
+    resume = []
+    if resumed:
+        part = tmp_path / "part"
+        assert main(["train", "--config", str(cfg), "--out", str(part),
+                     "--set", "run.checkpoint_every=9"]) == 0
+        resume = ["--resume", str(part / "checkpoint.json")]
+    assert main(["train", "--config", str(cfg), *resume]) == 0
+    golden = {name: digest for name, digest in GOLDEN[run].items()
+              if not (resumed and name == "records.csv")}
+    assert _digests(tmp_path / "out", golden) == golden, numerical_environment()
 
 
 _SWEEP = """

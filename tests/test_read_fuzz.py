@@ -1,10 +1,10 @@
 """Seeded fuzz tests of the dataset reader, driven by the package's own Rng.
 
 Each case corrupts one or two lines of a valid file (truncation, a flipped
-bit, a bool label, a changed schema, a non-finite value, a soft-label row of
-another length or of text, a class label beyond 64 bits, a number written as
-text or true/false among the inputs or soft labels, an array nested far past
-the recursion limit). The reader must refuse it with an InputError naming
+bit, a bool label, a changed schema, a non-finite value, an input row or a
+soft-label row of another length, soft labels of text or off the simplex, a
+class label beyond 64 bits, a number written as text or true/false among the
+inputs or soft labels, an array nested far past the recursion limit). The reader must refuse it with an InputError naming
 the first corrupted line, whether lines end at \\n, \\r\\n or \\r, and `train`
 on it must exit 1 with one error line, leaving only FAILED and its archived
 config. Mixed line breaks, blank lines, byte order marks, bytes that are not
@@ -100,6 +100,14 @@ def _ragged_soft(rng, rec, case):
     rec["p"] = rec["p"][:1] if case % 2 else rec["p"] + [0.0]
 
 
+def _ragged_x(rng, rec, case):
+    rec["x"] = rec["x"][:1] if case % 2 else rec["x"] + [0.0]
+
+
+def _soft_off_the_simplex(rng, rec, case):
+    rec["p"] = [v * 1.5 for v in rec["p"]]
+
+
 def _text_soft(rng, rec, case):
     rec["p"] = ["a", "b"]
 
@@ -131,7 +139,9 @@ KINDS = {
     "bool_label": (_edited(_bool_label), "labels must be JSON numbers, not true/false"),
     "mixed_schema": (_edited(_other_schema), "mixed record schemas"),
     "non_finite": (_edited(_non_finite), r"non-finite value in '[xp]'"),
+    "ragged_x": (_edited(_ragged_x), "input rows must be equal-length lists of numbers"),
     "ragged_soft": (_edited(_ragged_soft), "soft labels must be equal-length lists of numbers"),
+    "soft_off_the_simplex": (_edited(_soft_off_the_simplex), "soft labels must sum to 1"),
     "text_soft": (_edited(_text_soft), "soft labels must be equal-length lists of numbers"),
     "huge_label": (_edited(_huge_label), "class labels must fit in 64 bits"),
     "text_x": (_edited(_text_x), "'x' values must be JSON numbers, not text or true/false"),
@@ -150,9 +160,9 @@ def test_corrupted_files_are_refused_at_their_first_bad_line(
     rng = Rng(1000 + sorted(KINDS).index(kind))
     for case in range(CASES):
         lines = list(clean)  # one or two bad lines
-        # the schema and the soft-label width are read off line 1, so their
+        # the schema and the row widths are read off line 1, so their
         # changes start at line 2
-        low = 1 if kind in ("mixed_schema", "ragged_soft") else 0
+        low = 1 if kind in ("mixed_schema", "ragged_x", "ragged_soft") else 0
         bad = sorted({low + _pick(rng, LINES - low) for _ in range(1 + case % 2)})
         for index in bad:
             lines[index] = corrupt(rng, lines[index], case)
@@ -231,7 +241,34 @@ def _wide_soft_rows_later(lines):
 def _wide_input_rows_later(lines):
     for i in range(14, 21):
         lines[i] = _set(lines[i], x=json.loads(lines[i])["x"] + [0.0])
-    return lines, ": input rows must be equal-length lists of numbers"
+    return lines, ":15: input rows must be equal-length lists of numbers"
+
+
+def _short_input_row(lines):
+    lines[3] = _set(lines[3], x=[1.0])
+    return lines, ":4: input rows must be equal-length lists of numbers"
+
+
+def _deep_first_input(lines):
+    lines[0] = _set(lines[0], x=json.loads("[" * 900 + "1.0" + "]" * 900))
+    return lines, ":1: input rows must be equal-length lists of numbers"
+
+
+def _soft_labels_off_the_simplex_later(lines):
+    lines[11] = _set(lines[11], p=[0.5, 0.6])
+    return lines, ":12: soft labels must sum to 1"
+
+
+def _input_row_after_soft_labels_off_the_simplex(lines):
+    # the sums are checked last, so the later wide row is refused at any chunk size
+    lines[2] = _set(lines[2], p=[0.5, 0.6])
+    lines[29] = _set(lines[29], x=[0.0, 0.0, 0.0])
+    return lines, ":30: input rows must be equal-length lists of numbers"
+
+
+def _unknown_first_fields(lines):
+    lines[0] = _set(lines[0], w=1.0)
+    return lines, r":1: unsupported record fields \['p', 'w', 'x', 'y'\]"
 
 
 def _integer_labels_later(lines):
@@ -267,6 +304,12 @@ PRECEDENCE = {
     "non_finite_p_then_x": (_lines, _non_finite_p_then_x),
     "wide_soft_rows_later": (_lines, _wide_soft_rows_later),
     "wide_input_rows_later": (_lines, _wide_input_rows_later),
+    "short_input_row": (_lines, _short_input_row),
+    "deep_first_input": (_lines, _deep_first_input),
+    "soft_labels_off_the_simplex_later": (_lines, _soft_labels_off_the_simplex_later),
+    "input_row_after_soft_labels_off_the_simplex": (
+        _lines, _input_row_after_soft_labels_off_the_simplex),
+    "unknown_first_fields": (_lines, _unknown_first_fields),
     "integer_labels_later": (_lines, _integer_labels_later),
     "not_an_object_after_unknown_fields": (_lines, _not_an_object_after_unknown_fields),
     "null_first_record": (_lines, _null_first_record),

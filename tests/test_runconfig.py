@@ -128,6 +128,25 @@ def test_checkpointed_configs_round_trip_through_json():
         assert config_from_obj(cls, obj) == cfg
 
 
+def _json_form(cls, edits):
+    """The JSON form of the default `cls` with `edits` applied, or `edits`
+    itself when it is not a dict: a dotted name reaches into a nested config,
+    and the value MISSING drops the field."""
+    if not isinstance(edits, dict):
+        return edits
+    obj = json.loads(json.dumps(dataclasses.asdict(cls())))
+    for path, value in edits.items():
+        *outer, name = path.split(".")
+        inner = obj
+        for key in outer:
+            inner = inner[key]
+        if value is dataclasses.MISSING:
+            del inner[name]
+        else:
+            inner[name] = value
+    return obj
+
+
 @pytest.mark.parametrize("obj", [
     {"hidden": None},
     {"unknown": 1},
@@ -138,14 +157,30 @@ def test_checkpointed_configs_round_trip_through_json():
     {"arch": []},
     {"vocab_size": float("inf")},
     "not an object",
+    # a JSON value of another type than its field's annotation, or no value
+    {"input_dim": 2.0},
+    {"hidden": [16.0, 16]},
+    {"dropout": False},
+    {"layers": True},
+    {"hidden": dataclasses.MISSING},
 ])
 def test_malformed_checkpointed_config_raises(obj):
     with pytest.raises(CheckpointError, match="malformed ModelConfig"):
-        config_from_obj(ModelConfig, obj)
+        config_from_obj(ModelConfig, _json_form(ModelConfig, obj))
 
 
-def test_malformed_nested_config_raises():
-    obj = dataclasses.asdict(TrainConfig())
-    obj["adv"]["norm"] = "three"
-    with pytest.raises(CheckpointError, match="malformed AdvConfig"):
-        config_from_obj(TrainConfig, obj)
+@pytest.mark.parametrize("edits, says", [
+    ({"adv.norm": "three"}, "malformed AdvConfig"),
+    ({"batch_size": 20.0}, "batch_size is 20.0, not an integer"),
+    ({"seed": 0.0}, "seed is 0.0, not an integer"),
+    ({"seed": True}, "seed is True, not an integer"),
+    ({"reg_weight": True}, "reg_weight is True, not a number"),
+    ({"reg_detach_clean": 0}, "reg_detach_clean is 0, not true or false"),
+    ({"adv.steps": 1.0}, "malformed AdvConfig: steps is 1.0, not an integer"),
+    ({"prox.ema_switch": None}, "malformed ProxConfig: ema_switch is None, not a number"),
+    ({"prox": dataclasses.MISSING}, "missing field 'prox'"),
+    ({"prox.mode": dataclasses.MISSING}, "malformed ProxConfig: missing field 'mode'"),
+])
+def test_malformed_checkpointed_train_config_raises(edits, says):
+    with pytest.raises(CheckpointError, match=f"malformed TrainConfig: .*{re.escape(says)}"):
+        config_from_obj(TrainConfig, _json_form(TrainConfig, edits))
