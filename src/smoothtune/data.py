@@ -212,66 +212,47 @@ def _chunks(path: str):
 
 def _faults(records: list, first: dict, parts: list):
     """For each check, in the order in which the kinds of fault take
-    precedence, yield None where this chunk passes it, else a rule
-    `bad(k, record)` (k counting the chunk's records) that words the fault of
-    each record the check fails on, and of no other. The file's first record
-    fixes the schema, the task and the row widths for every chunk. A chunk
-    that passes every check appends its arrays to `parts`."""
-    yield set(map(type, records)) != {dict} and (
-        lambda k, rec: type(rec) is not dict and "malformed record: not a JSON object")
+    precedence, yield a false value where these records pass it, else the
+    message of the fault. Run on one record, a check words that record's own
+    fault. The file's first record fixes the schema, the task and the row
+    widths for every chunk. Records that pass every check append their arrays
+    to `parts`."""
+    yield set(map(type, records)) != {dict} and "malformed record: not a JSON object"
     schema = frozenset(first)
-    # only the first chunk can fail this check, at its first record
-    yield set(schema) not in _SCHEMAS and (
-        lambda k, rec: k == 0 and f"unsupported record fields {sorted(schema)}")
-    yield set(map(frozenset, records)) != {schema} and (
-        lambda k, rec: frozenset(rec) != schema and "mixed record schemas")
+    yield set(schema) not in _SCHEMAS and f"unsupported record fields {sorted(schema)}"
+    yield set(map(frozenset, records)) != {schema} and "mixed record schemas"
     labels = [rec["y"] for rec in records]
-    task = "classification" if isinstance(first["y"], int) else "regression"
-    # bool is a subclass of int, so it is looked for first
-    yield set(map(type, labels)) != {int if task == "classification" else float} and (
-        lambda k, rec: "labels must be JSON numbers, not true/false" if type(rec["y"]) is bool
-        else "mixed label types" if isinstance(rec["y"], int) != (task == "classification")
-        else None if type(rec["y"]) in (int, float) else "labels must be JSON numbers")
+    label_type = int if isinstance(first["y"], int) else float  # the file's task
+    label_types = set(map(type, labels))  # bool is a subclass of int, so it is looked for first
+    yield ("labels must be JSON numbers, not true/false" if bool in label_types
+           else "labels must be JSON numbers" if not label_types <= {int, float}
+           else label_types != {label_type} and "mixed label types")
     key, dtype = ("x", np.float64) if "x" in schema else ("tokens", None)
     inputs = [rec[key] for rec in records]
     inputs_arr = _array(inputs, dtype)
-    # rows that each convert to one row of the first record's width stack into
-    # a 2-D array, so a row that does not is the first bad one
     yield (inputs_arr is None or inputs_arr.ndim != 2
            or inputs_arr.shape[1] != len(first[key])) and (
-        lambda k, rec: ((row := _array(rec[key], dtype)) is None or row.ndim != 1
-                        or len(row) != len(first[key]))
-        and "input rows must be equal-length lists of numbers")
+        "input rows must be equal-length lists of numbers")
     # numpy folds true/false into integer arrays, so bools are looked for by type
-    yield key == "tokens" and (
-        inputs_arr.dtype.kind != "i"
-        or bool in set(map(type, itertools.chain.from_iterable(inputs)))) and (
-        lambda k, rec: (not rec["tokens"] or any(
-            type(t) is not int or not -2**63 <= t < 2**63 for t in rec["tokens"]))
-        and "token ids must be JSON integers")
+    yield key == "tokens" and (inputs_arr.dtype.kind != "i" or bool in set(map(
+        type, itertools.chain.from_iterable(inputs)))) and "token ids must be JSON integers"
     soft = [rec["p"] for rec in records] if "p" in schema else ()
     soft_arr = _array(soft) if "p" in schema else None
     yield "p" in schema and (soft_arr is None or soft_arr.ndim != 2
                              or soft_arr.shape[1] != len(first["p"])) and (
-        lambda k, rec: ((p := _array(rec["p"])) is None or p.ndim != 1
-                        or len(p) != len(first["p"]))
-        and "soft labels must be equal-length lists of numbers")
+        "soft labels must be equal-length lists of numbers")
     # numpy reads text and true/false as numbers, so float columns are type-checked
     for name, column in (("x", inputs if key == "x" else ()), ("p", soft)):
         yield not set(map(type, itertools.chain.from_iterable(column))) <= {int, float} and (
-            lambda k, rec, name=name: any(type(v) not in (int, float) for v in rec[name])
-            and f"{name!r} values must be JSON numbers, not text or true/false")
+            f"{name!r} values must be JSON numbers, not text or true/false")
     # the label types are checked, so only a class label beyond int64 is refused here
-    labels_arr = _array(labels, np.int64 if task == "classification" else np.float64)
-    yield labels_arr is None and (
-        lambda k, rec: not -2**63 <= rec["y"] < 2**63 and "class labels must fit in 64 bits")
+    labels_arr = _array(labels, np.int64 if label_type is int else np.float64)
+    yield labels_arr is None and "class labels must fit in 64 bits"
     for name, arr in (("x", inputs_arr), ("y", labels_arr), ("p", soft_arr)):
-        yield (arr is not None and arr.dtype == np.float64 and not np.isfinite(arr).all()) and (
-            lambda k, rec, name=name, arr=arr: not np.isfinite(arr[k]).all()
-            and f"non-finite value in {name!r}")
-    off_simplex = soft_arr is not None and np.abs(soft_arr.sum(axis=1) - 1.0) > 1e-9
-    yield np.any(off_simplex) and (
-        lambda k, rec: off_simplex[k] and "soft labels must sum to 1")
+        yield (arr is not None and arr.dtype == np.float64 and not np.isfinite(arr).all()
+               and f"non-finite value in {name!r}")
+    yield (soft_arr is not None and np.any(np.abs(soft_arr.sum(axis=1) - 1.0) > 1e-9)
+           and "soft labels must sum to 1")
     parts.append((inputs_arr, labels_arr, soft_arr))
 
 
@@ -281,7 +262,8 @@ def read_dataset(path: str) -> Dataset:
     chunk at a time: each chunk is checked column by column and converted to
     arrays, which are joined once at the end. A line that is not UTF-8 or not
     JSON is refused when it is read; otherwise the kind of fault checked first
-    in any chunk is, at its first line in the first chunk that has it."""
+    in any chunk is, at its first line in the first chunk that has it: the
+    checks run on one record word that record's fault, or pass it."""
     first, parts, refusal, rank = None, [], None, None
     for linenos, records in _chunks(path):
         first = first if parts or refusal else records[0]
@@ -289,8 +271,12 @@ def read_dataset(path: str) -> Dataset:
         for kind, found in enumerate(itertools.islice(_faults(records, first, parts), rank)):
             if found:  # every earlier chunk passed this check
                 rank = kind
-                refusal = next(f"{path}:{lineno}: {message}" for k, (lineno, rec)
-                               in enumerate(zip(linenos, records)) if (message := found(k, rec)))
+                # the checks run on each record alone up to this kind: every
+                # earlier one passed for all of them, a later one may crash
+                refusal = next(
+                    f"{path}:{lineno}: {message}" for lineno, rec in zip(linenos, records)
+                    for message in itertools.islice(_faults([rec], first, []), kind, kind + 1)
+                    if message)
                 break
         del linenos, records  # before the next chunk is parsed
     if not (parts or refusal):

@@ -86,7 +86,7 @@ class TrainConfig:
     peak_lr: float = checked("> 0", 1e-3)
     warmup_frac: float = checked("(0, 1)", 0.1)
     clip_norm: float = checked("> 0", 1.0)
-    seed: int = 0
+    seed: int = checked("[0, 18446744073709551616)", 0)  # an Rng keeps 64 bits
     reg_detach_clean: bool = False   # ablation: freeze the clean branch of the penalty
 
     __post_init__ = check_fields

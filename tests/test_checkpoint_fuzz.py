@@ -215,6 +215,10 @@ DERIVED_EDITS = {
     "batch_size_not_an_integer": ("run", _in_train_state(
         lambda ts: ts["train_config"].__setitem__("batch_size", 20.0)),
         "malformed TrainConfig: batch_size is 20.0, not an integer"),
+    # an Rng keeps a seed's low 64 bits, so this one would resume the same streams
+    "seed_past_64_bits": ("run", _in_train_state(
+        lambda ts: ts["train_config"].__setitem__("seed", ts["train_config"]["seed"] + 2**64)),
+        "malformed TrainConfig: seed: must be in [0, 18446744073709551616)"),
     "cursor_not_an_integer": ("run", _in_train_state(
         lambda ts: ts["sampler"].__setitem__("cursor", 19.5)),
         "the sampler cursor is 19.5, not an integer"),

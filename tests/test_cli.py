@@ -244,6 +244,7 @@ def test_gen_data_tokens_refuses_a_vocab_past_int64(tmp_path, capsys):
     "run.checkpoint_every=-1", "run.eval_every=-2",
     "model.hidden=-3", "model.hidden=8,0", "model.layers=-1", "model.embed_dim=0",
     "model.input_dim=0", "model.max_len=0", "model.vocab_size=0",
+    f"run.seed={2**64}", f"run.seed={-2**64}", "run.seed=-1",
 ])
 def test_train_refuses_non_finite_and_out_of_range_hyperparameters(workspace, capsys, setting):
     tmp, cfg, _, _ = workspace
@@ -257,7 +258,7 @@ def test_train_refuses_non_finite_and_out_of_range_hyperparameters(workspace, ca
 @pytest.mark.parametrize("setting", [
     "sweep.methods=bogus,smooth", "sweep.reg_weights=nan", "sweep.reg_weights=inf",
     "sweep.prox_weights=-1", "sweep.fractions=1.5", "sweep.fractions=0",
-    "sweep.seeds=", "sweep.methods=",
+    "sweep.seeds=", "sweep.methods=", f"sweep.seeds=0,{2**64}",
 ])
 def test_sweep_refuses_unknown_methods_and_out_of_range_values(workspace, capsys, setting):
     tmp, cfg, _, _ = workspace

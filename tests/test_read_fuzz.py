@@ -12,7 +12,8 @@ UTF-8 and trailing text pin the line and message of each refusal. A
 `.meta.json` sidecar beside the file, malformed or not, is never read. The
 reader checks a file in chunks, so these tests also run with chunks of 1 and
 7 lines, and files with faults of two kinds, or of a kind first found beyond
-chunk one, pin which fault and line is refused.
+chunk one, pin which fault and line is refused. 200 random files with up to
+three faults of different kinds must be refused alike at every chunk size.
 """
 
 import itertools
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from smoothtune.cli import main
+from smoothtune.data import _CHUNK as DEFAULT_CHUNK
 from smoothtune.data import (
     gen_cluster_classification,
     gen_token_sequences,
@@ -41,12 +43,18 @@ def _pick(rng, n):
     return int(rng.uniform() * n)
 
 
+def _written(tmp_path, name, dataset):
+    """The lines of `dataset` written to a file."""
+    path = str(tmp_path / name)
+    write_dataset(path, dataset)
+    with open(path, "rb") as fh:
+        return fh.read().split(b"\n")[:len(dataset)]
+
+
 def _lines(tmp_path):
     """The lines of a valid 40-record cluster file with soft labels."""
-    path = str(tmp_path / "clean.jsonl")
-    write_dataset(path, gen_cluster_classification(LINES, 2, 2, 1.5, 0.8, seed=5))
-    with open(path, "rb") as fh:
-        return fh.read().split(b"\n")[:LINES]
+    return _written(tmp_path, "clean.jsonl",
+                    gen_cluster_classification(LINES, 2, 2, 1.5, 0.8, seed=5))
 
 
 def _flip(rng, line):
@@ -213,10 +221,7 @@ def _set(line, **fields):
 
 
 def _token_lines(tmp_path):
-    path = str(tmp_path / "tokens.jsonl")
-    write_dataset(path, gen_token_sequences(LINES, 6, 4, seed=6))
-    with open(path, "rb") as fh:
-        return fh.read().split(b"\n")[:LINES]
+    return _written(tmp_path, "tokens.jsonl", gen_token_sequences(LINES, 6, 4, seed=6))
 
 
 def _bool_label_and_truncated_end(lines):
@@ -278,6 +283,19 @@ def _integer_labels_later(lines):
     return lines, ":15: mixed label types"
 
 
+def _text_label_before_real_label(lines):
+    # a label that is no number is worded alike for both tasks
+    lines[4] = _set(lines[4], y="a")
+    lines[8] = _set(lines[8], y=0.5)
+    return lines, ":5: labels must be JSON numbers$"
+
+
+def _null_label_before_bool_label(lines):
+    lines[3] = _set(lines[3], y=None)
+    lines[6] = _set(lines[6], y=True)
+    return lines, ":4: labels must be JSON numbers$"
+
+
 def _not_an_object_after_unknown_fields(lines):
     lines[0] = _set(lines[0], w=1.0)
     lines[29] = b"[1, 2]"
@@ -311,6 +329,8 @@ PRECEDENCE = {
         _lines, _input_row_after_soft_labels_off_the_simplex),
     "unknown_first_fields": (_lines, _unknown_first_fields),
     "integer_labels_later": (_lines, _integer_labels_later),
+    "text_label_before_real_label": (_lines, _text_label_before_real_label),
+    "null_label_before_bool_label": (_lines, _null_label_before_bool_label),
     "not_an_object_after_unknown_fields": (_lines, _not_an_object_after_unknown_fields),
     "null_first_record": (_lines, _null_first_record),
     "float_token_later": (_token_lines, _float_token_later),
@@ -329,6 +349,63 @@ def test_the_first_kind_of_fault_in_check_order_is_refused(tmp_path, read_chunk,
         fh.write(b"\n".join(lines) + b"\n")
     with pytest.raises(InputError, match=rf"{case}\.jsonl{says}"):
         read_dataset(path)
+
+
+def _float_token(rng, rec, case):
+    rec["tokens"][_pick(rng, len(rec["tokens"]))] += 0.5
+
+
+def _nudged(line, by):
+    """The soft-label line with its first entry moved `by` off the simplex."""
+    rec = json.loads(line)
+    rec["p"][0] += by
+    return json.dumps(rec).encode()
+
+
+FUZZ_KINDS = dict(KINDS, float_token=(_edited(_float_token), "token ids must be JSON integers"))
+TOKEN_KINDS = ["bool_label", "float_token", "flipped", "huge_label", "nested", "truncated"]
+WIDE_KINDS = [kind for kind in sorted(KINDS) if kind != "soft_off_the_simplex"]
+# name: (the clean lines, the kinds of fault they take); numpy sums the soft
+# labels of the wide files pairwise, as it sums 8 numbers and more
+FAMILIES = {
+    "soft_2": (_lines, sorted(KINDS)),
+    "wide_9": (lambda tmp_path: _written(tmp_path, "soft9.jsonl", gen_cluster_classification(
+        LINES, 9, 2, 1.5, 0.8, seed=9)), WIDE_KINDS),
+    "wide_16": (lambda tmp_path: _written(tmp_path, "soft16.jsonl", gen_cluster_classification(
+        LINES, 16, 2, 1.5, 0.8, seed=16)), WIDE_KINDS),
+    "tokens": (_token_lines, TOKEN_KINDS),
+}
+
+
+def test_a_refusal_is_the_same_wherever_the_chunks_fall(tmp_path, monkeypatch):
+    """Random files with one to three faults of different kinds are refused
+    alike in chunks of 1, 3, 7 and the default number of lines. In a wide
+    soft-label file, 9 or 16 classes, one fault is a row 2e-9 off the simplex,
+    and one more row is 5e-10 off, which is no fault."""
+    rng = Rng(1200)
+    clean = {name: lines(tmp_path) for name, (lines, _) in FAMILIES.items()}
+    for case in range(200):
+        family = sorted(FAMILIES)[_pick(rng, len(FAMILIES))]
+        lines, kinds = list(clean[family]), list(FAMILIES[family][1])
+        untouched, wide = list(range(LINES)), family.startswith("wide")
+        for _ in range(1 + _pick(rng, 3) - wide):
+            kind = kinds.pop(_pick(rng, len(kinds)))
+            index = untouched.pop(_pick(rng, len(untouched)))
+            lines[index] = FUZZ_KINDS[kind][0](rng, lines[index], case)
+        if wide:
+            off, near = (untouched.pop(_pick(rng, len(untouched))) for _ in range(2))
+            lines[off], lines[near] = _nudged(lines[off], 2e-9), _nudged(lines[near], 5e-10)
+        path = tmp_path / f"{case}.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        refusals = set()
+        for chunk in (1, 3, 7, DEFAULT_CHUNK):
+            monkeypatch.setattr("smoothtune.data._CHUNK", chunk)
+            with pytest.raises(InputError) as refused:
+                read_dataset(str(path))
+            refusals.add(str(refused.value))
+        assert len(refusals) == 1, (family, refusals)
+        if wide:
+            assert f":{near + 1}: soft labels must sum to 1" not in refusals.pop()
 
 
 BOOL_LABEL = b'{"x": [1.0, 2.0], "y": true, "p": [0.5, 0.5]}'

@@ -87,7 +87,7 @@ def _edges(rule):
     if isinstance(rule, tuple):
         return rule[-1], "bogus"
     if rule[0] in "[(":
-        low, high = (float(end) for end in rule[1:-1].split(","))
+        low, high = (json.loads(end) for end in rule[1:-1].split(","))  # ints stay ints
         inside = low if rule[0] == "[" else high if rule[-1] == "]" else (low + high) / 2
         return str(inside), str(high if rule[-1] == ")" else high + 1)
     op, bound = rule.split()
@@ -100,8 +100,7 @@ def test_only_free_values_have_no_rule():
     ruled = {(section, key) for section, key, _ in _RULED}
     assert {(section, key) for section, key, _, _ in CONFIG_KEYS} - ruled == {
         ("model", "classes"), ("model", "heads"), ("smart", "ema_switch"),
-        ("smart", "detach_clean"), ("data", "train"), ("data", "test"), ("run", "seed"),
-        ("run", "out")}
+        ("smart", "detach_clean"), ("data", "train"), ("data", "test"), ("run", "out")}
 
 
 @pytest.mark.parametrize("section,key,rule", _RULED,
@@ -174,6 +173,7 @@ def test_malformed_checkpointed_config_raises(obj):
     ({"batch_size": 20.0}, "batch_size is 20.0, not an integer"),
     ({"seed": 0.0}, "seed is 0.0, not an integer"),
     ({"seed": True}, "seed is True, not an integer"),
+    ({"seed": 2**64}, f"seed: must be in [0, 18446744073709551616), got {2**64}"),
     ({"reg_weight": True}, "reg_weight is True, not a number"),
     ({"reg_detach_clean": 0}, "reg_detach_clean is 0, not true or false"),
     ({"adv.steps": 1.0}, "malformed AdvConfig: steps is 1.0, not an integer"),
