@@ -9,6 +9,10 @@ closures rather than recomputed.
 
 Nothing a tape holds points back at a Var, so a tape and its intermediates are
 freed by reference counting as soon as the last Var or tape reference goes.
+A tape takes one backward sweep, and the sweep drops each node's adjoint rule
+as soon as it has run (what PyTorch does unless asked to retain the graph), so
+a forward value that only a closure held is freed as the sweep passes its
+node, while the caller still holds the tape.
 
 A dense layer is one node: `affine` forms x @ w, then adds the bias and
 applies the activation in place in the product's buffer. As three ops
@@ -66,8 +70,12 @@ class Var:
         return f"Var(shape={self.value.shape}, node={self.index})"
 
 
+_LIVE = ((), None)  # a live node with no parent to pass to: a leaf, or a swept node
+
+
 class Tape:
-    """Single-owner recording of a computation; reusable for one or more backward sweeps.
+    """Single-owner recording of a computation for one backward sweep, which
+    releases each node's adjoint rule once it has run; a second sweep is refused.
 
     Gradient-requested leaves are held by weak reference, so the tape never
     keeps a Var alive and the Var -> tape edge forms no cycle.
@@ -76,6 +84,7 @@ class Tape:
     def __init__(self):
         self._nodes: list[tuple | None] = []  # (parent indices, adjoint rule), None if dead
         self._grad_leaves: list[weakref.ref] = []
+        self._swept = False
 
     def __len__(self):
         return len(self._nodes)
@@ -84,7 +93,7 @@ class Tape:
         """Enter a value as a leaf; gradient is tracked only if requested."""
         v = self._record(tc.as_tensor(value), (), None)
         if requires_grad:
-            self._nodes[v.index] = ((), None)  # live, with no parent to pass to
+            self._nodes[v.index] = _LIVE
             self._grad_leaves.append(weakref.ref(v))
         return v
 
@@ -105,7 +114,8 @@ class Tape:
         """Reverse sweep from a scalar output.
 
         Returns a map from every gradient-requested leaf still alive to its
-        gradient; leaves unreachable from the output get zeros.
+        gradient; leaves unreachable from the output get zeros. Each node's
+        adjoint rule is dropped once it has run, so the tape takes no second sweep.
         """
         if output.tape is not self:
             raise ContractViolation("backward: output does not live on this tape")
@@ -113,6 +123,9 @@ class Tape:
             raise ContractViolation(
                 f"backward: output must be scalar, got shape {output.value.shape}"
             )
+        if self._swept:
+            raise ContractViolation("backward: this tape has been swept already")
+        self._swept = True
         leaves = [leaf for leaf in (ref() for ref in self._grad_leaves) if leaf is not None]
         keep = {leaf.index for leaf in leaves}
         nodes = self._nodes
@@ -124,9 +137,10 @@ class Tape:
                 continue
             if i not in keep:
                 adjoints[i] = None  # consumed: its parents get their parts below
-            parents, vjp = nodes[i] or ((), None)
+            parents, vjp = nodes[i] or _LIVE
             if vjp is None:
                 continue
+            nodes[i] = _LIVE  # still live for needs(), but no longer holding the closure
             for parent, part in zip(parents, vjp(g)):
                 if part is None or nodes[parent] is None:
                     continue

@@ -1,15 +1,20 @@
 """Text checkpoint format: a single JSON document holding config and tensors.
 
 Floats round-trip exactly through Python's shortest-repr JSON encoding, so a
-saved/loaded state is bit-identical to the live one. Readers reject unknown
-versions and refuse truncated or malformed files without partial effects,
-among them a config missing a field, holding an unknown one, or holding a
-value whose JSON type is not its field's annotation (an integer for an int,
-any number for a float; true/false is neither).
+saved/loaded state is bit-identical to the live one. A document holds its
+tensors as numpy arrays, and the writer turns each into Python floats only
+when it reaches it, so a save holds one tensor's floats and text at a time;
+the bytes are those of `json.dumps` of the document with its tensors as
+lists. A failed write leaves no partial file and an existing file unchanged.
+Readers reject unknown versions and refuse truncated or malformed files
+without partial effects, among them a config missing a field, holding an
+unknown one, or holding a value whose JSON type is not its field's annotation
+(an integer for an int, any number for a float; true/false is neither).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -25,7 +30,7 @@ CHECKPOINT_VERSION = 1
 
 def tensors_to_obj(params: ModelParams) -> dict:
     return {
-        name: {"shape": list(block.shape), "data": block.ravel().tolist()}
+        name: {"shape": list(block.shape), "data": block.ravel()}
         for name, block in params.items()
     }
 
@@ -93,13 +98,35 @@ def config_from_obj(cls, obj: dict):
         raise CheckpointError(f"malformed {cls.__name__}: {exc}") from exc
 
 
-def write_json(path: str, document: dict) -> None:
-    """Write atomically so failed runs never leave a readable partial file."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+def _pieces(value):
+    """The text of json.dumps(value) for a value whose dict keys are strings,
+    a dict item at a time, each numpy array written as its tolist() only when
+    it is reached."""
+    if isinstance(value, dict):
+        yield "{"
+        for n, (key, item) in enumerate(value.items()):
+            yield (", " if n else "") + json.dumps(key) + ": "
+            yield from _pieces(item)
+        yield "}"
+    else:
         # json.dumps runs the C encoder; json.dump streams through the Python one
-        fh.write(json.dumps(document) + "\n")
-    os.replace(tmp, path)
+        yield json.dumps(value.tolist() if isinstance(value, np.ndarray) else value)
+
+
+def write_json(path: str, document: dict) -> None:
+    """Write atomically so failed runs never leave a readable partial file:
+    the text goes to `<path>.tmp`, removed if writing fails, and replaces
+    `path` only once it is whole."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(_pieces(document))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:  # an interrupt mid-file included; re-raised
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_json(path: str, sections: tuple[str, ...] = ()) -> dict:

@@ -29,7 +29,7 @@ from . import data as dat
 from . import evaluate as ev
 from . import model as mdl
 from . import trainer as tr
-from .errors import CheckpointError, ConfigError, ContractViolation, InputError
+from .errors import CheckpointError, ConfigError, ContractViolation, InputError, rule_error
 from .runconfig import RunConfig, config_values, effective_config_text, parse_config
 from .tensor import Rng
 
@@ -42,6 +42,13 @@ def _fail(stage: str, message: str, code: int) -> int:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _check_seed(seed: int) -> None:
+    """Refuse a --seed outside run.seed's range: an Rng keeps a seed's low 64 bits."""
+    (field,) = (f for f in dataclasses.fields(tr.TrainConfig) if f.name == "seed")
+    if error := rule_error(field.metadata["rule"], seed):
+        raise InputError(f"--seed {error}")
 
 
 def _metric(model_cfg: mdl.ModelConfig, params, dataset) -> float | None:
@@ -64,6 +71,7 @@ _GENERATORS = {
 def cmd_gen_data(args) -> int:
     """Write the dataset file and, beside it in <out>.meta.json, the arguments
     that regenerate it; nothing reads that sidecar back."""
+    _check_seed(args.seed)
     generate, names = _GENERATORS[args.generator]
     options = {name: getattr(args, name) for name in names}
     ds = generate(args.n, *options.values(), args.seed)
@@ -238,6 +246,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    _check_seed(args.seed)
     model_cfg, params = ckpt.load_params(args.checkpoint)
     ds = dat.read_dataset(args.data)
     tr.check_dataset(model_cfg, ds)

@@ -125,6 +125,7 @@ def subsample_splits(dataset: Dataset, fractions: list[float], seed: int) -> lis
 
     Smaller splits are subsets of larger ones, and class balance is preserved
     within one example per class where rounding allows. Sizes round half up.
+    A split that keeps every example is the dataset itself, not a copy.
     """
     n = len(dataset)
     for f in fractions:
@@ -147,7 +148,7 @@ def subsample_splits(dataset: Dataset, fractions: list[float], seed: int) -> lis
         if idx.size == 0:
             largest = max(class_orders, key=len)
             idx = np.array([largest[0]])
-        splits.append(dataset.subset(idx))
+        splits.append(dataset if idx.size == n else dataset.subset(idx))
     return splits
 
 

@@ -463,7 +463,7 @@ def save_train_checkpoint(path: str, state: TrainState) -> None:
             "global_step": state.global_step,
             "counters": [state.counters.forwards, state.counters.backwards],
             "sampler": {
-                "perm": None if run.sampler_perm is None else run.sampler_perm.tolist(),
+                "perm": run.sampler_perm,
                 "cursor": run.sampler_cursor,
             },
         },

@@ -235,6 +235,27 @@ def test_gen_data_tokens_refuses_a_vocab_past_int64(tmp_path, capsys):
     assert len(read_dataset(str(edge))) == 5
 
 
+@pytest.mark.parametrize("seed", [str(2**64), str(2**64 + 5), "-1"])
+@pytest.mark.parametrize("command", ["gen-data", "probe"])
+def test_a_seed_an_rng_cannot_keep_is_refused_before_any_file_is_written(
+        tmp_path, capsys, command, seed):
+    """An Rng keeps a seed's low 64 bits, so --seed takes run.seed's range."""
+    data, ckpt, out = tmp_path / "d.jsonl", tmp_path / "c.json", tmp_path / "out.json"
+    assert main(["gen-data", "--generator", "two-moons", "--n", "10", "--seed", str(2**64 - 1),
+                 "--out", str(data)]) == 0
+    model = ModelConfig(task="classification", classes=2, arch="mlp", input_dim=2, hidden=(4,))
+    tr.save_train_checkpoint(str(ckpt), tr.init_train_state(
+        model, [tr.TrainConfig()], [init_params(model, Rng(0))], smart=False))
+    argv = {"gen-data": ["gen-data", "--generator", "two-moons", "--n", "10"],
+            "probe": ["probe", "--checkpoint", str(ckpt), "--data", str(data), "--eps", "0.1"]}
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main([*argv[command], "--seed", seed, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("smoothtune: error: input: --seed must be in "
+                                       f"[0, 18446744073709551616), got {seed}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("setting", [
     *(f"smart.{key}=nan" for key in (
         "reg_weight", "eps", "noise_std", "step_size", "prox_weight", "ema_early",

@@ -80,6 +80,17 @@ def test_splits_full_fraction_is_same_set():
     assert {tuple(x) for x in full.inputs} == joint
 
 
+@pytest.mark.parametrize("ds", [gen_cluster_classification(60, 2, 2, 2.0, 1.0, seed=9),
+                                Dataset(np.arange(10.0).reshape(5, 2), np.arange(5.0))],
+                         ids=["classification", "regression"])
+def test_a_split_that_keeps_every_example_is_the_dataset_itself(ds):
+    """A sweep holds no copy of a full split per seed; a fraction that rounds
+    up to every example is one too."""
+    small, full = subsample_splits(ds, [0.1 if len(ds) > 10 else 0.2, 1.0], seed=10)
+    assert full is ds and len(small) < len(ds)
+    assert subsample_splits(ds, [0.99], seed=10)[0] is ds
+
+
 def test_splits_are_nested_and_sized():
     ds = gen_cluster_classification(1000, 2, 2, 2.0, 1.0, seed=11)
     small, large = subsample_splits(ds, [0.01, 0.5], seed=12)

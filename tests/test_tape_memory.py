@@ -14,6 +14,7 @@ from smoothtune import model as mdl
 from smoothtune.adversarial import AdvConfig, PassCounters, find_adversarial
 from smoothtune.autodiff import Tape
 from smoothtune.data import gen_token_sequences, gen_two_moons
+from smoothtune.errors import ContractViolation
 from smoothtune.losses import smooth_loss_mean_node
 from smoothtune.model import ModelConfig
 from smoothtune.optimizer import ProxConfig
@@ -141,6 +142,30 @@ def test_an_eager_forward_keeps_dead_nodes_and_frees_its_intermediates(
     (tape,) = tapes
     assert len(tape) > len(params) and all(node is None for node in tape._nodes)
     assert layers and all(ref() is None for ref in layers)
+
+
+@pytest.mark.usefixtures("no_cyclic_gc")
+def test_a_sweep_frees_what_only_adjoint_closures_held_and_is_not_repeated():
+    rng = Rng(6)
+    tape = Tape()
+    x = tape.leaf(rng.gaussian((2, 5, 4), 1.0), requires_grad=True)
+    gain = tape.leaf(rng.gaussian((4,), 1.0), requires_grad=True)
+    bias = tape.leaf(rng.gaussian((4,), 1.0), requires_grad=True)
+    normed = ad.layer_norm(x, gain, bias)
+    out = ad.attention(normed, normed, normed, heads=2)
+    loss = ad.sum_all(out)
+    held = {id(v.value) for v in (x, gain, bias, normed, out, loss)}
+    # layer_norm's xhat and inv, attention's softmax and its q, k^T and v head copies
+    closed = [weakref.ref(cell.cell_contents) for v in (normed, out)
+              for cell in tape._nodes[v.index][1].__closure__
+              if isinstance(cell.cell_contents, np.ndarray) and id(cell.cell_contents) not in held]
+    assert len(closed) == 6 and all(ref() is not None for ref in closed)
+    grads = tape.backward(loss)
+    assert list(grads) == [x, gain, bias] and len(tape) == 6
+    assert all(ref() is None for ref in closed)
+    assert tape.needs(normed) and tape.needs(x)
+    with pytest.raises(ContractViolation, match="swept already"):
+        tape.backward(loss)
 
 
 def test_backward_skips_dropped_leaves():

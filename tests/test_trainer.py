@@ -1,9 +1,12 @@
 import dataclasses
+import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from smoothtune import checkpoint as ckpt
 from smoothtune import trainer as tr
 from smoothtune.adversarial import AdvConfig, PassCounters
 from smoothtune.autodiff import Tape
@@ -272,6 +275,61 @@ def test_checkpoint_load_errors(tmp_path):
         fh.write(text.replace('"version": 1', '"version": 7', 1))
     with pytest.raises(CheckpointError, match="version"):
         resume_from_checkpoint(badv)
+
+
+def _as_lists(value):
+    """A document with every numpy array as its tolist(): what one json.dumps wrote."""
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def test_a_save_holds_one_tensor_at_a_time_and_writes_the_json_dumps_bytes(tmp_path, monkeypatch):
+    cfg = parse_config(str(Path(__file__).resolve().parent.parent / "bench/tokens_transformer.ini"))
+    ds = gen_token_sequences(80, cfg.model.vocab_size, cfg.model.max_len, 1)
+    state = init_train_state(cfg.model, [cfg.train], [init_params(cfg.model, Rng(0))], smart=True)
+    continue_training(state, [ds], stop_after=2)
+    documents, write = [], ckpt.write_json
+    monkeypatch.setattr(tr, "write_json", lambda path, doc: documents.append(doc) or write(path, doc))
+    path = tmp_path / "ckpt.json"
+    tracemalloc.start()
+    try:
+        save_train_checkpoint(str(path), state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one json.dumps of the document as lists peaked at about 6x the file
+    assert peak < path.stat().st_size
+    assert path.read_text(encoding="utf-8") == json.dumps(_as_lists(documents[0])) + "\n"
+
+
+@pytest.mark.parametrize("document", [
+    {},
+    {"a": None, "b": [], "c": {}, "d": {"e": [1, 2.5, "f\u00e9\n"]}, "g": True, "h": -0.0},
+    {"m": np.arange(6.0).reshape(2, 3) / 7, "n": np.arange(3), "o": np.zeros(0), "p": 1e300},
+], ids=["empty", "nested", "arrays"])
+def test_the_checkpoint_writer_writes_the_bytes_of_json_dumps(tmp_path, document):
+    path = tmp_path / "doc.json"
+    ckpt.write_json(str(path), document)
+    assert path.read_text(encoding="utf-8") == json.dumps(_as_lists(document)) + "\n"
+
+
+class _Interrupted(np.ndarray):
+    def tolist(self):
+        raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("bad, error", [({1, 2}, TypeError),
+                                        (np.ones(3).view(_Interrupted), KeyboardInterrupt)],
+                         ids=["not_json", "interrupt"])
+def test_a_failed_write_leaves_no_temporary_file_and_the_old_file(tmp_path, bad, error):
+    path = tmp_path / "ckpt.json"
+    ckpt.write_json(str(path), {"old": 1})
+    before = path.read_bytes()
+    with pytest.raises(error):
+        ckpt.write_json(str(path), {"a": np.ones(1000), "b": {"c": bad}, "d": 2})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
+    assert path.read_bytes() == before
 
 
 def test_transformer_training_and_reduction():
