@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import model as mdl
 from .autodiff import Tape
 from .errors import check_fields, checked
@@ -104,8 +103,7 @@ def find_adversarial(
         loss = smooth_loss_mean_node(model_cfg.task, out, tape.const(clean_outputs))
         counters.forwards += 1
         counters.backwards += 1
-        # runs are independent, so the gradient of their sum is each run's own
-        grad = tape.backward(ad.sum_all(loss))[x_var]
+        grad = tape.backward(loss)[x_var]
         x_adv = _project_rows(x_adv + cfg.step_size * _normalize_rows(grad, cfg.norm, examples),
                               x, cfg.eps, cfg.norm, examples)
     return x_adv

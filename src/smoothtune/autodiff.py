@@ -2,10 +2,10 @@
 
 A Tape records primitive applications in topological order as they are built;
 forward values are computed eagerly so intermediate results are immediately
-usable. One backward sweep per scalar output yields gradients for every
-requested leaf, in a fixed order, so identical tapes produce bitwise identical
-gradients. Forward values needed by adjoint rules are captured by the adjoint
-closures rather than recomputed.
+usable. One backward sweep from an output yields the gradient of the sum of
+its entries for every requested leaf, in a fixed order, so identical tapes
+produce bitwise identical gradients. Forward values needed by adjoint rules are
+captured by the adjoint closures rather than recomputed.
 
 Nothing a tape holds points back at a Var, so a tape and its intermediates are
 freed by reference counting as soon as the last Var or tape reference goes.
@@ -16,14 +16,14 @@ node, while the caller still holds the tape.
 
 A dense layer is one node: `affine` forms x @ w, then adds the bias and
 applies the activation in place in the product's buffer. As three ops
-(matmul, add_broadcast, activation) a layer would allocate three
-activation-sized arrays, and over large batches those cost about as much as
-the product itself. The one node does the same float ops in the same order, so
+(matmul, add, activation) a layer would allocate three activation-sized
+arrays, and over large batches those cost about as much as the product
+itself. The one node does the same float ops in the same order, so
 its values and adjoints equal the three-op chain's bit for bit.
 
 So is attention: `attention` splits q, k and v into heads, forms
 softmax(q k^T / sqrt(hd)) v per head and joins the heads, as 15 reshape,
-swapaxes, matmul, cmul and softmax nodes did. Its heads are the chain's
+swapaxes, matmul, mul_const and softmax nodes did. Its heads are the chain's
 contiguous copies (k^T made in one copy, not two), so each product is the same
 BLAS call, and its adjoint runs the chain's expressions in the chain's order
 on the same views: values and adjoints are the chain's, bit for bit.
@@ -31,8 +31,8 @@ on the same views: values and adjoints are the chain's, bit for bit.
 Adjoints flow only toward gradient leaves: a node is live when it is a
 requires_grad leaf or has a live parent. A dead node (a constant, an ascent
 step's weights) keeps no closure, and `affine`, `attention`, `layer_norm` and
-`add_broadcast` compute no part for a dead parent; a part that reaches no leaf
-changes none that does, so gradients are those of a full sweep, bit for bit.
+`add` compute no part for a dead parent; a part that reaches no leaf changes
+none that does, so gradients are those of a full sweep, bit for bit.
 A forward-only pass is a tape whose leaves want no gradient: every node is
 dead, so each intermediate lives only while the next op still needs it.
 
@@ -61,10 +61,6 @@ class Var:
         self.tape = tape
         self.index = index
         self.value = value
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def __repr__(self):
         return f"Var(shape={self.value.shape}, node={self.index})"
@@ -111,7 +107,8 @@ class Tape:
         return self._nodes[v.index] is not None
 
     def backward(self, output: Var) -> dict[Var, np.ndarray]:
-        """Reverse sweep from a scalar output.
+        """Reverse sweep from an output seeded with ones: the gradient of the
+        sum of its entries, each run's own for a stack's per-run losses.
 
         Returns a map from every gradient-requested leaf still alive to its
         gradient; leaves unreachable from the output get zeros. Each node's
@@ -119,10 +116,6 @@ class Tape:
         """
         if output.tape is not self:
             raise ContractViolation("backward: output does not live on this tape")
-        if output.value.shape != ():
-            raise ContractViolation(
-                f"backward: output must be scalar, got shape {output.value.shape}"
-            )
         if self._swept:
             raise ContractViolation("backward: this tape has been swept already")
         self._swept = True
@@ -130,7 +123,7 @@ class Tape:
         keep = {leaf.index for leaf in leaves}
         nodes = self._nodes
         adjoints: list[np.ndarray | None] = [None] * len(nodes)
-        adjoints[output.index] = np.ones(())
+        adjoints[output.index] = np.ones(output.value.shape)
         for i in range(output.index, -1, -1):
             g = adjoints[i]
             if g is None:
@@ -165,6 +158,8 @@ def _same_tape(*vars_: Var) -> Tape:
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = np.add.reduce(g, axis=0)
     for ax, n in enumerate(shape):
@@ -181,35 +176,20 @@ def _check_broadcast(bshape: tuple[int, ...], shape: tuple[int, ...], op: str) -
 
 # -- arithmetic --------------------------------------------------------------
 
-def _require_same_shape(av: np.ndarray, bv: np.ndarray, op: str) -> None:
-    if av.shape != bv.shape:
-        raise ContractViolation(f"{op}: shape mismatch {av.shape} vs {bv.shape}")
-
-
 def add(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    _require_same_shape(a.value, b.value, "add")
-    return tape._record(a.value + b.value, (a.index, b.index), lambda g: (g, g))
-
-
-def add_broadcast(a: Var, b: Var) -> Var:
-    """a + b where b broadcasts to a's shape (bias, gain, position table)."""
+    """a + b where b broadcasts to a's shape (a bias, a gain, a position table)."""
     tape = _same_tape(a, b)
     bshape = b.value.shape
-    _check_broadcast(bshape, a.value.shape, "add_broadcast")
+    _check_broadcast(bshape, a.value.shape, "add")
     need_b = tape.needs(b)
     return tape._record(a.value + b.value, (a.index, b.index),
                         lambda g: (g, _reduce_to(g, bshape) if need_b else None))
 
 
-def cmul(a: Var, c: float) -> Var:
-    return a.tape._record(c * a.value, (a.index,), lambda g: (c * g,))
-
-
-def mul_const(a: Var, arr: np.ndarray) -> Var:
-    """Elementwise product with a non-differentiated constant (dropout masks)."""
-    _require_same_shape(a.value, arr, "mul_const")
-    return a.tape._record(a.value * arr, (a.index,), lambda g: (g * arr,))
+def mul_const(a: Var, c) -> Var:
+    """Product with a constant that broadcasts to a's shape (a weight, a dropout mask)."""
+    _check_broadcast(np.shape(c), a.value.shape, "mul_const")
+    return a.tape._record(a.value * c, (a.index,), lambda g: (g * c,))
 
 
 def _product_vjp(tape: Tape, a: Var, b: Var):
@@ -226,7 +206,7 @@ def affine(x: Var, w: Var, b: Var, act: str | None = None) -> Var:
     """act(x @ w + b) as one node, with act "tanh", "relu" or None; b broadcasts
     to the product's shape.
 
-    Values and adjoints equal those of matmul, add_broadcast and the
+    Values and adjoints equal those of matmul, add and the
     activation recorded one after another. The relu mask is read off the
     output: y > 0 exactly where the input is > 0, NaN included.
     """
@@ -355,13 +335,6 @@ def layer_norm(a: Var, gain: Var, bias: Var) -> Var:
 
 
 # -- reductions and indexing -------------------------------------------------
-
-def sum_all(a: Var) -> Var:
-    """Sum over every axis."""
-    shape = a.value.shape
-    return a.tape._record(a.value.sum(), (a.index,),
-                          lambda g: (np.broadcast_to(g, shape).copy(),))
-
 
 def mean_axis(a: Var, axis: int) -> Var:
     n = a.value.shape[axis]

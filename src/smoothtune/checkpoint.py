@@ -14,14 +14,14 @@ unknown one, or holding a value whose JSON type is not its field's annotation
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import itertools
 import json
-import os
 import typing
 
 import numpy as np
 
+from .data import write_atomically
 from .errors import CheckpointError
 from .model import ModelConfig, ModelParams, param_shapes
 
@@ -114,19 +114,8 @@ def _pieces(value):
 
 
 def write_json(path: str, document: dict) -> None:
-    """Write atomically so failed runs never leave a readable partial file:
-    the text goes to `<path>.tmp`, removed if writing fails, and replaces
-    `path` only once it is whole."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(_pieces(document))
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:  # an interrupt mid-file included; re-raised
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    """Write atomically so failed runs never leave a readable partial file."""
+    write_atomically(path, itertools.chain(_pieces(document), ("\n",)))
 
 
 def read_json(path: str, sections: tuple[str, ...] = ()) -> dict:

@@ -39,11 +39,6 @@ def _fail(stage: str, message: str, code: int) -> int:
     return code
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _check_seed(seed: int) -> None:
     """Refuse a --seed outside run.seed's range: an Rng keeps a seed's low 64 bits."""
     (field,) = (f for f in dataclasses.fields(tr.TrainConfig) if f.name == "seed")
@@ -74,10 +69,12 @@ def cmd_gen_data(args) -> int:
     _check_seed(args.seed)
     generate, names = _GENERATORS[args.generator]
     options = {name: getattr(args, name) for name in names}
-    ds = generate(args.n, *options.values(), args.seed)
+    # a value that overflows is refused by write_dataset, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ds = generate(args.n, *options.values(), args.seed)
     dat.write_dataset(args.out, ds)
-    _write_text(args.out + ".meta.json", json.dumps(
-        {"generator": args.generator, "n": args.n, "seed": args.seed, **options}) + "\n")
+    dat.write_atomically(args.out + ".meta.json", [json.dumps(
+        {"generator": args.generator, "n": args.n, "seed": args.seed, **options}) + "\n"])
     print(f"wrote {len(ds)} examples to {args.out}")
     return 0
 
@@ -101,11 +98,11 @@ def _output_dir(cfg: RunConfig, outputs: tuple[str, ...], keep: str | None = Non
     for path in (os.path.join(cfg.out_dir, name) for name in ("FAILED", *outputs)):
         if os.path.exists(path) and os.path.realpath(path) != (keep and os.path.realpath(keep)):
             os.remove(path)
-    _write_text(os.path.join(cfg.out_dir, "config.ini"), effective_config_text(cfg))
+    dat.write_atomically(os.path.join(cfg.out_dir, "config.ini"), [effective_config_text(cfg)])
     try:
         yield
     except BaseException as exc:
-        _write_text(sentinel, f"{type(exc).__name__}: {exc}\n")
+        dat.write_atomically(sentinel, [f"{type(exc).__name__}: {exc}\n"])
         raise
 
 
@@ -149,12 +146,23 @@ def _train_stack(state: tr.TrainState, datasets: list[dat.Dataset], test_ds, eva
             for result, run_records, run_evals in zip(results, records, evals)]
 
 
-def _score(cfg: RunConfig, params, train_ds, test_ds, probe_eps: float,
+def _probe_eps(cfg: RunConfig) -> float:
+    """The probe's radius: run.probe_eps, or the ascent's eps without one."""
+    return cfg.probe_eps if cfg.probe_eps is not None else cfg.train.adv.eps
+
+
+def _fresh_stack(cfg: RunConfig, train_cfgs: list[tr.TrainConfig], method: str) -> tr.TrainState:
+    """A new stack of one run per train config, each from its seed's initial params."""
+    params = [mdl.init_params(cfg.model, Rng(c.seed).child(0)) for c in train_cfgs]
+    return tr.init_train_state(cfg.model, train_cfgs, params, smart=method == "smooth")
+
+
+def _score(cfg: RunConfig, params, train_ds, test_ds,
            seed: int) -> tuple[float, float | None, float]:
     """One run's final train metric, test metric and smoothness probe. The
     train metric is read off the probe's clean forward, so the train split
     runs 1 + probe_samples forwards and the test split one."""
-    probe, train_metric = ev.local_smoothness_probe(cfg.model, params, train_ds, probe_eps,
+    probe, train_metric = ev.local_smoothness_probe(cfg.model, params, train_ds, _probe_eps(cfg),
                                                     cfg.probe_samples, seed, with_metric=True)
     return train_metric, _metric(cfg.model, params, test_ds), probe
 
@@ -169,34 +177,32 @@ def _train_one(cfg: RunConfig, resume: str | None = None) -> dict:
             state = tr.resume_from_checkpoint(resume)
             _check_resume_config(cfg, state, resume)
         else:
-            state = tr.init_train_state(cfg.model, [cfg.train],
-                                        [mdl.init_params(cfg.model, Rng(cfg.train.seed).child(0))],
-                                        smart=cfg.method == "smooth")
+            state = _fresh_stack(cfg, [cfg.train], cfg.method)
         eval_every = 0 if resume is not None else cfg.eval_every
         [(params, records, evals)] = _train_stack(
             state, [train_ds], test_ds, eval_every,
             cfg.checkpoint_every, os.path.join(cfg.out_dir, "checkpoint.json"))
 
-        _write_text(os.path.join(cfg.out_dir, "records.csv"),
-                    "\n".join(tr.records_csv_lines(records)) + "\n")
+        dat.write_atomically(os.path.join(cfg.out_dir, "records.csv"),
+                             ["\n".join(tr.records_csv_lines(records)) + "\n"])
         tr.save_train_checkpoint(os.path.join(cfg.out_dir, "checkpoint_final.json"), state)
-        probe_eps = cfg.probe_eps if cfg.probe_eps is not None else cfg.train.adv.eps
-        final_train, final_test, probe = _score(cfg, params, train_ds, test_ds, probe_eps,
-                                                cfg.train.seed)
+        final_train, final_test, probe = _score(cfg, params, train_ds, test_ds, cfg.train.seed)
         if eval_every:
             evals.append((state.global_step, final_train, final_test))
             lines = ["step,train_metric,test_metric"] + [tr.csv_row(row) for row in evals]
-            _write_text(os.path.join(cfg.out_dir, "eval_history.csv"), "\n".join(lines) + "\n")
+            dat.write_atomically(os.path.join(cfg.out_dir, "eval_history.csv"),
+                                 ["\n".join(lines) + "\n"])
         metrics = {
             "final_train_metric": final_train,
             "final_test_metric": final_test,
             "smoothness_probe": probe,
-            "probe_eps": probe_eps,
+            "probe_eps": _probe_eps(cfg),
             "steps": state.global_step,
             "forward_passes": state.counters.forwards,
             "backward_passes": state.counters.backwards,
         }
-        _write_text(os.path.join(cfg.out_dir, "metrics.json"), json.dumps(metrics) + "\n")
+        dat.write_atomically(os.path.join(cfg.out_dir, "metrics.json"),
+                             [json.dumps(metrics) + "\n"])
         return metrics
 
 
@@ -240,7 +246,7 @@ def cmd_eval(args) -> int:
     metrics = {"n": len(ds), name: ev.task_metric(model_cfg, params, ds)}
     if name == "accuracy" and ds.soft_labels is not None:
         metrics["agreement_cross_entropy"] = ev.agreement_cross_entropy(model_cfg, params, ds)
-    _write_text(args.out, json.dumps(metrics) + "\n")
+    dat.write_atomically(args.out, [json.dumps(metrics) + "\n"])
     print(f"wrote metrics to {args.out}")
     return 0
 
@@ -254,7 +260,7 @@ def cmd_probe(args) -> int:
                                       args.samples, args.seed)
     report = {"eps": args.eps, "samples_per_point": args.samples,
               "seed": args.seed, "n": len(ds), "smoothness_probe": value}
-    _write_text(args.out, json.dumps(report) + "\n")
+    dat.write_atomically(args.out, [json.dumps(report) + "\n"])
     print(f"wrote probe report to {args.out}")
     return 0
 
@@ -271,7 +277,7 @@ def cmd_boundary(args) -> int:
     lines = ["x0,x1,p1"]
     for x0, x1, p1 in grid:
         lines.append(f"{float(x0)!r},{float(x1)!r},{float(p1)!r}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    dat.write_atomically(args.out, ["\n".join(lines) + "\n"])
     print(f"wrote {len(grid)} grid rows to {args.out}")
     return 0
 
@@ -285,7 +291,7 @@ def cmd_sweep(args) -> int:
     path = os.path.join(cfg.out_dir, "sweep.csv")
     with _output_dir(cfg, ("sweep.csv",)):
         rows = _sweep_rows(cfg)
-        _write_text(path, "\n".join(rows) + "\n")
+        dat.write_atomically(path, ["\n".join(rows) + "\n"])
     print(f"wrote {len(rows) - 1} sweep rows to {path}")
     return 0
 
@@ -314,7 +320,6 @@ def _sweep_rows(cfg: RunConfig) -> list[str]:
     header = "method,reg_weight,prox_weight,fraction,seed,train_metric,test_metric,probe"
     rows = [header]
     groups: dict[tuple, list[tuple[float, float, float]]] = {}
-    probe_eps = cfg.probe_eps if cfg.probe_eps is not None else cfg.train.adv.eps
     for method, rw, pw in cells():
         cell_cfg = dataclasses.replace(
             cfg.train, reg_weight=rw, prox=dataclasses.replace(cfg.train.prox, prox_weight=pw))
@@ -326,16 +331,12 @@ def _sweep_rows(cfg: RunConfig) -> list[str]:
             stacks.setdefault(tr.stack_batch_size(cell_cfg, split), []).append(i)
         finals: dict[int, mdl.ModelParams] = {}
         for members in stacks.values():
-            seeds_of = [runs[i][1] for i in members]
+            run_cfgs = [dataclasses.replace(cell_cfg, seed=runs[i][1]) for i in members]
             # keep only the params: no stack's state outlives its training
             finals.update({i: params for i, (params, _, _) in zip(members, _train_stack(
-                tr.init_train_state(
-                    cfg.model, [dataclasses.replace(cell_cfg, seed=seed) for seed in seeds_of],
-                    [mdl.init_params(cfg.model, Rng(seed).child(0)) for seed in seeds_of],
-                    smart=method == "smooth"),
-                [runs[i][2] for i in members], test_ds, 0))})
+                _fresh_stack(cfg, run_cfgs, method), [runs[i][2] for i in members], test_ds, 0))})
         for i, (frac, seed, split) in enumerate(runs):
-            tm, sm, probe = _score(cfg, finals[i], split, test_ds, probe_eps, seed)
+            tm, sm, probe = _score(cfg, finals[i], split, test_ds, seed)
             rows.append(f"{method}," + tr.csv_row((rw, pw, frac, seed, tm, sm, probe)))
             groups.setdefault((method, rw, pw, frac), []).append((tm, sm, probe))
     for (method, rw, pw, frac), vals in groups.items():

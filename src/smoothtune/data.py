@@ -9,8 +9,10 @@ arrays: the dtypes of its labels and inputs are its task and input kind.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,14 +158,31 @@ def subsample_splits(dataset: Dataset, fractions: list[float], seed: int) -> lis
 # File IO
 # ---------------------------------------------------------------------------
 
+def write_atomically(path: str, pieces) -> None:
+    """Write text pieces to `<path>.tmp`, removed if writing fails (an interrupt
+    included), and move it over `path` once whole: no partial file is left."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:  # re-raised
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_dataset(path: str, dataset: Dataset) -> None:
-    """One JSON record per example, its fields in the order x or tokens, y, p."""
+    """One JSON record per example, its fields in the order x or tokens, y, p;
+    a non-finite value, which `read_dataset` refuses, is refused unwritten."""
     arrays = {"x" if dataset.input_kind == "vector" else "tokens": dataset.inputs,
               "y": dataset.labels, "p": dataset.soft_labels}
+    for name, arr in arrays.items():
+        if arr is not None and not np.isfinite(arr).all():
+            raise InputError(f"{path}: non-finite value in {name!r}, nothing written")
     columns = {name: arr.tolist() for name, arr in arrays.items() if arr is not None}
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in zip(*columns.values()):
-            fh.write(json.dumps(dict(zip(columns, row))) + "\n")
+    write_atomically(path, (json.dumps(dict(zip(columns, row))) + "\n"
+                            for row in zip(*columns.values())))
 
 
 _DECODER = json.JSONDecoder()

@@ -262,7 +262,7 @@ def _build_body(config: ModelConfig, pvars: dict[str, Var], emb: Var,
                 h = ad.mul_const(h, masks[i])
         return h
     pos = sinusoidal_positions(config.max_len, config.embed_dim)[:emb.value.shape[-2]]
-    h = ad.add_broadcast(emb, emb.tape.const(pos))
+    h = ad.add(emb, emb.tape.const(pos))
     for i in range(config.layers):
         p = f"block{i}"
         # pre-LN self-attention with residual

@@ -236,14 +236,14 @@ def build_iteration_objective(
         clean_branch = ad.stop_gradient(outputs) if cfg.reg_detach_clean else outputs
         reg = build_smoothness_term(tape, model_cfg, pvars, clean_branch, x_adv,
                                     masks, counters)
-        total = ad.add(total, ad.cmul(reg, cfg.reg_weight))
+        total = ad.add(total, ad.mul_const(reg, cfg.reg_weight))
     if breg_on:
         current = teacher_params is params and (masks is None or len(masks) <= 1)
         teacher_out = mdl.forward(model_cfg, teacher_params, xs,
                                   features[0].value if current else None)
         counters.forwards += 1
         breg = smooth_loss_mean_node(model_cfg.task, outputs, tape.const(teacher_out))
-        total = ad.add(total, ad.cmul(breg, cfg.prox.prox_weight))
+        total = ad.add(total, ad.mul_const(breg, cfg.prox.prox_weight))
     return Objective(tape=tape, total=total, task=task, reg=reg, breg=breg,
                      pvars=pvars, embedding=emb.value, adversarial=x_adv)
 
@@ -350,8 +350,7 @@ def continue_training(
                 )
                 if obj.adversarial is not None:
                     _audit_perturbation(obj, cfg, t, s)
-                # runs are independent, so the gradient of their sum is each run's own
-                grad_map = obj.tape.backward(ad.sum_all(obj.total))
+                grad_map = obj.tape.backward(obj.total)
                 state.counters.backwards += 1
                 np.concatenate([grad_map[v].ravel() for v in obj.pvars.values()], out=state.grads)
                 task, reg, breg, total = (None if term is None else term.value.tolist()

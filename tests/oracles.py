@@ -151,7 +151,7 @@ def sym_kl_chain(p, q):
     (p - q) * (log p - log q), summed per run and scaled by 1 / examples."""
     lp, lq = ref_log(ref_clip(p, 1e-12, 1.0)), ref_log(ref_clip(q, 1e-12, 1.0))
     per_entry = ref_mul(ref_sub(p, q), ref_sub(lp, lq))
-    return ad.cmul(ref_sum_all(per_entry, p.value.ndim - 2), 1.0 / p.value.shape[-2])
+    return ad.mul_const(ref_sum_all(per_entry, p.value.ndim - 2), 1.0 / p.value.shape[-2])
 
 
 def squared_error_chain(p, q):
@@ -164,7 +164,7 @@ def cross_entropy_chain(outputs, labels):
     """The batch mean of -log p[label] as the 5-node chain pick, clip, log,
     mean and a scale by -1."""
     picked = ref_clip(ref_pick(outputs, labels), 1e-12, 1.0)
-    return ad.cmul(ref_mean_all(ref_log(picked), labels.ndim - 1), -1.0)
+    return ad.mul_const(ref_mean_all(ref_log(picked), labels.ndim - 1), -1.0)
 
 
 def ref_swapaxes(a, ax1, ax2):
@@ -174,9 +174,9 @@ def ref_swapaxes(a, ax1, ax2):
 
 
 def unfused_affine(x, w, b, act=None):
-    """act(x @ w + b) as three nodes: matmul, then add_broadcast, then the
+    """act(x @ w + b) as three nodes: matmul, then add, then the
     activation, the chain ad.affine must reproduce bit for bit."""
-    y = ad.add_broadcast(ref_matmul(x, w), b)
+    y = ad.add(ref_matmul(x, w), b)
     if act is None:
         return y
     return {"tanh": ref_tanh, "relu": ref_relu}[act](y)
@@ -235,7 +235,7 @@ def attention_chain(q, k, v, heads):
     hd = shape[-1] // heads
     split = shape[:-1] + (heads, hd)
     qh, kh, vh = (ref_swapaxes(ad.reshape(t, split), -3, -2) for t in (q, k, v))
-    scores = ad.cmul(ref_matmul(qh, ref_swapaxes(kh, -1, -2)), 1.0 / np.sqrt(hd))
+    scores = ad.mul_const(ref_matmul(qh, ref_swapaxes(kh, -1, -2)), 1.0 / np.sqrt(hd))
     ctx = ref_matmul(ad.softmax(scores), vh)
     return ad.reshape(ref_swapaxes(ctx, -3, -2), shape)
 

@@ -5,7 +5,8 @@ A public function or method that nothing in `src/` (apart from the
 alive only by its tests; this guard keeps such twins from growing back. The
 same holds for options: a keyword-only option, or a defaulted positional
 parameter of a public function or constructor, that no call there passes.
-The package's top level re-exports only what README's Library section names.
+The package's top level re-exports only what README's Library section names,
+and README lists exactly the ops of `autodiff`.
 """
 
 import ast
@@ -124,6 +125,17 @@ def test_the_top_level_imports_only_the_readme_library_api():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert imported
     assert sorted(imported - set(re.findall(r"\w+", code))) == []
+
+
+def test_the_readme_names_exactly_the_ops_of_autodiff():
+    """README's sentence "The ops that remain in `autodiff` are ..." names
+    every public module-level function of `autodiff`, and nothing else."""
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    sentence = readme.split("The ops that remain in `autodiff` are ", 1)[1].split(".", 1)[0]
+    tree = ast.parse((PACKAGE / "autodiff.py").read_text(encoding="utf-8"))
+    ops = {node.name for node in tree.body
+           if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert sorted(sentence.split("`")[1::2]) == sorted(ops)
 
 
 def _passed_keywords(tree: ast.Module) -> set[str]:

@@ -15,6 +15,7 @@ from oracles import (
     ref_log,
     ref_mean_all,
     ref_mul,
+    ref_sum_all,
     unfused_affine,
 )
 
@@ -43,8 +44,7 @@ def test_unreachable_leaf_gets_zero_gradient():
     tape = Tape()
     x = tape.leaf(np.array([1.0, 2.0]), requires_grad=True)
     c = tape.leaf(np.array(5.0), requires_grad=True)
-    out = ad.sum_all(ref_mul(x, x))
-    grads = tape.backward(out)
+    grads = tape.backward(ref_mul(x, x))
     assert np.array_equal(grads[c], np.zeros(()))
     assert np.array_equal(grads[x], [2.0, 4.0])
 
@@ -97,7 +97,7 @@ def test_stop_gradient():
     x = tape.leaf(np.array(3.0), requires_grad=True)
     y = ad.stop_gradient(x)
     assert np.array_equal(y.value, x.value)
-    grads = tape.backward(ad.sum_all(y))
+    grads = tape.backward(y)
     assert grads[x] == 0.0
 
     # product with one frozen factor: d/dx (x * sg(x)) = x
@@ -116,10 +116,10 @@ def test_backward_linearity():
     def grad_of(fa, fb):
         tape = Tape()
         leaf = tape.leaf(x, requires_grad=True)
-        f = ad.sum_all(ref_mul(leaf, leaf))
-        g = ad.sum_all(ad.affine(ad.reshape(leaf, (2, 3)), tape.const(w), tape.const(bias),
-                                 "tanh"))
-        out = ad.add(ad.cmul(f, fa), ad.cmul(g, fb))
+        f = ref_sum_all(ref_mul(leaf, leaf))
+        g = ref_sum_all(ad.affine(ad.reshape(leaf, (2, 3)), tape.const(w), tape.const(bias),
+                                   "tanh"))
+        out = ad.add(ad.mul_const(f, fa), ad.mul_const(g, fb))
         return tape.backward(out)[leaf]
 
     combined = grad_of(a, b)
@@ -148,12 +148,29 @@ def test_cross_tape_operands_rejected():
         ad.add(a, b)
 
 
-def test_non_scalar_backward_rejected():
-    tape = Tape()
-    x = tape.leaf(np.ones((2, 2)), requires_grad=True)
-    y = ad.affine(x, x, tape.const(np.zeros(2)), "tanh")
-    with pytest.raises(ContractViolation):
-        tape.backward(y)
+def test_backward_on_a_stacked_loss_gives_each_run_its_own_gradient_bitwise():
+    """Backward from a stack's (S,) losses gives every slice the bits of
+    backward from that run's own stack of one."""
+    rng = Rng(15)
+    arrays = [rng.gaussian((3, 6, 4), 1.0), rng.gaussian((3, 4, 5), 0.7),
+              rng.gaussian((3, 1, 5), 0.5), rng.gaussian((3, 5, 2), 0.7),
+              rng.gaussian((3, 1, 2), 0.5)]
+    labels = np.array([[0, 1, 1, 0, 1, 0], [1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 0]])
+
+    def grads_of(run):
+        tape = Tape()
+        leaves = [tape.leaf(a[run], requires_grad=True) for a in arrays]
+        x, w, b, v, c = leaves
+        logits = ad.affine(ad.affine(x, w, b, "tanh"), v, c)
+        loss = task_loss_mean_node("classification", ad.softmax(logits), labels[run])
+        assert loss.value.shape == labels[run].shape[:1]
+        grads = tape.backward(loss)
+        return [grads[leaf] for leaf in leaves]
+
+    stacked = grads_of(slice(None))
+    for s in range(3):
+        for g_stacked, g_solo in zip(stacked, grads_of(slice(s, s + 1))):
+            assert np.array_equal(g_stacked[s:s + 1].view(np.uint64), g_solo.view(np.uint64))
 
 
 def test_assorted_primitive_gradients_match_finite_differences():
@@ -207,8 +224,7 @@ def _affine_values_and_grads(layer, arrays, act, shared_weight=False):
     out = layer(x, w, b, act)
     if shared_weight:
         out = layer(out, w, b, act)
-    loss = ad.sum_all(ad.mul_const(out, cv))
-    grads = tape.backward(loss)
+    grads = tape.backward(ad.mul_const(out, cv))
     return out.value, [grads[v] for v in (x, w, b)]
 
 
@@ -251,7 +267,7 @@ def test_affine_gradients_match_finite_differences(act):
     c = rng.gaussian((2, 4, 5), 1.0)
 
     def build(tape, leaves):
-        return ad.sum_all(ad.mul_const(ad.affine(*leaves, act), c))
+        return ref_sum_all(ad.mul_const(ad.affine(*leaves, act), c))
 
     tape = Tape()
     leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
@@ -287,7 +303,7 @@ def _attention_values_and_grads(attend, arrays, heads, live):
     tape = Tape()
     q, k, v = (tape.leaf(a, requires_grad=name in live) for name, a in zip("qkv", (qv, kv, vv)))
     out = attend(q, k, v, heads)
-    grads = tape.backward(ad.sum_all(ad.mul_const(out, cv)))
+    grads = tape.backward(ad.mul_const(out, cv))
     return out.value, [grads.get(var) for var in (q, k, v)]
 
 
@@ -313,7 +329,7 @@ def test_attention_gradients_match_finite_differences():
     c = rng.gaussian((2, 3, 4), 1.0)
 
     def build(tape, leaves):
-        return ad.sum_all(ad.mul_const(ad.attention(*leaves, 2), c))
+        return ref_sum_all(ad.mul_const(ad.attention(*leaves, 2), c))
 
     tape = Tape()
     leaves = [tape.leaf(a, requires_grad=True) for a in arrays]
@@ -357,7 +373,7 @@ def test_layer_norm_matches_the_textbook_formula_bitwise(case, eager):
         # leaves that want no gradient run layer_norm's in-place forward-only path
         leaves = [tape.leaf(a, requires_grad=not eager) for a in arrays]
         out = norm(*leaves)
-        grads = {} if eager else tape.backward(ad.sum_all(ad.mul_const(out, c)))
+        grads = {} if eager else tape.backward(ad.mul_const(out, c))
         results.append((out.value, [grads.get(leaf) for leaf in leaves]))
     (fused, fused_grads), (ref, ref_grads) = results
     assert np.array_equal(fused, ref)

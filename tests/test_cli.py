@@ -211,6 +211,22 @@ def test_gen_data_refuses_bad_scales(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["--generator", "cluster", "--n", "6", "--noise", "1e-200"], "p"),
+    (["--generator", "two-moons", "--n", "1000", "--noise", "1e308"], "x"),
+], ids=["nan_posteriors", "infinite_points"])
+def test_gen_data_refuses_a_non_finite_dataset_before_writing(tmp_path, capsys, argv, field):
+    """A generated value the reader would refuse is refused with one line and
+    no numpy warning, and neither the file nor its sidecar is written."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gen-data", *argv, "--seed", "1", "--out", str(tmp_path / "d.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("smoothtune: error: input:") and err.count("\n") == 1, err
+    assert f"non-finite value in '{field}'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("n, seed, digest", [
     (400, 1001, "c7b8e18a88be5dc042a4a955a8682db0947b5ed2a74bacf3b6d3a1dbce5b8477"),
     (1000, 1002, "e9cf1afa3618417bd74e1595f2de16aafe9f3040e0feb0ea6365aaece2761280"),
@@ -528,7 +544,7 @@ def test_score_runs_one_clean_forward_of_the_train_split(workspace, monkeypatch,
     runs 1 + probe_samples forwards and the test split one, and the metrics
     equal accuracy's / mse's."""
     tmp, cfg_path, train_path, test_path = workspace
-    cfg = parse_config(cfg_path, ["run.probe_samples=3"])
+    cfg = parse_config(cfg_path, ["run.probe_samples=3", "run.probe_eps=0.1"])
     train_ds, test_ds = read_dataset(train_path), read_dataset(test_path)
     metric = accuracy
     if task == "regression":
@@ -538,7 +554,7 @@ def test_score_runs_one_clean_forward_of_the_train_split(workspace, monkeypatch,
         metric = task_metric
     params = init_params(cfg.model, Rng(3))
     rows = _count_forward_rows(monkeypatch)
-    train_metric, test_metric, probe = cli._score(cfg, params, train_ds, test_ds, 0.1, 4)
+    train_metric, test_metric, probe = cli._score(cfg, params, train_ds, test_ds, 4)
     assert rows.count(len(train_ds)) == 1 + 3
     assert rows.count(len(test_ds)) == 1
     monkeypatch.undo()

@@ -130,6 +130,27 @@ def test_dataset_files_byte_identical(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_an_interrupted_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "d.jsonl"
+    write_dataset(str(path), gen_two_moons(2000, 0.1, seed=3))
+    before = path.read_bytes()
+    dumps, calls = json.dumps, []
+
+    def interrupted(obj):
+        calls.append(obj)
+        if len(calls) == 1200:
+            raise KeyboardInterrupt
+        return dumps(obj)
+
+    monkeypatch.setattr(json, "dumps", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_dataset(str(path), gen_two_moons(2000, 0.2, seed=4))
+    monkeypatch.undo()
+    assert len(calls) == 1200
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
+    assert path.read_bytes() == before
+
+
 def test_token_file_round_trip(tmp_path, read_chunk):
     ds = gen_token_sequences(25, vocab=6, length=4, seed=16)
     path = str(tmp_path / "t.jsonl")

@@ -19,6 +19,7 @@ from oracles import (
     assert_grads_close,
     central_diff,
     cross_entropy_chain,
+    ref_sum_all,
     ref_sym_kl_rows,
     squared_error_chain,
     sym_kl_chain,
@@ -201,11 +202,11 @@ def _loss_and_grads(build, arrays, live, other_use):
     c = rng.gaussian(arrays[0].shape, 1.0)
     other = ad.mul_const(leaves[0], c) if other_use == "before" else None
     loss = build(*leaves)
-    total = ad.sum_all(ad.mul_const(loss, 0.5 + rng.uniform(np.shape(loss.value))))
+    total = ref_sum_all(ad.mul_const(loss, 0.5 + rng.uniform(np.shape(loss.value))))
     if other_use == "after":
         other = ad.mul_const(leaves[0], c)
     if other is not None:
-        total = ad.add(total, ad.sum_all(other))
+        total = ad.add(total, ref_sum_all(other))
     grads = tape.backward(total)
     return loss.value, [grads.get(leaf) for leaf in leaves]
 
